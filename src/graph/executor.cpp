@@ -227,11 +227,10 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
 
         if (node.precision == Precision::kInt8) {
           CQ_TRACE_SCOPE_N("graph.node.conv_int8", n);
-          float* cols_f = arena_ptr(scratch[0]);
-          float* gout = arena_ptr(scratch[1]);
-          float* col_scale = arena_ptr(scratch[2]);
-          float* col_inv = arena_ptr(scratch[3]);
-          auto* bp = reinterpret_cast<std::uint8_t*>(base_ + scratch[4]);
+          float* gout = arena_ptr(scratch[0]);
+          float* col_scale = arena_ptr(scratch[1]);
+          float* col_inv = arena_ptr(scratch[2]);
+          auto* bp = reinterpret_cast<std::uint8_t*>(base_ + scratch[3]);
 
           // Image i owns columns [i*spatial, (i+1)*spatial): every one of
           // its columns quantizes with that image's scale, whatever the
@@ -248,10 +247,10 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
           igemm::Epilogue ep;
           ep.col_scale = col_scale;
           for (std::int64_t grp = 0; grp < node.conv.groups; ++grp) {
-            im2col_batched(in_p + grp * cin_g * in_h * in_w, n, sample_in,
-                           geo, cols_f, cols);
-            igemm::pack_b_quantized(cols_f, /*rs=*/cols, /*cs=*/1, krows,
-                                    cols, col_inv, bp);
+            // Lower and quantize in one pass: the group's taps go straight
+            // from NCHW into the packed-B slivers, no fp32 column matrix.
+            igemm::pack_b_conv_quantized(in_p + grp * cin_g * in_h * in_w, n,
+                                         sample_in, geo, col_inv, bp);
             ep.row_scale = st.scales.data() + grp * cout_g;
             ep.bias = st.bias.data() + grp * cout_g;
             igemm::gemm(cout_g, cols, krows,

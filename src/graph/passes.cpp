@@ -96,9 +96,10 @@ std::size_t select_conv_lowering(Graph& g) {
     const std::int64_t spatial = out.dim(1) * out.dim(2);
     // Same geometry-only rule as the eager paths (serve/fp32.cpp,
     // deploy/int8.cpp): the choice never depends on batch width, so batched
-    // and serial forwards stay bitwise identical. The int8 path always
-    // lowers im2col — pack_b_quantized consumes the row-major column
-    // matrix directly.
+    // and serial forwards stay bitwise identical. Int8 convs keep the
+    // im2col tag but materialize no column matrix: the executor gathers
+    // taps straight from NCHW into packed-B slivers
+    // (igemm::pack_b_conv_quantized), in im2col's (c, kh, kw) row order.
     ConvLowering want = ConvLowering::kIm2col;
     if (n.precision == Precision::kF32 && spatial <= 16)
       want = ConvLowering::kIm2row;

@@ -42,8 +42,7 @@ std::vector<std::int64_t> node_scratch_bytes(const Graph& g, std::size_t i,
       const std::int64_t cols = batch * geo.col_cols();
       const std::int64_t cout_g = n.conv.out_channels / n.conv.groups;
       if (n.precision == Precision::kInt8)
-        return {krows * cols * kF,  // cols_f (fp32 column matrix)
-                cout_g * cols * kF,  // gout (channel-major GEMM out)
+        return {cout_g * cols * kF,  // gout (channel-major GEMM out)
                 cols * kF,           // col_scale
                 cols * kF,           // col_inv
                 igemm::packed_b_bytes(krows, cols)};

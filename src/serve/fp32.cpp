@@ -60,13 +60,12 @@ class ConvOp : public Fp32Op {
     // bitwise-equal — and the choice depends only on layer geometry, never
     // on batch size, preserving batched-vs-serial bitwise equivalence.
     const bool patch_major = spatial <= 16;
-    // Wide-spatial layers stay on the classic split pipeline (im2col row
-    // writes, then pack_b's streaming read) rather than the fused
-    // im2col_packed + gemm_prepacked_b path: at serving batch widths the
-    // sliver-scattered lowering writes cost more than the pack_b pass they
-    // delete, so the split path is the faster steady state for the worker
-    // (the fused entry points remain in the tensor layer for narrow-width
-    // callers, equivalence-pinned by tests/test_gemm.cpp).
+    // Wide-spatial layers use the split pipeline (im2col row writes, then
+    // pack_b's streaming read). An fp32 lowering straight into packed-B
+    // slivers measured slower at serving batch widths (its sliver-scattered
+    // writes cost more than the pack_b pass they delete) and was removed;
+    // the int8 plan's igemm::pack_b_conv_quantized is the one fused
+    // lowering, because there the pack also quantizes.
 
     out_.resize(Shape{n, spec_.out_channels, oh, ow});
     cols_.resize(patch_major ? Shape{cols, krows} : Shape{krows, cols});

@@ -100,8 +100,8 @@ void gemm(Trans trans, std::int64_t m, std::int64_t n, std::int64_t k,
 /// k-major order, short trailing slivers zero-padded — i.e. value (p, j) of
 /// op(B) lives at packed_b[(j / kNR) * (k * kNR) + p * kNR + j % kNR].
 /// This is exactly the layout pack_block_b emits, extended across the full
-/// width n, and it lets a producer (e.g. im2col_packed) write B in packed
-/// form directly, deleting the separate pack_b read+write pass. Restricted
+/// width n, and it lets a caller pack a static B once (the compiled plan's
+/// Linear and patch-embed weights) instead of on every call. Restricted
 /// to k <= kKC (a single k-panel) so the sliver sequence is unambiguous.
 /// A is row-major [M, K] (kNN orientation). Same micro-kernel, k-order and
 /// epilogue sequencing as gemm(), so results are bit-identical to

@@ -5,7 +5,6 @@
 
 #include "core/threadpool.hpp"
 #include "core/trace.hpp"
-#include "tensor/gemm.hpp"
 
 namespace cq {
 
@@ -162,77 +161,6 @@ void im2col_batched(const float* images, std::int64_t n,
 void im2col_into(const float* image, const ConvGeometry& g, Tensor& cols) {
   cols.resize(Shape{g.col_rows(), g.col_cols()});
   im2col(image, g, cols.data());
-}
-
-void im2col_packed(const float* image, const ConvGeometry& g, float* packed,
-                   std::int64_t col0) {
-  const auto oh = g.out_h(), ow = g.out_w();
-  CQ_TRACE_SCOPE_BYTES("im2col.packed",
-                       g.col_rows() * oh * ow * sizeof(float));
-  const auto spatial = oh * ow;
-  const auto kc = g.col_rows();
-  CQ_CHECK(kc <= gemm::kKC);
-  constexpr std::int64_t NR = gemm::kNR;
-  CQ_CHECK(col0 % NR == 0 && spatial % NR == 0);
-
-  // Sliver-outer walk: finish each kc x NR packed sliver before moving on,
-  // so writes stream sequentially through the packed buffer and reads hit
-  // the (small) input plane — the p-outer order of plain im2col would
-  // revisit every sliver once per patch row, touching the whole packed
-  // matrix col_rows times. A sliver spans NR consecutive output pixels,
-  // which cross y-rows; segment that span once per sliver, then emit each
-  // segment as a zero-framed contiguous copy for every patch row.
-  struct Seg {
-    std::int64_t t, len, y, xs;
-  };
-  Seg segs[NR];
-  for (std::int64_t s = 0; s < spatial; s += NR) {
-    int nsegs = 0;
-    for (std::int64_t t = 0; t < NR;) {
-      const std::int64_t j = s + t;
-      const std::int64_t y = j / ow, xs = j % ow;
-      const std::int64_t len = std::min(NR - t, ow - xs);
-      segs[nsegs++] = Seg{t, len, y, xs};
-      t += len;
-    }
-    float* sliver = packed + ((col0 + s) / NR) * (kc * NR);
-    std::int64_t p = 0;
-    for (std::int64_t c = 0; c < g.in_channels; ++c) {
-      const float* chan = image + c * g.in_h * g.in_w;
-      for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
-        const std::int64_t yoff = kh - g.pad;
-        for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, ++p) {
-          const std::int64_t off = kw - g.pad;
-          const std::int64_t x0 =
-              off < 0 ? (-off + g.stride - 1) / g.stride : 0;
-          const std::int64_t x1 =
-              off < g.in_w ? (g.in_w - 1 - off) / g.stride : -1;
-          float* dst = sliver + p * NR;
-          for (int si = 0; si < nsegs; ++si) {
-            const Seg& sg = segs[si];
-            const std::int64_t iy = sg.y * g.stride + yoff;
-            if (iy < 0 || iy >= g.in_h) {
-              for (std::int64_t i = 0; i < sg.len; ++i) dst[sg.t + i] = 0.0f;
-              continue;
-            }
-            const float* srow = chan + iy * g.in_w;
-            const std::int64_t i0 = std::max<std::int64_t>(0, x0 - sg.xs);
-            const std::int64_t i1 =
-                std::min<std::int64_t>(sg.len - 1, x1 - sg.xs);
-            for (std::int64_t i = 0; i < i0; ++i) dst[sg.t + i] = 0.0f;
-            if (g.stride == 1) {
-              for (std::int64_t i = i0; i <= i1; ++i)
-                dst[sg.t + i] = srow[sg.xs + i + off];
-            } else {
-              for (std::int64_t i = i0; i <= i1; ++i)
-                dst[sg.t + i] = srow[(sg.xs + i) * g.stride + off];
-            }
-            for (std::int64_t i = i1 + 1; i < sg.len; ++i) dst[sg.t + i] = 0.0f;
-          }
-        }
-      }
-    }
-  }
 }
 
 void im2row(const float* image, const ConvGeometry& g, float* rows) {

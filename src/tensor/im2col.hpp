@@ -53,18 +53,6 @@ void im2col_batched(const float* images, std::int64_t n,
 /// `image` must not alias `cols`.
 void im2col_into(const float* image, const ConvGeometry& g, Tensor& cols);
 
-/// Lower one image DIRECTLY into gemm packed-B sliver layout (the format
-/// gemm_prepacked_b consumes: kNR-column slivers, k-major within a sliver),
-/// writing columns [col0, col0 + col_cols()) of the full packed matrix that
-/// starts at `packed`. Fusing the lowering with the packing deletes the
-/// separate pack_b read+write pass over the column matrix — on skinny
-/// conv GEMMs (small C_out) that pass is a large share of the forward.
-/// Requires col_rows() <= gemm::kKC (single k-panel; checked). The caller
-/// owns zero-padding of a partial final sliver (alignment is natural when
-/// col0 and the total width are multiples of gemm::kNR).
-void im2col_packed(const float* image, const ConvGeometry& g, float* packed,
-                   std::int64_t col0);
-
 /// Patch-major lowering (im2row): the TRANSPOSE of the im2col matrix,
 /// shape [col_cols, col_rows] — one contiguous (c, kh, kw)-ordered patch
 /// per output pixel, matching the weight row layout. Paired with

@@ -13,10 +13,12 @@
 // deploy path produces (k <= kMaxK keeps even the worst case ~0.5 MB).
 #include "tensor/kernels/igemm.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/threadpool.hpp"
 #include "core/trace.hpp"
+#include "tensor/im2col.hpp"
 #include "util/check.hpp"
 
 #if !defined(CQ_FORCE_SCALAR) && defined(__AVX512F__) && \
@@ -93,6 +95,66 @@ void pack_b_scalar(const float* b, std::int64_t rs, std::int64_t cs,
   }
 }
 
+// Column geometry of one fused-conv sliver. Lane j (column jr + j) reads
+// its (c, kh, kw) = (0, 0, 0) tap at source offset base[j], whose image
+// coordinates are (iy0[j], ix0[j]); tap (c, kh, kw) adds c*in_h*in_w +
+// kh*in_w + kw and is a padding tap unless 0 <= iy0+kh < in_h and
+// 0 <= ix0+kw < in_w. Lanes [nr, NR) are dead (past the last column).
+struct ConvCols {
+  std::int64_t base[NR] = {}, iy0[NR] = {}, ix0[NR] = {};
+  std::int64_t nr = 0;
+};
+
+ConvCols conv_cols(const ConvGeometry& g, std::int64_t sample_stride,
+                   std::int64_t ncols, std::int64_t jr) {
+  const std::int64_t oh = g.out_h(), ow = g.out_w();
+  ConvCols cc;
+  cc.nr = std::min(NR, ncols - jr);
+  std::int64_t img = jr / (oh * ow), y = (jr % (oh * ow)) / ow, x = jr % ow;
+  for (std::int64_t j = 0; j < cc.nr; ++j) {
+    cc.iy0[j] = y * g.stride - g.pad;
+    cc.ix0[j] = x * g.stride - g.pad;
+    cc.base[j] = img * sample_stride + cc.iy0[j] * g.in_w + cc.ix0[j];
+    if (++x == ow) {
+      x = 0;
+      if (++y == oh) y = 0, ++img;
+    }
+  }
+  return cc;
+}
+
+// Fused conv pack over slivers [sv0, sv1): im2col's zero fill and
+// pack_b_scalar's quantize, per element, in pack_b_scalar's byte order.
+void pack_b_conv_scalar(const float* images, std::int64_t sample_stride,
+                        const ConvGeometry& g, std::int64_t ncols,
+                        const float* col_inv_scale, std::uint8_t* bp,
+                        std::int64_t sv0, std::int64_t sv1) {
+  const std::int64_t k = g.col_rows(), kp = padded_k(k);
+  const std::int64_t taps = g.kernel_h * g.kernel_w;
+  for (std::int64_t sv = sv0; sv < sv1; ++sv) {
+    const std::int64_t jr = sv * NR;
+    const ConvCols cc = conv_cols(g, sample_stride, ncols, jr);
+    std::uint8_t* sliver = bp + sv * (kp * NR);
+    for (std::int64_t p = 0; p < kp; ++p) {
+      const std::int64_t c = p / taps, kh = (p % taps) / g.kernel_w,
+                         kw = p % g.kernel_w;
+      const std::int64_t row_off = c * g.in_h * g.in_w + kh * g.in_w + kw;
+      std::uint8_t* dst = sliver + (p / KU) * (NR * KU) + p % KU;
+      for (std::int64_t j = 0; j < NR; ++j) {
+        const bool live = j < cc.nr && p < k;
+        const bool tap = live &&
+                         static_cast<std::uint64_t>(cc.iy0[j] + kh) <
+                             static_cast<std::uint64_t>(g.in_h) &&
+                         static_cast<std::uint64_t>(cc.ix0[j] + kw) <
+                             static_cast<std::uint64_t>(g.in_w);
+        const float v = tap ? images[cc.base[j] + row_off] : 0.0f;
+        const float inv = live ? col_inv_scale[jr + j] : 0.0f;
+        dst[j * KU] = static_cast<std::uint8_t>(quantize_impl(v, inv) + 128);
+      }
+    }
+  }
+}
+
 // Per-tile write-back shared by both portable paths: fold the offset
 // correction and scales exactly as documented in igemm.hpp. `acc` holds the
 // raw u8*s8 sums for tile rows [ir, ir+mr) x columns [jr, jr+nr).
@@ -162,14 +224,108 @@ void gemm_scalar(std::int64_t m, std::int64_t n, std::int64_t k,
 // ---------------------------------------------------------------------------
 #if CQ_IGEMM_VNNI
 
-// Quantize one 16-wide row slice to offset-binary int32 lanes ([1, 255]).
-// Masked-off lanes read v = 0 with inv = 0 and produce the pad byte 128 —
-// identical to what pack_b_scalar writes, so packed buffers match bitwise.
-inline __m512i quantize_row(const float* src, __mmask16 mask, __m512 inv) {
-  __m512 t = _mm512_mul_ps(_mm512_maskz_loadu_ps(mask, src), inv);
+// Quantize 16 lanes to offset-binary int32 ([1, 255]) with quantize_impl's
+// formula, lane for lane.
+inline __m512i quantize_vec(__m512 v, __m512 inv) {
+  __m512 t = _mm512_mul_ps(v, inv);
   t = _mm512_max_ps(t, _mm512_set1_ps(-127.0f));  // NaN -> -127, like scalar
   t = _mm512_min_ps(t, _mm512_set1_ps(127.0f));
   return _mm512_add_epi32(_mm512_cvtps_epi32(t), _mm512_set1_epi32(128));
+}
+
+// Quantize one 16-wide row slice. Masked-off lanes read v = 0 with inv = 0
+// and produce the pad byte 128 — identical to what pack_b_scalar writes, so
+// packed buffers match bitwise.
+inline __m512i quantize_row(const float* src, __mmask16 mask, __m512 inv) {
+  return quantize_vec(_mm512_maskz_loadu_ps(mask, src), inv);
+}
+
+inline __mmask16 lane_mask(std::int64_t nr) {
+  return nr == NR ? static_cast<__mmask16>(0xFFFF)
+                  : static_cast<__mmask16>((1u << nr) - 1u);
+}
+
+// Largest kernel (kernel_h * kernel_w taps) the VNNI conv pack keeps
+// per-sliver tap masks for; larger kernels take the scalar walk.
+constexpr std::int64_t kMaxTaps = 256;
+
+// Fused conv pack, VNNI form of pack_b_conv_scalar. Each k-row of a sliver
+// is one 16-lane load of taps: a masked contiguous load when the sliver's
+// live columns read consecutive source floats (stride 1 with out_w == in_w,
+// or a sliver inside one output row), else a masked gather. Masked-off
+// lanes (padding taps, dead columns) read 0.0f, and dead lanes and k-pad
+// rows quantize with inv = 0, so the bytes equal pack_b_vnni's on im2col's
+// output. Requires kernel taps <= kMaxTaps and int32 source offsets.
+void pack_b_conv_vnni(const float* images, std::int64_t sample_stride,
+                      const ConvGeometry& g, std::int64_t ncols,
+                      const float* col_inv_scale, std::uint8_t* bp,
+                      std::int64_t sv0, std::int64_t sv1) {
+  const std::int64_t k = g.col_rows(), kp = padded_k(k);
+  const std::int64_t taps = g.kernel_h * g.kernel_w;
+  const std::int64_t plane = g.in_h * g.in_w;
+  const __m512i hv = _mm512_set1_epi32(static_cast<std::int32_t>(g.in_h));
+  const __m512i wv = _mm512_set1_epi32(static_cast<std::int32_t>(g.in_w));
+  const __m512 zero = _mm512_setzero_ps();
+  const __m512i dead = quantize_vec(zero, zero);
+  // Row p = c * taps + t reads source offset base + c * plane + tap_off[t].
+  std::int32_t tap_off[kMaxTaps];
+  for (std::int64_t t = 0; t < taps; ++t)
+    tap_off[t] = static_cast<std::int32_t>((t / g.kernel_w) * g.in_w +
+                                           t % g.kernel_w);
+  for (std::int64_t sv = sv0; sv < sv1; ++sv) {
+    const ConvCols cc = conv_cols(g, sample_stride, ncols, sv * NR);
+    alignas(64) std::int32_t base[NR], iy0[NR], ix0[NR];
+    bool contiguous = true;
+    for (std::int64_t j = 0; j < NR; ++j) {
+      base[j] = static_cast<std::int32_t>(cc.base[j]);
+      iy0[j] = static_cast<std::int32_t>(cc.iy0[j]);
+      ix0[j] = static_cast<std::int32_t>(cc.ix0[j]);
+      if (j < cc.nr) contiguous &= cc.base[j] == cc.base[0] + j;
+    }
+    const __m512i basev = _mm512_load_si512(base);
+    const __m512i iy0v = _mm512_load_si512(iy0);
+    const __m512i ix0v = _mm512_load_si512(ix0);
+    const __mmask16 live = lane_mask(cc.nr);
+    const __m512 inv = _mm512_maskz_loadu_ps(live, col_inv_scale + sv * NR);
+    // Lanes whose tap t is inside the image — the same for every channel.
+    // Unsigned compares: a negative coordinate wraps high, so one test
+    // covers both edges.
+    __mmask16 tap_ok[kMaxTaps];
+    for (std::int64_t t = 0; t < taps; ++t) {
+      const __m512i iy = _mm512_add_epi32(
+          iy0v, _mm512_set1_epi32(static_cast<std::int32_t>(t / g.kernel_w)));
+      const __m512i ix = _mm512_add_epi32(
+          ix0v, _mm512_set1_epi32(static_cast<std::int32_t>(t % g.kernel_w)));
+      tap_ok[t] = live & _mm512_cmplt_epu32_mask(iy, hv) &
+                  _mm512_cmplt_epu32_mask(ix, wv);
+    }
+    // Rows stream in (c, t) order.
+    std::int64_t t = 0, chan = 0, p = 0;
+    auto next_row = [&]() -> __m512i {
+      if (p++ >= k) return dead;  // k pad
+      const auto off = static_cast<std::int32_t>(chan + tap_off[t]);
+      const __m512 v =
+          contiguous
+              ? _mm512_maskz_loadu_ps(tap_ok[t], images + base[0] + off)
+              : _mm512_mask_i32gather_ps(
+                    zero, tap_ok[t],
+                    _mm512_add_epi32(basev, _mm512_set1_epi32(off)), images,
+                    4);
+      if (++t == taps) t = 0, chan += plane;
+      return quantize_vec(v, inv);
+    };
+    std::uint8_t* dst = bp + sv * (kp * NR);
+    for (std::int64_t q = 0; q < kp; q += KU, dst += NR * KU) {
+      // Four k-rows -> one 64-byte quad block. Each offset-binary value
+      // fits in 8 bits, so shift-and-or assembles the bytes exactly.
+      const __m512i r0 = next_row(), r1 = next_row(), r2 = next_row(),
+                    r3 = next_row();
+      const __m512i lo = _mm512_or_si512(r0, _mm512_slli_epi32(r1, 8));
+      const __m512i hi = _mm512_or_si512(_mm512_slli_epi32(r2, 16),
+                                         _mm512_slli_epi32(r3, 24));
+      _mm512_storeu_si512(dst, _mm512_or_si512(lo, hi));
+    }
+  }
 }
 
 void pack_b_vnni(const float* b, std::int64_t rs, std::int64_t cs,
@@ -326,6 +482,36 @@ void pack_b_quantized(const float* b, std::int64_t rs, std::int64_t cs,
     range(0, nsv);
 }
 
+void pack_b_conv_quantized(const float* images, std::int64_t n,
+                           std::int64_t sample_stride, const ConvGeometry& g,
+                           const float* col_inv_scale, std::uint8_t* bp) {
+  const std::int64_t k = g.col_rows(), ncols = n * g.col_cols();
+  CQ_TRACE_SCOPE_HOT_BYTES("igemm.pack_b_conv", k * ncols * sizeof(float));
+  const std::int64_t nsv = (ncols + NR - 1) / NR;
+#if CQ_IGEMM_VNNI
+  // Gather indices are int32 lanes; tap masks live in a fixed array.
+  const bool vnni = g.kernel_h * g.kernel_w <= kMaxTaps &&
+                    n * sample_stride + g.in_channels * g.in_h * g.in_w <
+                        (std::int64_t{1} << 31);
+#endif
+  auto range = [&](std::int64_t sv0, std::int64_t sv1) {
+#if CQ_IGEMM_VNNI
+    if (vnni) {
+      pack_b_conv_vnni(images, sample_stride, g, ncols, col_inv_scale, bp,
+                       sv0, sv1);
+      return;
+    }
+#endif
+    pack_b_conv_scalar(images, sample_stride, g, ncols, col_inv_scale, bp,
+                       sv0, sv1);
+  };
+  // Same split bar as pack_b_quantized; slivers are partition-independent.
+  if (core::ThreadPool::instance().size() > 1 && k * ncols >= 1 << 16)
+    core::parallel_for(nsv, 1, range);
+  else
+    range(0, nsv);
+}
+
 void gemm(std::int64_t m, std::int64_t n, std::int64_t k,
           const std::int8_t* ap, const std::int32_t* rowsum,
           const std::uint8_t* bp, float* c, std::int64_t ldc,
@@ -374,6 +560,14 @@ void pack_b_quantized(const float* b, std::int64_t rs, std::int64_t cs,
                       std::int64_t k, std::int64_t n,
                       const float* col_inv_scale, std::uint8_t* bp) {
   pack_b_scalar(b, rs, cs, k, n, col_inv_scale, bp, 0, (n + NR - 1) / NR);
+}
+
+void pack_b_conv_quantized(const float* images, std::int64_t n,
+                           std::int64_t sample_stride, const ConvGeometry& g,
+                           const float* col_inv_scale, std::uint8_t* bp) {
+  const std::int64_t ncols = n * g.col_cols();
+  pack_b_conv_scalar(images, sample_stride, g, ncols, col_inv_scale, bp, 0,
+                     (ncols + NR - 1) / NR);
 }
 
 void gemm(std::int64_t m, std::int64_t n, std::int64_t k,

@@ -3,9 +3,10 @@
 //
 // Shapes follow the deployment orientation everywhere: A is the STATIC
 // operand (per-output-channel int8 weights, [m, k] row-major, packed once at
-// network-compile time), B is the DYNAMIC operand (fp32 activations lowered
-// by im2col, quantized to int8 *as they are packed* — the int8 analogue of
-// the fp32 path's quantize-on-pack). C is written back in fp32 by an
+// network-compile time), B is the DYNAMIC operand (fp32 activations,
+// quantized to int8 *as they are packed* — the int8 analogue of the fp32
+// path's quantize-on-pack; for convs, pack_b_conv_quantized also does the
+// im2col lowering in the same pass). C is written back in fp32 by an
 // epilogue that folds the per-output-channel weight scales, the per-column
 // (= per-sample) activation scales and the activation zero points into the
 // int32 accumulators at register write-back.
@@ -33,6 +34,10 @@
 #pragma once
 
 #include <cstdint>
+
+namespace cq {
+struct ConvGeometry;  // tensor/im2col.hpp
+}
 
 namespace cq::igemm {
 
@@ -93,6 +98,23 @@ void pack_b_quantized(const float* b, std::int64_t rs, std::int64_t cs,
                       std::int64_t k, std::int64_t n,
                       const float* col_inv_scale, std::uint8_t* bp);
 
+/// Conv lowering fused into quantize-on-pack: writes exactly the bytes
+///   pack_b_quantized(im2col_batched(images, n, sample_stride, g), ...)
+/// would, without materializing the fp32 column matrix. The packed operand
+/// is [k = g.col_rows(), n * g.col_cols()]; column j = img * spatial +
+/// y * out_w + x reads from source offset
+///   img * sample_stride + (y * stride - pad) * in_w + (x * stride - pad)
+/// and row p = (c * kernel_h + kh) * kernel_w + kw adds
+///   c * in_h * in_w + kh * in_w + kw.
+/// Padding taps (source outside the image) load 0.0f and go through the
+/// column's quantize formula, exactly as im2col's zero fill would; dead lanes
+/// (column pad, k pad) quantize 0.0f with a zero inv-scale. So NaN inputs
+/// and Inf or zero inv-scales give the two-pass bytes too. `images` may point
+/// at a channel offset inside each sample (one conv group).
+void pack_b_conv_quantized(const float* images, std::int64_t n,
+                           std::int64_t sample_stride, const ConvGeometry& g,
+                           const float* col_inv_scale, std::uint8_t* bp);
+
 /// Scale/zero-point fold applied per element at write-back:
 ///   eff  = acc - (128 + col_zp[j]) * rowsum[i]      (exact, int32)
 ///   c    = float(eff) * (row_scale[i] * col_scale[j]) + bias[i]
@@ -132,6 +154,9 @@ namespace scalar {
 void pack_b_quantized(const float* b, std::int64_t rs, std::int64_t cs,
                       std::int64_t k, std::int64_t n,
                       const float* col_inv_scale, std::uint8_t* bp);
+void pack_b_conv_quantized(const float* images, std::int64_t n,
+                           std::int64_t sample_stride, const ConvGeometry& g,
+                           const float* col_inv_scale, std::uint8_t* bp);
 void gemm(std::int64_t m, std::int64_t n, std::int64_t k,
           const std::int8_t* ap, const std::int32_t* rowsum,
           const std::uint8_t* bp, float* c, std::int64_t ldc,

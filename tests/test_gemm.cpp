@@ -113,10 +113,11 @@ std::vector<float> sliver_pack(const float* b, std::int64_t k,
 
 TEST(GemmPrepackedB, BitwiseMatchesGemmKnn) {
   // gemm_prepacked_b must be bit-identical to gemm(kNN) on the unpacked
-  // operand — callers that pre-lay-out B (im2col_packed) rely on this to
-  // keep batched-vs-serial outputs bitwise equal. Shapes cover ragged n
-  // (zero-padded final sliver), n > kNC (several column blocks), k == kKC
-  // (the single-panel cap), and m > kMC (several A blocks).
+  // operand — callers that pre-lay-out B (the compiled plan's prepacked
+  // Linear weights) rely on this to keep compiled == eager bitwise. Shapes
+  // cover ragged n (zero-padded final sliver), n > kNC (several column
+  // blocks), k == kKC (the single-panel cap), and m > kMC (several A
+  // blocks).
   Rng rng(0xBEEF);
   const std::vector<std::array<std::int64_t, 3>> shapes = {
       {8, 64, 72},   {5, 48, 27},  {7, 33, 100},  {1, 1, 1},

@@ -5,6 +5,7 @@
 // reference — any relaxation here silently changes served bytes.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/threadpool.hpp"
@@ -131,37 +132,48 @@ TEST(GraphExecutor, CompiledMatchesEagerFp32AcrossWidths) {
   }
 }
 
+// mobilenetv2's depthwise and grouped int8 convs are the only users of the
+// per-group channel offset into the fused conv pack.
 TEST(GraphExecutor, CompiledMatchesEagerInt8AcrossWidths) {
-  auto enc = eval_encoder("resnet18", 13);
-  deploy::Int8Network eager = deploy::compile_int8(*enc.backbone);
-  auto model = graph::compile(
-      *enc.backbone, Shape{3, kH, kW},
-      graph::CompileOptions{4, graph::Precision::kInt8, true});
-  Rng rng(37);
-  for (std::int64_t n = 1; n <= 4; ++n) {
-    SCOPED_TRACE(n);
-    const Tensor batch =
-        Tensor::uniform(Shape{n, 3, kH, kW}, rng, -1.0f, 1.0f);
-    expect_bitwise(model.forward(batch), eager.forward(batch));
+  for (const char* arch : {"resnet18", "mobilenetv2"}) {
+    SCOPED_TRACE(arch);
+    auto enc = eval_encoder(arch, 13);
+    deploy::Int8Network eager = deploy::compile_int8(*enc.backbone);
+    auto model = graph::compile(
+        *enc.backbone, Shape{3, kH, kW},
+        graph::CompileOptions{5, graph::Precision::kInt8, true});
+    Rng rng(37);
+    for (std::int64_t n = 1; n <= 5; ++n) {
+      SCOPED_TRACE(n);
+      const Tensor batch =
+          Tensor::uniform(Shape{n, 3, kH, kW}, rng, -1.0f, 1.0f);
+      expect_bitwise(model.forward(batch), eager.forward(batch));
+    }
   }
 }
 
 TEST(GraphExecutor, CompiledBatchedEqualsSerial) {
-  auto enc = eval_encoder("resnet18", 17);
-  auto model = graph::compile(
-      *enc.backbone, Shape{3, kH, kW},
-      graph::CompileOptions{4, graph::Precision::kF32, true});
-  Rng rng(41);
-  const Tensor batch = Tensor::uniform(Shape{4, 3, kH, kW}, rng, -1.0f, 1.0f);
-  const Tensor batched = model.forward(batch);  // copy: arena reused below
-  const std::int64_t per = 3 * kH * kW;
-  for (std::int64_t i = 0; i < 4; ++i) {
-    Tensor single(Shape{1, 3, kH, kW});
-    std::copy(batch.data() + i * per, batch.data() + (i + 1) * per,
-              single.data());
-    const Tensor& feats = model.forward(single);
-    for (std::int64_t c = 0; c < feats.dim(1); ++c)
-      EXPECT_EQ(batched.at(i, c), feats.at(0, c)) << i << "," << c;
+  for (const char* arch : {"resnet18", "mobilenetv2"}) {
+    for (auto precision : {graph::Precision::kF32, graph::Precision::kInt8}) {
+      SCOPED_TRACE(std::string(arch) +
+                   (precision == graph::Precision::kF32 ? " fp32" : " int8"));
+      auto enc = eval_encoder(arch, 17);
+      auto model = graph::compile(*enc.backbone, Shape{3, kH, kW},
+                                  graph::CompileOptions{4, precision, true});
+      Rng rng(41);
+      const Tensor batch =
+          Tensor::uniform(Shape{4, 3, kH, kW}, rng, -1.0f, 1.0f);
+      const Tensor batched = model.forward(batch);  // copy: arena reused below
+      const std::int64_t per = 3 * kH * kW;
+      for (std::int64_t i = 0; i < 4; ++i) {
+        Tensor single(Shape{1, 3, kH, kW});
+        std::copy(batch.data() + i * per, batch.data() + (i + 1) * per,
+                  single.data());
+        const Tensor& feats = model.forward(single);
+        for (std::int64_t c = 0; c < feats.dim(1); ++c)
+          EXPECT_EQ(batched.at(i, c), feats.at(0, c)) << i << "," << c;
+      }
+    }
   }
 }
 

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
@@ -119,72 +118,6 @@ TEST(Im2row, IsExactTransposeOfIm2col) {
             << "h=" << h << " w=" << w << " k=" << k << " s=" << stride
             << " p=" << pad << " row=" << r << " col=" << c;
   }
-}
-
-// Re-pack a row-major [k, n] matrix into the packed-B sliver layout
-// documented on gemm_prepacked_b: value (p, j) at
-// packed[(j / kNR) * (k * kNR) + p * kNR + j % kNR], ragged tail zeroed.
-std::vector<float> sliver_pack(const float* b, std::int64_t k, std::int64_t n) {
-  const auto NR = gemm::kNR;
-  const auto slivers = (n + NR - 1) / NR;
-  std::vector<float> packed(static_cast<std::size_t>(slivers * k * NR), 0.0f);
-  for (std::int64_t p = 0; p < k; ++p)
-    for (std::int64_t j = 0; j < n; ++j)
-      packed[static_cast<std::size_t>((j / NR) * (k * NR) + p * NR + j % NR)] =
-          b[p * n + j];
-  return packed;
-}
-
-TEST(Im2colPacked, MatchesSliverPackOfIm2col) {
-  // im2col_packed must write exactly what pack_b would emit from the plain
-  // im2col matrix — that is the contract that lets gemm_prepacked_b skip
-  // its own packing pass and stay bit-identical to gemm(kNN, ...).
-  Rng rng(11);
-  // (c, h, w, k, stride, pad) with spatial % kNR == 0 and col_rows <= kKC.
-  for (const auto& [c, h, w, k, stride, pad] :
-       std::vector<std::tuple<int, int, int, int, int, int>>{
-           {3, 8, 8, 3, 1, 1},   // 8x8 stem geometry, spatial 64
-           {8, 8, 8, 3, 1, 1},   // spatial 64, krows 72
-           {2, 16, 4, 3, 1, 1},  // ow=4: one sliver spans four y-rows
-           {3, 8, 8, 3, 2, 1},   // stride 2, spatial 16 (one sliver/image)
-           {1, 4, 4, 1, 1, 0},   // 1x1 kernel, krows 1
-           {28, 8, 8, 3, 1, 1},  // krows 252, just under the kKC panel cap
-       }) {
-    const auto g = geom(c, h, w, k, stride, pad);
-    ASSERT_LE(g.col_rows(), gemm::kKC);
-    ASSERT_EQ(g.col_cols() % gemm::kNR, 0);
-    Tensor img = Tensor::randn(Shape{g.in_channels, g.in_h, g.in_w}, rng);
-    std::vector<float> cols(
-        static_cast<std::size_t>(g.col_rows() * g.col_cols()));
-    im2col(img.data(), g, cols.data());
-    const auto expected = sliver_pack(cols.data(), g.col_rows(), g.col_cols());
-    std::vector<float> packed(expected.size(), -1.0f);
-    im2col_packed(img.data(), g, packed.data(), /*col0=*/0);
-    for (std::size_t i = 0; i < expected.size(); ++i)
-      ASSERT_EQ(packed[i], expected[i])
-          << "c=" << c << " h=" << h << " w=" << w << " k=" << k
-          << " s=" << stride << " p=" << pad << " @" << i;
-  }
-}
-
-TEST(Im2colPacked, Col0OffsetsIntoABatchedPackedMatrix) {
-  // Two images lowered side by side (image i at col0 = i * spatial) must
-  // equal the sliver pack of the batched column matrix — the layout the
-  // serving engine would hand to one whole-batch gemm_prepacked_b call.
-  Rng rng(12);
-  const auto g = geom(3, 8, 8, 3, 1, 1);
-  const auto krows = g.col_rows(), spatial = g.col_cols();
-  Tensor imgs = Tensor::randn(Shape{2, g.in_channels, g.in_h, g.in_w}, rng);
-  const auto per = g.in_channels * g.in_h * g.in_w;
-  std::vector<float> cols(static_cast<std::size_t>(krows * 2 * spatial));
-  for (std::int64_t i = 0; i < 2; ++i)
-    im2col(imgs.data() + i * per, g, cols.data() + i * spatial, 2 * spatial);
-  const auto expected = sliver_pack(cols.data(), krows, 2 * spatial);
-  std::vector<float> packed(expected.size(), -1.0f);
-  for (std::int64_t i = 0; i < 2; ++i)
-    im2col_packed(imgs.data() + i * per, g, packed.data(), i * spatial);
-  for (std::size_t i = 0; i < expected.size(); ++i)
-    ASSERT_EQ(packed[i], expected[i]) << "@" << i;
 }
 
 TEST(Col2im, IsAdjointOfIm2col) {

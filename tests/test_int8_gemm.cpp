@@ -14,9 +14,12 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/threadpool.hpp"
+#include "tensor/im2col.hpp"
 #include "tensor/kernels/igemm.hpp"
 #include "util/rng.hpp"
 
@@ -309,6 +312,187 @@ TEST(Int8Gemm, StridedBSource) {
     p.rs = 1;
     p.cs = p.k;
     check(p);
+  }
+}
+
+// ---- Fused conv lowering: pack_b_conv_quantized ----------------------------
+//
+// The oracle is the two-pass sequence the fused kernel replaces: the fp32
+// column matrix from im2col_batched, then the row-major pack_b_quantized.
+// The packed bytes must match BITWISE, pad bytes included.
+
+struct ConvCase {
+  ConvGeometry g;
+  std::int64_t n = 1;          // images
+  std::int64_t groups = 1;     // images hold groups * in_channels planes
+  std::vector<float> images;   // [n, groups * in_channels, in_h, in_w]
+  std::vector<float> col_inv;  // [n * spatial]
+  std::int64_t sample_stride() const {
+    return groups * g.in_channels * g.in_h * g.in_w;
+  }
+  std::int64_t ncols() const { return n * g.col_cols(); }
+  // Group `grp`'s first plane: the channel offset the executor applies.
+  const float* group_images(std::int64_t grp) const {
+    return images.data() + grp * g.in_channels * g.in_h * g.in_w;
+  }
+};
+
+ConvCase make_conv_case(std::int64_t c, std::int64_t h, std::int64_t w,
+                        std::int64_t kernel, std::int64_t stride,
+                        std::int64_t pad, std::int64_t n, Rng& rng,
+                        std::int64_t groups = 1) {
+  ConvCase cc;
+  cc.g.in_channels = c;
+  cc.g.in_h = h;
+  cc.g.in_w = w;
+  cc.g.kernel_h = cc.g.kernel_w = kernel;
+  cc.g.stride = stride;
+  cc.g.pad = pad;
+  cc.n = n;
+  cc.groups = groups;
+  cc.images.resize(static_cast<std::size_t>(n * cc.sample_stride()));
+  for (auto& v : cc.images) v = static_cast<float>(rng.uniform(-2.0, 2.0));
+  cc.col_inv.resize(static_cast<std::size_t>(cc.ncols()));
+  for (auto& v : cc.col_inv) v = static_cast<float>(rng.uniform(20.0, 200.0));
+  return cc;
+}
+
+using Bytes = std::vector<std::uint8_t>;
+
+Bytes two_pass(const ConvCase& cc, std::int64_t grp, bool use_scalar) {
+  const std::int64_t k = cc.g.col_rows(), ncols = cc.ncols();
+  std::vector<float> cols(static_cast<std::size_t>(k * ncols));
+  im2col_batched(cc.group_images(grp), cc.n, cc.sample_stride(), cc.g,
+                 cols.data(), ncols);
+  Bytes bp(static_cast<std::size_t>(igemm::packed_b_bytes(k, ncols)), 0xAB);
+  if (use_scalar)
+    igemm::scalar::pack_b_quantized(cols.data(), ncols, 1, k, ncols,
+                                    cc.col_inv.data(), bp.data());
+  else
+    igemm::pack_b_quantized(cols.data(), ncols, 1, k, ncols,
+                            cc.col_inv.data(), bp.data());
+  return bp;
+}
+
+Bytes fused(const ConvCase& cc, std::int64_t grp, bool use_scalar) {
+  // A different sentinel from two_pass: an unwritten byte cannot match.
+  Bytes bp(static_cast<std::size_t>(
+               igemm::packed_b_bytes(cc.g.col_rows(), cc.ncols())),
+           0xCD);
+  if (use_scalar)
+    igemm::scalar::pack_b_conv_quantized(cc.group_images(grp), cc.n,
+                                         cc.sample_stride(), cc.g,
+                                         cc.col_inv.data(), bp.data());
+  else
+    igemm::pack_b_conv_quantized(cc.group_images(grp), cc.n,
+                                 cc.sample_stride(), cc.g, cc.col_inv.data(),
+                                 bp.data());
+  return bp;
+}
+
+/// Fused == two-pass on both backends, and backend == scalar twin.
+void check_conv(const ConvCase& cc, std::int64_t grp = 0) {
+  const Bytes ref = two_pass(cc, grp, /*use_scalar=*/false);
+  const Bytes got = fused(cc, grp, /*use_scalar=*/false);
+  const Bytes twin = fused(cc, grp, /*use_scalar=*/true);
+  const auto& g = cc.g;
+  const std::string what =
+      "c=" + std::to_string(g.in_channels) + " h=" + std::to_string(g.in_h) +
+      " w=" + std::to_string(g.in_w) + " k=" + std::to_string(g.kernel_h) +
+      " s=" + std::to_string(g.stride) + " p=" + std::to_string(g.pad) +
+      " n=" + std::to_string(cc.n) + " grp=" + std::to_string(grp);
+  ASSERT_EQ(ref, two_pass(cc, grp, /*use_scalar=*/true)) << what;
+  ASSERT_EQ(got, ref) << "backend vs two-pass " << what;
+  ASSERT_EQ(twin, ref) << "scalar twin vs two-pass " << what;
+}
+
+TEST(Int8ConvPack, MatchesTwoPassOverGeometrySweep) {
+  // Kernel 1/3/5 x stride 1/2/3 x pad 0-2 over non-square inputs, from
+  // spatial extents far below kNR (slivers straddle images) to several
+  // slivers per output row.
+  Rng rng(40);
+  const std::vector<std::pair<std::int64_t, std::int64_t>> sizes = {
+      {2, 3}, {5, 7}, {9, 4}, {16, 16}, {13, 21}};
+  for (std::int64_t kernel : {1, 3, 5})
+    for (std::int64_t stride : {1, 2, 3})
+      for (std::int64_t pad : {0, 1, 2})
+        for (const auto& [h, w] : sizes) {
+          if (h + 2 * pad < kernel || w + 2 * pad < kernel) continue;
+          for (std::int64_t n : {1, 2, 3, 5}) {
+            check_conv(make_conv_case(3, h, w, kernel, stride, pad, n, rng));
+            if (HasFatalFailure()) return;
+          }
+        }
+}
+
+TEST(Int8ConvPack, EveryBatchWidthOneToThirtyThree) {
+  // Widths 1..33 walk every column tail of the last sliver and every
+  // image-boundary phase within a sliver.
+  Rng rng(41);
+  for (std::int64_t n = 1; n <= 33; ++n) {
+    check_conv(make_conv_case(2, 3, 3, 3, 1, 1, n, rng));  // spatial 9
+    check_conv(make_conv_case(4, 4, 4, 3, 1, 1, n, rng));  // one sliver/img
+    check_conv(make_conv_case(2, 8, 6, 1, 2, 0, n, rng));  // strided 1x1
+    check_conv(make_conv_case(1, 2, 2, 3, 1, 1, n, rng));  // 2x2, 4 imgs
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(Int8ConvPack, GroupChannelOffset) {
+  // A later group reads from a channel offset inside each sample while
+  // samples stay sample_stride apart (the depthwise / grouped conv walk).
+  Rng rng(42);
+  for (std::int64_t groups : {2, 4}) {
+    for (std::int64_t n : {1, 3, 17}) {
+      const ConvCase cc = make_conv_case(1, 6, 5, 3, 1, 1, n, rng, groups);
+      for (std::int64_t grp = 0; grp < groups; ++grp) check_conv(cc, grp);
+      const ConvCase cs = make_conv_case(3, 7, 7, 3, 2, 1, n, rng, groups);
+      for (std::int64_t grp = 0; grp < groups; ++grp) check_conv(cs, grp);
+    }
+  }
+}
+
+TEST(Int8ConvPack, NonFiniteInputsAndScales) {
+  // NaN and +-Inf taps, and Inf and zero inv-scale columns: padding taps of
+  // an Inf column quantize 0 * Inf = NaN -> -127 exactly like im2col's zero
+  // fill, and a zero column collapses to q = 0.
+  Rng rng(43);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (std::int64_t stride : {1, 2}) {
+    for (std::int64_t n : {1, 3, 5}) {
+      ConvCase cc = make_conv_case(2, 5, 6, 3, stride, 1, n, rng);
+      for (std::size_t i = 0; i < cc.images.size(); i += 7)
+        cc.images[i] = (i % 3 == 0) ? nan : (i % 3 == 1 ? inf : -inf);
+      for (std::size_t j = 0; j < cc.col_inv.size(); j += 3)
+        cc.col_inv[j] = (j % 2 == 0) ? inf : 0.0f;
+      check_conv(cc);
+    }
+  }
+}
+
+TEST(Int8ConvPack, BitwiseInvariantToPoolSize) {
+  // Shapes past the pack split bar (k * ncols >= 64K); slivers are the
+  // unit of work, so any partition writes the same bytes.
+  core::ThreadPool& pool = core::ThreadPool::instance();
+  const std::size_t old_size = pool.size();
+  Rng rng(44);
+  const std::vector<ConvCase> cases = {
+      make_conv_case(16, 8, 8, 3, 1, 1, 32, rng),  // contiguous slivers
+      make_conv_case(16, 9, 7, 3, 2, 1, 29, rng),  // gathered slivers
+  };
+  for (const ConvCase& cc : cases) {
+    pool.set_size(1);
+    const Bytes serial = fused(cc, 0, false);
+    const Bytes serial_twin = fused(cc, 0, true);
+    for (std::size_t threads : {2u, 3u, 8u}) {
+      pool.set_size(threads);
+      ASSERT_EQ(fused(cc, 0, false), serial) << "threads=" << threads;
+      ASSERT_EQ(fused(cc, 0, true), serial_twin) << "threads=" << threads;
+    }
+    pool.set_size(old_size);
+    ASSERT_EQ(serial, serial_twin);
+    check_conv(cc);
   }
 }
 

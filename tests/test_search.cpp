@@ -25,6 +25,7 @@
 #include "search/topk.hpp"
 #include "tensor/kernels/hamming.hpp"
 #include "tensor/kernels/kernels.hpp"
+#include "testutil.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -545,7 +546,9 @@ const std::string& checkpoint_path() {
     }
     enc.backbone->set_mode(nn::Mode::kEval);
     std::string p = testing::TempDir() + "cq_search_ckpt.bin";
-    models::save_module(p, *enc.backbone);
+    test::publish_file(p, [&](const std::string& tmp) {
+      models::save_module(tmp, *enc.backbone);
+    });
     return p;
   }();
   return path;

@@ -19,6 +19,7 @@
 #include "serve/fp32.hpp"
 #include "serve/queue.hpp"
 #include "serve/stats.hpp"
+#include "testutil.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -40,7 +41,9 @@ const std::string& checkpoint_path() {
     }
     enc.backbone->set_mode(nn::Mode::kEval);
     std::string p = testing::TempDir() + "cq_serve_ckpt.bin";
-    models::save_module(p, *enc.backbone);
+    test::publish_file(p, [&](const std::string& tmp) {
+      models::save_module(tmp, *enc.backbone);
+    });
     return p;
   }();
   return path;

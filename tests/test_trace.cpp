@@ -18,6 +18,7 @@
 #include "models/encoder.hpp"
 #include "serve/engine.hpp"
 #include "serve/queue.hpp"
+#include "testutil.hpp"
 #include "util/rng.hpp"
 
 // Global operator new/delete instrumentation for the steady-state
@@ -270,7 +271,9 @@ const std::string& trace_checkpoint() {
     }
     enc.backbone->set_mode(nn::Mode::kEval);
     std::string p = testing::TempDir() + "cq_trace_ckpt.bin";
-    models::save_module(p, *enc.backbone);
+    test::publish_file(p, [&](const std::string& tmp) {
+      models::save_module(tmp, *enc.backbone);
+    });
     return p;
   }();
   return path;

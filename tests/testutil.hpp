@@ -1,15 +1,33 @@
-// Shared test helpers: numeric gradient checking against Module::backward.
+// Shared test helpers: numeric gradient checking against Module::backward,
+// and race-free shared fixture files.
 #pragma once
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <cstdio>
 #include <functional>
+#include <stdexcept>
+#include <string>
 
 #include "nn/module.hpp"
 #include "tensor/tensor.hpp"
 
 namespace cq::test {
+
+/// Writes a fixture file that several test processes may build at once
+/// (ctest runs each discovered case in its own process, so a function-static
+/// fixture is rebuilt per process). `write` fills a per-process temp file,
+/// which is then renamed onto `path`: rename is atomic, so a concurrent
+/// reader sees a complete file, never one another process is still writing.
+inline void publish_file(const std::string& path,
+                         const std::function<void(const std::string&)>& write) {
+  const std::string tmp = path + "." + std::to_string(::getpid()) + ".tmp";
+  write(tmp);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0)
+    throw std::runtime_error("publish_file: cannot rename " + tmp);
+}
 
 /// Scalar probe loss: L = sum_i w_i * y_i for fixed random weights w. Its
 /// gradient w.r.t. y is exactly w, which we feed to backward().
