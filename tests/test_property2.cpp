@@ -134,6 +134,12 @@ struct ArchCase {
   std::int64_t hw;
 };
 
+// Without a printer gtest lists the raw bytes of `arch`, a pointer whose
+// value moves with ASLR, so the test names would differ from run to run.
+void PrintTo(const ArchCase& c, std::ostream* os) {
+  *os << "{" << c.arch << ", " << c.hw << "}";
+}
+
 class ArchProperty : public ::testing::TestWithParam<ArchCase> {};
 
 TEST_P(ArchProperty, EvalForwardShapeAndFiniteness) {
