@@ -136,10 +136,21 @@ void CompiledModel::quantize_int8_weights(std::size_t i, const float* scales) {
     deploy::detail::quantize_buffer(w.data() + r * cols, cols, 1.0f / scale,
                                     wq.data() + r * cols);
   }
-  st.pa_group = igemm::packed_a_bytes(rows_g, cols);
+  std::int64_t kq = cols;
+  if (node.op == Op::kConv2d) {
+    // The plan's conv lowering runs k in (tap, cq, ci) order (igemm.hpp).
+    ConvGeometry g;
+    g.in_channels = node.conv.in_channels / groups;
+    g.kernel_h = g.kernel_w = node.conv.kernel;
+    kq = igemm::conv_k(g);
+    std::vector<std::int8_t> reordered(static_cast<std::size_t>(rows * kq));
+    igemm::reorder_conv_weights(wq.data(), rows, g, reordered.data());
+    wq.swap(reordered);
+  }
+  st.pa_group = igemm::packed_a_bytes(rows_g, kq);
   st.packed_a.resize(static_cast<std::size_t>(groups * st.pa_group));
   for (std::int64_t grp = 0; grp < groups; ++grp)
-    igemm::pack_a_s8(wq.data() + grp * rows_g * cols, rows_g, cols,
+    igemm::pack_a_s8(wq.data() + grp * rows_g * kq, rows_g, kq,
                      st.packed_a.data() + grp * st.pa_group,
                      st.rowsum.data() + grp * rows_g);
 }
@@ -229,8 +240,10 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
           CQ_TRACE_SCOPE_N("graph.node.conv_int8", n);
           float* gout = arena_ptr(scratch[0]);
           float* col_scale = arena_ptr(scratch[1]);
-          float* col_inv = arena_ptr(scratch[2]);
-          auto* bp = reinterpret_cast<std::uint8_t*>(base_ + scratch[3]);
+          float* img_inv = arena_ptr(scratch[2]);
+          auto* act = reinterpret_cast<std::uint8_t*>(base_ + scratch[3]);
+          auto* pad = reinterpret_cast<std::uint8_t*>(base_ + scratch[4]);
+          auto* bp = reinterpret_cast<std::uint8_t*>(base_ + scratch[5]);
 
           // Image i owns columns [i*spatial, (i+1)*spatial): every one of
           // its columns quantizes with that image's scale, whatever the
@@ -238,22 +251,22 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
           for_each_image(n, [&](std::int64_t img) {
             const float in_scale = deploy::detail::sample_scale(
                 in_p + img * sample_in, sample_in);
-            const float inv = 1.0f / in_scale;
-            for (std::int64_t s = 0; s < spatial; ++s) {
-              col_scale[img * spatial + s] = in_scale;
-              col_inv[img * spatial + s] = inv;
-            }
+            img_inv[img] = 1.0f / in_scale;
+            std::fill_n(col_scale + img * spatial, spatial, in_scale);
           });
           igemm::Epilogue ep;
           ep.col_scale = col_scale;
           for (std::int64_t grp = 0; grp < node.conv.groups; ++grp) {
-            // Lower and quantize in one pass: the group's taps go straight
-            // from NCHW into the packed-B slivers, no fp32 column matrix.
-            igemm::pack_b_conv_quantized(in_p + grp * cin_g * in_h * in_w, n,
-                                         sample_in, geo, col_inv, bp);
+            // Quantize the group's input once into channel-quad bytes, then
+            // lower it by copying dwords into the packed-B slivers; the
+            // weights were permuted to the same (tap, cq, ci) k order.
+            igemm::quantize_conv_input(in_p + grp * cin_g * in_h * in_w, n,
+                                       sample_in, cin_g, in_h * in_w, img_inv,
+                                       act, pad);
+            igemm::pack_b_conv_c4(act, pad, n, geo, bp);
             ep.row_scale = st.scales.data() + grp * cout_g;
             ep.bias = st.bias.data() + grp * cout_g;
-            igemm::gemm(cout_g, cols, krows,
+            igemm::gemm(cout_g, cols, igemm::conv_k(geo),
                         st.packed_a.data() + grp * st.pa_group,
                         st.rowsum.data() + grp * cout_g, bp, gout,
                         /*ldc=*/cols, ep);

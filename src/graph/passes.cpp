@@ -97,9 +97,9 @@ std::size_t select_conv_lowering(Graph& g) {
     // Same geometry-only rule as the eager paths (serve/fp32.cpp,
     // deploy/int8.cpp): the choice never depends on batch width, so batched
     // and serial forwards stay bitwise identical. Int8 convs keep the
-    // im2col tag but materialize no column matrix: the executor gathers
-    // taps straight from NCHW into packed-B slivers
-    // (igemm::pack_b_conv_quantized), in im2col's (c, kh, kw) row order.
+    // im2col tag but materialize no column matrix: the executor quantizes
+    // the input once into channel-quad bytes and copies their dwords into
+    // packed-B slivers (igemm::pack_b_conv_c4), in (tap, cq, ci) k order.
     ConvLowering want = ConvLowering::kIm2col;
     if (n.precision == Precision::kF32 && spatial <= 16)
       want = ConvLowering::kIm2row;

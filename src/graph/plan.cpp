@@ -44,8 +44,13 @@ std::vector<std::int64_t> node_scratch_bytes(const Graph& g, std::size_t i,
       if (n.precision == Precision::kInt8)
         return {cout_g * cols * kF,  // gout (channel-major GEMM out)
                 cols * kF,           // col_scale
-                cols * kF,           // col_inv
-                igemm::packed_b_bytes(krows, cols)};
+                batch * kF,          // img_inv
+                // one group's channel-quad activation bytes, then its
+                // per-image pad bytes
+                igemm::round_up(geo.in_channels, igemm::kKU) * batch *
+                    geo.in_h * geo.in_w,
+                batch,
+                igemm::packed_b_bytes(igemm::conv_k(geo), cols)};
       return {krows * cols * kF,    // cols (im2col / im2row matrix)
               cout_g * cols * kF};  // gout
     }

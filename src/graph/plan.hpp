@@ -60,9 +60,10 @@ struct ArenaPlan {
 
 /// Per-slot scratch bytes node `i` needs at batch width `batch`. Slot order
 /// is the executor's contract: fp32 conv {cols, gout}; int8 conv {gout,
-/// col_scale, col_inv, packed_b} (the lowering packs straight into
-/// packed_b); int8 linear {in_scale, in_inv, gout, packed_b}; patch embed
-/// {patches}; attention {per-image q/k/v + scores}; everything else none.
+/// col_scale, img_inv, act, pad, packed_b} (act and pad hold one group's
+/// channel-quad input bytes, reused across groups); int8 linear {in_scale,
+/// in_inv, gout, packed_b}; patch embed {patches}; attention {per-image
+/// q/k/v + scores}; everything else none.
 std::vector<std::int64_t> node_scratch_bytes(const Graph& g, std::size_t i,
                                              std::int64_t batch);
 

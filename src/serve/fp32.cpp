@@ -64,8 +64,8 @@ class ConvOp : public Fp32Op {
     // pack_b's streaming read). An fp32 lowering straight into packed-B
     // slivers measured slower at serving batch widths (its sliver-scattered
     // writes cost more than the pack_b pass they delete) and was removed;
-    // the int8 plan's igemm::pack_b_conv_quantized is the one fused
-    // lowering, because there the pack also quantizes.
+    // the int8 plan lowers from bytes quantized once per input element
+    // (igemm::pack_b_conv_c4), where the pack is a dword copy.
 
     out_.resize(Shape{n, spec_.out_channels, oh, ow});
     cols_.resize(patch_major ? Shape{cols, krows} : Shape{krows, cols});

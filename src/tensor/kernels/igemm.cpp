@@ -95,61 +95,90 @@ void pack_b_scalar(const float* b, std::int64_t rs, std::int64_t cs,
   }
 }
 
-// Column geometry of one fused-conv sliver. Lane j (column jr + j) reads
-// its (c, kh, kw) = (0, 0, 0) tap at source offset base[j], whose image
-// coordinates are (iy0[j], ix0[j]); tap (c, kh, kw) adds c*in_h*in_w +
-// kh*in_w + kw and is a padding tap unless 0 <= iy0+kh < in_h and
-// 0 <= ix0+kw < in_w. Lanes [nr, NR) are dead (past the last column).
-struct ConvCols {
-  std::int64_t base[NR] = {}, iy0[NR] = {}, ix0[NR] = {};
-  std::int64_t nr = 0;
-};
+// Quantize images [i0, i1) of one conv group into the channel-quad layout
+// documented at quantize_conv_input. Channels past `channels` take the
+// image's pad byte, quantize(0.0f, inv) + 128.
+void quantize_act_scalar(const float* x, std::int64_t n,
+                         std::int64_t sample_stride, std::int64_t channels,
+                         std::int64_t hw, const float* img_inv,
+                         std::uint8_t* q, std::uint8_t* pad, std::int64_t i0,
+                         std::int64_t i1) {
+  const std::int64_t cq4 = (channels + KU - 1) / KU;
+  for (std::int64_t img = i0; img < i1; ++img) {
+    const float inv = img_inv[img];
+    auto byte = [inv](float v) {
+      return static_cast<std::uint8_t>(quantize_impl(v, inv) + 128);
+    };
+    pad[img] = byte(0.0f);
+    const float* src = x + img * sample_stride;
+    for (std::int64_t cq = 0; cq < cq4; ++cq) {
+      std::uint8_t* dst = q + (cq * n + img) * hw * KU;
+      for (std::int64_t ci = 0; ci < KU; ++ci) {
+        const std::int64_t c = cq * KU + ci;
+        for (std::int64_t s = 0; s < hw; ++s)
+          dst[s * KU + ci] = c < channels ? byte(src[c * hw + s]) : pad[img];
+      }
+    }
+  }
+}
 
-ConvCols conv_cols(const ConvGeometry& g, std::int64_t sample_stride,
-                   std::int64_t ncols, std::int64_t jr) {
-  const std::int64_t oh = g.out_h(), ow = g.out_w();
-  ConvCols cc;
-  cc.nr = std::min(NR, ncols - jr);
-  std::int64_t img = jr / (oh * ow), y = (jr % (oh * ow)) / ow, x = jr % ow;
-  for (std::int64_t j = 0; j < cc.nr; ++j) {
-    cc.iy0[j] = y * g.stride - g.pad;
-    cc.ix0[j] = x * g.stride - g.pad;
-    cc.base[j] = img * sample_stride + cc.iy0[j] * g.in_w + cc.ix0[j];
+// Output-pixel walk over the columns of a channel-quad conv pack. A range
+// of slivers divides once for its first column, then steps lane by lane.
+struct ConvWalk {
+  std::int64_t oh, ow, img = 0, y = 0, x = 0;
+  ConvWalk(const ConvGeometry& g, std::int64_t col)
+      : oh(g.out_h()), ow(g.out_w()) {
+    img = col / (oh * ow);
+    y = (col % (oh * ow)) / ow;
+    x = col % ow;
+  }
+  void next() {
     if (++x == ow) {
       x = 0;
       if (++y == oh) y = 0, ++img;
     }
   }
-  return cc;
-}
+};
 
-// Fused conv pack over slivers [sv0, sv1): im2col's zero fill and
-// pack_b_scalar's quantize, per element, in pack_b_scalar's byte order.
-void pack_b_conv_scalar(const float* images, std::int64_t sample_stride,
-                        const ConvGeometry& g, std::int64_t ncols,
-                        const float* col_inv_scale, std::uint8_t* bp,
-                        std::int64_t sv0, std::int64_t sv1) {
-  const std::int64_t k = g.col_rows(), kp = padded_k(k);
-  const std::int64_t taps = g.kernel_h * g.kernel_w;
+// Channel-quad conv pack over slivers [sv0, sv1): quad block (t, cq) of
+// column j is the 4 bytes of channel quad cq at the column's tap-t pixel,
+// the image's pad byte in all 4 lanes for a tap outside the image, and
+// 0x80 for a dead column.
+void pack_b_c4_scalar(const std::uint8_t* q, const std::uint8_t* pad,
+                      std::int64_t n, const ConvGeometry& g, std::uint8_t* bp,
+                      std::int64_t sv0, std::int64_t sv1) {
+  const std::int64_t kp = conv_k(g), ncols = n * g.col_cols();
+  const std::int64_t cq4 = (g.in_channels + KU - 1) / KU;
+  const std::int64_t plane = g.in_h * g.in_w;
+  ConvWalk walk(g, sv0 * NR);
   for (std::int64_t sv = sv0; sv < sv1; ++sv) {
-    const std::int64_t jr = sv * NR;
-    const ConvCols cc = conv_cols(g, sample_stride, ncols, jr);
-    std::uint8_t* sliver = bp + sv * (kp * NR);
-    for (std::int64_t p = 0; p < kp; ++p) {
-      const std::int64_t c = p / taps, kh = (p % taps) / g.kernel_w,
-                         kw = p % g.kernel_w;
-      const std::int64_t row_off = c * g.in_h * g.in_w + kh * g.in_w + kw;
-      std::uint8_t* dst = sliver + (p / KU) * (NR * KU) + p % KU;
-      for (std::int64_t j = 0; j < NR; ++j) {
-        const bool live = j < cc.nr && p < k;
-        const bool tap = live &&
-                         static_cast<std::uint64_t>(cc.iy0[j] + kh) <
-                             static_cast<std::uint64_t>(g.in_h) &&
-                         static_cast<std::uint64_t>(cc.ix0[j] + kw) <
-                             static_cast<std::uint64_t>(g.in_w);
-        const float v = tap ? images[cc.base[j] + row_off] : 0.0f;
-        const float inv = live ? col_inv_scale[jr + j] : 0.0f;
-        dst[j * KU] = static_cast<std::uint8_t>(quantize_impl(v, inv) + 128);
+    std::int64_t img[NR], iy0[NR], ix0[NR];
+    const std::int64_t nr = std::min(NR, ncols - sv * NR);
+    for (std::int64_t j = 0; j < nr; ++j, walk.next()) {
+      img[j] = walk.img;
+      iy0[j] = walk.y * g.stride - g.pad;
+      ix0[j] = walk.x * g.stride - g.pad;
+    }
+    std::uint8_t* block = bp + sv * (kp * NR);
+    for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
+      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
+        for (std::int64_t cq = 0; cq < cq4; ++cq, block += NR * KU) {
+          for (std::int64_t j = 0; j < NR; ++j) {
+            std::uint8_t* dst = block + j * KU;
+            if (j >= nr) {
+              std::fill(dst, dst + KU, std::uint8_t{0x80});
+              continue;
+            }
+            const std::int64_t iy = iy0[j] + kh, ix = ix0[j] + kw;
+            if (iy < 0 || iy >= g.in_h || ix < 0 || ix >= g.in_w) {
+              std::fill(dst, dst + KU, pad[img[j]]);
+              continue;
+            }
+            const std::uint8_t* src =
+                q + ((cq * n + img[j]) * plane + iy * g.in_w + ix) * KU;
+            std::copy(src, src + KU, dst);
+          }
+        }
       }
     }
   }
@@ -245,85 +274,102 @@ inline __mmask16 lane_mask(std::int64_t nr) {
                   : static_cast<__mmask16>((1u << nr) - 1u);
 }
 
-// Largest kernel (kernel_h * kernel_w taps) the VNNI conv pack keeps
-// per-sliver tap masks for; larger kernels take the scalar walk.
-constexpr std::int64_t kMaxTaps = 256;
+// VNNI form of quantize_act_scalar: four 16-pixel channel rows quantize
+// with quantize_vec and interleave into 16 channel-quad dwords. Channels
+// past `channels` take quantize_vec(0, inv), the pad byte.
+void quantize_act_vnni(const float* x, std::int64_t n,
+                       std::int64_t sample_stride, std::int64_t channels,
+                       std::int64_t hw, const float* img_inv, std::uint8_t* q,
+                       std::uint8_t* pad, std::int64_t i0, std::int64_t i1) {
+  const std::int64_t cq4 = (channels + KU - 1) / KU;
+  for (std::int64_t img = i0; img < i1; ++img) {
+    const __m512 inv = _mm512_set1_ps(img_inv[img]);
+    const __m512i padv = quantize_vec(_mm512_setzero_ps(), inv);
+    pad[img] =
+        static_cast<std::uint8_t>(quantize_impl(0.0f, img_inv[img]) + 128);
+    const float* src = x + img * sample_stride;
+    for (std::int64_t cq = 0; cq < cq4; ++cq) {
+      std::uint8_t* dst = q + (cq * n + img) * hw * KU;
+      for (std::int64_t s = 0; s < hw; s += NR) {
+        const __mmask16 mask = lane_mask(std::min(NR, hw - s));
+        __m512i r[KU];
+        for (std::int64_t ci = 0; ci < KU; ++ci) {
+          const std::int64_t c = cq * KU + ci;
+          r[ci] = c < channels ? quantize_row(src + c * hw + s, mask, inv)
+                               : padv;
+        }
+        // Each offset-binary value fits in 8 bits, so shift-and-or
+        // assembles the channel bytes of each pixel exactly.
+        const __m512i lo = _mm512_or_si512(r[0], _mm512_slli_epi32(r[1], 8));
+        const __m512i hi = _mm512_or_si512(_mm512_slli_epi32(r[2], 16),
+                                           _mm512_slli_epi32(r[3], 24));
+        _mm512_mask_storeu_epi32(dst + s * KU, mask, _mm512_or_si512(lo, hi));
+      }
+    }
+  }
+}
 
-// Fused conv pack, VNNI form of pack_b_conv_scalar. Each k-row of a sliver
-// is one 16-lane load of taps: a masked contiguous load when the sliver's
-// live columns read consecutive source floats (stride 1 with out_w == in_w,
-// or a sliver inside one output row), else a masked gather. Masked-off
-// lanes (padding taps, dead columns) read 0.0f, and dead lanes and k-pad
-// rows quantize with inv = 0, so the bytes equal pack_b_vnni's on im2col's
-// output. Requires kernel taps <= kMaxTaps and int32 source offsets.
-void pack_b_conv_vnni(const float* images, std::int64_t sample_stride,
-                      const ConvGeometry& g, std::int64_t ncols,
-                      const float* col_inv_scale, std::uint8_t* bp,
-                      std::int64_t sv0, std::int64_t sv1) {
-  const std::int64_t k = g.col_rows(), kp = padded_k(k);
-  const std::int64_t taps = g.kernel_h * g.kernel_w;
+// VNNI form of pack_b_c4_scalar: every quad block is 16 dwords of the
+// channel-quad bytes. A sliver whose live columns read consecutive pixels
+// (one output row at stride 1, or whole rows when out_w == in_w) copies
+// each block with one masked 64-byte load; any other sliver gathers its
+// dwords. Masked-off lanes keep the lane's fill dword: the image's pad
+// bytes, or 0x80808080 for a dead column. Requires int32 dword indices.
+void pack_b_c4_vnni(const std::uint8_t* q, const std::uint8_t* pad,
+                    std::int64_t n, const ConvGeometry& g, std::uint8_t* bp,
+                    std::int64_t sv0, std::int64_t sv1) {
+  const std::int64_t kp = conv_k(g), ncols = n * g.col_cols();
+  const std::int64_t cq4 = (g.in_channels + KU - 1) / KU;
   const std::int64_t plane = g.in_h * g.in_w;
+  const auto* q32 = reinterpret_cast<const std::int32_t*>(q);
   const __m512i hv = _mm512_set1_epi32(static_cast<std::int32_t>(g.in_h));
   const __m512i wv = _mm512_set1_epi32(static_cast<std::int32_t>(g.in_w));
-  const __m512 zero = _mm512_setzero_ps();
-  const __m512i dead = quantize_vec(zero, zero);
-  // Row p = c * taps + t reads source offset base + c * plane + tap_off[t].
-  std::int32_t tap_off[kMaxTaps];
-  for (std::int64_t t = 0; t < taps; ++t)
-    tap_off[t] = static_cast<std::int32_t>((t / g.kernel_w) * g.in_w +
-                                           t % g.kernel_w);
+  ConvWalk walk(g, sv0 * NR);
   for (std::int64_t sv = sv0; sv < sv1; ++sv) {
-    const ConvCols cc = conv_cols(g, sample_stride, ncols, sv * NR);
-    alignas(64) std::int32_t base[NR], iy0[NR], ix0[NR];
+    alignas(64) std::int32_t base[NR], iy0[NR], ix0[NR], fill[NR];
+    const std::int64_t nr = std::min(NR, ncols - sv * NR);
     bool contiguous = true;
     for (std::int64_t j = 0; j < NR; ++j) {
-      base[j] = static_cast<std::int32_t>(cc.base[j]);
-      iy0[j] = static_cast<std::int32_t>(cc.iy0[j]);
-      ix0[j] = static_cast<std::int32_t>(cc.ix0[j]);
-      if (j < cc.nr) contiguous &= cc.base[j] == cc.base[0] + j;
+      if (j >= nr) {
+        base[j] = iy0[j] = ix0[j] = 0;
+        fill[j] = static_cast<std::int32_t>(0x80808080u);
+        continue;
+      }
+      iy0[j] = static_cast<std::int32_t>(walk.y * g.stride - g.pad);
+      ix0[j] = static_cast<std::int32_t>(walk.x * g.stride - g.pad);
+      base[j] = static_cast<std::int32_t>(walk.img * plane +
+                                          iy0[j] * g.in_w + ix0[j]);
+      fill[j] = static_cast<std::int32_t>(pad[walk.img] * 0x01010101u);
+      contiguous &= base[j] == base[0] + j;
+      walk.next();
     }
     const __m512i basev = _mm512_load_si512(base);
     const __m512i iy0v = _mm512_load_si512(iy0);
     const __m512i ix0v = _mm512_load_si512(ix0);
-    const __mmask16 live = lane_mask(cc.nr);
-    const __m512 inv = _mm512_maskz_loadu_ps(live, col_inv_scale + sv * NR);
-    // Lanes whose tap t is inside the image — the same for every channel.
-    // Unsigned compares: a negative coordinate wraps high, so one test
-    // covers both edges.
-    __mmask16 tap_ok[kMaxTaps];
-    for (std::int64_t t = 0; t < taps; ++t) {
+    const __m512i fillv = _mm512_load_si512(fill);
+    const __mmask16 live = lane_mask(nr);
+    std::uint8_t* block = bp + sv * (kp * NR);
+    for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
       const __m512i iy = _mm512_add_epi32(
-          iy0v, _mm512_set1_epi32(static_cast<std::int32_t>(t / g.kernel_w)));
-      const __m512i ix = _mm512_add_epi32(
-          ix0v, _mm512_set1_epi32(static_cast<std::int32_t>(t % g.kernel_w)));
-      tap_ok[t] = live & _mm512_cmplt_epu32_mask(iy, hv) &
-                  _mm512_cmplt_epu32_mask(ix, wv);
-    }
-    // Rows stream in (c, t) order.
-    std::int64_t t = 0, chan = 0, p = 0;
-    auto next_row = [&]() -> __m512i {
-      if (p++ >= k) return dead;  // k pad
-      const auto off = static_cast<std::int32_t>(chan + tap_off[t]);
-      const __m512 v =
-          contiguous
-              ? _mm512_maskz_loadu_ps(tap_ok[t], images + base[0] + off)
-              : _mm512_mask_i32gather_ps(
-                    zero, tap_ok[t],
-                    _mm512_add_epi32(basev, _mm512_set1_epi32(off)), images,
-                    4);
-      if (++t == taps) t = 0, chan += plane;
-      return quantize_vec(v, inv);
-    };
-    std::uint8_t* dst = bp + sv * (kp * NR);
-    for (std::int64_t q = 0; q < kp; q += KU, dst += NR * KU) {
-      // Four k-rows -> one 64-byte quad block. Each offset-binary value
-      // fits in 8 bits, so shift-and-or assembles the bytes exactly.
-      const __m512i r0 = next_row(), r1 = next_row(), r2 = next_row(),
-                    r3 = next_row();
-      const __m512i lo = _mm512_or_si512(r0, _mm512_slli_epi32(r1, 8));
-      const __m512i hi = _mm512_or_si512(_mm512_slli_epi32(r2, 16),
-                                         _mm512_slli_epi32(r3, 24));
-      _mm512_storeu_si512(dst, _mm512_or_si512(lo, hi));
+          iy0v, _mm512_set1_epi32(static_cast<std::int32_t>(kh)));
+      // Unsigned compares: a negative coordinate wraps high, so one test
+      // covers both edges.
+      const __mmask16 row_ok = live & _mm512_cmplt_epu32_mask(iy, hv);
+      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
+        const __m512i ix = _mm512_add_epi32(
+            ix0v, _mm512_set1_epi32(static_cast<std::int32_t>(kw)));
+        const __mmask16 ok = row_ok & _mm512_cmplt_epu32_mask(ix, wv);
+        const auto tap_off = static_cast<std::int32_t>(kh * g.in_w + kw);
+        for (std::int64_t cq = 0; cq < cq4; ++cq, block += NR * KU) {
+          const auto off = static_cast<std::int32_t>(cq * n * plane) + tap_off;
+          const __m512i idx = _mm512_add_epi32(basev, _mm512_set1_epi32(off));
+          const __m512i v =
+              contiguous
+                  ? _mm512_mask_loadu_epi32(fillv, ok, q32 + base[0] + off)
+                  : _mm512_mask_i32gather_epi32(fillv, ok, idx, q32, 4);
+          _mm512_storeu_si512(block, v);
+        }
+      }
     }
   }
 }
@@ -482,28 +528,63 @@ void pack_b_quantized(const float* b, std::int64_t rs, std::int64_t cs,
     range(0, nsv);
 }
 
-void pack_b_conv_quantized(const float* images, std::int64_t n,
-                           std::int64_t sample_stride, const ConvGeometry& g,
-                           const float* col_inv_scale, std::uint8_t* bp) {
-  const std::int64_t k = g.col_rows(), ncols = n * g.col_cols();
-  CQ_TRACE_SCOPE_HOT_BYTES("igemm.pack_b_conv", k * ncols * sizeof(float));
+std::int64_t conv_k(const ConvGeometry& g) {
+  return g.kernel_h * g.kernel_w * round_up(g.in_channels, KU);
+}
+
+void reorder_conv_weights(const std::int8_t* w, std::int64_t m,
+                          const ConvGeometry& g, std::int8_t* out) {
+  const std::int64_t taps = g.kernel_h * g.kernel_w, k = g.col_rows();
+  const std::int64_t kq = conv_k(g), c4 = kq / taps;
+  std::fill(out, out + m * kq, std::int8_t{0});
+  for (std::int64_t i = 0; i < m; ++i)
+    for (std::int64_t c = 0; c < g.in_channels; ++c)
+      for (std::int64_t t = 0; t < taps; ++t)
+        out[i * kq + t * c4 + c] = w[i * k + c * taps + t];
+}
+
+void quantize_conv_input(const float* x, std::int64_t n,
+                         std::int64_t sample_stride, std::int64_t channels,
+                         std::int64_t hw, const float* img_inv,
+                         std::uint8_t* q, std::uint8_t* pad) {
+  CQ_TRACE_SCOPE_HOT_BYTES("igemm.quantize_act",
+                           n * channels * hw * sizeof(float));
+  auto range = [&](std::int64_t i0, std::int64_t i1) {
+#if CQ_IGEMM_VNNI
+    quantize_act_vnni(x, n, sample_stride, channels, hw, img_inv, q, pad, i0,
+                      i1);
+#else
+    quantize_act_scalar(x, n, sample_stride, channels, hw, img_inv, q, pad,
+                        i0, i1);
+#endif
+  };
+  // Images write disjoint bytes, so any split matches the serial call.
+  if (core::ThreadPool::instance().size() > 1 && n * channels * hw >= 1 << 16)
+    core::parallel_for(n, 1, range);
+  else
+    range(0, n);
+}
+
+void pack_b_conv_c4(const std::uint8_t* q, const std::uint8_t* pad,
+                    std::int64_t n, const ConvGeometry& g, std::uint8_t* bp) {
+  const std::int64_t k = conv_k(g), ncols = n * g.col_cols();
+  CQ_TRACE_SCOPE_HOT_BYTES("igemm.pack_b_conv", k * ncols);
   const std::int64_t nsv = (ncols + NR - 1) / NR;
 #if CQ_IGEMM_VNNI
-  // Gather indices are int32 lanes; tap masks live in a fixed array.
-  const bool vnni = g.kernel_h * g.kernel_w <= kMaxTaps &&
-                    n * sample_stride + g.in_channels * g.in_h * g.in_w <
-                        (std::int64_t{1} << 31);
+  // Every dword index a lane forms lies in [-pad * (in_w + 1),
+  // (cq4 * n + 1) * plane + pad * (in_w + 1)); gathers take int32 lanes.
+  const std::int64_t cq4 = (g.in_channels + KU - 1) / KU;
+  const bool vnni = (cq4 * n + 1) * g.in_h * g.in_w + g.pad * (g.in_w + 1) <
+                    (std::int64_t{1} << 31);
 #endif
   auto range = [&](std::int64_t sv0, std::int64_t sv1) {
 #if CQ_IGEMM_VNNI
     if (vnni) {
-      pack_b_conv_vnni(images, sample_stride, g, ncols, col_inv_scale, bp,
-                       sv0, sv1);
+      pack_b_c4_vnni(q, pad, n, g, bp, sv0, sv1);
       return;
     }
 #endif
-    pack_b_conv_scalar(images, sample_stride, g, ncols, col_inv_scale, bp,
-                       sv0, sv1);
+    pack_b_c4_scalar(q, pad, n, g, bp, sv0, sv1);
   };
   // Same split bar as pack_b_quantized; slivers are partition-independent.
   if (core::ThreadPool::instance().size() > 1 && k * ncols >= 1 << 16)
@@ -562,12 +643,16 @@ void pack_b_quantized(const float* b, std::int64_t rs, std::int64_t cs,
   pack_b_scalar(b, rs, cs, k, n, col_inv_scale, bp, 0, (n + NR - 1) / NR);
 }
 
-void pack_b_conv_quantized(const float* images, std::int64_t n,
-                           std::int64_t sample_stride, const ConvGeometry& g,
-                           const float* col_inv_scale, std::uint8_t* bp) {
-  const std::int64_t ncols = n * g.col_cols();
-  pack_b_conv_scalar(images, sample_stride, g, ncols, col_inv_scale, bp, 0,
-                     (ncols + NR - 1) / NR);
+void quantize_conv_input(const float* x, std::int64_t n,
+                         std::int64_t sample_stride, std::int64_t channels,
+                         std::int64_t hw, const float* img_inv,
+                         std::uint8_t* q, std::uint8_t* pad) {
+  quantize_act_scalar(x, n, sample_stride, channels, hw, img_inv, q, pad, 0, n);
+}
+
+void pack_b_conv_c4(const std::uint8_t* q, const std::uint8_t* pad,
+                    std::int64_t n, const ConvGeometry& g, std::uint8_t* bp) {
+  pack_b_c4_scalar(q, pad, n, g, bp, 0, (n * g.col_cols() + NR - 1) / NR);
 }
 
 void gemm(std::int64_t m, std::int64_t n, std::int64_t k,

@@ -5,8 +5,9 @@
 // operand (per-output-channel int8 weights, [m, k] row-major, packed once at
 // network-compile time), B is the DYNAMIC operand (fp32 activations,
 // quantized to int8 *as they are packed* — the int8 analogue of the fp32
-// path's quantize-on-pack; for convs, pack_b_conv_quantized also does the
-// im2col lowering in the same pass). C is written back in fp32 by an
+// path's quantize-on-pack; a conv's input is instead quantized once per
+// image by quantize_conv_input and lowered by pack_b_conv_c4, which only
+// moves bytes). C is written back in fp32 by an
 // epilogue that folds the per-output-channel weight scales, the per-column
 // (= per-sample) activation scales and the activation zero points into the
 // int32 accumulators at register write-back.
@@ -98,22 +99,49 @@ void pack_b_quantized(const float* b, std::int64_t rs, std::int64_t cs,
                       std::int64_t k, std::int64_t n,
                       const float* col_inv_scale, std::uint8_t* bp);
 
-/// Conv lowering fused into quantize-on-pack: writes exactly the bytes
-///   pack_b_quantized(im2col_batched(images, n, sample_stride, g), ...)
-/// would, without materializing the fp32 column matrix. The packed operand
-/// is [k = g.col_rows(), n * g.col_cols()]; column j = img * spatial +
-/// y * out_w + x reads from source offset
-///   img * sample_stride + (y * stride - pad) * in_w + (x * stride - pad)
-/// and row p = (c * kernel_h + kh) * kernel_w + kw adds
-///   c * in_h * in_w + kh * in_w + kw.
-/// Padding taps (source outside the image) load 0.0f and go through the
-/// column's quantize formula, exactly as im2col's zero fill would; dead lanes
-/// (column pad, k pad) quantize 0.0f with a zero inv-scale. So NaN inputs
-/// and Inf or zero inv-scales give the two-pass bytes too. `images` may point
-/// at a channel offset inside each sample (one conv group).
-void pack_b_conv_quantized(const float* images, std::int64_t n,
-                           std::int64_t sample_stride, const ConvGeometry& g,
-                           const float* col_inv_scale, std::uint8_t* bp);
+/// Channel-quad conv lowering (DESIGN.md §12). A compiled int8 conv orders
+/// its k dimension (tap, cq, ci) instead of im2col's (c, kh, kw): row
+///   p = (t * cq4 + cq) * kKU + ci,   t = kh * kernel_w + kw,
+/// reads input channel c = cq * kKU + ci, where cq4 = ceil(in_channels / 4).
+/// Channels c >= in_channels pad the last quad; their A bytes are zero. So
+/// k' = conv_k(g) = taps * cq4 * 4 is a whole number of quads, and one
+/// packed-B quad block (kNR columns x 4 k-values) is kNR dwords of the
+/// quantized input below.
+std::int64_t conv_k(const ConvGeometry& g);
+
+/// Copy m int8 conv weight rows from im2col's k order, [m, g.col_rows()]
+/// with column c * taps + t, into the channel-quad k order, [m, conv_k(g)]
+/// with column (t * cq4 + c / 4) * 4 + c % 4. Pad-channel columns are zero,
+/// so pack_a_s8's row sums do not change. Pure data movement, one
+/// implementation across backends.
+void reorder_conv_weights(const std::int8_t* w, std::int64_t m,
+                          const ConvGeometry& g, std::int8_t* out);
+
+/// Quantize one conv group's input once per image into channel-quad bytes:
+/// for channel c = 4 * cq + ci of image img at pixel s (s < hw),
+///   q[((cq * n + img) * hw + s) * 4 + ci] = quantize(v, img_inv[img]) + 128
+/// with pack_b_quantized's formula, v = x[img * sample_stride + c * hw + s].
+/// Also writes pad[img] = quantize(0.0f, img_inv[img]) + 128, the byte a
+/// zero input element becomes; channels c >= `channels` that fill the last
+/// quad hold it, as if the input had extra all-zero channels. q holds
+/// ceil(channels / 4) * 4 * n * hw bytes. `x` may point at a channel offset
+/// inside each sample (one conv group).
+void quantize_conv_input(const float* x, std::int64_t n,
+                         std::int64_t sample_stride, std::int64_t channels,
+                         std::int64_t hw, const float* img_inv,
+                         std::uint8_t* q, std::uint8_t* pad);
+
+/// Pack the [conv_k(g), n * g.col_cols()] B operand of one conv group from
+/// quantize_conv_input's bytes (g.in_channels channels, hw = in_h * in_w).
+/// Column j = img * spatial + y * out_w + x of quad block (t, cq) is the
+/// dword of channel quad cq at pixel (y * stride - pad + kh,
+/// x * stride - pad + kw) of image img. Taps outside the image take pad[img]
+/// in all four bytes, and dead columns (past the last) are 0x80808080. Each
+/// real byte is what pack_b_quantized writes for the same value and the
+/// image's inverse scale, so the GEMM over the reordered k equals the GEMM
+/// over im2col's rows bitwise.
+void pack_b_conv_c4(const std::uint8_t* q, const std::uint8_t* pad,
+                    std::int64_t n, const ConvGeometry& g, std::uint8_t* bp);
 
 /// Scale/zero-point fold applied per element at write-back:
 ///   eff  = acc - (128 + col_zp[j]) * rowsum[i]      (exact, int32)
@@ -154,9 +182,12 @@ namespace scalar {
 void pack_b_quantized(const float* b, std::int64_t rs, std::int64_t cs,
                       std::int64_t k, std::int64_t n,
                       const float* col_inv_scale, std::uint8_t* bp);
-void pack_b_conv_quantized(const float* images, std::int64_t n,
-                           std::int64_t sample_stride, const ConvGeometry& g,
-                           const float* col_inv_scale, std::uint8_t* bp);
+void quantize_conv_input(const float* x, std::int64_t n,
+                         std::int64_t sample_stride, std::int64_t channels,
+                         std::int64_t hw, const float* img_inv,
+                         std::uint8_t* q, std::uint8_t* pad);
+void pack_b_conv_c4(const std::uint8_t* q, const std::uint8_t* pad,
+                    std::int64_t n, const ConvGeometry& g, std::uint8_t* bp);
 void gemm(std::int64_t m, std::int64_t n, std::int64_t k,
           const std::int8_t* ap, const std::int32_t* rowsum,
           const std::uint8_t* bp, float* c, std::int64_t ldc,

@@ -11,9 +11,11 @@
 // match it BITWISE (EXPECT_EQ on floats, no tolerance), for every backend.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -315,25 +317,36 @@ TEST(Int8Gemm, StridedBSource) {
   }
 }
 
-// ---- Fused conv lowering: pack_b_conv_quantized ----------------------------
+// ---- Channel-quad conv lowering: quantize_conv_input + pack_b_conv_c4 ------
 //
-// The oracle is the two-pass sequence the fused kernel replaces: the fp32
-// column matrix from im2col_batched, then the row-major pack_b_quantized.
-// The packed bytes must match BITWISE, pad bytes included.
+// The oracle is the two-pass sequence over the same k order: the input's
+// channels padded with zeros to a multiple of 4, the fp32 column matrix from
+// im2col_batched, its rows permuted from (c, t) to (t, cq, ci), then the
+// row-major pack_b_quantized with each image's inverse scale expanded per
+// column. The packed bytes must match BITWISE, pad bytes included.
 
 struct ConvCase {
   ConvGeometry g;
   std::int64_t n = 1;          // images
   std::int64_t groups = 1;     // images hold groups * in_channels planes
   std::vector<float> images;   // [n, groups * in_channels, in_h, in_w]
-  std::vector<float> col_inv;  // [n * spatial]
-  std::int64_t sample_stride() const {
-    return groups * g.in_channels * g.in_h * g.in_w;
-  }
-  std::int64_t ncols() const { return n * g.col_cols(); }
+  std::vector<float> img_inv;  // [n]
+  std::int64_t hw() const { return g.in_h * g.in_w; }
+  std::int64_t sample_stride() const { return groups * g.in_channels * hw(); }
+  std::int64_t spatial() const { return g.col_cols(); }
+  std::int64_t ncols() const { return n * spatial(); }
+  std::int64_t c4() const { return igemm::round_up(g.in_channels, igemm::kKU); }
+  std::int64_t taps() const { return g.kernel_h * g.kernel_w; }
   // Group `grp`'s first plane: the channel offset the executor applies.
   const float* group_images(std::int64_t grp) const {
-    return images.data() + grp * g.in_channels * g.in_h * g.in_w;
+    return images.data() + grp * g.in_channels * hw();
+  }
+  std::vector<float> col_inv() const {  // image scales, expanded per column
+    std::vector<float> out(static_cast<std::size_t>(ncols()));
+    for (std::int64_t j = 0; j < ncols(); ++j)
+      out[static_cast<std::size_t>(j)] =
+          img_inv[static_cast<std::size_t>(j / spatial())];
+    return out;
   }
 };
 
@@ -352,58 +365,106 @@ ConvCase make_conv_case(std::int64_t c, std::int64_t h, std::int64_t w,
   cc.groups = groups;
   cc.images.resize(static_cast<std::size_t>(n * cc.sample_stride()));
   for (auto& v : cc.images) v = static_cast<float>(rng.uniform(-2.0, 2.0));
-  cc.col_inv.resize(static_cast<std::size_t>(cc.ncols()));
-  for (auto& v : cc.col_inv) v = static_cast<float>(rng.uniform(20.0, 200.0));
+  cc.img_inv.resize(static_cast<std::size_t>(n));
+  for (auto& v : cc.img_inv) v = static_cast<float>(rng.uniform(20.0, 200.0));
   return cc;
 }
 
 using Bytes = std::vector<std::uint8_t>;
 
+/// im2col_batched of group `grp` with channels zero-padded to c4 (padded =
+/// true) or as is, rows in (t, cq, ci) order when padded.
+std::vector<float> im2col_rows(const ConvCase& cc, std::int64_t grp,
+                               bool padded) {
+  const std::int64_t hw = cc.hw(), c = cc.g.in_channels, taps = cc.taps();
+  const std::int64_t ncols = cc.ncols();
+  if (!padded) {
+    std::vector<float> cols(static_cast<std::size_t>(c * taps * ncols));
+    im2col_batched(cc.group_images(grp), cc.n, cc.sample_stride(), cc.g,
+                   cols.data(), ncols);
+    return cols;
+  }
+  const std::int64_t c4 = cc.c4();
+  std::vector<float> x(static_cast<std::size_t>(cc.n * c4 * hw), 0.0f);
+  for (std::int64_t img = 0; img < cc.n; ++img)
+    for (std::int64_t ch = 0; ch < c; ++ch)
+      for (std::int64_t s = 0; s < hw; ++s)
+        x[static_cast<std::size_t>((img * c4 + ch) * hw + s)] =
+            cc.group_images(grp)[img * cc.sample_stride() + ch * hw + s];
+  ConvGeometry g4 = cc.g;
+  g4.in_channels = c4;
+  std::vector<float> cols(static_cast<std::size_t>(c4 * taps * ncols));
+  im2col_batched(x.data(), cc.n, c4 * hw, g4, cols.data(), ncols);
+  std::vector<float> perm(cols.size());
+  for (std::int64_t ch = 0; ch < c4; ++ch)
+    for (std::int64_t t = 0; t < taps; ++t)
+      std::copy_n(cols.begin() + (ch * taps + t) * ncols, ncols,
+                  perm.begin() + (t * c4 + ch) * ncols);
+  return perm;
+}
+
 Bytes two_pass(const ConvCase& cc, std::int64_t grp, bool use_scalar) {
-  const std::int64_t k = cc.g.col_rows(), ncols = cc.ncols();
-  std::vector<float> cols(static_cast<std::size_t>(k * ncols));
-  im2col_batched(cc.group_images(grp), cc.n, cc.sample_stride(), cc.g,
-                 cols.data(), ncols);
+  const std::int64_t k = igemm::conv_k(cc.g), ncols = cc.ncols();
+  const std::vector<float> rows = im2col_rows(cc, grp, /*padded=*/true);
+  const std::vector<float> col_inv = cc.col_inv();
   Bytes bp(static_cast<std::size_t>(igemm::packed_b_bytes(k, ncols)), 0xAB);
   if (use_scalar)
-    igemm::scalar::pack_b_quantized(cols.data(), ncols, 1, k, ncols,
-                                    cc.col_inv.data(), bp.data());
+    igemm::scalar::pack_b_quantized(rows.data(), ncols, 1, k, ncols,
+                                    col_inv.data(), bp.data());
   else
-    igemm::pack_b_quantized(cols.data(), ncols, 1, k, ncols,
-                            cc.col_inv.data(), bp.data());
+    igemm::pack_b_quantized(rows.data(), ncols, 1, k, ncols, col_inv.data(),
+                            bp.data());
   return bp;
 }
 
-Bytes fused(const ConvCase& cc, std::int64_t grp, bool use_scalar) {
-  // A different sentinel from two_pass: an unwritten byte cannot match.
-  Bytes bp(static_cast<std::size_t>(
-               igemm::packed_b_bytes(cc.g.col_rows(), cc.ncols())),
-           0xCD);
-  if (use_scalar)
-    igemm::scalar::pack_b_conv_quantized(cc.group_images(grp), cc.n,
-                                         cc.sample_stride(), cc.g,
-                                         cc.col_inv.data(), bp.data());
-  else
-    igemm::pack_b_conv_quantized(cc.group_images(grp), cc.n,
-                                 cc.sample_stride(), cc.g, cc.col_inv.data(),
-                                 bp.data());
-  return bp;
+/// The kernel pair under test: channel-quad bytes, pad bytes, packed B.
+struct QuadPack {
+  Bytes act, pad, bp;
+};
+
+QuadPack channel_quad(const ConvCase& cc, std::int64_t grp, bool use_scalar) {
+  // Sentinels differ from two_pass's: an unwritten byte cannot match.
+  QuadPack out{Bytes(static_cast<std::size_t>(cc.c4() * cc.n * cc.hw()), 0xEF),
+               Bytes(static_cast<std::size_t>(cc.n), 0xEF),
+               Bytes(static_cast<std::size_t>(igemm::packed_b_bytes(
+                         igemm::conv_k(cc.g), cc.ncols())),
+                     0xCD)};
+  if (use_scalar) {
+    igemm::scalar::quantize_conv_input(
+        cc.group_images(grp), cc.n, cc.sample_stride(), cc.g.in_channels,
+        cc.hw(), cc.img_inv.data(), out.act.data(), out.pad.data());
+    igemm::scalar::pack_b_conv_c4(out.act.data(), out.pad.data(), cc.n, cc.g,
+                                  out.bp.data());
+  } else {
+    igemm::quantize_conv_input(cc.group_images(grp), cc.n, cc.sample_stride(),
+                               cc.g.in_channels, cc.hw(), cc.img_inv.data(),
+                               out.act.data(), out.pad.data());
+    igemm::pack_b_conv_c4(out.act.data(), out.pad.data(), cc.n, cc.g,
+                          out.bp.data());
+  }
+  return out;
 }
 
-/// Fused == two-pass on both backends, and backend == scalar twin.
+std::string describe(const ConvCase& cc, std::int64_t grp) {
+  const auto& g = cc.g;
+  return "c=" + std::to_string(g.in_channels) + " h=" + std::to_string(g.in_h) +
+         " w=" + std::to_string(g.in_w) + " k=" + std::to_string(g.kernel_h) +
+         " s=" + std::to_string(g.stride) + " p=" + std::to_string(g.pad) +
+         " n=" + std::to_string(cc.n) + " grp=" + std::to_string(grp);
+}
+
+/// Channel-quad == two-pass on both backends, and backend == scalar twin
+/// for the intermediate bytes too.
 void check_conv(const ConvCase& cc, std::int64_t grp = 0) {
   const Bytes ref = two_pass(cc, grp, /*use_scalar=*/false);
-  const Bytes got = fused(cc, grp, /*use_scalar=*/false);
-  const Bytes twin = fused(cc, grp, /*use_scalar=*/true);
-  const auto& g = cc.g;
-  const std::string what =
-      "c=" + std::to_string(g.in_channels) + " h=" + std::to_string(g.in_h) +
-      " w=" + std::to_string(g.in_w) + " k=" + std::to_string(g.kernel_h) +
-      " s=" + std::to_string(g.stride) + " p=" + std::to_string(g.pad) +
-      " n=" + std::to_string(cc.n) + " grp=" + std::to_string(grp);
+  const QuadPack got = channel_quad(cc, grp, /*use_scalar=*/false);
+  const QuadPack twin = channel_quad(cc, grp, /*use_scalar=*/true);
+  const std::string what = describe(cc, grp);
   ASSERT_EQ(ref, two_pass(cc, grp, /*use_scalar=*/true)) << what;
-  ASSERT_EQ(got, ref) << "backend vs two-pass " << what;
-  ASSERT_EQ(twin, ref) << "scalar twin vs two-pass " << what;
+  ASSERT_EQ(got.act, twin.act) << "quantized bytes, backend vs twin " << what;
+  ASSERT_EQ(got.pad, twin.pad) << "pad bytes, backend vs twin " << what;
+  ASSERT_EQ(got.bp, ref) << "backend vs two-pass " << what;
+  ASSERT_EQ(twin.bp, ref) << "scalar twin vs two-pass " << what;
 }
 
 TEST(Int8ConvPack, MatchesTwoPassOverGeometrySweep) {
@@ -423,6 +484,19 @@ TEST(Int8ConvPack, MatchesTwoPassOverGeometrySweep) {
             if (HasFatalFailure()) return;
           }
         }
+}
+
+TEST(Int8ConvPack, ChannelCountsPadTheLastQuad) {
+  // Counts below, at and past one quad: the pad channels of the last quad
+  // must hold each image's pad byte.
+  Rng rng(45);
+  for (std::int64_t c : {1, 2, 3, 4, 5, 6, 8})
+    for (std::int64_t stride : {1, 2})
+      for (std::int64_t n : {1, 3, 17}) {
+        check_conv(make_conv_case(c, 7, 6, 3, stride, 1, n, rng));
+        check_conv(make_conv_case(c, 5, 9, 1, stride, 0, n, rng));
+        if (HasFatalFailure()) return;
+      }
 }
 
 TEST(Int8ConvPack, EveryBatchWidthOneToThirtyThree) {
@@ -453,9 +527,9 @@ TEST(Int8ConvPack, GroupChannelOffset) {
 }
 
 TEST(Int8ConvPack, NonFiniteInputsAndScales) {
-  // NaN and +-Inf taps, and Inf and zero inv-scale columns: padding taps of
-  // an Inf column quantize 0 * Inf = NaN -> -127 exactly like im2col's zero
-  // fill, and a zero column collapses to q = 0.
+  // NaN and +-Inf inputs, and images with an Inf or zero inverse scale:
+  // an Inf image's pad byte is quantize(0 * Inf = NaN) = -127, exactly what
+  // im2col's zero fill becomes, and a zero-scale image collapses to q = 0.
   Rng rng(43);
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
@@ -464,8 +538,8 @@ TEST(Int8ConvPack, NonFiniteInputsAndScales) {
       ConvCase cc = make_conv_case(2, 5, 6, 3, stride, 1, n, rng);
       for (std::size_t i = 0; i < cc.images.size(); i += 7)
         cc.images[i] = (i % 3 == 0) ? nan : (i % 3 == 1 ? inf : -inf);
-      for (std::size_t j = 0; j < cc.col_inv.size(); j += 3)
-        cc.col_inv[j] = (j % 2 == 0) ? inf : 0.0f;
+      for (std::size_t img = 0; img < cc.img_inv.size(); ++img)
+        if (img % 3 != 2) cc.img_inv[img] = (img % 3 == 0) ? inf : 0.0f;
       check_conv(cc);
     }
   }
@@ -473,26 +547,130 @@ TEST(Int8ConvPack, NonFiniteInputsAndScales) {
 
 TEST(Int8ConvPack, BitwiseInvariantToPoolSize) {
   // Shapes past the pack split bar (k * ncols >= 64K); slivers are the
-  // unit of work, so any partition writes the same bytes.
+  // unit of work, so any partition writes the same bytes. The last case is
+  // also past the quantize split bar (n * channels * hw >= 64K), which
+  // splits by image.
   core::ThreadPool& pool = core::ThreadPool::instance();
   const std::size_t old_size = pool.size();
   Rng rng(44);
   const std::vector<ConvCase> cases = {
-      make_conv_case(16, 8, 8, 3, 1, 1, 32, rng),  // contiguous slivers
-      make_conv_case(16, 9, 7, 3, 2, 1, 29, rng),  // gathered slivers
+      make_conv_case(16, 8, 8, 3, 1, 1, 32, rng),    // contiguous slivers
+      make_conv_case(16, 9, 7, 3, 2, 1, 29, rng),    // gathered slivers
+      make_conv_case(16, 13, 11, 3, 1, 1, 29, rng),  // split quantize
+  };
+  auto same = [](const QuadPack& a, const QuadPack& b) {
+    return a.act == b.act && a.pad == b.pad && a.bp == b.bp;
   };
   for (const ConvCase& cc : cases) {
     pool.set_size(1);
-    const Bytes serial = fused(cc, 0, false);
-    const Bytes serial_twin = fused(cc, 0, true);
+    const QuadPack serial = channel_quad(cc, 0, false);
+    const QuadPack serial_twin = channel_quad(cc, 0, true);
     for (std::size_t threads : {2u, 3u, 8u}) {
       pool.set_size(threads);
-      ASSERT_EQ(fused(cc, 0, false), serial) << "threads=" << threads;
-      ASSERT_EQ(fused(cc, 0, true), serial_twin) << "threads=" << threads;
+      ASSERT_TRUE(same(channel_quad(cc, 0, false), serial))
+          << "threads=" << threads << " " << describe(cc, 0);
+      ASSERT_TRUE(same(channel_quad(cc, 0, true), serial_twin))
+          << "threads=" << threads << " " << describe(cc, 0);
     }
     pool.set_size(old_size);
-    ASSERT_EQ(serial, serial_twin);
+    ASSERT_TRUE(same(serial, serial_twin));
     check_conv(cc);
+  }
+}
+
+TEST(Int8ConvPack, GemmMatchesTwoPassGemmBitwise) {
+  // End to end through igemm::gemm: the weights permuted to (t, cq, ci) with
+  // zero pad-channel columns (igemm::reorder_conv_weights, checked against
+  // a plain loop here) against the channel-quad B must give the float
+  // outputs of the original weights against the unpadded two-pass B, on
+  // both backends — integer sums are exact in any order, and the extra
+  // terms have zero weights.
+  Rng rng(46);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  struct ConvShape {
+    std::int64_t c, h, w, kernel, stride, pad, n, groups, grp;
+  };
+  const std::vector<ConvShape> shapes = {
+      {3, 12, 12, 3, 1, 1, 3, 1, 0},  // the stem: k 27 -> 36
+      {5, 7, 6, 3, 2, 1, 5, 1, 0},    // strided, one spare channel quad lane
+      {8, 6, 6, 1, 2, 0, 4, 1, 0},    // strided 1x1 shortcut
+      {1, 6, 5, 3, 1, 1, 17, 4, 3},   // depthwise group, k 9 -> 36
+      {6, 5, 9, 5, 1, 2, 2, 2, 1},    // 5x5 grouped conv
+  };
+  for (const ConvShape& sh : shapes) {
+    ConvCase cc = make_conv_case(sh.c, sh.h, sh.w, sh.kernel, sh.stride,
+                                 sh.pad, sh.n, rng, sh.groups);
+    if (sh.n > 4) {  // non-finite inputs and scales on the wider batches
+      for (std::size_t i = 0; i < cc.images.size(); i += 11)
+        cc.images[i] = (i % 2 == 0) ? nan : inf;
+      cc.img_inv[1] = inf;
+      cc.img_inv[2] = 0.0f;
+    }
+    const std::string what = describe(cc, sh.grp);
+    const std::int64_t m = 13, taps = cc.taps(), c4 = cc.c4();
+    const std::int64_t k = sh.c * taps, kq = igemm::conv_k(cc.g);
+    const std::int64_t ncols = cc.ncols();
+    ASSERT_EQ(kq, taps * c4) << what;
+    std::vector<std::int8_t> a(static_cast<std::size_t>(m * k));
+    for (auto& v : a) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
+    std::vector<std::int8_t> aq(static_cast<std::size_t>(m * kq), 0);
+    for (std::int64_t i = 0; i < m; ++i)
+      for (std::int64_t ch = 0; ch < sh.c; ++ch)
+        for (std::int64_t t = 0; t < taps; ++t)
+          aq[static_cast<std::size_t>(i * kq + t * c4 + ch)] =
+              a[static_cast<std::size_t>(i * k + ch * taps + t)];
+    std::vector<std::int8_t> reordered(aq.size(), 99);
+    igemm::reorder_conv_weights(a.data(), m, cc.g, reordered.data());
+    ASSERT_EQ(reordered, aq) << what;
+    std::vector<float> row_scale(static_cast<std::size_t>(m)),
+        bias(static_cast<std::size_t>(m));
+    for (auto& v : row_scale) v = static_cast<float>(rng.uniform(0.001, 0.1));
+    for (auto& v : bias) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    std::vector<float> col_scale = cc.col_inv();
+    for (auto& v : col_scale) v = 1.0f / v;
+    igemm::Epilogue ep;
+    ep.row_scale = row_scale.data();
+    ep.col_scale = col_scale.data();
+    ep.bias = bias.data();
+
+    auto run = [&](const std::vector<std::int8_t>& w, std::int64_t kk,
+                   const Bytes& bp, bool use_scalar) {
+      std::vector<std::int8_t> ap(
+          static_cast<std::size_t>(igemm::packed_a_bytes(m, kk)));
+      std::vector<std::int32_t> rowsum(static_cast<std::size_t>(m));
+      igemm::pack_a_s8(w.data(), m, kk, ap.data(), rowsum.data());
+      std::vector<float> c(static_cast<std::size_t>(m * ncols), -999.0f);
+      if (use_scalar)
+        igemm::scalar::gemm(m, ncols, kk, ap.data(), rowsum.data(), bp.data(),
+                            c.data(), ncols, ep);
+      else
+        igemm::gemm(m, ncols, kk, ap.data(), rowsum.data(), bp.data(),
+                    c.data(), ncols, ep);
+      return c;
+    };
+    const std::vector<float> cols = im2col_rows(cc, sh.grp, /*padded=*/false);
+    const std::vector<float> col_inv = cc.col_inv();
+    for (bool use_scalar : {false, true}) {
+      Bytes old_bp(static_cast<std::size_t>(igemm::packed_b_bytes(k, ncols)));
+      if (use_scalar)
+        igemm::scalar::pack_b_quantized(cols.data(), ncols, 1, k, ncols,
+                                        col_inv.data(), old_bp.data());
+      else
+        igemm::pack_b_quantized(cols.data(), ncols, 1, k, ncols,
+                                col_inv.data(), old_bp.data());
+      const std::vector<float> want = run(a, k, old_bp, use_scalar);
+      const std::vector<float> got =
+          run(aq, kq, channel_quad(cc, sh.grp, use_scalar).bp, use_scalar);
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        // Bitwise, NaN outputs included.
+        std::uint32_t wb, gb;
+        std::memcpy(&wb, &want[i], sizeof(wb));
+        std::memcpy(&gb, &got[i], sizeof(gb));
+        ASSERT_EQ(gb, wb) << (use_scalar ? "scalar " : "backend ") << what
+                          << " at " << i;
+      }
+    }
   }
 }
 

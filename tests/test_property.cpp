@@ -147,6 +147,13 @@ struct NtXentCase {
   std::int64_t d;
 };
 
+// Without a printer gtest lists the raw bytes of the case, including the
+// four uninitialized padding bytes after `tau`, so the test names would
+// differ from run to run.
+void PrintTo(const NtXentCase& c, std::ostream* os) {
+  *os << "{" << c.tau << ", " << c.n << ", " << c.d << "}";
+}
+
 class NtXentProperty : public ::testing::TestWithParam<NtXentCase> {};
 
 TEST_P(NtXentProperty, GradientMatchesFiniteDifferences) {

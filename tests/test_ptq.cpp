@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "graph/executor.hpp"
@@ -209,6 +210,88 @@ TEST(Ptq, RequantizeNodeValidates) {
   EXPECT_THROW(qm.requantize_node(idx, wrong), CheckError);
   EXPECT_THROW(qm.requantize_node(qm.graph().nodes.size(), {0.01f}),
                CheckError);
+}
+
+// ---- Conv requantize ---------------------------------------------------
+//
+// The tests above run the ViT, whose int8 nodes are all Linears. A conv's
+// requantize also permutes its weights into the channel-quad k order
+// (tap, cq, ci) of the plan's conv lowering, so these repeat the checks on
+// conv plans, including mobilenetv2's grouped and depthwise convs.
+
+struct ConvPlan {
+  models::Encoder enc;
+  graph::CompiledModel qm;
+};
+
+ConvPlan conv_plan(const std::string& arch) {
+  Rng rng(83);
+  auto enc = models::make_encoder(arch, rng);
+  enc.policy->set_full_precision();
+  enc.backbone->set_mode(nn::Mode::kEval);
+  auto qm = graph::compile(*enc.backbone, Shape{3, kImg, kImg},
+                           graph::CompileOptions{kBatch,
+                                                 graph::Precision::kInt8,
+                                                 true});
+  return ConvPlan{std::move(enc), std::move(qm)};
+}
+
+// A forward's output, copied out of the plan's reused output tensor.
+std::vector<float> forward_values(graph::CompiledModel& qm, const Tensor& x) {
+  const Tensor& out = qm.forward(x);
+  return std::vector<float>(out.data(), out.data() + out.numel());
+}
+
+// Requantizing a conv with the scales it already has must rebuild exactly
+// the packed weights compile() built.
+TEST(Ptq, RequantizeConvWithOwnScalesIsBitwiseNoOp) {
+  const Tensor calib = calib_batch(89);
+  for (const char* arch : {"resnet18", "mobilenetv2"}) {
+    SCOPED_TRACE(arch);
+    ConvPlan p = conv_plan(arch);
+    const std::vector<float> base = forward_values(p.qm, calib);
+    int convs = 0;
+    for (std::size_t i : p.qm.int8_nodes()) {
+      if (p.qm.graph().nodes[i].op != graph::Op::kConv2d) continue;
+      ++convs;
+      const std::vector<float> scales = p.qm.node_scales(i);
+      p.qm.requantize_node(i, scales);
+      ASSERT_EQ(forward_values(p.qm, calib), base)
+          << p.qm.graph().nodes[i].label;
+    }
+    EXPECT_GT(convs, 10);
+  }
+}
+
+// A requantized conv plan's table, saved, loaded and applied onto a fresh
+// plan, must reproduce that plan's forward bitwise.
+TEST(Ptq, ConvScaleTableRoundTripBitwise) {
+  const Tensor calib = calib_batch(97);
+  for (const char* arch : {"resnet18", "mobilenetv2"}) {
+    SCOPED_TRACE(arch);
+    ConvPlan p = conv_plan(arch);
+    const std::vector<float> base = forward_values(p.qm, calib);
+    quant::ScaleTable table;
+    for (std::size_t i : p.qm.int8_nodes()) {
+      std::vector<float> scales = p.qm.node_scales(i);
+      for (std::size_t c = 0; c < scales.size(); ++c)
+        scales[c] *= 0.8f + 0.15f * static_cast<float>(c % 3);
+      p.qm.requantize_node(i, scales);
+      table.labels.push_back(p.qm.graph().nodes[i].label);
+      table.scales.push_back(scales);
+    }
+    const std::vector<float> requantized = forward_values(p.qm, calib);
+    ASSERT_NE(requantized, base) << "the new scales must change the forward";
+
+    const std::string path = std::string("test_ptq_conv_scales_") + arch +
+                             ".bin";
+    table.save(path);
+    const auto loaded = quant::ScaleTable::load(path);
+    std::remove(path.c_str());
+    ConvPlan fresh = conv_plan(arch);
+    quant::apply(fresh.qm, loaded);
+    EXPECT_EQ(forward_values(fresh.qm, calib), requantized);
+  }
 }
 
 }  // namespace
