@@ -156,12 +156,14 @@ void Engine::worker_main(Worker& w) {
              : std::chrono::microseconds::max();
   for (;;) {
     std::size_t stolen = 0;
+    Clock::time_point window_start;
     {
       // Includes the bounded wait for the batch to fill (max_wait).
       CQ_TRACE_SCOPE("serve.batch_form");
       (void)own.pop_batch_for(batch, config_.max_batch, config_.max_wait,
-                              first_wait);
+                              first_wait, &window_start);
       if (batch.empty() && nq > 1) {
+        window_start = Clock::now();  // a steal sweep never waits
         for (std::size_t o = 1; o < nq && batch.size() < config_.max_batch;
              ++o)
           stolen += queues_[(w.index + o) % nq]->try_pop_some(
@@ -218,6 +220,8 @@ void Engine::worker_main(Worker& w) {
             std::max<std::uint64_t>(w.stats.max_batch_seen, n);
         ++w.stats.batch_hist[std::min(n, kBatchHistBuckets) - 1];
         w.stats.steady_heap_allocs += allocs_after - allocs_before;
+        w.stats.window_latency.record(
+            micros_between(window_start, dequeue_time));
         for (std::size_t i = 0; i < n; ++i) {
           w.stats.queue_latency.record(queue_us[i]);
           w.stats.total_latency.record(total_us[i]);
@@ -260,6 +264,7 @@ EngineStats Engine::stats() const {
       s.steady_heap_allocs += w->stats.steady_heap_allocs;
       s.queue_latency.merge(w->stats.queue_latency);
       s.total_latency.merge(w->stats.total_latency);
+      s.window_latency.merge(w->stats.window_latency);
       for (std::size_t i = 0; i < kBatchHistBuckets; ++i)
         s.batch_hist[i] += w->stats.batch_hist[i];
       ws.served = w->stats.served;

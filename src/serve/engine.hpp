@@ -10,8 +10,9 @@
 // bounded lock-free RequestQueue PER worker (sharded, so producers and the
 // worker pool never contend on a single queue lock), falling back to any
 // shard with room before rejecting. Each worker pops dynamic micro-batches
-// from its OWN queue (fills to max_batch or the max_wait window, whichever
-// first), stealing from sibling queues when its own runs empty, then
+// from its OWN queue (a lone request dispatches at once; a batch with
+// company fills to max_batch or the max_wait window, whichever first),
+// stealing from sibling queues when its own runs empty, then
 // filters expired deadlines, collates into a pre-warmed batch tensor,
 // forwards through a per-worker compiled ModelInstance, and scatters
 // feature rows back. Per-worker stats (latency histograms, batch-size
@@ -50,15 +51,18 @@ struct EngineConfig {
   /// Worker threads. 0 is allowed: requests queue but never run — useful
   /// for testing admission control; stop() then fails them kShutdown.
   std::size_t workers = 1;
-  /// Micro-batching: a worker takes up to `max_batch` requests, waiting at
-  /// most `max_wait` past the first request's arrival for the batch to fill.
+  /// Micro-batching: a worker takes up to `max_batch` requests. A request
+  /// with nothing queued behind it when the worker takes it dispatches at
+  /// once; `max_wait` bounds only a batch that already has company — it
+  /// waits at most that long past taking the first request to fill.
   std::size_t max_batch = 8;
   std::chrono::microseconds max_wait{500};
   /// Bounded queue capacity; submit() fails fast when full.
   std::size_t queue_capacity = 64;
-  /// Forward once per batch width (max_batch down to 1) per worker at
-  /// startup so steady-state serving performs zero heap allocations per
-  /// request regardless of how full each micro-batch runs.
+  /// Forward three times at max_batch per worker at startup. The compiled
+  /// plan's arena is sized at max_batch, so every narrower width runs inside
+  /// it and steady-state serving performs zero heap allocations per request
+  /// regardless of how full each micro-batch runs.
   bool prewarm = true;
 };
 

@@ -117,7 +117,8 @@ std::size_t RequestQueue::pop_batch(std::vector<Request*>& out,
 std::size_t RequestQueue::pop_batch_for(std::vector<Request*>& out,
                                         std::size_t max_batch,
                                         std::chrono::microseconds max_wait,
-                                        std::chrono::microseconds first_wait) {
+                                        std::chrono::microseconds first_wait,
+                                        Clock::time_point* window_start) {
   CQ_CHECK(max_batch > 0);
   out.clear();
 
@@ -150,17 +151,24 @@ std::size_t RequestQueue::pop_batch_for(std::vector<Request*>& out,
     if (first == nullptr) return 0;  // closed+drained, or first_wait expired
   }
   out.push_back(first);
+  const Clock::time_point window_open = Clock::now();
+  if (window_start != nullptr) *window_start = window_open;
 
-  // Phase 2: the batching window opens when the first request is taken —
-  // linger up to `max_wait` for stragglers, but never return an empty batch
-  // late.
-  const Clock::time_point window_end = Clock::now() + max_wait;
+  // Phase 2: the batching window opens when the first request is taken.
+  // Take whatever is already queued behind it without blocking; if nothing
+  // is, the request is alone and dispatches at once — lingering could only
+  // delay it. A batch that already has company lingers up to `max_wait`
+  // for stragglers, but never returns an empty batch late.
+  const Clock::time_point window_end = window_open + max_wait;
   for (;;) {
     while (out.size() < max_batch) {
       Request* r = try_pop_one();
       if (r == nullptr) break;
       out.push_back(r);
     }
+    // Still alone after the first drain (out never shrinks, so only the
+    // first pass can see size 1): dispatch now.
+    if (out.size() == 1) break;
     if (out.size() >= max_batch) break;
     if (closed_.load(std::memory_order_acquire)) break;
     if (Clock::now() >= window_end) break;

@@ -5,8 +5,10 @@
 // Producers call try_push(), which NEVER blocks: a full queue returns false
 // immediately so the client can shed load (the TensorRT/Triton "reject at
 // admission" policy rather than unbounded buffering). Consumers call
-// pop_batch(), which blocks for the FIRST request, then lingers up to
-// `max_wait` gathering more — the dynamic micro-batching window.
+// pop_batch(), which blocks for the FIRST request and takes whatever is
+// already queued behind it. A lone request dispatches at once; a batch
+// that already has company lingers up to `max_wait` gathering more — the
+// dynamic micro-batching window.
 //
 // Implementation (DESIGN.md §14): a Vyukov-style bounded MPMC ring. Each
 // cell carries a sequence number; producers claim a slot by CAS on the tail
@@ -44,8 +46,11 @@ class RequestQueue {
   bool try_push(Request* r);
 
   /// Pop up to `max_batch` requests into `out` (which is cleared first).
-  /// Blocks until at least one request is available, then waits at most
-  /// `max_wait` past the FIRST request's arrival for the batch to fill.
+  /// Blocks until at least one request is available, then takes, without
+  /// blocking, whatever is already queued behind it. If that leaves the
+  /// first request alone it returns at once; otherwise it waits at most
+  /// `max_wait` past taking the FIRST request for the batch to fill, so
+  /// `max_wait` bounds only a batch that already has company.
   /// Returns the number popped; 0 means the queue is closed AND drained —
   /// the consumer should exit.
   std::size_t pop_batch(std::vector<Request*>& out, std::size_t max_batch,
@@ -54,10 +59,14 @@ class RequestQueue {
   /// pop_batch that gives up on the FIRST request after `first_wait` instead
   /// of blocking indefinitely. Returns 0 with closed() false when the wait
   /// simply timed out — the sharded engine uses this to interleave sibling
-  /// work-stealing scans with the blocking wait on its own queue.
+  /// work-stealing scans with the blocking wait on its own queue. The same
+  /// lone-request rule applies: `max_wait` bounds only a batch that already
+  /// has company. When a request is popped and `window_start` is non-null,
+  /// it receives the time the FIRST request was taken (the window opening).
   std::size_t pop_batch_for(std::vector<Request*>& out, std::size_t max_batch,
                             std::chrono::microseconds max_wait,
-                            std::chrono::microseconds first_wait);
+                            std::chrono::microseconds first_wait,
+                            Clock::time_point* window_start = nullptr);
 
   /// Non-blocking bulk pop of up to `max` requests APPENDED to `out` (no
   /// clear): the sibling-steal path of the sharded engine. Returns the

@@ -128,6 +128,8 @@ std::string EngineStats::to_json() const {
   json_latency(os, "queue_latency", queue_latency);
   os << ",\n  ";
   json_latency(os, "total_latency", total_latency);
+  os << ",\n  ";
+  json_latency(os, "window_latency", window_latency);
   // Aggregate profiler table: per-op wall time over every instrumented
   // scope the process ran (serve pipeline phases, GEMM, lowering, ...).
   os << ",\n  \"profile\": " << prof::json();

@@ -67,8 +67,11 @@ struct WorkerStats {
   /// must be zero for the engine's zero-allocation claim to hold.
   std::uint64_t warmup_heap_allocs = 0;
   std::uint64_t steady_heap_allocs = 0;
-  LatencyHistogram queue_latency;  // submit -> dequeue
-  LatencyHistogram total_latency;  // submit -> completion
+  // Dispatch is stamped after the batching window closes, so queue_latency
+  // includes the window.
+  LatencyHistogram queue_latency;   // submit -> dispatch, per request
+  LatencyHistogram total_latency;   // submit -> completion, per request
+  LatencyHistogram window_latency;  // first taken -> dispatch, per batch
 };
 
 /// Per-worker slice of an EngineStats snapshot: each worker owns one request
@@ -104,6 +107,7 @@ struct EngineStats {
   double throughput_rps = 0.0;  // served / uptime
   LatencyHistogram queue_latency;
   LatencyHistogram total_latency;
+  LatencyHistogram window_latency;  // one sample per batch
   BatchHist batch_hist{};  // merged batch-size distribution
   std::vector<WorkerSnapshot> workers;
 

@@ -8,9 +8,11 @@
 // batch must not perturb anyone's result by even an ulp.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "deploy/int8.hpp"
@@ -134,6 +136,51 @@ TEST(RequestQueue, PopBatchDrainsThenSignalsClose) {
   EXPECT_EQ(q.pop_batch(out, 8, std::chrono::microseconds(0)), 0u);
 }
 
+TEST(RequestQueue, LoneRequestDoesNotLinger) {
+  // Nothing is queued behind the only request, so the window cannot fill:
+  // pop_batch must hand it back at once instead of waiting out max_wait.
+  serve::RequestQueue q(8);
+  serve::Request a;
+  ASSERT_TRUE(q.try_push(&a));
+  std::vector<serve::Request*> out;
+  serve::Clock::time_point window_start;
+  const auto t0 = serve::Clock::now();
+  EXPECT_EQ(q.pop_batch_for(out, 8, std::chrono::seconds(10),
+                            std::chrono::microseconds::max(), &window_start),
+            1u);
+  const auto t1 = serve::Clock::now();
+  EXPECT_LT(t1 - t0, std::chrono::seconds(1));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], &a);
+  EXPECT_GE(window_start, t0);
+  EXPECT_LE(window_start, t1);
+  // The blocking entry point follows the same rule.
+  ASSERT_TRUE(q.try_push(&a));
+  EXPECT_EQ(q.pop_batch(out, 8, std::chrono::seconds(10)), 1u);
+  EXPECT_LT(serve::Clock::now() - t1, std::chrono::seconds(1));
+}
+
+TEST(RequestQueue, WindowStillFillsWhenRequestsQueued) {
+  // Two requests already queued: the batch has company, so the window
+  // stays open and a third request pushed later from another thread joins
+  // the same batch.
+  serve::RequestQueue q(8);
+  serve::Request a, b, c;
+  ASSERT_TRUE(q.try_push(&a));
+  ASSERT_TRUE(q.try_push(&b));
+  std::thread pusher([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_TRUE(q.try_push(&c));
+  });
+  std::vector<serve::Request*> out;
+  EXPECT_EQ(q.pop_batch(out, 3, std::chrono::seconds(1)), 3u);
+  pusher.join();
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0], &a);
+  EXPECT_EQ(out[1], &b);
+  EXPECT_EQ(out[2], &c);
+}
+
 TEST(LatencyHistogram, PercentilesAndMerge) {
   serve::LatencyHistogram h;
   for (std::uint64_t us = 1; us <= 1000; ++us) h.record(us);
@@ -220,6 +267,48 @@ TEST(Engine, DynamicBatchingCoalescesBursts) {
     const Tensor& want = net.forward(inputs[i]);
     for (std::int64_t c = 0; c < engine.feature_dim(); ++c)
       EXPECT_EQ(outs[i][static_cast<std::size_t>(c)], want.at(0, c));
+  }
+}
+
+TEST(Engine, SerialClientDoesNotPayWindow) {
+  // One client, one request in flight at a time: every request arrives
+  // alone, so none may wait out the (deliberately huge) window. Lingering
+  // would cost 10 x 200 ms = 2 s.
+  auto cfg = base_config();
+  cfg.workers = 1;
+  cfg.max_batch = 8;
+  cfg.max_wait = std::chrono::microseconds(200000);
+  serve::Engine engine(cfg);
+
+  constexpr std::size_t kRequests = 10;
+  const auto inputs = make_inputs(kRequests, 24);
+  std::vector<std::vector<float>> outs(
+      kRequests,
+      std::vector<float>(static_cast<std::size_t>(engine.feature_dim())));
+  const auto t0 = serve::Clock::now();
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    serve::Request r;
+    r.input = inputs[i].data();
+    r.output = outs[i].data();
+    ASSERT_TRUE(engine.submit(&r));
+    ASSERT_EQ(r.wait(), serve::Status::kOk);
+  }
+  const auto elapsed = serve::Clock::now() - t0;
+  const auto stats = engine.stats();
+  engine.stop();
+
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+  EXPECT_EQ(stats.served, kRequests);
+  EXPECT_EQ(stats.max_batch_seen, 1u);
+  EXPECT_EQ(stats.window_latency.count(), stats.batches);
+  EXPECT_LT(stats.window_latency.max_micros(), 100000u);
+  auto enc = load_reference();
+  auto net = serve::compile_fp32(*enc.backbone);
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    const Tensor& want = net.forward(inputs[i]);
+    for (std::int64_t c = 0; c < engine.feature_dim(); ++c)
+      EXPECT_EQ(outs[i][static_cast<std::size_t>(c)], want.at(0, c))
+          << "request " << i << " feature " << c;
   }
 }
 
@@ -519,6 +608,8 @@ TEST(Engine, PerWorkerStatsAccountForEveryRequestAndBatch) {
   for (std::size_t b = 0; b < serve::kBatchHistBuckets; ++b)
     merged += stats.batch_hist[b];
   EXPECT_EQ(merged, stats.batches);
+  // One window sample per dispatched batch.
+  EXPECT_EQ(stats.window_latency.count(), stats.batches);
   // Round-robin admission spreads across both shard queues.
   EXPECT_EQ(stats.queue_depth, 0u);
   EXPECT_GE(stats.queue_peak_depth, 1u);
@@ -553,8 +644,13 @@ TEST(Engine, StatsJsonIsWellFormed) {
        {"\"submitted\"", "\"served\"", "\"throughput_rps\"",
         "\"queue_latency\"", "\"total_latency\"", "\"p50_us\"", "\"p99_us\"",
         "\"steady_heap_allocs\"", "\"mean_batch_size\"", "\"batch_hist\"",
-        "\"workers\"", "\"stolen\""})
+        "\"workers\"", "\"stolen\"", "\"window_latency\""})
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.window_latency.count(), stats.batches);
+  EXPECT_NE(json.find("\"window_latency\": {\"count\": " +
+                      std::to_string(stats.batches)),
+            std::string::npos);
 }
 
 TEST(Engine, RejectsCorruptCheckpoint) {
