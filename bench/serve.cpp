@@ -34,10 +34,8 @@
 
 #include "core/threadpool.hpp"
 #include "core/trace.hpp"
-#include "deploy/int8.hpp"
 #include "models/encoder.hpp"
 #include "serve/engine.hpp"
-#include "serve/fp32.hpp"
 #include "util/rng.hpp"
 
 using namespace cq;

@@ -1,5 +1,6 @@
-// Deployment: compile a (pre)trained encoder to int8 integer arithmetic —
-// the efficiency side of the paper's premise — and compare accuracy and
+// Deployment: compile a (pre)trained encoder into an int8 plan (integer
+// arithmetic — the efficiency side of the paper's premise) through the same
+// serve::make_instance the serving engine uses, and compare accuracy and
 // latency against fp32 inference.
 //
 // Usage: ./examples/int8_deploy [arch]
@@ -9,9 +10,9 @@
 
 #include "core/simclr.hpp"
 #include "data/synth.hpp"
-#include "deploy/int8.hpp"
 #include "eval/classifier.hpp"
 #include "eval/separability.hpp"
+#include "serve/model.hpp"
 #include "util/timer.hpp"
 
 int main(int argc, char** argv) {
@@ -36,15 +37,6 @@ int main(int argc, char** argv) {
   trainer.train(ssl_set);
 
   encoder.backbone->set_mode(nn::Mode::kEval);
-  const auto compiled = deploy::compile_int8(*encoder.backbone);
-  std::printf("compiled %zu int8 ops; weights %lld bytes (fp32 would be "
-              "%lld)\n",
-              compiled.op_count(),
-              static_cast<long long>(compiled.weight_bytes()),
-              static_cast<long long>(encoder.backbone->parameter_count() *
-                                     4));
-
-  // Feature agreement + kNN accuracy, fp32 vs int8.
   const Tensor batch =
       data::gather_images(test, [&] {
         std::vector<std::int64_t> idx(static_cast<std::size_t>(test.size()));
@@ -52,13 +44,25 @@ int main(int argc, char** argv) {
           idx[static_cast<std::size_t>(i)] = i;
         return idx;
       }());
+  const auto instance = serve::make_instance(
+      serve::InstanceKind::kInt8, *encoder.backbone,
+      Shape{batch.dim(1), batch.dim(2), batch.dim(3)}, batch.dim(0));
+  const graph::CompiledModel& plan = *instance->compiled();
+  std::int64_t weight_bytes = 0;  // one int8 byte per weight
+  for (std::size_t i : plan.int8_nodes())
+    weight_bytes += plan.graph().nodes[i].weight.numel();
+  std::printf("compiled int8 plan: %zu nodes, arena %lld bytes; weights "
+              "%lld bytes (fp32 would be %lld)\n",
+              plan.graph().nodes.size(),
+              static_cast<long long>(instance->arena_bytes()),
+              static_cast<long long>(weight_bytes),
+              static_cast<long long>(encoder.backbone->parameter_count() *
+                                     4));
 
-  // Warm both paths first: the compiled instance allocates its im2col /
-  // packing scratch lazily on the first call, which would otherwise be
-  // billed to the int8 timing while the encoder is already warm from
-  // training.
+  // Feature agreement + kNN accuracy, fp32 vs int8. One untimed forward per
+  // path first, so first-touch page faults are billed to neither timing.
   const Tensor f_fp = encoder.forward(batch);
-  const Tensor f_q = compiled.forward(batch);
+  const Tensor f_q = instance->forward(batch);
   // Best of three timed runs each — one run on a shared core is too noisy
   // to compare paths this close.
   double fp_ms = 1e30;
@@ -68,7 +72,7 @@ int main(int argc, char** argv) {
     (void)encoder.forward(batch);
     fp_ms = std::min(fp_ms, t_fp.millis());
     Timer t_q;
-    (void)compiled.forward(batch);
+    (void)instance->forward(batch);
     q_ms = std::min(q_ms, t_q.millis());
   }
 

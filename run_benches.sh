@@ -7,7 +7,6 @@
 #   BENCH_kernels.json   SIMD kernel layer: fused epilogues, quantize-on-pack
 #   BENCH_serve.json     serving engine: dynamic batching vs serial baseline,
 #                        plus the sharded-worker load matrix + scaling curve
-#   BENCH_compile.json   graph compiler: arena footprint, compiled-vs-eager
 #   BENCH_threadpool.json  thread pool: size-1 parity, dispatch overhead,
 #                        parallel_for scaling
 #   BENCH_search.json    binary-embedding search: Hamming scan vs fp32 brute
@@ -28,7 +27,7 @@
 #                               target was added fails with "No rule to
 #                               make target" instead of self-regenerating.
 #   ./run_benches.sh --ci-gate  CI perf gate: run the bench-labeled ctest
-#                               smokes, regenerate the eight bench JSONs into
+#                               smokes, regenerate the seven bench JSONs into
 #                               bench_out/, and compare each against the
 #                               checked-in repo-root baseline with
 #                               tools/bench_check at ±30% on the
@@ -111,8 +110,6 @@ case "${1:-}" in
     2> bench_out/kernels_json.err
   ./build/bench/serve --json=bench_out/BENCH_serve.json \
     > bench_out/serve_json.txt 2>&1
-  ./build/bench/compile --json=bench_out/BENCH_compile.json \
-    > bench_out/compile_json.txt 2>&1
   ./build/bench/threadpool --json=bench_out/BENCH_threadpool.json \
     > bench_out/threadpool_json.txt 2>&1
   ./build/bench/search --json=bench_out/BENCH_search.json \
@@ -121,7 +118,7 @@ case "${1:-}" in
     > bench_out/vit_json.txt 2>&1
   echo "=== comparing against repo-root baselines ==="
   status=0
-  for b in gemm pipeline kernels serve compile threadpool search vit; do
+  for b in gemm pipeline kernels serve threadpool search vit; do
     # Fail fast on a missing baseline: cq_bench_check would only see the
     # unreadable-file error, and a bench added without its checked-in
     # baseline must not look like a perf regression (or worse, pass).
@@ -207,9 +204,6 @@ echo "=== RUNNING json baselines ==="
 ./build/bench/serve --json=BENCH_serve.json \
   > bench_out/serve_json.txt 2>&1 && echo "done BENCH_serve.json" \
   || echo "FAILED BENCH_serve.json (see bench_out/serve_json.txt)"
-./build/bench/compile --json=BENCH_compile.json \
-  > bench_out/compile_json.txt 2>&1 && echo "done BENCH_compile.json" \
-  || echo "FAILED BENCH_compile.json (see bench_out/compile_json.txt)"
 ./build/bench/threadpool --json=BENCH_threadpool.json \
   > bench_out/threadpool_json.txt 2>&1 && echo "done BENCH_threadpool.json" \
   || echo "FAILED BENCH_threadpool.json (see bench_out/threadpool_json.txt)"

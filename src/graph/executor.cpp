@@ -7,7 +7,6 @@
 
 #include "core/threadpool.hpp"
 #include "core/trace.hpp"
-#include "deploy/int8.hpp"
 #include "graph/tracer.hpp"
 #include "models/vit.hpp"
 #include "nn/layernorm.hpp"
@@ -51,12 +50,23 @@ ConvGeometry conv_geometry(const Node& n, const Shape& in) {
   return g;
 }
 
-bool is_int8(const Graph& g) {
-  for (const Node& n : g.nodes)
-    if ((n.op == Op::kConv2d || n.op == Op::kLinear) &&
-        n.precision == Precision::kInt8)
-      return true;
-  return false;
+// dst[i] = clamp(round(src[i] * inv_scale), -127, 127): the symmetric int8
+// weight quantizer.
+void quantize_buffer(const float* src, std::int64_t n, float inv_scale,
+                     std::int8_t* dst) {
+  for (std::int64_t i = 0; i < n; ++i)
+    dst[i] = static_cast<std::int8_t>(
+        std::clamp<long>(std::lround(src[i] * inv_scale), -127L, 127L));
+}
+
+// Per-sample symmetric activation scale max(max|x| / 127, 1e-12): the range
+// pass covers only this sample, so a batched forward is bitwise identical to
+// N single-sample forwards.
+float sample_scale(const float* src, std::int64_t n) {
+  float lo, hi;
+  kernels::minmax(src, n, &lo, &hi);
+  const float max_abs = std::max(std::fabs(lo), std::fabs(hi));
+  return std::max(max_abs / 127.0f, 1e-12f);
 }
 
 }  // namespace
@@ -107,10 +117,9 @@ CompiledModel::CompiledModel(Graph g, std::int64_t max_batch)
 }
 
 void CompiledModel::quantize_int8_weights(std::size_t i, const float* scales) {
-  // Verbatim the deploy::Int8Network ctor recipe: per-output-channel
-  // symmetric weights, igemm-packed per group with row sums — except the
-  // scale itself may come from the caller (CPT-V calibration) instead of
-  // the min-max default.
+  // Per-output-channel symmetric weights, igemm-packed per group with row
+  // sums. The scale is the min-max default unless the caller (CPT-V
+  // calibration) supplies one.
   const Node& node = graph_.nodes[i];
   NodeState& st = state_[i];
   const Tensor& w = node.weight;
@@ -133,8 +142,8 @@ void CompiledModel::quantize_int8_weights(std::size_t i, const float* scales) {
     CQ_CHECK_MSG(scale > 0.0f, "non-positive weight scale for channel " << r
                                    << " of " << node.label);
     st.scales[static_cast<std::size_t>(r)] = scale;
-    deploy::detail::quantize_buffer(w.data() + r * cols, cols, 1.0f / scale,
-                                    wq.data() + r * cols);
+    quantize_buffer(w.data() + r * cols, cols, 1.0f / scale,
+                    wq.data() + r * cols);
   }
   std::int64_t kq = cols;
   if (node.op == Op::kConv2d) {
@@ -214,7 +223,6 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
       dims.push_back(os.dim(static_cast<std::int64_t>(d)));
     out_.resize(Shape{std::move(dims)});
   }
-  const bool int8_plan = is_int8(graph_);
 
   for (std::size_t i = 0; i < graph_.nodes.size(); ++i) {
     const Node& node = graph_.nodes[i];
@@ -247,10 +255,10 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
 
           // Image i owns columns [i*spatial, (i+1)*spatial): every one of
           // its columns quantizes with that image's scale, whatever the
-          // batch width (deploy/int8.cpp's batch-invariance contract).
+          // batch width.
           for_each_image(n, [&](std::int64_t img) {
-            const float in_scale = deploy::detail::sample_scale(
-                in_p + img * sample_in, sample_in);
+            const float in_scale =
+                sample_scale(in_p + img * sample_in, sample_in);
             img_inv[img] = 1.0f / in_scale;
             std::fill_n(col_scale + img * spatial, spatial, in_scale);
           });
@@ -358,7 +366,7 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
           float* gout = arena_ptr(scratch[2]);
           auto* bp = reinterpret_cast<std::uint8_t*>(base_ + scratch[3]);
           for_each_image(rows, [&](std::int64_t s) {
-            in_scale[s] = deploy::detail::sample_scale(in_p + s * in, in);
+            in_scale[s] = sample_scale(in_p + s * in, in);
             in_inv[s] = 1.0f / in_scale[s];
           });
           igemm::pack_b_quantized(in_p, /*rs=*/1, /*cs=*/in, in, rows, in_inv,
@@ -495,18 +503,10 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
         // worker a subrange matches the single serial call bit for bit.
         core::parallel_for(count, 1 << 14, [&](std::int64_t b,
                                                std::int64_t e) {
-          if (int8_plan) {  // eager Int8Network runs the kernels:: pass
-            if (node.relu_cap > 0.0f)
-              kernels::relu_cap(in_p + b, out_p + b, e - b, node.relu_cap);
-            else
-              kernels::relu(in_p + b, out_p + b, e - b);
-          } else {  // eager Fp32Network's plain clipping loop
-            for (std::int64_t j = b; j < e; ++j) {
-              float v = in_p[j] > 0.0f ? in_p[j] : 0.0f;
-              if (node.relu_cap > 0.0f && v > node.relu_cap) v = node.relu_cap;
-              out_p[j] = v;
-            }
-          }
+          if (node.relu_cap > 0.0f)
+            kernels::relu_cap(in_p + b, out_p + b, e - b, node.relu_cap);
+          else
+            kernels::relu(in_p + b, out_p + b, e - b);
         });
         break;
       }
@@ -564,17 +564,8 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
         const std::int64_t count = n * ishape.numel();
         core::parallel_for(count, 1 << 14, [&](std::int64_t j0,
                                                std::int64_t j1) {
-          if (int8_plan) {  // eager residual: in-place add_, then kernels relu
-            for (std::int64_t j = j0; j < j1; ++j) out_p[j] = a[j] + b[j];
-            if (node.add_relu) kernels::relu(out_p + j0, out_p + j0, j1 - j0);
-          } else if (node.add_relu) {
-            for (std::int64_t j = j0; j < j1; ++j) {
-              const float v = a[j] + b[j];
-              out_p[j] = v > 0.0f ? v : 0.0f;
-            }
-          } else {
-            for (std::int64_t j = j0; j < j1; ++j) out_p[j] = a[j] + b[j];
-          }
+          for (std::int64_t j = j0; j < j1; ++j) out_p[j] = a[j] + b[j];
+          if (node.add_relu) kernels::relu(out_p + j0, out_p + j0, j1 - j0);
         });
         break;
       }

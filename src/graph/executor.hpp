@@ -3,16 +3,20 @@
 // buffer resolved to an offset in ONE preallocated arena (plan.hpp) and
 // weights prepacked per node at build time (fp32 linear -> gemm packed-B
 // slivers; int8 conv/linear -> igemm packed-A + row sums + per-channel
-// scales, exactly the eager deploy ctor recipe).
+// symmetric scales). This is the repo's one inference path: the serving
+// engine, the search service and CPT-V calibration all run these plans.
 //
-// Bitwise contract (the serving gates): a compiled forward reproduces the
-// eager module-by-module paths bit for bit — serve::Fp32Network for fp32
-// plans, deploy::Int8Network for int8 plans — and a batch-N forward equals
-// N batch-1 forwards bitwise at any width 1..max_batch. Both hold because
-// every node body here is the same operation sequence as its eager twin
-// (same lowering choice per geometry, same GEMM entry points, same
-// epilogue folding, same per-sample quantization scales), only the buffer
-// addresses differ. tests/test_graph.cpp pins this per pass.
+// Bitwise contracts (the serving gates), pinned by tests/test_graph.cpp:
+//  * every pass keeps the forward bitwise equal to the passes-off plan (the
+//    traced IR after only identity elimination, BN folding and, for int8,
+//    lower_int8);
+//  * an int8 conv/linear node equals the textbook two-pass lowering
+//    (per-sample scales, im2col, quantize-on-pack, one igemm per group);
+//  * a batch-N forward equals N batch-1 forwards bitwise at any width
+//    1..max_batch, at any thread-pool size.
+// They hold because every choice a node body makes (lowering, GEMM entry
+// point, epilogue folding, quantization scale) depends on the layer's
+// geometry and on one sample's values, never on the batch width.
 //
 // forward() is const-free and reuses the arena: zero heap allocations in
 // steady state at ANY batch width (the prewarm regression in

@@ -7,8 +7,8 @@
 // (conv+BN folding, epilogue fusion, lowering selection, dead-op
 // elimination) before the arena planner (plan.hpp) and executor
 // (executor.hpp) turn it into a runnable plan. New fusions become passes
-// over this IR instead of hand-edits scattered across nn/, deploy/ and
-// serve/ (DESIGN.md §13).
+// over this IR instead of hand-edits scattered across nn/ and serve/
+// (DESIGN.md §13).
 //
 // Shapes are PER-SAMPLE (no batch dimension): every op in the supported set
 // is batch-parallel, so a plan compiled at `max_batch` serves any batch

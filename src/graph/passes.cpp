@@ -1,12 +1,35 @@
 #include "graph/passes.hpp"
 
+#include <cmath>
 #include <string>
 
 #include "core/trace.hpp"
-#include "deploy/int8.hpp"
 #include "util/check.hpp"
 
 namespace cq::graph {
+
+namespace {
+
+// Fold a BatchNorm's affine transform (running stats + gamma/beta) into the
+// preceding convolution's weight [Cout, Cin*K*K] and bias; all arrays are
+// length weight.dim(0), and an empty `bias` is treated as all-zero.
+void fold_batchnorm_arrays(const float* gamma, const float* beta,
+                           const float* running_mean, const float* running_var,
+                           float eps, Tensor& weight,
+                           std::vector<float>& bias) {
+  const auto cout = weight.dim(0);
+  if (bias.empty()) bias.assign(static_cast<std::size_t>(cout), 0.0f);
+  for (std::int64_t c = 0; c < cout; ++c) {
+    const float inv_std = 1.0f / std::sqrt(running_var[c] + eps);
+    const float scale = gamma[c] * inv_std;
+    for (std::int64_t k = 0; k < weight.dim(1); ++k)
+      weight.at(c, k) *= scale;
+    bias[static_cast<std::size_t>(c)] =
+        beta[c] + (bias[static_cast<std::size_t>(c)] - running_mean[c]) * scale;
+  }
+}
+
+}  // namespace
 
 std::size_t eliminate_identities(Graph& g) {
   std::vector<bool> dead(g.nodes.size(), false);
@@ -40,9 +63,9 @@ std::size_t fold_batchnorm(Graph& g) {
     Node& conv = g.nodes[static_cast<std::size_t>(p)];
     CQ_CHECK_MSG(conv.weight.dim(0) == bn.bn_gamma.numel(),
                  "fold_batchnorm: channel mismatch at " << bn.label);
-    deploy::fold_batchnorm_arrays(bn.bn_gamma.data(), bn.bn_beta.data(),
-                                  bn.bn_mean.data(), bn.bn_var.data(),
-                                  bn.bn_eps, conv.weight, conv.bias);
+    fold_batchnorm_arrays(bn.bn_gamma.data(), bn.bn_beta.data(),
+                          bn.bn_mean.data(), bn.bn_var.data(), bn.bn_eps,
+                          conv.weight, conv.bias);
     g.replace_uses(bn.output, conv.output);
     dead[i] = true;
     ++folded;
@@ -94,9 +117,8 @@ std::size_t select_conv_lowering(Graph& g) {
     if (n.op != Op::kConv2d) continue;
     const Shape& out = g.value(n.output).shape;
     const std::int64_t spatial = out.dim(1) * out.dim(2);
-    // Same geometry-only rule as the eager paths (serve/fp32.cpp,
-    // deploy/int8.cpp): the choice never depends on batch width, so batched
-    // and serial forwards stay bitwise identical. Int8 convs keep the
+    // A geometry-only rule: the choice never depends on batch width, so
+    // batched and serial forwards stay bitwise identical. Int8 convs keep the
     // im2col tag but materialize no column matrix: the executor quantizes
     // the input once into channel-quad bytes and copies their dwords into
     // packed-B slivers (igemm::pack_b_conv_c4), in (tap, cq, ci) k order.

@@ -13,12 +13,12 @@
 //   eliminate_dead_ops     drop nodes unreachable from the graph output
 //
 // Epilogue fusion is fp32-only: the int8 epilogue (igemm::Epilogue) carries
-// scales and bias but no activation, and the eager Int8Network runs ReLU as
-// a separate kernels:: pass — the compiled plan must match it bitwise.
+// scales and bias but no activation, so an int8 plan keeps ReLU as its own
+// node (the same kernels:: pass an fp32 plan runs for an unfused ReLU).
 //
 // Every pass records a "graph.pass.<name>" span in the aggregate profiler
 // (and the span tracer when enabled), so compile time is attributable
-// per pass in BENCH_compile.json.
+// per pass.
 #pragma once
 
 #include <cstddef>

@@ -12,11 +12,10 @@
 // constant (BN folding), at which point only that node's copy detaches. The
 // traced graph therefore survives the source module tree.
 //
-// Supported children mirror the eager serving compilers (serve/fp32.cpp,
-// deploy/int8.cpp): Conv2d, BatchNorm2d, ReLU, MaxPool2d, GlobalAvgPool,
+// Supported children: Conv2d, BatchNorm2d, ReLU, MaxPool2d, GlobalAvgPool,
 // Flatten, Linear, ActQuant, Sequential, models::BasicBlock,
-// models::InvertedResidual. Anything else throws CheckError naming the
-// module's type_name().
+// models::InvertedResidual, and the ViT modules. Anything else throws
+// CheckError naming the module's type_name().
 #pragma once
 
 #include "graph/ir.hpp"

@@ -28,7 +28,7 @@ class InvertedResidual : public nn::Module {
   Tensor backward(const Tensor& grad_out) override;
   void visit_children(const std::function<void(Module&)>& fn) override;
 
-  /// Structure accessors (used by the int8 deployment compiler).
+  /// Structure accessors (used by the graph tracer).
   nn::Sequential& body() { return body_; }
   bool uses_residual() const { return use_residual_; }
 

@@ -37,7 +37,7 @@ class BasicBlock : public nn::Module {
   Tensor backward(const Tensor& grad_out) override;
   void visit_children(const std::function<void(Module&)>& fn) override;
 
-  /// Structure accessors (used by the int8 deployment compiler).
+  /// Structure accessors (used by the graph tracer).
   nn::Sequential& main_path() { return main_; }
   nn::Sequential* shortcut_path() { return shortcut_.get(); }
 

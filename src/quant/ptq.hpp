@@ -9,7 +9,7 @@
 // objective would spend its budget on absolute coordinates.
 //
 // The loop drives graph::CompiledModel::requantize_node, so the accepted
-// scales land on the exact igemm deploy path serving runs; the emitted
+// scales land on the exact igemm path serving runs; the emitted
 // ScaleTable re-applies byte-identically to any plan compiled from the same
 // checkpoint (label-matched), including serve::ModelInstance::compiled().
 //

@@ -6,9 +6,8 @@
 // the engine's max batch -> prepacked executor. Instances own a mutable
 // arena and are NOT thread-safe: the engine compiles one instance per
 // worker thread from the same loaded encoder, trading memory for lock-free
-// forwards. The compiled paths stay bitwise-identical to the eager
-// serve::Fp32Network / deploy::Int8Network twins (tests/test_graph.cpp), so
-// swapping the engine onto plans changed no served bytes.
+// forwards. The plans' bitwise contracts (optimized == passes-off plan,
+// batched == serial) are pinned in tests/test_graph.cpp.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,5 @@
 // True int8 GEMM micro-kernel family: the integer-arithmetic compute path
-// behind deploy::Int8Network (DESIGN.md §12).
+// behind the graph compiler's int8 plans (DESIGN.md §12).
 //
 // Shapes follow the deployment orientation everywhere: A is the STATIC
 // operand (per-output-channel int8 weights, [m, k] row-major, packed once at

@@ -1,23 +1,32 @@
-// Int8 deployment: symmetric quantization, BN folding, compiled networks.
+// Int8 deployment through the graph compiler: BN folding, per-channel
+// weight quantization, per-sample activation scales and int32 accumulation,
+// checked against the fp32 training modules and a materialized dequant.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 
-#include "deploy/int8.hpp"
+#include "graph/executor.hpp"
 #include "models/encoder.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
+#include "serve/model.hpp"
 #include "tensor/kernels/igemm.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
 
 namespace cq {
 namespace {
+
+graph::CompiledModel int8_plan(nn::Sequential& net, const Shape& sample,
+                               std::int64_t max_batch) {
+  const graph::CompileOptions opts{max_batch, graph::Precision::kInt8, true};
+  return graph::compile(net, sample, opts);
+}
 
 float max_rel_err(const Tensor& a, const Tensor& b) {
   CQ_CHECK(a.same_shape(b));
@@ -30,29 +39,6 @@ float max_rel_err(const Tensor& a, const Tensor& b) {
   return err;
 }
 
-TEST(QuantizeSymmetric, RoundTripErrorBounded) {
-  Rng rng(1);
-  Tensor t = Tensor::randn(Shape{500}, rng);
-  const auto q = deploy::quantize_symmetric(t);
-  const Tensor back = deploy::dequantize(q);
-  for (std::int64_t i = 0; i < t.numel(); ++i)
-    EXPECT_LE(std::fabs(t[i] - back[i]), 0.5f * q.scale + 1e-6f);
-}
-
-TEST(QuantizeSymmetric, ZeroTensorStaysZero) {
-  Tensor t(Shape{10});
-  const auto q = deploy::quantize_symmetric(t);
-  const Tensor back = deploy::dequantize(q);
-  for (std::int64_t i = 0; i < 10; ++i) EXPECT_FLOAT_EQ(back[i], 0.0f);
-}
-
-TEST(QuantizeSymmetric, ExtremaMapToPlusMinus127) {
-  Tensor t = Tensor::from({-2.0f, 0.0f, 2.0f});
-  const auto q = deploy::quantize_symmetric(t);
-  EXPECT_EQ(q.data[0], -127);
-  EXPECT_EQ(q.data[2], 127);
-}
-
 TEST(CompileInt8, ConvMatchesFp32) {
   Rng rng(2);
   nn::Sequential net;
@@ -63,10 +49,9 @@ TEST(CompileInt8, ConvMatchesFp32) {
   net.set_mode(nn::Mode::kEval);
   Tensor x = Tensor::uniform(Shape{2, 3, 8, 8}, rng, -1.0f, 1.0f);
   const Tensor y_fp = net.forward(x);
-  const auto compiled = deploy::compile_int8(net);
-  const Tensor y_q = compiled.forward(x);
-  EXPECT_LT(max_rel_err(y_fp, y_q), 0.05f);
-  EXPECT_GT(compiled.weight_bytes(), 0);
+  auto compiled = int8_plan(net, Shape{3, 8, 8}, 2);
+  EXPECT_LT(max_rel_err(y_fp, compiled.forward(x)), 0.05f);
+  EXPECT_EQ(compiled.int8_nodes().size(), 1u);
 }
 
 TEST(CompileInt8, LinearMatchesFp32) {
@@ -76,7 +61,7 @@ TEST(CompileInt8, LinearMatchesFp32) {
   net.set_mode(nn::Mode::kEval);
   Tensor x = Tensor::uniform(Shape{4, 10}, rng, -1.0f, 1.0f);
   const Tensor y_fp = net.forward(x);
-  const auto compiled = deploy::compile_int8(net);
+  auto compiled = int8_plan(net, Shape{10}, 4);
   EXPECT_LT(max_rel_err(y_fp, compiled.forward(x)), 0.05f);
 }
 
@@ -100,8 +85,8 @@ TEST(CompileInt8, BnFoldingMatchesConvPlusBn) {
   net.set_mode(nn::Mode::kEval);
   Tensor x = Tensor::uniform(Shape{2, 2, 6, 6}, rng, -1.0f, 1.0f);
   const Tensor y_fp = net.forward(x);
-  const auto compiled = deploy::compile_int8(net);
-  EXPECT_EQ(compiled.op_count(), 1u);  // conv+bn folded into one op
+  auto compiled = int8_plan(net, Shape{2, 6, 6}, 2);
+  EXPECT_EQ(compiled.graph().nodes.size(), 1u);  // conv+bn folded into one
   EXPECT_LT(max_rel_err(y_fp, compiled.forward(x)), 0.08f);
 }
 
@@ -118,8 +103,8 @@ TEST(CompileInt8, ReluAndPoolingPreserved) {
   net.set_mode(nn::Mode::kEval);
   Tensor x = Tensor::uniform(Shape{2, 1, 8, 8}, rng, -1.0f, 1.0f);
   const Tensor y_fp = net.forward(x);
-  const auto compiled = deploy::compile_int8(net);
-  EXPECT_EQ(compiled.op_count(), 4u);
+  auto compiled = int8_plan(net, Shape{1, 8, 8}, 2);
+  EXPECT_EQ(compiled.graph().nodes.size(), 4u);  // int8 ReLU stays unfused
   EXPECT_LT(max_rel_err(y_fp, compiled.forward(x)), 0.05f);
 }
 
@@ -128,9 +113,9 @@ TEST(CompileInt8, Relu6CapRecovered) {
   nn::Sequential net;
   net.emplace<nn::ReLU>(6.0f);
   net.set_mode(nn::Mode::kEval);
-  const auto compiled = deploy::compile_int8(net);
-  Tensor x = Tensor::from({-1.0f, 3.0f, 100.0f});
-  Tensor y = compiled.forward(x);
+  auto compiled = int8_plan(net, Shape{3}, 1);
+  Tensor x = Tensor::from({-1.0f, 3.0f, 100.0f}).reshape(Shape{1, 3});
+  const Tensor& y = compiled.forward(x);
   EXPECT_FLOAT_EQ(y[0], 0.0f);
   EXPECT_FLOAT_EQ(y[1], 3.0f);
   EXPECT_FLOAT_EQ(y[2], 6.0f);
@@ -149,8 +134,9 @@ TEST(CompileInt8, FullResNet18PredictionsMatch) {
 
   Tensor x = Tensor::uniform(Shape{8, 3, 16, 16}, rng);
   const Tensor f_fp = enc.forward(x);
-  const auto compiled = deploy::compile_int8(*enc.backbone);
-  const Tensor f_q = compiled.forward(x);
+  auto instance = serve::make_instance(serve::InstanceKind::kInt8,
+                                       *enc.backbone, Shape{3, 16, 16}, 8);
+  const Tensor& f_q = instance->forward(x);
   ASSERT_TRUE(f_fp.same_shape(f_q));
   // Feature agreement: cosine similarity per row > 0.98.
   for (std::int64_t r = 0; r < f_fp.dim(0); ++r) {
@@ -164,8 +150,12 @@ TEST(CompileInt8, FullResNet18PredictionsMatch) {
   }
   // Memory win: int8 weights are 1/4 the fp32 parameter bytes (heads
   // aside, the backbone is conv-dominated).
-  EXPECT_LT(compiled.weight_bytes(),
-            enc.backbone->parameter_count() * 4 / 3);
+  const graph::CompiledModel& plan = *instance->compiled();
+  std::int64_t weight_bytes = 0;  // one int8 byte per weight
+  for (std::size_t i : plan.int8_nodes())
+    weight_bytes += plan.graph().nodes[i].weight.numel();
+  EXPECT_GT(weight_bytes, 0);
+  EXPECT_LT(weight_bytes, enc.backbone->parameter_count() * 4 / 3);
 }
 
 TEST(CompileInt8, BatchedForwardBitwiseEqualsSingleSample) {
@@ -181,9 +171,9 @@ TEST(CompileInt8, BatchedForwardBitwiseEqualsSingleSample) {
     enc.backbone->clear_cache();
   }
   enc.backbone->set_mode(nn::Mode::kEval);
-  const auto compiled = deploy::compile_int8(*enc.backbone);
-
   constexpr std::int64_t kN = 5;
+  auto compiled = int8_plan(*enc.backbone, Shape{3, 16, 16}, kN);
+
   std::vector<Tensor> singles;
   for (std::int64_t i = 0; i < kN; ++i)
     singles.push_back(
@@ -194,10 +184,11 @@ TEST(CompileInt8, BatchedForwardBitwiseEqualsSingleSample) {
     std::memcpy(batch.data() + i * per, singles[static_cast<std::size_t>(i)].data(),
                 static_cast<std::size_t>(per) * sizeof(float));
 
-  const Tensor f_batch = compiled.forward(batch);
+  const Tensor f_batch = compiled.forward(batch);  // copy: arena reused
   ASSERT_EQ(f_batch.dim(0), kN);
   for (std::int64_t i = 0; i < kN; ++i) {
-    const Tensor f_one = compiled.forward(singles[static_cast<std::size_t>(i)]);
+    const Tensor& f_one =
+        compiled.forward(singles[static_cast<std::size_t>(i)]);
     for (std::int64_t c = 0; c < f_batch.dim(1); ++c)
       EXPECT_EQ(f_batch.at(i, c), f_one.at(0, c))
           << "sample " << i << " feature " << c;
@@ -215,8 +206,8 @@ TEST(CompileInt8, MobileNetV2Compiles) {
   enc.backbone->set_mode(nn::Mode::kEval);
   Tensor x = Tensor::uniform(Shape{2, 3, 16, 16}, rng);
   const Tensor f_fp = enc.forward(x);
-  const auto compiled = deploy::compile_int8(*enc.backbone);
-  const Tensor f_q = compiled.forward(x);
+  auto compiled = int8_plan(*enc.backbone, Shape{3, 16, 16}, 2);
+  const Tensor& f_q = compiled.forward(x);
   ASSERT_TRUE(f_fp.same_shape(f_q));
   EXPECT_LT(max_rel_err(f_fp, f_q), 0.25f);  // deeper nets accumulate error
 }
@@ -234,10 +225,10 @@ TEST(Int8Accumulators, WideReductionDoesNotWrapInt16) {
   for (std::int64_t i = 0; i < fc.weight().value.numel(); ++i)
     fc.weight().value[i] = 1.0f;
   net.set_mode(nn::Mode::kEval);
-  const auto compiled = deploy::compile_int8(net);
+  auto compiled = int8_plan(net, Shape{in}, 1);
   Tensor x(Shape{1, in});
   for (std::int64_t i = 0; i < in; ++i) x[i] = 1.0f;
-  const Tensor y = compiled.forward(x);
+  const Tensor& y = compiled.forward(x);
   for (std::int64_t r = 0; r < out; ++r)
     EXPECT_NEAR(y.at(0, r), 2048.0f, 0.01f) << "row " << r;
 }
@@ -262,9 +253,9 @@ TEST(Int8Accumulators, PerChannelScaleEpilogueMatchesMaterializedDequant) {
                    ((c + r) % 2 == 0 ? 1.0f : -1.0f);
   }
   net.set_mode(nn::Mode::kEval);
-  const auto compiled = deploy::compile_int8(net);
+  auto compiled = int8_plan(net, Shape{in}, n);
   Tensor x = Tensor::uniform(Shape{n, in}, rng, -1.0f, 1.0f);
-  const Tensor y = compiled.forward(x);
+  const Tensor& y = compiled.forward(x);
 
   // Materialize: per-output-channel weight quantization (the compiler's
   // round-half-away formula), per-sample activation quantization (the
@@ -302,8 +293,8 @@ TEST(Int8Accumulators, PerChannelScaleEpilogueMatchesMaterializedDequant) {
 TEST(CompileInt8, RejectsUnsupportedModules) {
   Rng rng(9);
   nn::Sequential net;
-  net.emplace<nn::BatchNorm2d>(4);  // BN without preceding conv
-  EXPECT_THROW(deploy::compile_int8(net), CheckError);
+  net.emplace<nn::BatchNorm2d>(4);  // BN without preceding conv: unfoldable
+  EXPECT_THROW(int8_plan(net, Shape{4, 4, 4}, 1), CheckError);
 }
 
 }  // namespace

@@ -1,15 +1,19 @@
 // Graph compiler tests: tracer round-trips, pass-by-pass bitwise
-// equivalence against the eager serving twins, arena-planner properties,
-// and dead-op elimination. The bitwise cases are the compiler's contract:
-// every pass must keep the compiled forward EXACTLY equal to the eager
-// reference — any relaxation here silently changes served bytes.
+// equivalence against the passes-off plan, a per-node int8 oracle built from
+// public kernels only, arena-planner properties, and dead-op elimination.
+// The bitwise cases are the compiler's contract: every pass must keep the
+// compiled forward EXACTLY equal to its reference — any relaxation here
+// silently changes served bytes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/threadpool.hpp"
-#include "deploy/int8.hpp"
 #include "graph/executor.hpp"
 #include "graph/ir.hpp"
 #include "graph/passes.hpp"
@@ -17,7 +21,12 @@
 #include "graph/tracer.hpp"
 #include "models/encoder.hpp"
 #include "models/heads.hpp"
-#include "serve/fp32.hpp"
+#include "nn/activations.hpp"
+#include "nn/conv2d.hpp"
+#include "nn/linear.hpp"
+#include "tensor/im2col.hpp"
+#include "tensor/kernels/igemm.hpp"
+#include "tensor/kernels/kernels.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -86,70 +95,371 @@ TEST(GraphPasses, DefaultPipelineRemovesFoldableOps) {
   }
 }
 
-// The anchor: after identities are dropped and BN is folded (the arithmetic
-// the eager Fp32Network performs at compile time), the compiled plan must be
-// bitwise-equal to the eager forward — and must STAY bitwise-equal as each
-// subsequent pass (epilogue fusion, lowering selection, DCE) is applied.
-TEST(GraphPasses, PassByPassBitwiseFp32) {
-  auto enc = eval_encoder("resnet18", 7);
-  serve::Fp32Network eager = serve::compile_fp32(*enc.backbone);
-
-  graph::Graph g = graph::trace(*enc.backbone, Shape{3, kH, kW});
+// The anchor is the passes-off plan: the traced IR after only the passes a
+// plan cannot run without (identities dropped, BN folded) plus lower_int8
+// for int8 plans. Every later pass (epilogue fusion, lowering selection,
+// DCE) must keep the forward bitwise equal to it at every batch width, and
+// so must graph::compile's full pipeline.
+void expect_passes_keep_bits(nn::Sequential& net, const Shape& sample,
+                             graph::Precision precision,
+                             std::int64_t max_batch) {
+  graph::Graph g = graph::trace(net, sample);
   graph::eliminate_identities(g);
   graph::fold_batchnorm(g);
+  if (precision == graph::Precision::kInt8) graph::lower_int8(g);
 
   Rng rng(23);
-  const Tensor batch = Tensor::uniform(Shape{3, 3, kH, kW}, rng, -1.0f, 1.0f);
-  const Tensor want = eager.forward(batch);
-
-  const auto check_stage = [&](const char* stage) {
-    graph::Graph copy = g;
-    graph::CompiledModel model(std::move(copy), /*max_batch=*/4);
+  std::vector<Tensor> batches, want;
+  graph::CompiledModel reference{graph::Graph(g), max_batch};
+  for (std::int64_t n = 1; n <= max_batch; ++n) {
+    std::vector<std::int64_t> dims{n};
+    for (std::size_t d = 0; d < sample.rank(); ++d)
+      dims.push_back(sample.dim(static_cast<std::int64_t>(d)));
+    batches.push_back(
+        Tensor::uniform(Shape{std::move(dims)}, rng, -1.0f, 1.0f));
+    want.push_back(reference.forward(batches.back()));  // copy: arena reused
+  }
+  const auto check = [&](graph::CompiledModel& model, const char* stage) {
     SCOPED_TRACE(stage);
-    expect_bitwise(model.forward(batch), want);
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+      SCOPED_TRACE(i + 1);
+      expect_bitwise(model.forward(batches[i]), want[i]);
+    }
   };
-  check_stage("identities+fold_bn");
+  const auto check_stage = [&](const char* stage) {
+    graph::CompiledModel model{graph::Graph(g), max_batch};
+    check(model, stage);
+  };
   graph::fuse_epilogues(g);
   check_stage("+fuse_epilogues");
   graph::select_conv_lowering(g);
   check_stage("+select_conv_lowering");
   graph::eliminate_dead_ops(g);
   check_stage("+eliminate_dead_ops");
+  auto full = graph::compile(
+      net, sample, graph::CompileOptions{max_batch, precision, true});
+  check(full, "graph::compile");
 }
 
-TEST(GraphExecutor, CompiledMatchesEagerFp32AcrossWidths) {
-  auto enc = eval_encoder("resnet18", 9);
-  serve::Fp32Network eager = serve::compile_fp32(*enc.backbone);
-  auto model = graph::compile(
-      *enc.backbone, Shape{3, kH, kW},
-      graph::CompileOptions{4, graph::Precision::kF32, true});
-  Rng rng(31);
-  for (std::int64_t n = 1; n <= 4; ++n) {
-    SCOPED_TRACE(n);
-    const Tensor batch =
-        Tensor::uniform(Shape{n, 3, kH, kW}, rng, -1.0f, 1.0f);
-    expect_bitwise(model.forward(batch), eager.forward(batch));
-  }
-}
-
-// mobilenetv2's depthwise and grouped int8 convs are the only users of the
-// per-group channel offset into the fused conv pack.
-TEST(GraphExecutor, CompiledMatchesEagerInt8AcrossWidths) {
+// mobilenetv2 adds ReLU6 epilogues and grouped fp32 convs.
+TEST(GraphPasses, PassByPassBitwiseFp32) {
   for (const char* arch : {"resnet18", "mobilenetv2"}) {
     SCOPED_TRACE(arch);
+    auto enc = eval_encoder(arch, 7);
+    expect_passes_keep_bits(*enc.backbone, Shape{3, kH, kW},
+                            graph::Precision::kF32, /*max_batch=*/4);
+  }
+}
+
+// mobilenetv2 adds grouped and depthwise int8 convs and unfused ReLU6 nodes;
+// the ViT's int8 Linears take rank-2 [seq, dim] token inputs.
+TEST(GraphPasses, PassByPassBitwiseInt8) {
+  for (const char* arch : {"resnet18", "mobilenetv2", "vit"}) {
+    SCOPED_TRACE(arch);
     auto enc = eval_encoder(arch, 13);
-    deploy::Int8Network eager = deploy::compile_int8(*enc.backbone);
-    auto model = graph::compile(
-        *enc.backbone, Shape{3, kH, kW},
-        graph::CompileOptions{5, graph::Precision::kInt8, true});
-    Rng rng(37);
-    for (std::int64_t n = 1; n <= 5; ++n) {
-      SCOPED_TRACE(n);
-      const Tensor batch =
-          Tensor::uniform(Shape{n, 3, kH, kW}, rng, -1.0f, 1.0f);
-      expect_bitwise(model.forward(batch), eager.forward(batch));
+    const std::int64_t side = std::string(arch) == "vit" ? 16 : kH;
+    expect_passes_keep_bits(*enc.backbone, Shape{3, side, side},
+                            graph::Precision::kInt8, /*max_batch=*/5);
+  }
+}
+
+// Compiled plans stay close to the training modules' eval forward: fp32
+// differs only by BN folding's rounding, int8 by quantization error.
+TEST(GraphExecutor, CompiledMatchesEvalForwardWithinTolerance) {
+  for (const char* arch : {"resnet18", "mobilenetv2"}) {
+    for (auto precision : {graph::Precision::kF32, graph::Precision::kInt8}) {
+      const bool int8 = precision == graph::Precision::kInt8;
+      SCOPED_TRACE(std::string(arch) + (int8 ? " int8" : " fp32"));
+      auto enc = eval_encoder(arch, 9);
+      auto model = graph::compile(*enc.backbone, Shape{3, kH, kW},
+                                  graph::CompileOptions{3, precision, true});
+      Rng rng(31);
+      const Tensor x = Tensor::uniform(Shape{3, 3, kH, kW}, rng, -1.0f, 1.0f);
+      const Tensor want = enc.backbone->forward(x);
+      const Tensor& got = model.forward(x);
+      ASSERT_EQ(got.shape(), want.shape());
+      float scale = 1e-6f;
+      for (std::int64_t i = 0; i < want.numel(); ++i)
+        scale = std::max(scale, std::fabs(want[i]));
+      const float tol = (int8 ? 0.25f : 1e-3f) * scale;
+      for (std::int64_t i = 0; i < want.numel(); ++i)
+        EXPECT_NEAR(got[i], want[i], tol) << i;
     }
   }
+}
+
+// ---- Per-node int8 oracle ---------------------------------------------------
+//
+// A test-local two-pass int8 lowering built from public kernels only: each
+// sample's scale from kernels::minmax, its fp32 columns from im2col_batched,
+// quantized as igemm::pack_b_quantized packs them, one igemm::gemm per group
+// against per-channel symmetric weights in im2col's (c, kh, kw) k order,
+// then a scatter to NCHW. The plan runs a different lowering (channel-quad
+// bytes, reordered weights, pack_b_conv_c4), but integer sums are exact, so
+// the two must agree bitwise.
+
+float oracle_sample_scale(const float* x, std::int64_t n) {
+  float lo, hi;
+  kernels::minmax(x, n, &lo, &hi);
+  return std::max(std::max(std::fabs(lo), std::fabs(hi)) / 127.0f, 1e-12f);
+}
+
+struct OracleWeights {
+  std::vector<std::int8_t> packed;  // igemm packed A, groups side by side
+  std::vector<std::int32_t> rowsum;
+  std::vector<float> scales;
+  std::int64_t group_bytes = 0;
+};
+
+OracleWeights oracle_weights(const Tensor& w, std::int64_t groups) {
+  const std::int64_t rows = w.dim(0), cols = w.dim(1), rows_g = rows / groups;
+  OracleWeights o;
+  o.scales.resize(static_cast<std::size_t>(rows));
+  o.rowsum.resize(static_cast<std::size_t>(rows));
+  std::vector<std::int8_t> q(static_cast<std::size_t>(rows * cols));
+  for (std::int64_t r = 0; r < rows; ++r) {
+    float max_abs = 0.0f;
+    for (std::int64_t c = 0; c < cols; ++c)
+      max_abs = std::max(max_abs, std::fabs(w.at(r, c)));
+    const float scale = max_abs > 0.0f ? max_abs / 127.0f : 1.0f;
+    const float inv = 1.0f / scale;
+    o.scales[static_cast<std::size_t>(r)] = scale;
+    for (std::int64_t c = 0; c < cols; ++c)
+      q[static_cast<std::size_t>(r * cols + c)] = static_cast<std::int8_t>(
+          std::clamp<long>(std::lround(w.at(r, c) * inv), -127L, 127L));
+  }
+  o.group_bytes = igemm::packed_a_bytes(rows_g, cols);
+  o.packed.resize(static_cast<std::size_t>(groups * o.group_bytes));
+  for (std::int64_t grp = 0; grp < groups; ++grp)
+    igemm::pack_a_s8(q.data() + grp * rows_g * cols, rows_g, cols,
+                     o.packed.data() + grp * o.group_bytes,
+                     o.rowsum.data() + grp * rows_g);
+  return o;
+}
+
+Tensor oracle_conv(const Tensor& x, const nn::Conv2dSpec& spec,
+                   const Tensor& w) {
+  const std::int64_t n = x.dim(0), in_h = x.dim(2), in_w = x.dim(3);
+  ConvGeometry g;
+  g.in_channels = spec.in_channels / spec.groups;
+  g.in_h = in_h;
+  g.in_w = in_w;
+  g.kernel_h = g.kernel_w = spec.kernel;
+  g.stride = spec.stride;
+  g.pad = spec.pad;
+  const std::int64_t spatial = g.out_h() * g.out_w(), cols = n * spatial;
+  const std::int64_t krows = g.col_rows();
+  const std::int64_t cout_g = spec.out_channels / spec.groups;
+  const std::int64_t sample = spec.in_channels * in_h * in_w;
+  const OracleWeights ow = oracle_weights(w, spec.groups);
+  const std::vector<float> bias(static_cast<std::size_t>(spec.out_channels),
+                                0.0f);
+  std::vector<float> col_scale(static_cast<std::size_t>(cols));
+  std::vector<float> col_inv(static_cast<std::size_t>(cols));
+  for (std::int64_t img = 0; img < n; ++img) {
+    const float s = oracle_sample_scale(x.data() + img * sample, sample);
+    std::fill_n(col_scale.begin() + img * spatial, spatial, s);
+    std::fill_n(col_inv.begin() + img * spatial, spatial, 1.0f / s);
+  }
+  std::vector<float> colbuf(static_cast<std::size_t>(krows * cols));
+  std::vector<std::uint8_t> bp(
+      static_cast<std::size_t>(igemm::packed_b_bytes(krows, cols)));
+  std::vector<float> gout(static_cast<std::size_t>(cout_g * cols));
+  Tensor y(Shape{n, spec.out_channels, g.out_h(), g.out_w()});
+  for (std::int64_t grp = 0; grp < spec.groups; ++grp) {
+    im2col_batched(x.data() + grp * g.in_channels * in_h * in_w, n, sample, g,
+                   colbuf.data(), cols);
+    igemm::pack_b_quantized(colbuf.data(), /*rs=*/cols, /*cs=*/1, krows, cols,
+                            col_inv.data(), bp.data());
+    igemm::Epilogue ep;
+    ep.row_scale = ow.scales.data() + grp * cout_g;
+    ep.col_scale = col_scale.data();
+    ep.bias = bias.data() + grp * cout_g;
+    igemm::gemm(cout_g, cols, krows, ow.packed.data() + grp * ow.group_bytes,
+                ow.rowsum.data() + grp * cout_g, bp.data(), gout.data(),
+                /*ldc=*/cols, ep);
+    for (std::int64_t oc = 0; oc < cout_g; ++oc)
+      for (std::int64_t img = 0; img < n; ++img)
+        std::copy_n(gout.data() + oc * cols + img * spatial, spatial,
+                    y.data() + (img * spec.out_channels + grp * cout_g + oc) *
+                                   spatial);
+  }
+  return y;
+}
+
+Tensor oracle_linear(const Tensor& x, const Tensor& w,
+                     const std::vector<float>& bias) {
+  const std::int64_t n = x.dim(0), in = w.dim(1), out = w.dim(0);
+  const OracleWeights ow = oracle_weights(w, 1);
+  std::vector<float> scale(static_cast<std::size_t>(n));
+  std::vector<float> inv(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < scale.size(); ++i) {
+    const float* row = x.data() + static_cast<std::int64_t>(i) * in;
+    scale[i] = oracle_sample_scale(row, in);
+    inv[i] = 1.0f / scale[i];
+  }
+  std::vector<std::uint8_t> bp(
+      static_cast<std::size_t>(igemm::packed_b_bytes(in, n)));
+  igemm::pack_b_quantized(x.data(), /*rs=*/1, /*cs=*/in, in, n, inv.data(),
+                          bp.data());
+  igemm::Epilogue ep;
+  ep.row_scale = ow.scales.data();
+  ep.col_scale = scale.data();
+  ep.bias = bias.data();
+  std::vector<float> gout(static_cast<std::size_t>(out * n));
+  igemm::gemm(out, n, in, ow.packed.data(), ow.rowsum.data(), bp.data(),
+              gout.data(), /*ldc=*/n, ep);
+  Tensor y(Shape{n, out});
+  for (std::int64_t i = 0; i < n; ++i)
+    for (std::int64_t r = 0; r < out; ++r)
+      y.at(i, r) = gout[static_cast<std::size_t>(r * n + i)];
+  return y;
+}
+
+TEST(GraphExecutor, Int8ConvNodeMatchesTwoPassOracle) {
+  constexpr std::int64_t kMaxBatch = 5, kSide = 7;
+  for (const bool depthwise : {false, true})
+    for (const std::int64_t stride : {1, 2})
+      for (const std::int64_t pad : {0, 1}) {
+        nn::Conv2dSpec spec;
+        spec.in_channels = depthwise ? 6 : 5;
+        spec.out_channels = depthwise ? 6 : 7;
+        spec.groups = depthwise ? 6 : 1;
+        spec.kernel = 3;
+        spec.stride = stride;
+        spec.pad = pad;
+        SCOPED_TRACE(depthwise ? "depthwise" : "dense");
+        SCOPED_TRACE(testing::Message() << "stride" << stride << " pad" << pad);
+        Rng rng(101 + stride * 10 + pad);
+        nn::Sequential net;
+        auto& conv = net.emplace<nn::Conv2d>(spec, rng, "c");
+        net.set_mode(nn::Mode::kEval);
+        auto model = graph::compile(
+            net, Shape{spec.in_channels, kSide, kSide},
+            graph::CompileOptions{kMaxBatch, graph::Precision::kInt8, true});
+        for (std::int64_t n = 1; n <= kMaxBatch; ++n) {
+          SCOPED_TRACE(n);
+          const Tensor x = Tensor::uniform(
+              Shape{n, spec.in_channels, kSide, kSide}, rng, -1.0f, 1.0f);
+          expect_bitwise(model.forward(x),
+                         oracle_conv(x, spec, conv.weight().value));
+        }
+      }
+}
+
+TEST(GraphExecutor, Int8LinearNodeMatchesTwoPassOracle) {
+  constexpr std::int64_t kMaxBatch = 5, kIn = 19, kOut = 11;
+  Rng rng(103);
+  nn::Sequential net;
+  auto& fc = net.emplace<nn::Linear>(kIn, kOut, rng, true, "fc");
+  fc.bias()->value = Tensor::uniform(Shape{kOut}, rng, -0.5f, 0.5f);
+  net.set_mode(nn::Mode::kEval);
+  const std::vector<float> bias(fc.bias()->value.data(),
+                                fc.bias()->value.data() + kOut);
+  auto model = graph::compile(
+      net, Shape{kIn},
+      graph::CompileOptions{kMaxBatch, graph::Precision::kInt8, true});
+  for (std::int64_t n = 1; n <= kMaxBatch; ++n) {
+    SCOPED_TRACE(n);
+    const Tensor x = Tensor::uniform(Shape{n, kIn}, rng, -1.0f, 1.0f);
+    expect_bitwise(model.forward(x),
+                   oracle_linear(x, fc.weight().value, bias));
+  }
+}
+
+// ---- ReLU: one kernel for both precisions ----------------------------------
+//
+// Both precisions run ReLU, ReLU6 and the residual add+ReLU through
+// kernels::relu / relu_cap. Their bits must equal a plain clipping loop on
+// every special class, on the detected backend, on the portable twin and
+// through compiled fp32 plans.
+
+float clipping_loop(float x, float cap) {
+  float v = x > 0.0f ? x : 0.0f;
+  if (cap > 0.0f && v > cap) v = cap;
+  return v;
+}
+
+std::vector<float> relu_special_values() {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float den = std::numeric_limits<float>::denorm_min();
+  const float fmin = std::numeric_limits<float>::min();
+  const float below_cap = std::nextafter(6.0f, 0.0f);
+  const float above_cap = std::nextafter(6.0f, inf);
+  std::vector<float> v = {0.0f, -0.0f, nan, -nan, inf, -inf, den, -den};
+  v.insert(v.end(), {fmin - den, -(fmin - den), fmin, -fmin, 1e30f, -1e30f});
+  v.insert(v.end(), {6.0f, -6.0f, below_cap, above_cap, 0.5f, -0.5f});
+  // Odd length past two AVX-512 vectors: every class lands in a vector body
+  // somewhere and the last few in the scalar tail.
+  const std::size_t base = v.size();
+  for (std::size_t i = 0; v.size() < 37; ++i) v.push_back(v[i % base]);
+  std::reverse(v.begin() + static_cast<std::ptrdiff_t>(base), v.end());
+  return v;
+}
+
+void expect_same_bits(const std::vector<float>& got,
+                      const std::vector<float>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << "element " << i << ": got " << got[i] << ", want " << want[i];
+}
+
+TEST(GraphExecutor, ReluKernelsMatchClippingLoopBitwise) {
+  const std::vector<float> x = relu_special_values();
+  const auto n = static_cast<std::int64_t>(x.size());
+  for (const float cap : {0.0f, 6.0f}) {
+    SCOPED_TRACE(cap);
+    std::vector<float> want(x.size()), fast(x.size()), portable(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i)
+      want[i] = clipping_loop(x[i], cap);
+    if (cap > 0.0f) {
+      kernels::relu_cap(x.data(), fast.data(), n, cap);
+      kernels::scalar::relu_cap(x.data(), portable.data(), n, cap);
+    } else {
+      kernels::relu(x.data(), fast.data(), n);
+      kernels::scalar::relu(x.data(), portable.data(), n);
+    }
+    expect_same_bits(fast, want);
+    expect_same_bits(portable, want);
+
+    // The compiled fp32 plan of a lone ReLU / ReLU6.
+    nn::Sequential net;
+    net.emplace<nn::ReLU>(cap);
+    net.set_mode(nn::Mode::kEval);
+    auto model = graph::compile(
+        net, Shape{n}, graph::CompileOptions{1, graph::Precision::kF32, true});
+    Tensor in(Shape{1, n});
+    std::copy(x.begin(), x.end(), in.data());
+    const Tensor& out = model.forward(in);
+    expect_same_bits(std::vector<float>(out.data(), out.data() + n), want);
+  }
+}
+
+TEST(GraphExecutor, AddReluMatchesClippingLoopBitwise) {
+  // A hand-built one-node graph: y = relu(x + x), the residual join.
+  const std::vector<float> x = relu_special_values();
+  const auto n = static_cast<std::int64_t>(x.size());
+  graph::Graph g;
+  g.input = g.add_value(Shape{n}, "in");
+  graph::Node add;
+  add.op = graph::Op::kAdd;
+  add.inputs = {g.input, g.input};
+  add.add_relu = true;
+  add.label = "join";
+  add.output = g.add_value(Shape{n}, "join");
+  g.nodes.push_back(add);
+  g.output = add.output;
+  graph::CompiledModel model{std::move(g), 1};
+  Tensor in(Shape{1, n});
+  std::copy(x.begin(), x.end(), in.data());
+  const Tensor& out = model.forward(in);
+  std::vector<float> want(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i)
+    want[i] = clipping_loop(x[i] + x[i], 0.0f);
+  expect_same_bits(std::vector<float>(out.data(), out.data() + n), want);
 }
 
 TEST(GraphExecutor, CompiledBatchedEqualsSerial) {
@@ -227,16 +537,17 @@ TEST(GraphPlanner, ImageSlicePartitionsExactlyAndEvenly) {
   }
 }
 
+// Linear -> ReLU -> Linear: the fused-epilogue plan equals the module
+// tree's eval forward (gemm kNT + bias, then a separate kernels::relu).
 TEST(GraphExecutor, MlpHeadCompiledMatchesEager) {
   Rng rng(19);
   auto head = models::make_projection_head(24, 32, 16, rng);
   head->set_mode(nn::Mode::kEval);
-  serve::Fp32Network eager = serve::compile_fp32(*head);
   auto model =
       graph::compile(*head, Shape{24},
                      graph::CompileOptions{4, graph::Precision::kF32, true});
   const Tensor batch = Tensor::uniform(Shape{4, 24}, rng, -1.0f, 1.0f);
-  expect_bitwise(model.forward(batch), eager.forward(batch));
+  expect_bitwise(model.forward(batch), head->forward(batch));
 }
 
 TEST(GraphExecutor, RejectsUnprocessedGraph) {
@@ -304,17 +615,19 @@ TEST(GraphPlanner, RandomizedLifetimesNeverOverlap) {
 }
 
 // Acceptance gate: on ResNet-18 the planned arena must come in at or under
-// 60% of the naive one-allocation-per-buffer footprint.
+// 60% of the naive one-allocation-per-buffer footprint, in both precisions.
 TEST(GraphPlanner, ArenaWellUnderNaiveOnResnet18) {
   auto enc = eval_encoder("resnet18", 29);
-  auto model = graph::compile(
-      *enc.backbone, Shape{3, kH, kW},
-      graph::CompileOptions{4, graph::Precision::kF32, true});
-  const graph::ArenaPlan& plan = model.plan();
-  ASSERT_GT(plan.naive_bytes, 0);
-  ASSERT_GT(plan.arena_bytes, 0);
-  EXPECT_LE(plan.arena_bytes * 100, plan.naive_bytes * 60)
-      << "arena " << plan.arena_bytes << " vs naive " << plan.naive_bytes;
+  for (auto precision : {graph::Precision::kF32, graph::Precision::kInt8}) {
+    SCOPED_TRACE(precision == graph::Precision::kF32 ? "fp32" : "int8");
+    auto model = graph::compile(*enc.backbone, Shape{3, kH, kW},
+                                graph::CompileOptions{4, precision, true});
+    const graph::ArenaPlan& plan = model.plan();
+    ASSERT_GT(plan.naive_bytes, 0);
+    ASSERT_GT(plan.arena_bytes, 0);
+    EXPECT_LE(plan.arena_bytes * 100, plan.naive_bytes * 60)
+        << "arena " << plan.arena_bytes << " vs naive " << plan.naive_bytes;
+  }
 }
 
 TEST(GraphPlanner, DumpAnnotatesOffsets) {

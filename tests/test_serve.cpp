@@ -15,10 +15,9 @@
 #include <thread>
 #include <vector>
 
-#include "deploy/int8.hpp"
+#include "graph/executor.hpp"
 #include "models/encoder.hpp"
 #include "serve/engine.hpp"
-#include "serve/fp32.hpp"
 #include "serve/queue.hpp"
 #include "serve/stats.hpp"
 #include "testutil.hpp"
@@ -61,6 +60,14 @@ models::Encoder load_reference() {
   return enc;
 }
 
+/// The serial reference: the reference encoder compiled into a batch-1 plan,
+/// forwarded one request at a time.
+graph::CompiledModel serial_plan(models::Encoder& enc,
+                                 graph::Precision precision) {
+  return graph::compile(*enc.backbone, Shape{3, kH, kW},
+                        graph::CompileOptions{1, precision, true});
+}
+
 serve::EngineConfig base_config() {
   serve::EngineConfig cfg;
   cfg.checkpoint = checkpoint_path();
@@ -84,7 +91,9 @@ TEST(Fp32Compile, MatchesEvalForwardWithinTolerance) {
   Rng rng(11);
   Tensor x = Tensor::uniform(Shape{3, 3, kH, kW}, rng, -1.0f, 1.0f);
   const Tensor want = enc.forward(x);
-  auto net = serve::compile_fp32(*enc.backbone);
+  auto net = graph::compile(
+      *enc.backbone, Shape{3, kH, kW},
+      graph::CompileOptions{3, graph::Precision::kF32, true});
   const Tensor& got = net.forward(x);
   ASSERT_TRUE(want.same_shape(got));
   float scale = 1e-6f;
@@ -92,25 +101,6 @@ TEST(Fp32Compile, MatchesEvalForwardWithinTolerance) {
     scale = std::max(scale, std::fabs(want[i]));
   for (std::int64_t i = 0; i < want.numel(); ++i)
     EXPECT_NEAR(want[i], got[i], 1e-3f * scale) << "element " << i;
-}
-
-TEST(Fp32Compile, BatchForwardBitwiseEqualsSingles) {
-  auto enc = load_reference();
-  auto net = serve::compile_fp32(*enc.backbone);
-  const auto inputs = make_inputs(5, 12);
-  Tensor batch(Shape{5, 3, kH, kW});
-  for (std::size_t i = 0; i < inputs.size(); ++i)
-    for (std::int64_t j = 0; j < inputs[i].numel(); ++j)
-      batch[static_cast<std::int64_t>(i) * inputs[i].numel() + j] =
-          inputs[i][j];
-  Tensor batched = net.forward(batch);  // copy before scratch reuse
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const Tensor& single = net.forward(inputs[i]);
-    for (std::int64_t c = 0; c < single.dim(1); ++c)
-      EXPECT_EQ(batched.at(static_cast<std::int64_t>(i), c),
-                single.at(0, c))
-          << "sample " << i << " feature " << c;
-  }
 }
 
 TEST(RequestQueue, FailsFastWhenFull) {
@@ -220,7 +210,7 @@ TEST(Engine, ServesCorrectFeaturesBitwise) {
 
   // Ground truth: the same compiled fp32 path, one sample at a time.
   auto enc = load_reference();
-  auto net = serve::compile_fp32(*enc.backbone);
+  auto net = serial_plan(enc, graph::Precision::kF32);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     const Tensor& want = net.forward(inputs[i]);
     for (std::int64_t c = 0; c < engine.feature_dim(); ++c)
@@ -262,7 +252,7 @@ TEST(Engine, DynamicBatchingCoalescesBursts) {
   EXPECT_LE(stats.batches, 7u);
   // ...and batching must not have changed a single bit of any result.
   auto enc = load_reference();
-  auto net = serve::compile_fp32(*enc.backbone);
+  auto net = serial_plan(enc, graph::Precision::kF32);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     const Tensor& want = net.forward(inputs[i]);
     for (std::int64_t c = 0; c < engine.feature_dim(); ++c)
@@ -303,7 +293,7 @@ TEST(Engine, SerialClientDoesNotPayWindow) {
   EXPECT_EQ(stats.window_latency.count(), stats.batches);
   EXPECT_LT(stats.window_latency.max_micros(), 100000u);
   auto enc = load_reference();
-  auto net = serve::compile_fp32(*enc.backbone);
+  auto net = serial_plan(enc, graph::Precision::kF32);
   for (std::size_t i = 0; i < kRequests; ++i) {
     const Tensor& want = net.forward(inputs[i]);
     for (std::int64_t c = 0; c < engine.feature_dim(); ++c)
@@ -451,9 +441,9 @@ TEST(Engine, Int8InstanceServesBitwiseEqualToSingleSample) {
   engine.stop();
 
   auto enc = load_reference();
-  const auto net = deploy::compile_int8(*enc.backbone);
+  auto net = serial_plan(enc, graph::Precision::kInt8);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    const Tensor want = net.forward(inputs[i]);
+    const Tensor& want = net.forward(inputs[i]);
     for (std::int64_t c = 0; c < engine.feature_dim(); ++c)
       EXPECT_EQ(outs[i][static_cast<std::size_t>(c)], want.at(0, c))
           << "request " << i << " feature " << c;
@@ -467,10 +457,13 @@ TEST(Engine, Int8BatchedBitwiseEqualsSerialAcrossWidths) {
   // the serial results exactly, bit for bit.
   constexpr std::int64_t kMaxBatch = 8;
   auto enc = load_reference();
-  const auto net = deploy::compile_int8(*enc.backbone);
+  auto serial_net = serial_plan(enc, graph::Precision::kInt8);
+  auto net = graph::compile(
+      *enc.backbone, Shape{3, kH, kW},
+      graph::CompileOptions{kMaxBatch, graph::Precision::kInt8, true});
   const auto inputs = make_inputs(kMaxBatch, 21);
   std::vector<Tensor> serial;
-  for (const auto& in : inputs) serial.push_back(net.forward(in));
+  for (const auto& in : inputs) serial.push_back(serial_net.forward(in));
   const auto per = inputs[0].numel();
   for (std::int64_t width = 1; width <= kMaxBatch; ++width) {
     Tensor batch(Shape{width, 3, kH, kW});
@@ -478,7 +471,7 @@ TEST(Engine, Int8BatchedBitwiseEqualsSerialAcrossWidths) {
       std::memcpy(batch.data() + i * per,
                   inputs[static_cast<std::size_t>(i)].data(),
                   static_cast<std::size_t>(per) * sizeof(float));
-    const Tensor got = net.forward(batch);
+    const Tensor& got = net.forward(batch);
     ASSERT_EQ(got.dim(0), width);
     for (std::int64_t i = 0; i < width; ++i)
       for (std::int64_t c = 0; c < got.dim(1); ++c)
@@ -521,10 +514,10 @@ TEST(Engine, Int8DeadlineUnderLoad) {
   for (float v : outs[kExpired]) EXPECT_EQ(v, -42.0f);  // never forwarded
 
   auto enc = load_reference();
-  const auto net = deploy::compile_int8(*enc.backbone);
+  auto net = serial_plan(enc, graph::Precision::kInt8);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     if (i == kExpired) continue;
-    const Tensor want = net.forward(inputs[i]);
+    const Tensor& want = net.forward(inputs[i]);
     for (std::int64_t c = 0; c < engine.feature_dim(); ++c)
       EXPECT_EQ(outs[i][static_cast<std::size_t>(c)], want.at(0, c))
           << "request " << i << " feature " << c;
@@ -550,7 +543,7 @@ TEST(Engine, MultiWorkerServesEveryRequestCorrectly) {
   engine.stop();
 
   auto enc = load_reference();
-  auto net = serve::compile_fp32(*enc.backbone);
+  auto net = serial_plan(enc, graph::Precision::kF32);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     const Tensor& want = net.forward(inputs[i]);
     for (std::int64_t c = 0; c < engine.feature_dim(); ++c)
