@@ -59,14 +59,18 @@ void quantize_buffer(const float* src, std::int64_t n, float inv_scale,
         std::clamp<long>(std::lround(src[i] * inv_scale), -127L, 127L));
 }
 
+// Symmetric activation scale from a sample's max |x|.
+float scale_from_max(float max_abs) {
+  return std::max(max_abs / 127.0f, 1e-12f);
+}
+
 // Per-sample symmetric activation scale max(max|x| / 127, 1e-12): the range
 // pass covers only this sample, so a batched forward is bitwise identical to
 // N single-sample forwards.
 float sample_scale(const float* src, std::int64_t n) {
   float lo, hi;
   kernels::minmax(src, n, &lo, &hi);
-  const float max_abs = std::max(std::fabs(lo), std::fabs(hi));
-  return std::max(max_abs / 127.0f, 1e-12f);
+  return scale_from_max(std::max(std::fabs(lo), std::fabs(hi)));
 }
 
 }  // namespace
@@ -198,6 +202,11 @@ const float* CompiledModel::in_ptr(ValueId id, const Tensor& x) const {
   return reinterpret_cast<const float*>(base_ + off);
 }
 
+float* CompiledModel::absmax_ptr(ValueId id) {
+  const std::int64_t off = plan_.absmax_offset[static_cast<std::size_t>(id)];
+  return off == kExternalOffset ? nullptr : arena_ptr(off);
+}
+
 float* CompiledModel::out_value_ptr(ValueId id) {
   if (id == graph_.output) return out_.data();
   const std::int64_t off = plan_.value_offset[static_cast<std::size_t>(id)];
@@ -246,24 +255,40 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
 
         if (node.precision == Precision::kInt8) {
           CQ_TRACE_SCOPE_N("graph.node.conv_int8", n);
-          float* gout = arena_ptr(scratch[0]);
-          float* col_scale = arena_ptr(scratch[1]);
-          float* img_inv = arena_ptr(scratch[2]);
-          auto* act = reinterpret_cast<std::uint8_t*>(base_ + scratch[3]);
-          auto* pad = reinterpret_cast<std::uint8_t*>(base_ + scratch[4]);
-          auto* bp = reinterpret_cast<std::uint8_t*>(base_ + scratch[5]);
+          float* col_scale = arena_ptr(scratch[0]);
+          float* img_inv = arena_ptr(scratch[1]);
+          auto* act = reinterpret_cast<std::uint8_t*>(base_ + scratch[2]);
+          auto* pad = reinterpret_cast<std::uint8_t*>(base_ + scratch[3]);
+          auto* bp = reinterpret_cast<std::uint8_t*>(base_ + scratch[4]);
+          // The producer's epilogue may have published each input image's
+          // max (ReLU output: NaN-free, >= 0, so it is max(|lo|, |hi|)).
+          const float* in_max = absmax_ptr(node.inputs[0]);
+          float* out_max = absmax_ptr(node.output);
+          if (out_max != nullptr) std::fill_n(out_max, n, 0.0f);
 
           // Image i owns columns [i*spatial, (i+1)*spatial): every one of
           // its columns quantizes with that image's scale, whatever the
           // batch width.
           for_each_image(n, [&](std::int64_t img) {
             const float in_scale =
-                sample_scale(in_p + img * sample_in, sample_in);
+                in_max != nullptr
+                    ? scale_from_max(in_max[img])
+                    : sample_scale(in_p + img * sample_in, sample_in);
             img_inv[img] = 1.0f / in_scale;
             std::fill_n(col_scale + img * spatial, spatial, in_scale);
           });
+          // The epilogue writes the finished NCHW activation: residual,
+          // ReLU/ReLU6 and the per-image max included.
+          const float* residual =
+              node.inputs.size() > 1 ? in_ptr(node.inputs[1], x) : nullptr;
           igemm::Epilogue ep;
           ep.col_scale = col_scale;
+          ep.pixels = spatial;
+          ep.image_stride = node.conv.out_channels * spatial;
+          ep.residual_first = node.residual_first;
+          ep.act = node.act;
+          ep.cap = node.act_cap;
+          ep.absmax = out_max;
           for (std::int64_t grp = 0; grp < node.conv.groups; ++grp) {
             // Quantize the group's input once into channel-quad bytes, then
             // lower it by copying dwords into the packed-B slivers; the
@@ -272,33 +297,14 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
                                        sample_in, cin_g, in_h * in_w, img_inv,
                                        act, pad);
             igemm::pack_b_conv_c4(act, pad, n, geo, bp);
+            const std::int64_t grp_off = grp * cout_g * spatial;
             ep.row_scale = st.scales.data() + grp * cout_g;
             ep.bias = st.bias.data() + grp * cout_g;
+            ep.residual = residual != nullptr ? residual + grp_off : nullptr;
             igemm::gemm(cout_g, cols, igemm::conv_k(geo),
                         st.packed_a.data() + grp * st.pa_group,
-                        st.rowsum.data() + grp * cout_g, bp, gout,
-                        /*ldc=*/cols, ep);
-            // Scatter: output channel oc writes disjoint NCHW rows, so the
-            // oc range splits across workers (pure copies, identical bytes).
-            const std::int64_t sg =
-                std::max<std::int64_t>(1, (std::int64_t{1} << 14) / cols);
-            core::parallel_for(cout_g, sg, [&](std::int64_t o0,
-                                               std::int64_t o1) {
-              for (std::int64_t oc_local = o0; oc_local < o1; ++oc_local) {
-                const float* src = gout + oc_local * cols;
-                const std::int64_t oc = grp * cout_g + oc_local;
-                if (spatial == 1) {
-                  for (std::int64_t img = 0; img < n; ++img)
-                    out_p[img * node.conv.out_channels + oc] = src[img];
-                } else {
-                  for (std::int64_t img = 0; img < n; ++img)
-                    std::memcpy(
-                        out_p + (img * node.conv.out_channels + oc) * spatial,
-                        src + img * spatial,
-                        static_cast<std::size_t>(spatial) * sizeof(float));
-                }
-              }
-            });
+                        st.rowsum.data() + grp * cout_g, bp, out_p + grp_off,
+                        /*ldc=*/spatial, ep);
           }
           break;
         }
@@ -363,24 +369,23 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
           CQ_TRACE_SCOPE_N("graph.node.linear_int8", n);
           float* in_scale = arena_ptr(scratch[0]);
           float* in_inv = arena_ptr(scratch[1]);
-          float* gout = arena_ptr(scratch[2]);
-          auto* bp = reinterpret_cast<std::uint8_t*>(base_ + scratch[3]);
+          auto* bp = reinterpret_cast<std::uint8_t*>(base_ + scratch[2]);
           for_each_image(rows, [&](std::int64_t s) {
             in_scale[s] = sample_scale(in_p + s * in, in);
             in_inv[s] = 1.0f / in_scale[s];
           });
           igemm::pack_b_quantized(in_p, /*rs=*/1, /*cs=*/in, in, rows, in_inv,
                                   bp);
+          // GEMM column s is output row s: the epilogue writes [rows, out]
+          // directly (one "pixel" per image, images `out` floats apart).
           igemm::Epilogue ep;
           ep.row_scale = st.scales.data();
           ep.col_scale = in_scale;
           ep.bias = st.bias.data();
+          ep.pixels = 1;
+          ep.image_stride = out;
           igemm::gemm(out, rows, in, st.packed_a.data(), st.rowsum.data(), bp,
-                      gout, /*ldc=*/rows, ep);
-          for_each_image(rows, [&](std::int64_t s) {  // transpose [out, rows]
-            for (std::int64_t r = 0; r < out; ++r)
-              out_p[s * out + r] = gout[r * rows + s];
-          });
+                      out_p, /*ldc=*/1, ep);
           break;
         }
         CQ_TRACE_SCOPE_N("graph.node.linear", n);

@@ -104,6 +104,9 @@ class CompiledModel {
   }
   const float* in_ptr(ValueId id, const Tensor& x) const;
   float* out_value_ptr(ValueId id);
+  /// Per-image maxima value `id`'s producer publishes, or null
+  /// (ArenaPlan::absmax_offset).
+  float* absmax_ptr(ValueId id);
 
   Graph graph_;
   std::int64_t max_batch_ = 1;

@@ -74,6 +74,18 @@ void Graph::erase_nodes(const std::vector<bool>& dead) {
 
 namespace detail {
 
+// A conv/linear line's fused activation: " +relu", " +relu6", or
+// " +relu_cap(<cap>)" for another cap.
+std::string act_suffix(const Node& n) {
+  if (n.act == gemm::Epilogue::Act::kRelu) return " +relu";
+  if (n.act != gemm::Epilogue::Act::kReluCap) return "";
+  if (n.act_cap == 6.0f) return " +relu6";
+  char buf[64];
+  std::snprintf(buf, sizeof buf, " +relu_cap(%g)",
+                static_cast<double>(n.act_cap));
+  return buf;
+}
+
 std::string node_line(const Graph& g, const Node& n) {
   std::string s = "%" + std::to_string(n.output) + " = ";
   s += op_name(n.op);
@@ -100,22 +112,13 @@ std::string node_line(const Graph& g, const Node& n) {
       if (n.lowering != ConvLowering::kUndecided)
         s += n.lowering == ConvLowering::kIm2row ? " im2row" : " im2col";
       if (n.precision == Precision::kInt8) s += " int8";
-      if (n.act == gemm::Epilogue::Act::kRelu) s += " +relu";
-      if (n.act == gemm::Epilogue::Act::kReluCap) {
-        std::snprintf(buf, sizeof buf, " +relu_cap(%g)",
-                      static_cast<double>(n.act_cap));
-        s += buf;
-      }
+      if (n.inputs.size() > 1) s += " +res %" + std::to_string(n.inputs[1]);
+      s += act_suffix(n);
       break;
     }
     case Op::kLinear:
       if (n.precision == Precision::kInt8) s += " int8";
-      if (n.act == gemm::Epilogue::Act::kRelu) s += " +relu";
-      if (n.act == gemm::Epilogue::Act::kReluCap) {
-        std::snprintf(buf, sizeof buf, " +relu_cap(%g)",
-                      static_cast<double>(n.act_cap));
-        s += buf;
-      }
+      s += act_suffix(n);
       break;
     case Op::kRelu:
       if (n.relu_cap > 0.0f) {

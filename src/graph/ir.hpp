@@ -88,6 +88,10 @@ struct Node {
   float act_cap = 0.0f;
   ConvLowering lowering = ConvLowering::kUndecided;
   Precision precision = Precision::kF32;
+  // int8 kConv2d with a fused residual Add: inputs[1] is the Add's other
+  // operand, and the sum keeps the Add's order — inputs[1] + conv when
+  // true, conv + inputs[1] otherwise (NaN payloads follow the first).
+  bool residual_first = false;
 
   // kRelu
   float relu_cap = 0.0f;  // <= 0: unbounded

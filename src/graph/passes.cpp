@@ -88,22 +88,57 @@ std::size_t lower_int8(Graph& g) {
 std::size_t fuse_epilogues(Graph& g) {
   std::vector<bool> dead(g.nodes.size(), false);
   std::size_t fused = 0;
+  // Can producer p take a fused epilogue step on its output `out`? It must
+  // be live, have no activation yet, and be the value's only reader.
+  const auto fusable = [&](std::int64_t p, ValueId out) {
+    return p >= 0 && !dead[static_cast<std::size_t>(p)] &&
+           g.nodes[static_cast<std::size_t>(p)].act ==
+               gemm::Epilogue::Act::kNone &&
+           g.use_count(out) == 1;
+  };
+  // In-order walk: an Add folded into its conv exposes that conv to the
+  // ReLU reading the Add's output later in the same sweep.
   for (std::size_t i = 0; i < g.nodes.size(); ++i) {
-    Node& relu = g.nodes[i];
-    if (relu.op != Op::kRelu) continue;
-    const ValueId in = relu.inputs[0];
-    const std::int64_t p = g.producer(in);
-    if (p < 0) continue;
-    Node& prod = g.nodes[static_cast<std::size_t>(p)];
-    if ((prod.op != Op::kConv2d && prod.op != Op::kLinear) ||
-        dead[static_cast<std::size_t>(p)] ||
-        prod.precision != Precision::kF32 ||
-        prod.act != gemm::Epilogue::Act::kNone || g.use_count(in) != 1)
+    Node& n = g.nodes[i];
+    if (n.op == Op::kRelu) {
+      const ValueId in = n.inputs[0];
+      const std::int64_t p = g.producer(in);
+      if (!fusable(p, in)) continue;
+      Node& prod = g.nodes[static_cast<std::size_t>(p)];
+      // fp32 conv/linear fuse through gemm::Epilogue; int8 convs through
+      // igemm::Epilogue (the int8 linear keeps its ReLU node).
+      const bool int8_conv =
+          prod.op == Op::kConv2d && prod.precision == Precision::kInt8;
+      const bool fp32_gemm =
+          (prod.op == Op::kConv2d || prod.op == Op::kLinear) &&
+          prod.precision == Precision::kF32;
+      if (!int8_conv && !fp32_gemm) continue;
+      prod.act = n.relu_cap > 0.0f ? gemm::Epilogue::Act::kReluCap
+                                   : gemm::Epilogue::Act::kRelu;
+      prod.act_cap = n.relu_cap;
+      g.replace_uses(n.output, in);
+    } else if (n.op == Op::kAdd) {
+      // The residual join folds into whichever operand an int8 conv
+      // produced later: the other operand then already exists when that
+      // conv runs, and becomes its second input so the planner keeps it
+      // live (and out of the conv's output bytes).
+      const std::int64_t pa = g.producer(n.inputs[0]);
+      const std::int64_t pb = g.producer(n.inputs[1]);
+      const bool conv_second = pb > pa;
+      const std::int64_t p = conv_second ? pb : pa;
+      const ValueId conv_out = n.inputs[conv_second ? 1 : 0];
+      if (n.inputs[0] == n.inputs[1] || !fusable(p, conv_out)) continue;
+      Node& conv = g.nodes[static_cast<std::size_t>(p)];
+      if (conv.op != Op::kConv2d || conv.precision != Precision::kInt8 ||
+          conv.inputs.size() != 1)
+        continue;
+      conv.inputs.push_back(n.inputs[conv_second ? 0 : 1]);
+      conv.residual_first = conv_second;
+      if (n.add_relu) conv.act = gemm::Epilogue::Act::kRelu;
+      g.replace_uses(n.output, conv_out);
+    } else {
       continue;
-    prod.act = relu.relu_cap > 0.0f ? gemm::Epilogue::Act::kReluCap
-                                    : gemm::Epilogue::Act::kRelu;
-    prod.act_cap = relu.relu_cap;
-    g.replace_uses(relu.output, in);
+    }
     dead[i] = true;
     ++fused;
   }

@@ -8,13 +8,18 @@
 //   eliminate_identities   drop ActQuant placeholders and Flatten adapters
 //   fold_batchnorm         conv+BN -> conv with folded weight/bias
 //   [lower_int8]           (int8 plans) mark conv/linear for the igemm path
-//   fuse_epilogues         fp32 conv/linear + ReLU -> fused GEMM epilogue
+//   fuse_epilogues         conv/linear + ReLU -> fused GEMM epilogue; int8
+//                          conv + residual Add(+ReLU) -> one conv
 //   select_conv_lowering   im2row+kNT vs im2col+kNN by layer geometry
 //   eliminate_dead_ops     drop nodes unreachable from the graph output
 //
-// Epilogue fusion is fp32-only: the int8 epilogue (igemm::Epilogue) carries
-// scales and bias but no activation, so an int8 plan keeps ReLU as its own
-// node (the same kernels:: pass an fp32 plan runs for an unfused ReLU).
+// Epilogue fusion covers both precisions. fp32 conv/linear take ReLU/ReLU6
+// into gemm::Epilogue. An int8 conv takes ReLU/ReLU6 and a residual Add
+// into igemm::Epilogue, which writes the finished NCHW activation (DESIGN.md
+// §12): the Add folds into the operand an int8 conv produced later, the
+// other operand becomes the conv's second input, and the Add's operand
+// order and trailing ReLU carry over. The int8 linear keeps ReLU as its own
+// node. Every fusion keeps the forward bitwise equal to the unfused plan.
 //
 // Every pass records a "graph.pass.<name>" span in the aggregate profiler
 // (and the span tracer when enabled), so compile time is attributable

@@ -31,6 +31,11 @@ ConvGeometry conv_geometry(const Node& n, const Shape& in) {
 
 }  // namespace
 
+bool publishes_absmax(const Node& n) {
+  return n.op == Op::kConv2d && n.precision == Precision::kInt8 &&
+         n.act != gemm::Epilogue::Act::kNone;
+}
+
 std::vector<std::int64_t> node_scratch_bytes(const Graph& g, std::size_t i,
                                              std::int64_t batch) {
   const Node& n = g.nodes[i];
@@ -40,30 +45,28 @@ std::vector<std::int64_t> node_scratch_bytes(const Graph& g, std::size_t i,
       const ConvGeometry geo = conv_geometry(n, g.value(n.inputs[0]).shape);
       const std::int64_t krows = geo.col_rows();
       const std::int64_t cols = batch * geo.col_cols();
-      const std::int64_t cout_g = n.conv.out_channels / n.conv.groups;
-      if (n.precision == Precision::kInt8)
-        return {cout_g * cols * kF,  // gout (channel-major GEMM out)
-                cols * kF,           // col_scale
-                batch * kF,          // img_inv
+      if (n.precision == Precision::kInt8)  // the epilogue writes NCHW
+        return {cols * kF,   // col_scale
+                batch * kF,  // img_inv
                 // one group's channel-quad activation bytes, then its
                 // per-image pad bytes
                 igemm::round_up(geo.in_channels, igemm::kKU) * batch *
                     geo.in_h * geo.in_w,
                 batch,
                 igemm::packed_b_bytes(igemm::conv_k(geo), cols)};
+      const std::int64_t cout_g = n.conv.out_channels / n.conv.groups;
       return {krows * cols * kF,    // cols (im2col / im2row matrix)
               cout_g * cols * kF};  // gout
     }
     case Op::kLinear: {
       if (n.precision != Precision::kInt8) return {};
-      const std::int64_t in = n.weight.dim(1), out = n.weight.dim(0);
+      const std::int64_t in = n.weight.dim(1);
       // Rank-2 per-sample inputs ([seq, in], the ViT token Linears) are just
       // more GEMM rows: seq per-sample rows, each its own igemm column.
       const std::int64_t rows =
           batch * (g.value(n.inputs[0]).shape.numel() / in);
-      return {rows * kF,        // in_scale
-              rows * kF,        // in_inv
-              out * rows * kF,  // gout ([out, rows], transposed at scatter)
+      return {rows * kF,  // in_scale
+              rows * kF,  // in_inv
               igemm::packed_b_bytes(in, rows)};
     }
     case Op::kPatchEmbed: {
@@ -135,6 +138,7 @@ ArenaPlan plan_arena(const Graph& g, std::int64_t max_batch) {
   CQ_CHECK(max_batch >= 1);
   ArenaPlan plan;
   plan.value_offset.assign(g.values.size(), kExternalOffset);
+  plan.absmax_offset.assign(g.values.size(), kExternalOffset);
   plan.scratch_offset.resize(g.nodes.size());
 
   // One forward sweep fixes producers and last consumers.
@@ -157,6 +161,9 @@ ArenaPlan plan_arena(const Graph& g, std::int64_t max_batch) {
     PlannedBuffer b;
     b.bytes = g.values[v].shape.numel() * max_batch *
               static_cast<std::int64_t>(sizeof(float));
+    // A published per-image max rides behind the batch, as live as it.
+    if (publishes_absmax(g.nodes[static_cast<std::size_t>(producer[v])]))
+      b.bytes += max_batch * static_cast<std::int64_t>(sizeof(float));
     b.first = producer[v];
     b.last = last_use[v];
     b.value = id;
@@ -181,11 +188,17 @@ ArenaPlan plan_arena(const Graph& g, std::int64_t max_batch) {
   plan.naive_bytes = 0;
   for (const PlannedBuffer& b : plan.buffers) {
     plan.naive_bytes += b.bytes;
-    if (b.value != kNoValue)
-      plan.value_offset[static_cast<std::size_t>(b.value)] = b.offset;
-    else
+    if (b.value != kNoValue) {
+      const auto v = static_cast<std::size_t>(b.value);
+      plan.value_offset[v] = b.offset;
+      if (publishes_absmax(g.nodes[static_cast<std::size_t>(b.node)]))
+        plan.absmax_offset[v] =
+            b.offset + g.values[v].shape.numel() * max_batch *
+                           static_cast<std::int64_t>(sizeof(float));
+    } else {
       plan.scratch_offset[static_cast<std::size_t>(b.node)]
                          [static_cast<std::size_t>(b.slot)] = b.offset;
+    }
   }
   return plan;
 }

@@ -1,5 +1,5 @@
 // Liveness-based arena planner: every intermediate value AND every node
-// scratch buffer (im2col column matrices, GEMM outputs pending NCHW
+// scratch buffer (im2col column matrices, fp32 GEMM outputs pending NCHW
 // scatter, int8 packing buffers) gets an offset into ONE preallocated
 // arena, sized for the plan's max batch width.
 //
@@ -52,17 +52,27 @@ struct ArenaPlan {
   std::vector<PlannedBuffer> buffers;
   /// Per ValueId arena offset; kExternalOffset for input/output/orphans.
   std::vector<std::int64_t> value_offset;
+  /// Per ValueId offset of the max_batch per-image maxima its producer
+  /// publishes (publishes_absmax), stored right after the value's batch;
+  /// kExternalOffset when it publishes none or the value is external.
+  std::vector<std::int64_t> absmax_offset;
   /// Per node: arena offset of each scratch slot (node_scratch_bytes order).
   std::vector<std::vector<std::int64_t>> scratch_offset;
   std::int64_t arena_bytes = 0;  // planned peak, kArenaAlign-rounded
   std::int64_t naive_bytes = 0;  // every buffer allocated privately
 };
 
+/// Does node n's epilogue publish its output's per-image max (|x| max of a
+/// NaN-free, non-negative activation)? True for int8 convs that end in
+/// ReLU/ReLU6; the consuming int8 conv then skips its range pass.
+bool publishes_absmax(const Node& n);
+
 /// Per-slot scratch bytes node `i` needs at batch width `batch`. Slot order
-/// is the executor's contract: fp32 conv {cols, gout}; int8 conv {gout,
-/// col_scale, img_inv, act, pad, packed_b} (act and pad hold one group's
-/// channel-quad input bytes, reused across groups); int8 linear {in_scale,
-/// in_inv, gout, packed_b}; patch embed {patches}; attention {per-image
+/// is the executor's contract: fp32 conv {cols, gout}; int8 conv {col_scale,
+/// img_inv, act, pad, packed_b} (act and pad hold one group's channel-quad
+/// input bytes, reused across groups; the epilogue writes NCHW, so there is
+/// no gout); int8 linear {in_scale, in_inv, packed_b} (its epilogue writes
+/// [rows, out] directly); patch embed {patches}; attention {per-image
 /// q/k/v + scores}; everything else none.
 std::vector<std::int64_t> node_scratch_bytes(const Graph& g, std::size_t i,
                                              std::int64_t batch);

@@ -101,6 +101,8 @@ ValueId trace_module(Graph& g, nn::Module& child, ValueId cur,
     n.label = label;
     n.conv = spec;
     n.weight = conv->weight().value;  // COW handle; passes detach on mutate
+    if (const nn::Parameter* b = conv->bias(); b != nullptr)
+      n.bias.assign(b->value.data(), b->value.data() + spec.out_channels);
     n.output = g.add_value(Shape{spec.out_channels, geo.out_h(), geo.out_w()},
                            label);
     g.nodes.push_back(std::move(n));

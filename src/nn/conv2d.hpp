@@ -36,6 +36,7 @@ class Conv2d : public Module {
 
   const Conv2dSpec& spec() const { return spec_; }
   Parameter& weight() { return weight_; }
+  Parameter* bias() { return spec_.bias ? &bias_ : nullptr; }
 
  protected:
   void on_clear_cache() override { cache_.clear(); }

@@ -14,6 +14,8 @@
 #include "tensor/kernels/igemm.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
 
 #include "core/threadpool.hpp"
@@ -184,24 +186,102 @@ void pack_b_c4_scalar(const std::uint8_t* q, const std::uint8_t* pad,
   }
 }
 
+// Where tile columns [jr, jr + nr) land (Epilogue addressing): lane j of
+// matrix row i is element off[j] + i * ldc of c, in image img[j]. Returns
+// true when every lane sits in one image (the common case); then only
+// off[0] and img[0] are set, and lane j is element off[0] + j.
+bool tile_lanes(const Epilogue& ep, std::int64_t n, std::int64_t jr,
+                std::int64_t nr, std::int64_t off[NR], std::int64_t img[NR]) {
+  const std::int64_t px = ep.pixels > 0 ? ep.pixels : n;
+  std::int64_t im = jr / px, s = jr - im * px;
+  off[0] = im * ep.image_stride + s;
+  img[0] = im;
+  if (s + nr <= px) return true;
+  for (std::int64_t j = 0; j < nr; ++j) {
+    img[j] = im;
+    off[j] = im * ep.image_stride + s;
+    if (++s == px) s = 0, ++im;
+  }
+  return false;
+}
+
+// a + b under x86's NaN rule, made explicit: a NaN `a` comes back quieted
+// whatever `b` is. A plain `a + b` leaves the operand order, and so which
+// payload survives NaN + NaN, to the compiler (it treats + as commutative).
+inline float add_first(float a, float b) {
+  if (a != a)
+    return std::bit_cast<float>(std::bit_cast<std::uint32_t>(a) | 0x400000u);
+  return a + b;
+}
+
+// kernels::relu / relu_cap on one value (their scalar-tail form).
+inline float activate(float v, const Epilogue& ep) {
+  if (ep.act == Act::kNone) return v;
+  v = v > 0.0f ? v : 0.0f;
+  if (ep.act == Act::kReluCap) v = v < ep.cap ? v : ep.cap;
+  return v;
+}
+
+// Running per-image max of one tile range (Epilogue::absmax). Tiles run
+// jr-major, so a range meets an image in one stretch, or a few where
+// slivers cross images; each stretch raises the image's shared slot once,
+// with an atomic max. Activated values are >= +0 and NaN-free, so the slot
+// ends at the exact maximum whatever order ranges publish in.
+struct ImageMax {
+  float* slots = nullptr;  // null: the epilogue publishes nothing
+  std::int64_t img = -1;
+  float max = 0.0f;
+
+  void add(std::int64_t im, float v) {
+    if (im != img) {
+      publish();
+      img = im;
+      max = 0.0f;
+    }
+    max = std::max(max, v);
+  }
+  // Call once the range's last tile is written.
+  void publish() const {
+    if (slots == nullptr || img < 0) return;
+    std::atomic_ref<float> ref(slots[img]);
+    float cur = ref.load(std::memory_order_relaxed);
+    while (cur < max &&
+           !ref.compare_exchange_weak(cur, max, std::memory_order_relaxed)) {
+    }
+  }
+};
+
 // Per-tile write-back shared by both portable paths: fold the offset
-// correction and scales exactly as documented in igemm.hpp. `acc` holds the
-// raw u8*s8 sums for tile rows [ir, ir+mr) x columns [jr, jr+nr).
+// correction and scales, then residual and activation, exactly as documented
+// in igemm.hpp. `acc` holds the raw u8*s8 sums for tile rows [ir, ir+mr) x
+// columns [jr, jr+nr).
 void write_back_scalar(const std::int32_t acc[MR][NR], std::int64_t ir,
                        std::int64_t jr, std::int64_t mr, std::int64_t nr,
-                       const std::int32_t* rowsum, float* c, std::int64_t ldc,
-                       const Epilogue& ep) {
+                       std::int64_t n, const std::int32_t* rowsum, float* c,
+                       std::int64_t ldc, const Epilogue& ep, ImageMax& maxes) {
+  std::int64_t off[NR], img[NR];
+  if (tile_lanes(ep, n, jr, nr, off, img))
+    for (std::int64_t j = 1; j < nr; ++j) off[j] = off[0] + j, img[j] = img[0];
+  float colmax[NR] = {};
   for (std::int64_t i = 0; i < mr; ++i) {
-    float* crow = c + (ir + i) * ldc + jr;
     const float rscale = ep.row_scale[ir + i];
     const float bias = ep.bias != nullptr ? ep.bias[ir + i] : 0.0f;
     for (std::int64_t j = 0; j < nr; ++j) {
-      const std::int32_t off =
-          128 + (ep.col_zp != nullptr ? ep.col_zp[jr + j] : 0);
-      const std::int32_t eff = acc[i][j] - off * rowsum[ir + i];
-      crow[j] = detail::epilogue_value(eff, rscale, ep.col_scale[jr + j], bias);
+      const std::int32_t zp = ep.col_zp != nullptr ? ep.col_zp[jr + j] : 0;
+      const std::int32_t eff = acc[i][j] - (128 + zp) * rowsum[ir + i];
+      float v = detail::epilogue_value(eff, rscale, ep.col_scale[jr + j], bias);
+      const std::int64_t at = off[j] + (ir + i) * ldc;
+      if (ep.residual != nullptr) {
+        const float r = ep.residual[at];
+        v = ep.residual_first ? add_first(r, v) : add_first(v, r);
+      }
+      v = activate(v, ep);
+      c[at] = v;
+      colmax[j] = std::max(colmax[j], v);
     }
   }
+  if (ep.absmax != nullptr)
+    for (std::int64_t j = 0; j < nr; ++j) maxes.add(img[j], colmax[j]);
 }
 
 // Compute output tiles [t0, t1) of the flat jr-major tile grid (tile t is
@@ -215,6 +295,7 @@ void gemm_scalar_tiles(std::int64_t m, std::int64_t n, std::int64_t k,
   const std::int64_t kp = padded_k(k);
   const std::int64_t k4 = kp / KU;
   const std::int64_t nir = (m + MR - 1) / MR;
+  ImageMax maxes{ep.absmax};
   for (std::int64_t t = t0; t < t1; ++t) {
     const std::int64_t jr = (t / nir) * NR;
     const std::int64_t ir = (t % nir) * MR;
@@ -236,8 +317,9 @@ void gemm_scalar_tiles(std::int64_t m, std::int64_t n, std::int64_t k,
         }
       }
     }
-    write_back_scalar(acc, ir, jr, mr, nr, rowsum, c, ldc, ep);
+    write_back_scalar(acc, ir, jr, mr, nr, n, rowsum, c, ldc, ep, maxes);
   }
+  maxes.publish();
 }
 
 void gemm_scalar(std::int64_t m, std::int64_t n, std::int64_t k,
@@ -246,6 +328,21 @@ void gemm_scalar(std::int64_t m, std::int64_t n, std::int64_t k,
                  const Epilogue& ep) {
   const std::int64_t ntiles = ((n + NR - 1) / NR) * ((m + MR - 1) / MR);
   gemm_scalar_tiles(m, n, k, ap, rowsum, bp, c, ldc, ep, 0, ntiles);
+}
+
+void check_gemm_args(std::int64_t n, std::int64_t k, std::int64_t ldc,
+                     const Epilogue& ep) {
+  CQ_CHECK(k >= 0 && k <= kMaxK);
+  CQ_CHECK(ep.row_scale != nullptr && ep.col_scale != nullptr);
+  CQ_CHECK(ep.absmax == nullptr || ep.act != Act::kNone);
+  if (ep.pixels == 0) {
+    CQ_CHECK(ldc >= n);
+    return;
+  }
+  CQ_CHECK(ep.pixels > 0 && ldc >= ep.pixels);
+  // A sliver spans at most NR + 1 images; its lane offsets are int32.
+  CQ_CHECK(ep.image_stride >= 0 &&
+           (NR + 1) * ep.image_stride < (std::int64_t{1} << 31));
 }
 
 // ---------------------------------------------------------------------------
@@ -267,6 +364,14 @@ inline __m512i quantize_vec(__m512 v, __m512 inv) {
 // packed buffers match bitwise.
 inline __m512i quantize_row(const float* src, __mmask16 mask, __m512 inv) {
   return quantize_vec(_mm512_maskz_loadu_ps(mask, src), inv);
+}
+
+// add_first, lane for lane.
+inline __m512 add_first(__m512 a, __m512 b) {
+  const __mmask16 nan = _mm512_cmp_ps_mask(a, a, _CMP_UNORD_Q);
+  const __m512 quiet = _mm512_castsi512_ps(_mm512_or_si512(
+      _mm512_castps_si512(a), _mm512_set1_epi32(0x400000)));
+  return _mm512_mask_mov_ps(_mm512_add_ps(a, b), nan, quiet);
 }
 
 inline __mmask16 lane_mask(std::int64_t nr) {
@@ -418,6 +523,7 @@ void gemm_vnni_tiles(std::int64_t m, std::int64_t n, std::int64_t k,
   const std::int64_t kp = padded_k(k);
   const std::int64_t k4 = kp / KU;
   const std::int64_t nir = (m + MR - 1) / MR;
+  ImageMax maxes{ep.absmax};
   for (std::int64_t t = t0; t < t1; ++t) {
     const std::int64_t jr = (t / nir) * NR;
     const std::int64_t ir = (t % nir) * MR;
@@ -450,30 +556,66 @@ void gemm_vnni_tiles(std::int64_t m, std::int64_t n, std::int64_t k,
           acc[i] = _mm512_dpbusd_epi32(acc[i], bv, _mm512_set1_epi32(adw));
         }
       }
+      // Output lanes: one masked row store when the tile sits in one image,
+      // else a scatter through per-lane offsets (an image boundary inside
+      // the sliver, e.g. outputs of 2x2 or 3x3 pixels).
+      std::int64_t off[NR], img[NR];
+      const bool one_image = tile_lanes(ep, n, jr, nr, off, img);
+      __m512i relv = _mm512_setzero_si512();
+      if (!one_image) {
+        alignas(64) std::int32_t rel[NR] = {};
+        for (std::int64_t j = 0; j < nr; ++j)
+          rel[j] = static_cast<std::int32_t>(off[j] - off[0]);
+        relv = _mm512_load_si512(rel);
+      }
+      const __m512 zero = _mm512_setzero_ps();
+      __m512 colmax = zero;
       for (std::int64_t i = 0; i < mr; ++i) {
         // eff = acc - (128 + zp_j) * rowsum_i, then the two-step float fold
         // (mul, add — explicit intrinsics, never contracted) matching
-        // detail::epilogue_value lane-for-lane.
+        // detail::epilogue_value lane-for-lane; residual and activation as
+        // write_back_scalar orders them.
         const __m512i corr =
             _mm512_mullo_epi32(offv, _mm512_set1_epi32(rowsum[ir + i]));
         const __m512i eff = _mm512_sub_epi32(acc[i], corr);
         const __m512 sv =
             _mm512_mul_ps(_mm512_set1_ps(ep.row_scale[ir + i]), csv);
-        const __m512 out = _mm512_add_ps(
+        __m512 out = _mm512_add_ps(
             _mm512_mul_ps(_mm512_cvtepi32_ps(eff), sv),
             _mm512_set1_ps(ep.bias != nullptr ? ep.bias[ir + i] : 0.0f));
-        _mm512_mask_storeu_ps(c + (ir + i) * ldc + jr, mask, out);
+        const std::int64_t row = off[0] + (ir + i) * ldc;
+        if (ep.residual != nullptr) {
+          const float* src = ep.residual + row;
+          const __m512 r =
+              one_image ? _mm512_maskz_loadu_ps(mask, src)
+                        : _mm512_mask_i32gather_ps(zero, mask, relv, src, 4);
+          out = ep.residual_first ? add_first(r, out) : add_first(out, r);
+        }
+        if (ep.act != Act::kNone) {
+          out = _mm512_max_ps(out, zero);  // NaN -> 0, like kernels::relu
+          if (ep.act == Act::kReluCap)
+            out = _mm512_min_ps(out, _mm512_set1_ps(ep.cap));
+        }
+        if (one_image)
+          _mm512_mask_storeu_ps(c + row, mask, out);
+        else
+          _mm512_mask_i32scatter_ps(c + row, mask, relv, out, 4);
+        colmax = _mm512_max_ps(colmax, out);
+      }
+      if (ep.absmax != nullptr && one_image) {
+        maxes.add(img[0], _mm512_mask_reduce_max_ps(mask, colmax));
+      } else if (ep.absmax != nullptr) {
+        for (std::int64_t j = 0; j < nr;) {
+          const std::int64_t im = img[j];
+          __mmask16 lanes = 0;
+          for (; j < nr && img[j] == im; ++j)
+            lanes |= static_cast<__mmask16>(1u << j);
+          maxes.add(im, _mm512_mask_reduce_max_ps(lanes, colmax));
+        }
       }
     }
   }
-}
-
-void gemm_vnni(std::int64_t m, std::int64_t n, std::int64_t k,
-               const std::int8_t* ap, const std::int32_t* rowsum,
-               const std::uint8_t* bp, float* c, std::int64_t ldc,
-               const Epilogue& ep) {
-  const std::int64_t ntiles = ((n + NR - 1) / NR) * ((m + MR - 1) / MR);
-  gemm_vnni_tiles(m, n, k, ap, rowsum, bp, c, ldc, ep, 0, ntiles);
+  maxes.publish();
 }
 
 #endif  // CQ_IGEMM_VNNI
@@ -599,9 +741,7 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k,
           const Epilogue& ep) {
   if (m <= 0 || n <= 0) return;
   CQ_TRACE_SCOPE_BYTES("igemm", m * k + k * n + m * n * sizeof(float));
-  CQ_CHECK(k >= 0 && k <= kMaxK);
-  CQ_CHECK(ldc >= n);
-  CQ_CHECK(ep.row_scale != nullptr && ep.col_scale != nullptr);
+  check_gemm_args(n, k, ldc, ep);
   const std::int64_t ntiles = ((n + NR - 1) / NR) * ((m + MR - 1) / MR);
   auto tiles = [&](std::int64_t t0, std::int64_t t1) {
 #if CQ_IGEMM_VNNI
@@ -660,9 +800,7 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k,
           const std::uint8_t* bp, float* c, std::int64_t ldc,
           const Epilogue& ep) {
   if (m <= 0 || n <= 0) return;
-  CQ_CHECK(k >= 0 && k <= kMaxK);
-  CQ_CHECK(ldc >= n);
-  CQ_CHECK(ep.row_scale != nullptr && ep.col_scale != nullptr);
+  check_gemm_args(n, k, ldc, ep);
   gemm_scalar(m, n, k, ap, rowsum, bp, c, ldc, ep);
 }
 

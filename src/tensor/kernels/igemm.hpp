@@ -10,7 +10,9 @@
 // moves bytes). C is written back in fp32 by an
 // epilogue that folds the per-output-channel weight scales, the per-column
 // (= per-sample) activation scales and the activation zero points into the
-// int32 accumulators at register write-back.
+// int32 accumulators at register write-back. A conv's epilogue also writes
+// NCHW directly, adds a residual, applies ReLU/ReLU6 and publishes each
+// image's max for the next conv's activation scale (Epilogue below).
 //
 // Register tile: kMR x kNR int32 accumulators over k grouped in kKU=4
 // quads — the AVX-512 VNNI shape (`vpdpbusd` consumes one u8x4·s8x4 quad per
@@ -25,9 +27,10 @@
 // DETERMINISM CONTRACT (mirrors kernels.hpp): igemm::* is the compile-time
 // detected backend (AVX-512 VNNI when the build machine has it), and
 // igemm::scalar::* is a portable plain-loop twin that is ALWAYS built. The
-// integer accumulation is exact in any order, and the two float epilogue
-// steps (one multiply, one add — never contracted to fma; this TU builds
-// with -ffp-contract=off) are specified per element, so the two backends are
+// integer accumulation is exact in any order, and the float epilogue steps
+// (scale multiply and bias add — never contracted to fma; this TU builds
+// with -ffp-contract=off — then the residual add and the clamp) are
+// specified per element, so the two backends are
 // BIT-IDENTICAL — asserted by tests/test_int8_gemm.cpp. A scalar-only build
 // (-DCQ_SCALAR_KERNELS=ON) reproduces the VNNI build's serving outputs
 // exactly, and a batch-N forward equals N batch-1 forwards bitwise (the
@@ -35,6 +38,8 @@
 #pragma once
 
 #include <cstdint>
+
+#include "tensor/gemm.hpp"
 
 namespace cq {
 struct ConvGeometry;  // tensor/im2col.hpp
@@ -143,22 +148,53 @@ void quantize_conv_input(const float* x, std::int64_t n,
 void pack_b_conv_c4(const std::uint8_t* q, const std::uint8_t* pad,
                     std::int64_t n, const ConvGeometry& g, std::uint8_t* bp);
 
-/// Scale/zero-point fold applied per element at write-back:
+/// Activation applied last — the fp32 GEMM's enum, with kernels::relu /
+/// relu_cap semantics: max(v, 0) maps NaN (and -0) to +0, then min(v, cap).
+using Act = gemm::Epilogue::Act;
+
+/// Per-element write-back, in this order (the unfused chain conv -> Add ->
+/// ReLU of an int8 plan, step for step):
 ///   eff  = acc - (128 + col_zp[j]) * rowsum[i]      (exact, int32)
-///   c    = float(eff) * (row_scale[i] * col_scale[j]) + bias[i]
+///   v    = float(eff) * (row_scale[i] * col_scale[j]) + bias[i]
+///   v    = residual_first ? r + v : v + r           (if residual; when
+///          the first operand is NaN it is returned quieted — x86's rule,
+///          made explicit so the order holds whatever the compiler emits)
+///   C    = act(v)
 /// row_scale/col_scale are required; bias and col_zp may be null (0).
+///
+/// Addressing: with pixels == 0, C[i, j] is c[i * ldc + j]. With pixels > 0
+/// column j is pixel j % pixels of image j / pixels, and C[i, j] is
+///   c[(j / pixels) * image_stride + i * ldc + j % pixels]
+/// — a conv group's NCHW output (ldc = pixels, image_stride = the sample's
+/// channels * pixels), written in place of a channel-major GEMM output.
+/// A residual r is read at the same address in `residual`.
+///
+/// absmax (optional, needs act != kNone): absmax[j / pixels] is raised to
+/// the largest C value of that image this call writes. Activated outputs
+/// are NaN-free and >= +0, so the max is exact in any order; each pool
+/// worker's tile range publishes with an atomic max, so the result is
+/// race-free and independent of how the pool splits the tile grid. The caller zero-fills it (once for all of a conv's
+/// group GEMMs).
 struct Epilogue {
   const float* row_scale = nullptr;   // [m] per-output-channel weight scales
   const float* col_scale = nullptr;   // [n] per-column activation scales
   const float* bias = nullptr;        // [m] per-row bias, nullptr = 0
   const std::int32_t* col_zp = nullptr;  // [n] activation zero points, 0
+  std::int64_t pixels = 0;            // columns per image, 0 = row-major C
+  std::int64_t image_stride = 0;      // elements between images (pixels > 0)
+  const float* residual = nullptr;    // added at C's address, nullptr = none
+  bool residual_first = false;        // r + v (true) or v + r (false)
+  Act act = Act::kNone;
+  float cap = 0.0f;                   // kReluCap
+  float* absmax = nullptr;            // [n / pixels] per-image max, or null
 };
 
-/// C[m, n] (fp32, row stride ldc >= n, must not alias the packed operands)
-/// from packed A (+ its rowsums) and packed B. Accumulates each output
-/// element in int32 over the full k in one pass — no intermediate rounding
-/// anywhere before the epilogue's single int->float conversion. k == 0
-/// writes bias (eff = 0). Requires k <= kMaxK.
+/// C[m, n] (fp32, addressed per Epilogue: row stride ldc >= n, or >= pixels
+/// for image-split output; must not alias the packed operands or the
+/// residual) from packed A (+ its rowsums) and packed B. Accumulates each
+/// output element in int32 over the full k in one pass — no intermediate
+/// rounding anywhere before the epilogue's single int->float conversion.
+/// k == 0 writes bias (eff = 0). Requires k <= kMaxK.
 void gemm(std::int64_t m, std::int64_t n, std::int64_t k,
           const std::int8_t* ap, const std::int32_t* rowsum,
           const std::uint8_t* bp, float* c, std::int64_t ldc,

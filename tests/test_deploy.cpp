@@ -104,7 +104,9 @@ TEST(CompileInt8, ReluAndPoolingPreserved) {
   Tensor x = Tensor::uniform(Shape{2, 1, 8, 8}, rng, -1.0f, 1.0f);
   const Tensor y_fp = net.forward(x);
   auto compiled = int8_plan(net, Shape{1, 8, 8}, 2);
-  EXPECT_EQ(compiled.graph().nodes.size(), 4u);  // int8 ReLU stays unfused
+  // The ReLU rides the int8 conv's epilogue: conv+relu, maxpool, gap.
+  ASSERT_EQ(compiled.graph().nodes.size(), 3u);
+  EXPECT_EQ(compiled.graph().nodes[0].act, gemm::Epilogue::Act::kRelu);
   EXPECT_LT(max_rel_err(y_fp, compiled.forward(x)), 0.05f);
 }
 

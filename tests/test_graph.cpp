@@ -84,6 +84,7 @@ TEST(GraphPasses, DefaultPipelineRemovesFoldableOps) {
   for (const graph::Node& n : g.nodes)
     bn_before += n.op == graph::Op::kBatchNorm ? 1 : 0;
   ASSERT_GT(bn_before, 0u);
+  graph::Graph g8 = g;
   const auto log = graph::run_default_passes(g, graph::Precision::kF32);
   ASSERT_FALSE(log.empty());
   for (const graph::Node& n : g.nodes) {
@@ -93,6 +94,17 @@ TEST(GraphPasses, DefaultPipelineRemovesFoldableOps) {
     if (n.op == graph::Op::kConv2d)
       EXPECT_NE(n.lowering, graph::ConvLowering::kUndecided);
   }
+  // The int8 plan also folds every ReLU and residual Add into its convs:
+  // stem conv, 8 blocks x 2 convs, 3 shortcut convs, gap.
+  graph::run_default_passes(g8, graph::Precision::kInt8);
+  EXPECT_EQ(g8.nodes.size(), 21u);
+  for (const graph::Node& n : g8.nodes) {
+    EXPECT_NE(n.op, graph::Op::kRelu) << n.label;
+    EXPECT_NE(n.op, graph::Op::kAdd) << n.label;
+  }
+  const std::string text = graph::dump(g8);
+  EXPECT_NE(text.find(" int8 +relu"), std::string::npos) << text;
+  EXPECT_NE(text.find(" +res %"), std::string::npos) << text;
 }
 
 // The anchor is the passes-off plan: the traced IR after only the passes a
@@ -130,7 +142,15 @@ void expect_passes_keep_bits(nn::Sequential& net, const Shape& sample,
     graph::CompiledModel model{graph::Graph(g), max_batch};
     check(model, stage);
   };
-  graph::fuse_epilogues(g);
+  // For int8 this stage is the fused pipeline itself: ReLU/ReLU6 and the
+  // residual Adds move into the convs' igemm epilogues, which then write
+  // NCHW and hand each image's max to the next conv.
+  const bool has_conv =
+      std::any_of(g.nodes.begin(), g.nodes.end(), [](const graph::Node& n) {
+        return n.op == graph::Op::kConv2d;
+      });
+  const std::size_t fused = graph::fuse_epilogues(g);
+  if (has_conv) EXPECT_GT(fused, 0u);
   check_stage("+fuse_epilogues");
   graph::select_conv_lowering(g);
   check_stage("+select_conv_lowering");
@@ -238,7 +258,7 @@ OracleWeights oracle_weights(const Tensor& w, std::int64_t groups) {
 }
 
 Tensor oracle_conv(const Tensor& x, const nn::Conv2dSpec& spec,
-                   const Tensor& w) {
+                   const Tensor& w, std::vector<float> bias = {}) {
   const std::int64_t n = x.dim(0), in_h = x.dim(2), in_w = x.dim(3);
   ConvGeometry g;
   g.in_channels = spec.in_channels / spec.groups;
@@ -252,8 +272,8 @@ Tensor oracle_conv(const Tensor& x, const nn::Conv2dSpec& spec,
   const std::int64_t cout_g = spec.out_channels / spec.groups;
   const std::int64_t sample = spec.in_channels * in_h * in_w;
   const OracleWeights ow = oracle_weights(w, spec.groups);
-  const std::vector<float> bias(static_cast<std::size_t>(spec.out_channels),
-                                0.0f);
+  if (bias.empty())
+    bias.assign(static_cast<std::size_t>(spec.out_channels), 0.0f);
   std::vector<float> col_scale(static_cast<std::size_t>(cols));
   std::vector<float> col_inv(static_cast<std::size_t>(cols));
   for (std::int64_t img = 0; img < n; ++img) {
@@ -345,6 +365,42 @@ TEST(GraphExecutor, Int8ConvNodeMatchesTwoPassOracle) {
                          oracle_conv(x, spec, conv.weight().value));
         }
       }
+}
+
+// A conv's own bias (spec.bias) reaches the plan: the tracer copies it, BN
+// folding would start from it, and the fused int8 epilogue adds it.
+TEST(GraphTracer, ConvBiasKept) {
+  constexpr std::int64_t kBatch = 3, kSide = 6;
+  nn::Conv2dSpec spec;
+  spec.in_channels = 3;
+  spec.out_channels = 5;
+  spec.bias = true;
+  Rng rng(107);
+  nn::Sequential net;
+  auto& conv = net.emplace<nn::Conv2d>(spec, rng, "c");
+  ASSERT_NE(conv.bias(), nullptr);
+  conv.bias()->value = Tensor::uniform(Shape{5}, rng, -0.5f, 0.5f);
+  net.set_mode(nn::Mode::kEval);
+  const std::vector<float> bias(conv.bias()->value.data(),
+                                conv.bias()->value.data() + 5);
+  const Tensor x =
+      Tensor::uniform(Shape{kBatch, 3, kSide, kSide}, rng, -1.0f, 1.0f);
+
+  auto fp32 = graph::compile(
+      net, Shape{3, kSide, kSide},
+      graph::CompileOptions{kBatch, graph::Precision::kF32, true});
+  EXPECT_EQ(fp32.graph().nodes[0].bias, bias);
+  const Tensor want = net.forward(x);
+  const Tensor& got = fp32.forward(x);
+  ASSERT_EQ(got.shape(), want.shape());
+  for (std::int64_t i = 0; i < want.numel(); ++i)
+    EXPECT_NEAR(got[i], want[i], 1e-4f) << i;
+
+  auto int8 = graph::compile(
+      net, Shape{3, kSide, kSide},
+      graph::CompileOptions{kBatch, graph::Precision::kInt8, true});
+  expect_bitwise(int8.forward(x),
+                 oracle_conv(x, spec, conv.weight().value, bias));
 }
 
 TEST(GraphExecutor, Int8LinearNodeMatchesTwoPassOracle) {
@@ -511,6 +567,47 @@ TEST(GraphExecutor, CompiledForwardBitwiseIdenticalAcrossThreadCounts) {
     }
     pool.set_size(old_size);
   }
+}
+
+// A non-finite sample must not perturb its batch-mates. Each int8 conv's
+// epilogue hands the next conv one max per image; a NaN or Inf that leaked
+// across images would shift a finite sample's scale. Every finite row of a
+// mixed batch equals that sample's batch-1 forward bitwise, at pool sizes 1
+// and 3.
+TEST(GraphExecutor, NonFiniteSampleIsolatedAcrossThreadCounts) {
+  core::ThreadPool& pool = core::ThreadPool::instance();
+  const std::size_t old_size = pool.size();
+  constexpr std::int64_t kBatch = 6, kNan = 1, kInf = 4;
+  const std::int64_t per = 3 * kH * kW;
+  for (const char* arch : {"resnet18", "mobilenetv2"}) {
+    SCOPED_TRACE(arch);
+    auto enc = eval_encoder(arch, 53);
+    auto model = graph::compile(
+        *enc.backbone, Shape{3, kH, kW},
+        graph::CompileOptions{kBatch, graph::Precision::kInt8, true});
+    Rng rng(59);
+    Tensor batch = Tensor::uniform(Shape{kBatch, 3, kH, kW}, rng, -1.0f, 1.0f);
+    std::fill_n(batch.data() + kNan * per, per,
+                std::numeric_limits<float>::quiet_NaN());
+    std::fill_n(batch.data() + kInf * per, per,
+                std::numeric_limits<float>::infinity());
+    for (std::size_t threads : {1u, 3u}) {
+      SCOPED_TRACE(threads);
+      pool.set_size(threads);
+      const Tensor mixed = model.forward(batch);  // copy: arena reused below
+      for (std::int64_t i = 0; i < kBatch; ++i) {
+        if (i == kNan || i == kInf) continue;
+        Tensor single(Shape{1, 3, kH, kW});
+        std::copy_n(batch.data() + i * per, per, single.data());
+        const Tensor& feats = model.forward(single);
+        for (std::int64_t c = 0; c < feats.dim(1); ++c)
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(mixed.at(i, c)),
+                    std::bit_cast<std::uint32_t>(feats.at(0, c)))
+              << "sample " << i << " feature " << c;
+      }
+    }
+  }
+  pool.set_size(old_size);
 }
 
 // image_slice is the executor's partition contract: exact cover with no

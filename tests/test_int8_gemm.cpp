@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -23,6 +24,7 @@
 #include "core/threadpool.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/kernels/igemm.hpp"
+#include "tensor/kernels/kernels.hpp"
 #include "util/rng.hpp"
 
 namespace cq {
@@ -685,6 +687,215 @@ TEST(Int8Gemm, KZeroWritesBias) {
     for (std::int64_t j = 0; j < p.n; ++j)
       EXPECT_EQ(got[static_cast<std::size_t>(i * p.n + j)],
                 p.bias[static_cast<std::size_t>(i)]);
+}
+
+// ---- Fused conv epilogue: NCHW write-back, residual, activation, abs-max --
+//
+// The oracle composes the unfused int8 chain from its public pieces: the
+// int32 sums of reference(), detail::epilogue_value, a float add in the
+// residual's operand order, then kernels::relu / relu_cap, stored at the
+// NCHW address and reduced per image with a plain max loop. Both backends
+// must match it bitwise at every pool size — outputs, untouched channels
+// (the sentinel) and the published maxima.
+
+struct EpilogueCase {
+  std::int64_t pixels = 0, images = 0;
+  std::int64_t channels = 0, group_off = 0;  // output planes, this group's
+  Problem p;                                 // m = group's channels
+  std::vector<std::int32_t> eff;             // [m, n] oracle int32 sums
+  std::vector<float> residual;               // [images, channels, pixels]
+  std::int64_t at(std::int64_t i, std::int64_t j) const {
+    return (j / pixels) * channels * pixels + (group_off + i) * pixels +
+           j % pixels;
+  }
+};
+
+EpilogueCase make_epilogue_case(std::int64_t pixels, Rng& rng) {
+  EpilogueCase ec;
+  ec.pixels = pixels;
+  // >= 810 columns: past gemm's 2 MFLOP fan-out bar with m = 21, k = 64
+  // (so pool sizes 2 and 3 split the tile grid), and a short last sliver
+  // for most pixel counts.
+  ec.images = (810 + pixels - 1) / pixels;
+  ec.channels = 29;
+  ec.group_off = 5;
+  ec.p = make_problem(21, ec.images * pixels, 64, rng);
+  for (std::int64_t j = 0; j < ec.p.n; ++j) {  // one scale per image
+    const auto first = static_cast<std::size_t>(j - j % pixels);
+    ec.p.col_scale[static_cast<std::size_t>(j)] = ec.p.col_scale[first];
+    ec.p.col_inv[static_cast<std::size_t>(j)] = ec.p.col_inv[first];
+  }
+  const Problem& p = ec.p;
+  ec.eff.resize(static_cast<std::size_t>(p.m * p.n));
+  for (std::int64_t i = 0; i < p.m; ++i)
+    for (std::int64_t j = 0; j < p.n; ++j) {
+      std::int32_t acc = 0;
+      for (std::int64_t kk = 0; kk < p.k; ++kk)
+        acc += static_cast<std::int32_t>(
+                   p.a[static_cast<std::size_t>(i * p.k + kk)]) *
+               igemm::detail::quantize_value(
+                   p.b[static_cast<std::size_t>(kk * p.rs + j)],
+                   p.col_inv[static_cast<std::size_t>(j)]);
+      ec.eff[static_cast<std::size_t>(i * p.n + j)] = acc;
+    }
+  ec.residual.resize(
+      static_cast<std::size_t>(ec.images * ec.channels * pixels));
+  for (auto& v : ec.residual) v = static_cast<float>(rng.uniform(-3.0, 3.0));
+  return ec;
+}
+
+constexpr float kSentinel = -999.0f;
+
+// The float add of an x86 Add node with `a` as the first source: a NaN `a`
+// wins, quieted. Written out because the compiler may swap the operands of
+// a plain `a + b`.
+float add_first(float a, float b) {
+  if (std::isnan(a))
+    return std::bit_cast<float>(std::bit_cast<std::uint32_t>(a) | 0x400000u);
+  return a + b;
+}
+
+struct EpilogueOut {
+  std::vector<float> c;       // [images, channels, pixels]
+  std::vector<float> absmax;  // [images]
+};
+
+EpilogueOut oracle_epilogue(const EpilogueCase& ec, const igemm::Epilogue& ep) {
+  const Problem& p = ec.p;
+  EpilogueOut out{std::vector<float>(ec.residual.size(), kSentinel),
+                  std::vector<float>(static_cast<std::size_t>(ec.images),
+                                     0.0f)};
+  for (std::int64_t i = 0; i < p.m; ++i)
+    for (std::int64_t j = 0; j < p.n; ++j) {
+      const auto at = static_cast<std::size_t>(ec.at(i, j));
+      float v = igemm::detail::epilogue_value(
+          ec.eff[static_cast<std::size_t>(i * p.n + j)],
+          p.row_scale[static_cast<std::size_t>(i)],
+          p.col_scale[static_cast<std::size_t>(j)],
+          p.bias[static_cast<std::size_t>(i)]);
+      if (ep.residual != nullptr) {
+        const float r = ec.residual[at];
+        v = ep.residual_first ? add_first(r, v) : add_first(v, r);
+      }
+      if (ep.act == igemm::Act::kRelu) kernels::relu(&v, &v, 1);
+      if (ep.act == igemm::Act::kReluCap) kernels::relu_cap(&v, &v, 1, ep.cap);
+      out.c[at] = v;
+      float& mx = out.absmax[static_cast<std::size_t>(j / ec.pixels)];
+      if (v > mx) mx = v;
+    }
+  return out;
+}
+
+EpilogueOut run_epilogue(const EpilogueCase& ec, igemm::Epilogue ep,
+                         bool use_scalar) {
+  const Problem& p = ec.p;
+  std::vector<std::int8_t> ap(
+      static_cast<std::size_t>(igemm::packed_a_bytes(p.m, p.k)));
+  std::vector<std::int32_t> rowsum(static_cast<std::size_t>(p.m));
+  igemm::pack_a_s8(p.a.data(), p.m, p.k, ap.data(), rowsum.data());
+  std::vector<std::uint8_t> bp(
+      static_cast<std::size_t>(igemm::packed_b_bytes(p.k, p.n)));
+  igemm::pack_b_quantized(p.b.data(), p.rs, p.cs, p.k, p.n, p.col_inv.data(),
+                          bp.data());
+  EpilogueOut out{std::vector<float>(ec.residual.size(), kSentinel),
+                  std::vector<float>(static_cast<std::size_t>(ec.images),
+                                     0.0f)};
+  const std::int64_t off = ec.group_off * ec.pixels;
+  ep.row_scale = p.row_scale.data();
+  ep.col_scale = p.col_scale.data();
+  ep.bias = p.bias.data();
+  ep.pixels = ec.pixels;
+  ep.image_stride = ec.channels * ec.pixels;
+  if (ep.residual != nullptr) ep.residual = ec.residual.data() + off;
+  if (ep.act != igemm::Act::kNone) ep.absmax = out.absmax.data();
+  auto* gemm = use_scalar ? &igemm::scalar::gemm : &igemm::gemm;
+  gemm(p.m, p.n, p.k, ap.data(), rowsum.data(), bp.data(), out.c.data() + off,
+       /*ldc=*/ec.pixels, ep);
+  return out;
+}
+
+void expect_same_bits(const std::vector<float>& got,
+                      const std::vector<float>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << what << " at " << i << ": got " << got[i] << ", want " << want[i];
+}
+
+// Every (residual order, activation) pairing on one case, both backends.
+void check_epilogue(const EpilogueCase& ec, const std::string& what) {
+  for (int res = 0; res < 3; ++res)
+    for (const igemm::Act act :
+         {igemm::Act::kNone, igemm::Act::kRelu, igemm::Act::kReluCap}) {
+      igemm::Epilogue ep;  // run_epilogue rebases the residual pointer
+      ep.residual = res > 0 ? ec.residual.data() : nullptr;
+      ep.residual_first = res == 2;
+      ep.act = act;
+      ep.cap = 6.0f;
+      const std::string w = what + " res=" + std::to_string(res) +
+                            " act=" + std::to_string(static_cast<int>(act));
+      const EpilogueOut want = oracle_epilogue(ec, ep);
+      for (bool use_scalar : {false, true}) {
+        const EpilogueOut got = run_epilogue(ec, ep, use_scalar);
+        const std::string ww = w + (use_scalar ? " scalar" : " backend");
+        expect_same_bits(got.c, want.c, ww + " output");
+        if (act != igemm::Act::kNone)
+          expect_same_bits(got.absmax, want.absmax, ww + " absmax");
+        if (testing::Test::HasFatalFailure()) return;
+      }
+    }
+}
+
+TEST(Int8Epilogue, NchwResidualActivationAndAbsMaxMatchOracle) {
+  // Pixels per image from 1 (every lane its own image) through 2x2, 3x3,
+  // 4x4 and 6x6 (slivers cross images) to 12x12 (many slivers per image),
+  // at pool sizes 1-3: the tile grid splits differently, the bytes and the
+  // maxima must not move.
+  core::ThreadPool& pool = core::ThreadPool::instance();
+  const std::size_t old_size = pool.size();
+  Rng rng(50);
+  for (std::int64_t pixels : {1, 4, 9, 16, 36, 144}) {
+    const EpilogueCase ec = make_epilogue_case(pixels, rng);
+    for (std::size_t threads : {1u, 2u, 3u}) {
+      pool.set_size(threads);
+      check_epilogue(ec, "pixels=" + std::to_string(pixels) +
+                             " threads=" + std::to_string(threads));
+      if (HasFatalFailure()) break;
+    }
+    if (HasFatalFailure()) break;
+  }
+  pool.set_size(old_size);
+}
+
+TEST(Int8Epilogue, ResidualOperandOrderKeepsNaNPayload) {
+  // Column NaN scales carry payload A into v; residual NaNs carry payload B.
+  // x86 adds return the FIRST operand's NaN, so r + v and v + r differ in
+  // bits — the epilogue must keep the Add node's order.
+  const float nan_a = std::bit_cast<float>(0x7fc0000au);
+  const float nan_b = std::bit_cast<float>(0x7fc0000bu);
+  Rng rng(51);
+  for (std::int64_t pixels : {4, 36}) {
+    EpilogueCase ec = make_epilogue_case(pixels, rng);
+    for (std::int64_t j = 0; j < ec.p.n; j += 3)
+      ec.p.col_scale[static_cast<std::size_t>(j)] = nan_a;
+    for (std::size_t i = 0; i < ec.residual.size(); i += 2)
+      ec.residual[i] = nan_b;
+    igemm::Epilogue ep;
+    ep.residual = ec.residual.data();
+    ep.residual_first = true;
+    const EpilogueOut first = oracle_epilogue(ec, ep);
+    ep.residual_first = false;
+    const EpilogueOut second = oracle_epilogue(ec, ep);
+    // The case discriminates: swapping the order changes some bits.
+    std::int64_t differ = 0;
+    for (std::size_t i = 0; i < first.c.size(); ++i)
+      differ += std::bit_cast<std::uint32_t>(first.c[i]) !=
+                std::bit_cast<std::uint32_t>(second.c[i]);
+    ASSERT_GT(differ, 0) << "pixels=" << pixels;
+    check_epilogue(ec, "nan pixels=" + std::to_string(pixels));
+    if (HasFatalFailure()) return;
+  }
 }
 
 }  // namespace
