@@ -7,16 +7,57 @@
 //
 // Environment knobs: CQ_SCALE (dataset sizes), CQ_EPOCHS (pretrain epochs),
 // CQ_CACHE_DIR (encoder checkpoint reuse across bench binaries).
+//
+// The micro benches (kernels, search, vit, micro_kernels) share the timing
+// and check helpers below.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
 #include "core/runner.hpp"
 #include "eval/classifier.hpp"
 #include "util/table.hpp"
+#include "util/timer.hpp"
 
 namespace cq::bench {
+
+/// Failed check() calls so far; a bench exits non-zero when it is not 0.
+inline int g_failures = 0;
+
+/// Record (and print) a failed correctness check without aborting the run.
+inline void check(bool ok, const char* what) {
+  if (!ok) {
+    std::fprintf(stderr, "FAIL %s\n", what);
+    ++g_failures;
+  }
+}
+
+/// Keep `p`'s pointee alive past optimization: a hand-rolled
+/// DoNotOptimize for the benches that have no google-benchmark runner.
+inline void escape(const void* p) { asm volatile("" : : "g"(p) : "memory"); }
+
+/// Best-of-3 seconds per call. One warm-up call, then one timed call
+/// calibrates the repetitions so each of the 3 runs takes ~`target` seconds
+/// (at least `min_reps` calls), so small shapes aren't all timer noise.
+/// target = 0 gives one call per run (smoke modes, where correctness is the
+/// point, not the numbers).
+template <class F>
+double time_best(F&& fn, double target, int min_reps = 1) {
+  fn();  // warm
+  Timer cal;
+  fn();
+  const double once = std::max(cal.seconds(), 1e-7);
+  const int reps = std::max(min_reps, static_cast<int>(target / once));
+  double best = 1e300;
+  for (int run = 0; run < 3; ++run) {
+    Timer t;
+    for (int r = 0; r < reps; ++r) fn();
+    best = std::min(best, t.seconds() / reps);
+  }
+  return best;
+}
 
 /// Standard pretraining recipe for a dataset stand-in (tuned so vanilla
 /// SimCLR comfortably beats random init; see tools/tune.cpp history).

@@ -1,6 +1,5 @@
 // Kernel-layer bench: measures what the SIMD kernel layer (DESIGN.md Sec. 9)
-// buys over the seed's scalar implementations and regenerates the repo-root
-// BENCH_kernels.json. Three sections:
+// buys over the seed's scalar implementations. Three sections:
 //
 //   fused     Linear-forward pipeline: blocked GEMM, then the seed's
 //             at()-indexed bias pass, then a separate ReLU pass (literally
@@ -15,10 +14,10 @@
 //   kernels   per-kernel GB/s: seed-style scalar loop vs the VecF kernel,
 //             with backend-vs-portable bitwise equivalence asserted first.
 //
-// Flags: --json=PATH writes the JSON report (BENCH_kernels.json in the repo
-// root is generated this way; see run_benches.sh); --smoke runs tiny shapes
-// and the equivalence checks only — wired as the `kernels_smoke` ctest
-// (label `bench`) so CI catches bench bitrot cheaply.
+// Flags: --json=PATH writes the JSON report (run_benches.sh writes
+// bench_out/kernels.json); --smoke runs tiny shapes and the equivalence
+// checks only — wired as the `kernels_smoke` ctest (label `bench`) so CI
+// catches bench bitrot cheaply.
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -29,51 +28,24 @@
 #include <utility>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "quant/quantizer.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/kernels/hamming.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/tensor.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
 using namespace cq;
 
-int g_failures = 0;
-
-/// Keep `p`'s pointee alive past optimization (the bench has no
-/// google-benchmark runner, so DoNotOptimize is hand-rolled).
-void escape(const void* p) { asm volatile("" : : "g"(p) : "memory"); }
+using bench::check;
+using bench::escape;
+using bench::g_failures;
+using bench::time_best;
 
 bool bitwise_equal(const float* a, const float* b, std::int64_t n) {
   return std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(float)) == 0;
-}
-
-void check(bool ok, const char* what) {
-  if (!ok) {
-    std::fprintf(stderr, "FAIL %s\n", what);
-    ++g_failures;
-  }
-}
-
-/// Best-of-3 seconds per call; each run calibrated to ~`target` seconds so
-/// small shapes aren't all timer noise. Smoke mode passes target = 0 (one
-/// rep — correctness is the point there, not the numbers).
-template <class F>
-double time_best(F&& fn, double target) {
-  fn();  // warm
-  Timer cal;
-  fn();
-  const double once = std::max(cal.seconds(), 1e-7);
-  const int reps = std::max<int>(1, static_cast<int>(target / once));
-  double best = 1e300;
-  for (int run = 0; run < 3; ++run) {
-    Timer t;
-    for (int r = 0; r < reps; ++r) fn();
-    best = std::min(best, t.seconds() / reps);
-  }
-  return best;
 }
 
 // ---- fused Linear-forward vs the seed pipeline -----------------------------
@@ -524,7 +496,7 @@ int run(const std::string& path, bool smoke) {
                 kernels::backend(), kernels::simd_width());
   json += line;
   json += "  \"regenerate\": \"build/bench/kernels "
-          "--json=BENCH_kernels.json\",\n";
+          "--json=bench_out/kernels.json\",\n";
   json += "  \"unfused_baseline\": \"seed pipeline: blocked gemm + "
           "at()-indexed bias pass + separate relu pass; quantized baseline "
           "materializes the weight through the seed scalar Eq. 10 loop\",\n";

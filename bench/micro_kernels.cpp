@@ -5,8 +5,8 @@
 //
 // Two extra modes bypass the google-benchmark runner:
 //   --gemm_json=PATH  time blocked vs reference GEMM per shape class and
-//                     write the GFLOP/s report to PATH (BENCH_gemm.json in
-//                     the repo root is generated this way; see DESIGN.md).
+//                     write the GFLOP/s report to PATH (run_benches.sh
+//                     writes bench_out/gemm.json; see DESIGN.md).
 //   --gemm_smoke      tiny-size run of the same harness incl. equivalence
 //                     checks; wired up as the `bench_smoke` ctest (label
 //                     `bench`) so CI catches bench bitrot cheaply.
@@ -18,13 +18,13 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/losses.hpp"
 #include "data/augment.hpp"
 #include "data/synth.hpp"
 #include "nn/conv2d.hpp"
 #include "quant/quantizer.hpp"
 #include "tensor/gemm.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -101,24 +101,15 @@ std::pair<std::int64_t, std::int64_t> gemm_operand_sizes(const GemmShape& s) {
 using GemmFn = void (*)(gemm::Trans, std::int64_t, std::int64_t, std::int64_t,
                         const float*, const float*, float*, bool);
 
-/// Time `fn` on shape `s`, returning GFLOP/s (best of three measured runs,
-/// each calibrated to ~0.1s so tiny shapes aren't all timer noise).
+/// Time `fn` on shape `s`, returning GFLOP/s (bench::time_best: each of
+/// the three runs calibrated to ~0.1s, at least `min_reps` calls).
 double gemm_gflops(GemmFn fn, const GemmShape& s, const Tensor& a,
                    const Tensor& b, Tensor& c, int min_reps) {
   const double flops = 2.0 * double(s.m) * double(s.n) * double(s.k);
-  fn(s.trans, s.m, s.n, s.k, a.data(), b.data(), c.data(), false);  // warm
-  Timer cal;
-  fn(s.trans, s.m, s.n, s.k, a.data(), b.data(), c.data(), false);
-  const double once = std::max(cal.seconds(), 1e-7);
-  const int reps = std::max<int>(min_reps, static_cast<int>(0.1 / once));
-  double best = 0.0;
-  for (int run = 0; run < 3; ++run) {
-    Timer t;
-    for (int r = 0; r < reps; ++r)
-      fn(s.trans, s.m, s.n, s.k, a.data(), b.data(), c.data(), false);
-    best = std::max(best, flops * reps / t.seconds());
-  }
-  return best / 1e9;
+  const double seconds = bench::time_best(
+      [&] { fn(s.trans, s.m, s.n, s.k, a.data(), b.data(), c.data(), false); },
+      0.1, min_reps);
+  return flops / seconds / 1e9;
 }
 
 /// Run the blocked-vs-reference sweep; write JSON to `path` when non-empty.
@@ -190,7 +181,7 @@ int run_gemm_report(const std::string& path, bool smoke) {
   json += "  \"bench\": \"gemm_micro\",\n";
   json += "  \"unit\": \"gflops\",\n";
   json += "  \"regenerate\": \"build/bench/micro_kernels "
-          "--gemm_json=BENCH_gemm.json\",\n";
+          "--gemm_json=bench_out/gemm.json\",\n";
   std::snprintf(line, sizeof(line),
                 "  \"tile\": {\"mr\": %lld, \"nr\": %lld, \"mc\": %lld, "
                 "\"kc\": %lld, \"nc\": %lld},\n",

@@ -8,10 +8,10 @@
 // allocations per iteration once the pool is warm. The headline number is
 // the steady-state reduction vs the cold baseline.
 //
-// Usage: pipeline_alloc [--json=PATH] [--trace=PATH]   (JSON is the
-// BENCH_pipeline.json checked into the repo root; regenerate after touching
-// tensor/nn/quant. --trace enables the scoped-span tracer and writes a
-// chrome://tracing document covering every variant's run.)
+// Usage: pipeline_alloc [--json=PATH] [--trace=PATH]   (run_benches.sh
+// writes the JSON to bench_out/pipeline.json. --trace enables the
+// scoped-span tracer and writes a chrome://tracing document covering every
+// variant's run.)
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -97,7 +97,7 @@ void write_json(const std::string& path,
   std::fprintf(
       f,
       "  \"regenerate\": \"build/bench/pipeline_alloc "
-      "--json=BENCH_pipeline.json\",\n");
+      "--json=bench_out/pipeline.json\",\n");
   std::fprintf(
       f,
       "  \"baseline\": \"first (cold-pool) iteration: every pool miss there "

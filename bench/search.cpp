@@ -1,5 +1,4 @@
-// Binary-embedding search bench (DESIGN.md §15): regenerates the repo-root
-// BENCH_search.json. Four sections:
+// Binary-embedding search bench (DESIGN.md §15). Four sections:
 //
 //   scan     raw kernel throughput past LLC: Hamming scan over packed 1-bit
 //            and 2-bit codes vs kernels::dot_scan fp32 cosine brute force,
@@ -25,7 +24,7 @@
 // Protocol: bitwise equivalence gates run before any timing — backend vs
 // scalar kernels on the scan path, and pool-size 1 vs 2 parity for the
 // threaded query path (the determinism contract). A mismatch fails the
-// bench; "bitwise_equivalent" is a gated baseline metric.
+// bench and is reported as "bitwise_equivalent": false.
 //
 // Flags: --json=PATH writes the report; --smoke runs the gates + a tiny
 // service burst only (the `search_smoke` ctest, label `bench`).
@@ -48,39 +47,15 @@
 #include "tensor/kernels/hamming.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
 using namespace cq;
 
-int g_failures = 0;
-
-void escape(const void* p) { asm volatile("" : : "g"(p) : "memory"); }
-
-void check(bool ok, const char* what) {
-  if (!ok) {
-    std::fprintf(stderr, "FAIL %s\n", what);
-    ++g_failures;
-  }
-}
-
-/// Best-of-3 seconds per call, calibrated to ~`target` seconds per run.
-template <class F>
-double time_best(F&& fn, double target) {
-  fn();  // warm
-  Timer cal;
-  fn();
-  const double once = std::max(cal.seconds(), 1e-7);
-  const int reps = std::max<int>(1, static_cast<int>(target / once));
-  double best = 1e300;
-  for (int run = 0; run < 3; ++run) {
-    Timer t;
-    for (int r = 0; r < reps; ++r) fn();
-    best = std::min(best, t.seconds() / reps);
-  }
-  return best;
-}
+using bench::check;
+using bench::escape;
+using bench::g_failures;
+using bench::time_best;
 
 // The operating point shared by the query and recall sections: the speedup
 // is only meaningful "at equal recall", so both measure k=10 with the same
@@ -454,7 +429,7 @@ void write_json(const std::string& path, const ScanSection& scan,
   std::fprintf(f, "  \"bench\": \"search\",\n");
   std::fprintf(f,
                "  \"regenerate\": \"build/bench/search "
-               "--json=BENCH_search.json\",\n");
+               "--json=bench_out/search.json\",\n");
   std::fprintf(f,
                "  \"hardware\": {\"cores\": %u, \"cq_threads\": %llu},\n",
                std::thread::hardware_concurrency(),

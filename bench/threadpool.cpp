@@ -1,7 +1,7 @@
 // Microbench for core::ThreadPool, the dispatcher behind every multi-core
 // path (GEMM macro loops, batched im2col, graph executor batch splits).
-// Three claims, each pinned as a machine-portable gated metric in
-// BENCH_threadpool.json:
+// Three claims, each reported as a machine-portable metric in the JSON
+// report:
 //
 //  1. Size-1 parity: a pool of size 1 runs parallel_for inline — the same
 //     code the repo ran before the pool existed. inline.speedup (raw loop
@@ -10,10 +10,9 @@
 //     heap allocations on the calling thread (job latch on the stack, POD
 //     task slots). dispatch.steady_heap_allocs must stay 0.
 //  3. Scaling: on a multi-core host a memory-light kernel speeds up with the
-//     pool engaged; on this repo's single-core CI box saxpy.speedup sits at
-//     ~1.0 and the gate only fails if the pool makes things WORSE.
+//     pool engaged; on a single-core host saxpy.speedup sits at ~1.0.
 //
-// `--json=PATH` writes BENCH_threadpool.json; `--smoke` runs coverage +
+// `--json=PATH` writes the JSON report; `--smoke` runs coverage +
 // parity checks only (CI).
 #include <algorithm>
 #include <atomic>
@@ -216,7 +215,7 @@ void write_json(const std::string& path, const BenchResult& r) {
   std::fprintf(f, "  \"bench\": \"threadpool\",\n");
   std::fprintf(f,
                "  \"regenerate\": \"build/bench/threadpool "
-               "--json=BENCH_threadpool.json\",\n");
+               "--json=bench_out/threadpool.json\",\n");
   std::fprintf(f,
                "  \"hardware\": {\"cores\": %u, \"cq_threads\": %llu},\n",
                std::thread::hardware_concurrency(),

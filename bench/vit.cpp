@@ -1,16 +1,15 @@
-// Transformer-encoder bench (DESIGN.md §16): regenerates the repo-root
-// BENCH_vit.json. Three sections:
+// Transformer-encoder bench (DESIGN.md §16). Three sections:
 //
 //   attn     attention-shaped GEMM throughput: the score product Q K^T
 //            (kNT, [seq, dh] x [seq, dh]) and the value product A V (kNN,
 //            [seq, seq] x [seq, dh]) at transformer head shapes. GFLOP/s
-//            absolutes for the table; not gated (host-dependent).
+//            absolutes for the table (host-dependent).
 //
 //   forward  compiled-vs-eager ViT forward at serving batch: the static
 //            plan (arena + prepacked B + fused epilogues) against the eager
-//            module tree, fp32 and int8. The fp32 speedup is the gated
-//            same-host ratio; the int8 plan rides the igemm path the conv
-//            backbones already gate.
+//            module tree, fp32 and int8. The fp32 speedup is a same-host
+//            ratio; the int8 plan rides the igemm path the conv backbones
+//            already use.
 //
 //   ptq      the CPT-V story: a CQ-pretrained ViT's embeddings are
 //            quantized to int8 three ways — fp32 reference, naive min-max
@@ -26,8 +25,8 @@
 //
 // Protocol: bitwise equivalence gates run before any timing — compiled fp32
 // plan vs the eager module tree, and pool-size 1 vs 2 parity of the int8
-// plan. A mismatch fails the bench; "bitwise_equivalent" is a gated
-// baseline metric.
+// plan. A mismatch fails the bench and is reported as
+// "bitwise_equivalent": false.
 //
 // Flags: --json=PATH writes the report; --smoke runs the gates + a tiny
 // calibration determinism check only (the `vit_bench_smoke` ctest, label
@@ -47,37 +46,14 @@
 #include "search/recall.hpp"
 #include "tensor/gemm.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
 using namespace cq;
 
-int g_failures = 0;
-
-void check(bool ok, const char* what) {
-  if (!ok) {
-    std::fprintf(stderr, "FAIL %s\n", what);
-    ++g_failures;
-  }
-}
-
-/// Best-of-3 seconds per call, calibrated to ~`target` seconds per run.
-template <class F>
-double time_best(F&& fn, double target) {
-  fn();  // warm
-  Timer cal;
-  fn();
-  const double once = std::max(cal.seconds(), 1e-7);
-  const int reps = std::max<int>(1, static_cast<int>(target / once));
-  double best = 1e300;
-  for (int run = 0; run < 3; ++run) {
-    Timer t;
-    for (int r = 0; r < reps; ++r) fn();
-    best = std::min(best, t.seconds() / reps);
-  }
-  return best;
-}
+using bench::check;
+using bench::g_failures;
+using bench::time_best;
 
 constexpr std::int64_t kImg = 16;
 constexpr std::int64_t kTopK = 10;
@@ -371,7 +347,7 @@ void write_json(const std::string& path, const std::vector<AttnCase>& attn,
   std::fprintf(f, "  \"bench\": \"vit\",\n");
   std::fprintf(f,
                "  \"regenerate\": \"build/bench/vit "
-               "--json=BENCH_vit.json\",\n");
+               "--json=bench_out/vit.json\",\n");
   std::fprintf(f, "  \"hardware\": {\"cores\": %u, \"cq_threads\": %llu},\n",
                std::thread::hardware_concurrency(),
                static_cast<unsigned long long>(core::configured_threads()));

@@ -45,18 +45,10 @@ Tensor Linear::forward(const Tensor& x) {
     ep.bias = std::as_const(bias_.value).data();
     ep.bias_kind = gemm::Epilogue::Bias::kPerCol;
   }
-  if (fused_act_ != FusedAct::kNone) {
-    CQ_CHECK_MSG(mode_ == Mode::kEval,
-                 "fused activation is eval-only: backward needs the "
-                 "pre-activation values");
-    ep.act = fused_act_ == FusedAct::kRelu ? gemm::Epilogue::Act::kRelu
-                                           : gemm::Epilogue::Act::kReluCap;
-    ep.cap = fused_cap_;
-  }
 
   const auto batch = x.dim(0);
   // gemm fully writes y, so skip the zero-fill.
-  Tensor y = Tensor::empty(Shape{batch, out_features_});  // y = act(x W^T + b)
+  Tensor y = Tensor::empty(Shape{batch, out_features_});  // y = x W^T + b
   gemm::gemm(gemm::Trans::kNT, batch, out_features_, in_features_, x.data(),
              w.data(), y.data(), /*accumulate=*/false, ep, nullptr,
              wq ? &*wq : nullptr);

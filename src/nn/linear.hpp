@@ -16,10 +16,6 @@ namespace cq::nn {
 
 class Linear : public Module {
  public:
-  /// Activation fused into the forward GEMM's epilogue (eval mode only:
-  /// backward needs the pre-activation values a fused pass never yields).
-  enum class FusedAct { kNone, kRelu, kReluCap };
-
   /// He-uniform initialized weight [out_features, in_features].
   Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng,
          bool bias = true, std::string name = "linear");
@@ -33,13 +29,6 @@ class Linear : public Module {
   /// Install/replace the weight transform (nullptr disables).
   void set_weight_transform(std::shared_ptr<const WeightTransform> t) {
     transform_ = std::move(t);
-  }
-
-  /// Fuse an activation into the forward epilogue. Checked against train
-  /// mode at forward time; `cap` is the ReLU6-style ceiling for kReluCap.
-  void set_fused_activation(FusedAct act, float cap = 0.0f) {
-    fused_act_ = act;
-    fused_cap_ = cap;
   }
 
   std::int64_t in_features() const { return in_features_; }
@@ -66,8 +55,6 @@ class Linear : public Module {
   Parameter weight_;
   Parameter bias_;
   std::shared_ptr<const WeightTransform> transform_;
-  FusedAct fused_act_ = FusedAct::kNone;
-  float fused_cap_ = 0.0f;
   std::vector<Cache> cache_;
 };
 

@@ -73,6 +73,7 @@ bool Engine::submit(Request* r) {
   CQ_CHECK(r != nullptr && r->input != nullptr && r->output != nullptr);
   if (stopping_.load(std::memory_order_acquire)) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
+    r->complete(Status::kShutdown);
     return false;
   }
   // Round-robin across shards; when the preferred shard is full, fall back
@@ -86,6 +87,7 @@ bool Engine::submit(Request* r) {
     }
   }
   rejected_.fetch_add(1, std::memory_order_relaxed);
+  r->complete(Status::kRejectedFull);
   return false;
 }
 

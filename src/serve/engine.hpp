@@ -77,10 +77,10 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Non-blocking admission. Returns false — WITHOUT completing the request
-  /// or touching its status — when the queue is full or the engine is
-  /// stopping; the caller sheds the load. On success the request will reach
-  /// a terminal status exactly once.
+  /// Non-blocking admission. Returns false when the queue is full or the
+  /// engine is stopping, after completing the request with kRejectedFull or
+  /// kShutdown; the caller sheds the load (reset() before resubmitting). On
+  /// success the request will reach a terminal status exactly once.
   bool submit(Request* r);
 
   /// Graceful shutdown: stop admitting, let workers drain already-accepted

@@ -12,19 +12,16 @@ class GraphInstance : public ModelInstance {
                 std::int64_t max_batch, graph::Precision precision)
       : model_(graph::compile(backbone, sample_shape,
                               graph::CompileOptions{max_batch, precision,
-                                                    /*run_passes=*/true})),
-        kind_(precision == graph::Precision::kInt8 ? "int8" : "fp32") {}
+                                                    /*run_passes=*/true})) {}
 
   const Tensor& forward(const Tensor& batch) override {
     return model_.forward(batch);
   }
-  const char* kind_name() const override { return kind_; }
   std::int64_t arena_bytes() const override { return model_.arena_bytes(); }
   graph::CompiledModel* compiled() override { return &model_; }
 
  private:
   graph::CompiledModel model_;
-  const char* kind_;
 };
 
 }  // namespace

@@ -33,7 +33,6 @@ class ModelInstance {
   /// Forward an [N, C, H, W] batch to [N, feature_dim]. The reference stays
   /// valid until the next forward on this instance.
   virtual const Tensor& forward(const Tensor& batch) = 0;
-  virtual const char* kind_name() const = 0;
   /// Bytes of the instance's planned arena (0 if the instance has none).
   virtual std::int64_t arena_bytes() const = 0;
   /// The underlying compiled plan, or null for instances that do not run

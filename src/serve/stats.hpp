@@ -1,5 +1,5 @@
 // Serving metrics: latency histograms, throughput, queue depth — exported as
-// JSON for dashboards and for bench/serve.cpp.
+// JSON for dashboards (examples/serve_demo.cpp prints it).
 //
 // LatencyHistogram uses fixed logarithmic buckets (quarter-octave, i.e. four
 // buckets per power of two) spanning 1µs..~70s. Recording is O(1) with no

@@ -158,11 +158,6 @@ void im2col_batched(const float* images, std::int64_t n,
   });
 }
 
-void im2col_into(const float* image, const ConvGeometry& g, Tensor& cols) {
-  cols.resize(Shape{g.col_rows(), g.col_cols()});
-  im2col(image, g, cols.data());
-}
-
 void im2row(const float* image, const ConvGeometry& g, float* rows) {
   const auto oh = g.out_h(), ow = g.out_w();
   CQ_TRACE_SCOPE_BYTES("im2row", g.col_rows() * oh * ow * sizeof(float));

@@ -48,11 +48,6 @@ void im2col_batched(const float* images, std::int64_t n,
                     std::int64_t sample_stride, const ConvGeometry& g,
                     float* cols, std::int64_t col_stride);
 
-/// Destination-passing variant: resizes `cols` to [col_rows, col_cols]
-/// (reusing its pooled storage when possible) and fully overwrites it.
-/// `image` must not alias `cols`.
-void im2col_into(const float* image, const ConvGeometry& g, Tensor& cols);
-
 /// Patch-major lowering (im2row): the TRANSPOSE of the im2col matrix,
 /// shape [col_cols, col_rows] — one contiguous (c, kh, kw)-ordered patch
 /// per output pixel, matching the weight row layout. Paired with

@@ -34,7 +34,7 @@ namespace cq::kernels {
 // ---- popcount reductions ---------------------------------------------------
 
 /// Total set bits over n words (the primitive the scan is built from; has
-/// its own baseline row in BENCH_kernels.json).
+/// its own row in bench/kernels' JSON report).
 std::uint64_t popcount_u64(const std::uint64_t* x, std::int64_t n);
 
 /// Hamming distance between two packed codes of `words` u64 words.

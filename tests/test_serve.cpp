@@ -343,13 +343,15 @@ TEST(Engine, BackpressureFailsFastAndShutdownDrains) {
   }
   reqs[4].input = inputs[4].data();
   reqs[4].output = outs[4].data();
-  EXPECT_FALSE(engine.submit(&reqs[4]));  // full: fail fast, no completion
-  EXPECT_EQ(reqs[4].status(), serve::Status::kPending);
+  EXPECT_FALSE(engine.submit(&reqs[4]));  // full: fail fast, completed
+  EXPECT_EQ(reqs[4].status(), serve::Status::kRejectedFull);
 
   engine.stop();  // accepted-but-unrunnable requests fail with kShutdown
   for (std::size_t i = 0; i < 4; ++i)
     EXPECT_EQ(reqs[i].wait(), serve::Status::kShutdown);
+  reqs[4].reset();
   EXPECT_FALSE(engine.submit(&reqs[4]));  // stopped: no new admissions
+  EXPECT_EQ(reqs[4].status(), serve::Status::kShutdown);
 
   const auto stats = engine.stats();
   EXPECT_EQ(stats.submitted, 4u);
@@ -358,32 +360,52 @@ TEST(Engine, BackpressureFailsFastAndShutdownDrains) {
   EXPECT_EQ(stats.queue_peak_depth, 4u);
 }
 
+// Steady-state serving never touches the heap, at either precision, from
+// one client or from a burst of several client threads. Each client thread
+// submits `windows` windows of `window` requests, reaping each window
+// before the next; the 4-thread case is 32 requests in flight at once
+// against max_batch 4.
 TEST(Engine, ZeroAllocSteadyState) {
-  auto cfg = base_config();
-  cfg.workers = 1;
-  cfg.max_batch = 4;
-  cfg.prewarm = true;
-  serve::Engine engine(cfg);
+  struct Load {
+    std::size_t clients, window, windows;
+  };
+  for (auto kind : {serve::InstanceKind::kFp32, serve::InstanceKind::kInt8})
+    for (const Load load : {Load{1, 4, 5}, Load{4, 8, 1}}) {
+      SCOPED_TRACE(std::string(serve::instance_kind_name(kind)) + ", " +
+                   std::to_string(load.clients) + " client thread(s)");
+      auto cfg = base_config();
+      cfg.workers = 1;
+      cfg.instance = kind;
+      cfg.max_batch = 4;
+      cfg.prewarm = true;
+      serve::Engine engine(cfg);
 
-  const auto inputs = make_inputs(4, 17);
-  std::vector<std::vector<float>> outs(
-      4, std::vector<float>(static_cast<std::size_t>(engine.feature_dim())));
-  for (int burst = 0; burst < 5; ++burst) {
-    std::vector<serve::Request> reqs(4);
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      reqs[i].input = inputs[i].data();
-      reqs[i].output = outs[i].data();
-      ASSERT_TRUE(engine.submit(&reqs[i]));
+      const auto inputs = make_inputs(load.clients * load.window, 17);
+      const auto dim = static_cast<std::size_t>(engine.feature_dim());
+      std::vector<std::thread> threads;
+      for (std::size_t c = 0; c < load.clients; ++c)
+        threads.emplace_back([&, c] {
+          std::vector<float> outs(load.window * dim);
+          for (std::size_t w = 0; w < load.windows; ++w) {
+            std::vector<serve::Request> reqs(load.window);
+            for (std::size_t i = 0; i < reqs.size(); ++i) {
+              reqs[i].input = inputs[c * load.window + i].data();
+              reqs[i].output = outs.data() + i * dim;
+              EXPECT_TRUE(engine.submit(&reqs[i]));
+            }
+            for (auto& r : reqs) EXPECT_EQ(r.wait(), serve::Status::kOk);
+          }
+        });
+      for (auto& t : threads) t.join();
+      engine.stop();
+
+      const auto stats = engine.stats();
+      EXPECT_EQ(stats.served, load.clients * load.window * load.windows);
+      // Prewarm paid for every buffer; serving itself must never hit the
+      // heap.
+      EXPECT_GT(stats.warmup_heap_allocs, 0u);
+      EXPECT_EQ(stats.steady_heap_allocs, 0u);
     }
-    for (auto& r : reqs) ASSERT_EQ(r.wait(), serve::Status::kOk);
-  }
-  engine.stop();
-
-  const auto stats = engine.stats();
-  EXPECT_EQ(stats.served, 20u);
-  // Prewarm paid for every buffer; serving itself must never hit the heap.
-  EXPECT_GT(stats.warmup_heap_allocs, 0u);
-  EXPECT_EQ(stats.steady_heap_allocs, 0u);
 }
 
 // Regression for the prewarm rework: the compiled plan's arena is sized at
