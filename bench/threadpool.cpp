@@ -7,8 +7,9 @@
 //     code the repo ran before the pool existed. inline.speedup (raw loop
 //     time / size-1 pool time) must stay ~1.0.
 //  2. Zero-allocation dispatch: a steady-state dispatch makes no tensor-pool
-//     heap allocations on the calling thread (job latch on the stack, POD
-//     task slots). dispatch.steady_heap_allocs must stay 0.
+//     heap allocations on the calling thread (the job and its latch live
+//     on the caller's stack, linked into an intrusive list).
+//     dispatch.steady_heap_allocs must stay 0.
 //  3. Scaling: on a multi-core host a memory-light kernel speeds up with the
 //     pool engaged; on a single-core host saxpy.speedup sits at ~1.0.
 //

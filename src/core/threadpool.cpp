@@ -10,12 +10,6 @@ namespace {
 // to run nested dispatches inline (one level of parallelism, no deadlocks).
 thread_local bool t_on_worker = false;
 
-// Per-worker deque capacity. Pushers never block on a full deque — run_job
-// executes overflow chunks inline on the caller — so this only needs to
-// cover the common case: kChunksPerThread chunks per job times a handful of
-// concurrent jobs.
-constexpr std::size_t kDequeSlots = 64;
-
 }  // namespace
 
 std::size_t configured_threads() {
@@ -58,103 +52,55 @@ void ThreadPool::set_size(std::size_t n) {
 void ThreadPool::start_workers() {
   if (size_ <= 1) return;
   stop_ = false;
-  pending_.store(0, std::memory_order_relaxed);
-  deques_.clear();
-  deques_.reserve(size_ - 1);
-  for (std::size_t i = 0; i + 1 < size_; ++i) {
-    deques_.push_back(std::make_unique<Deque>());
-    deques_.back()->slots.resize(kDequeSlots);
-  }
   threads_.reserve(size_ - 1);
-  for (std::size_t i = 0; i + 1 < size_; ++i) {
-    threads_.emplace_back([this, i] { worker_main(i); });
-  }
+  for (std::size_t i = 0; i + 1 < size_; ++i)
+    threads_.emplace_back([this] { worker_main(); });
 }
 
 void ThreadPool::stop_workers() {
   if (threads_.empty()) return;
   {
-    std::lock_guard<std::mutex> lk(wake_mu_);
+    std::lock_guard<std::mutex> lk(mu_);
     stop_ = true;
   }
   wake_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
   threads_.clear();
-  deques_.clear();
 }
 
-bool ThreadPool::try_pop(std::size_t index, Task& out) {
-  Deque& dq = *deques_[index];
-  std::lock_guard<std::mutex> lk(dq.mu);
-  if (dq.bottom == dq.top) return false;
-  --dq.bottom;
-  out = dq.slots[dq.bottom % kDequeSlots];
-  pending_.fetch_sub(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool ThreadPool::try_steal(std::size_t avoid, Task& out) {
-  const std::size_t n = deques_.size();
-  for (std::size_t k = 1; k <= n; ++k) {
-    const std::size_t i = (avoid + k) % n;
-    if (i == avoid) continue;
-    Deque& dq = *deques_[i];
-    std::lock_guard<std::mutex> lk(dq.mu);
-    if (dq.bottom == dq.top) continue;
-    out = dq.slots[dq.top % kDequeSlots];
-    ++dq.top;
-    pending_.fetch_sub(1, std::memory_order_relaxed);
-    return true;
+std::int64_t ThreadPool::claim(Job& job) {
+  const std::int64_t ci = job.next_chunk++;
+  if (job.next_chunk == job.chunks) {
+    (job.prev != nullptr ? job.prev->next : head_) = job.next;
+    (job.next != nullptr ? job.next->prev : tail_) = job.prev;
   }
-  return false;
+  return ci;
 }
 
-bool ThreadPool::try_steal_job(const Job* job, Task& out) {
-  for (std::size_t i = 0; i < deques_.size(); ++i) {
-    Deque& dq = *deques_[i];
-    std::lock_guard<std::mutex> lk(dq.mu);
-    // Scan from the bottom so the caller drains its (LIFO-recent) chunks
-    // before workers would reach them.
-    for (std::size_t p = dq.bottom; p != dq.top; --p) {
-      Task& slot = dq.slots[(p - 1) % kDequeSlots];
-      if (slot.job != job) continue;
-      out = slot;
-      // Close the gap by shifting the stack above the hole down one slot.
-      for (std::size_t q = p; q != dq.bottom; ++q) {
-        dq.slots[(q - 1) % kDequeSlots] = dq.slots[q % kDequeSlots];
-      }
-      --dq.bottom;
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
+void ThreadPool::run_chunk(std::unique_lock<std::mutex>& lk, Job& job,
+                           std::int64_t ci) {
+  // The partition is a pure function of (total, chunks, ci): every chunk
+  // has total / chunks indices, and the first total % chunks get one more.
+  const std::int64_t base = job.total / job.chunks;
+  const std::int64_t rem = job.total % job.chunks;
+  const std::int64_t begin = ci * base + (ci < rem ? ci : rem);
+  const std::int64_t end = begin + base + (ci < rem ? 1 : 0);
+  lk.unlock();
+  job.invoke(job.ctx, begin, end);
+  lk.lock();
+  // Notify while holding mu_: the caller cannot see unfinished == 0 and
+  // destroy the stack-allocated Job before this thread lets go of it.
+  if (--job.unfinished == 0) job.done.notify_one();
 }
 
-void ThreadPool::finish(Task& t) {
-  Job* job = t.job;
-  // Decrement under done_mu so the caller cannot observe remaining == 0 and
-  // destroy the stack-allocated Job while this thread still touches it.
-  std::lock_guard<std::mutex> lk(job->done_mu);
-  if (job->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    job->done_cv.notify_all();
-  }
-}
-
-void ThreadPool::worker_main(std::size_t index) {
+void ThreadPool::worker_main() {
   t_on_worker = true;
+  std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    Task t;
-    if (try_pop(index, t) || try_steal(index, t)) {
-      t.job->invoke(t.job->ctx, t.begin, t.end);
-      finish(t);
-      continue;
-    }
-    std::unique_lock<std::mutex> lk(wake_mu_);
-    wake_cv_.wait(lk, [this] {
-      return stop_ || pending_.load(std::memory_order_acquire) > 0;
-    });
+    wake_cv_.wait(lk, [this] { return stop_ || head_ != nullptr; });
     if (stop_) return;
+    Job& job = *head_;
+    run_chunk(lk, job, claim(job));
   }
 }
 
@@ -165,62 +111,16 @@ void ThreadPool::run_job(std::int64_t total, std::int64_t grain,
   std::int64_t chunks = (total + grain - 1) / grain;
   if (chunks > max_chunks) chunks = max_chunks;
 
-  Job job;
-  job.invoke = invoke;
-  job.ctx = ctx;
-  job.remaining.store(chunks, std::memory_order_relaxed);
-
-  // Deal chunks round-robin across the worker deques. The partition is a
-  // pure function of (total, chunks): chunk ci covers base indices plus one
-  // extra for the first `total % chunks` chunks, so the ranges — and thus
-  // the results — never depend on scheduling.
-  const std::int64_t base = total / chunks;
-  const std::int64_t rem = total % chunks;
-  std::int64_t begin = 0;
-  std::int64_t queued = 0;
-  const std::size_t n = deques_.size();
-  for (std::int64_t ci = 0; ci < chunks; ++ci) {
-    const std::int64_t len = base + (ci < rem ? 1 : 0);
-    Task t{&job, begin, begin + len};
-    begin += len;
-    bool pushed = false;
-    for (std::size_t k = 0; k < n && !pushed; ++k) {
-      Deque& dq = *deques_[(static_cast<std::size_t>(ci) + k) % n];
-      std::lock_guard<std::mutex> lk(dq.mu);
-      if (dq.bottom - dq.top < kDequeSlots) {
-        dq.slots[dq.bottom % kDequeSlots] = t;
-        ++dq.bottom;
-        pushed = true;
-      }
-    }
-    if (pushed) {
-      ++queued;
-    } else {
-      // Every deque full: run the chunk inline rather than blocking.
-      invoke(ctx, t.begin, t.end);
-      finish(t);
-    }
-  }
-
-  if (queued > 0) {
-    pending_.fetch_add(queued, std::memory_order_release);
-    // Empty critical section pairs with the worker's predicate evaluation
-    // under wake_mu_ (see header): no missed wakeups.
-    { std::lock_guard<std::mutex> lk(wake_mu_); }
-    wake_cv_.notify_all();
-  }
-
-  // The caller participates: execute chunks of THIS job until none are
-  // queued, then wait for in-flight chunks on worker threads.
-  Task t;
-  while (try_steal_job(&job, t)) {
-    invoke(ctx, t.begin, t.end);
-    finish(t);
-  }
-  std::unique_lock<std::mutex> lk(job.done_mu);
-  job.done_cv.wait(lk, [&job] {
-    return job.remaining.load(std::memory_order_acquire) == 0;
-  });
+  Job job(invoke, ctx, total, chunks);
+  std::unique_lock<std::mutex> lk(mu_);
+  job.prev = tail_;
+  (tail_ != nullptr ? tail_->next : head_) = &job;
+  tail_ = &job;
+  wake_cv_.notify_all();
+  // The caller runs chunks of its own job only, so it never waits behind
+  // another caller's work; workers take the oldest open job first.
+  while (job.next_chunk < job.chunks) run_chunk(lk, job, claim(job));
+  job.done.wait(lk, [&job] { return job.unfinished == 0; });
 }
 
 }  // namespace cq::core

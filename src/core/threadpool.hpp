@@ -1,7 +1,8 @@
-// Work-stealing thread pool driving every multi-core path in the repo: the
-// GEMM macro loops (fp32 and int8), batched im2col lowering, the graph
-// executor's per-op batch splits, and the serve engine's sharded workers all
-// dispatch through ThreadPool::parallel_for.
+// Process-wide thread pool driving every multi-core compute path in the
+// repo: the GEMM macro loops (fp32 and int8), batched im2col lowering and
+// the graph executor's per-op batch splits all dispatch through
+// ThreadPool::parallel_for. Serve engine workers are their own threads, not
+// pool threads; the pool only splits the compute each of them issues.
 //
 // Design (DESIGN.md §14):
 //  * One process-wide pool (ThreadPool::instance()), sized from the
@@ -10,34 +11,34 @@
 //    worker threads: every parallel_for runs inline on the caller — exactly
 //    the pre-threadpool behaviour, with zero dispatch overhead and zero
 //    allocation.
-//  * Work-stealing deques: each worker owns a fixed-capacity deque of task
-//    descriptors. parallel_for chunks its index range, deals the chunks
-//    round-robin across the deques, and the caller participates: it executes
-//    chunks of ITS OWN job (stolen from any deque) until none remain, then
-//    sleeps on the job latch. Workers pop LIFO from their own deque and
-//    steal FIFO from siblings. The deques are mutex-guarded — at chunk
-//    granularity (thousands of micro-kernel tiles per chunk) the lock is
-//    noise; the LOCK-FREE structure in this PR is the serve RequestQueue,
-//    which sits on the request hot path.
+//  * One open-job list: parallel_for links a Job (living on the caller's
+//    stack) at the tail of a FIFO list guarded by one mutex. A job hands
+//    out its chunks by index; workers claim the next chunk of the oldest
+//    open job, and the caller claims its own job's chunks, then sleeps on
+//    the job's latch. A job leaves the list when its last chunk is claimed.
+//    At chunk granularity (thousands of micro-kernel tiles per chunk) the
+//    lock is noise; the lock-free structure on a hot path is the serve
+//    RequestQueue.
 //  * Determinism: the pool never changes WHAT a chunk computes, only WHERE
-//    it runs. Callers partition output tiles so every chunk writes a
-//    disjoint region and each tile's accumulation order is independent of
-//    the partition — results are bitwise-identical at every pool size,
+//    it runs. Chunk ci's range is a pure function of (total, chunks, ci),
+//    and callers partition output tiles so every chunk writes a disjoint
+//    region and each tile's accumulation order is independent of the
+//    partition — results are bitwise-identical at every pool size,
 //    enforced by the parallel-vs-serial fuzz suites in tests/.
 //  * Nesting: a parallel_for issued from inside a pool worker runs inline
 //    (serially) on that worker. This keeps one level of parallelism — the
 //    outermost dispatch — and makes the pool deadlock-free by construction.
-//  * No allocation per dispatch: task descriptors are POD, the job latch
-//    lives on the caller's stack, and the deques are preallocated. A
-//    steady-state serving forward stays at zero heap allocations with the
-//    pool engaged (pinned by the ZeroAllocSteadyState tests).
+//  * No allocation per dispatch: the Job and its latch live on the caller's
+//    stack and the list is intrusive. A steady-state serving forward stays
+//    at zero heap allocations with the pool engaged (pinned by the
+//    ZeroAllocSteadyState tests).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace cq::core {
@@ -98,60 +99,43 @@ class ThreadPool {
  private:
   using InvokeFn = void (*)(void*, std::int64_t, std::int64_t);
 
-  /// Completion latch for one parallel_for, living on the caller's stack.
+  /// One parallel_for, living on the caller's stack. Every field past
+  /// `chunks` is guarded by the pool's mu_.
   struct Job {
-    InvokeFn invoke;
-    void* ctx;
-    std::atomic<std::int64_t> remaining;  // chunks not yet finished
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-  };
-
-  /// One chunk of one job. POD so deque slots never allocate.
-  struct Task {
-    Job* job = nullptr;
-    std::int64_t begin = 0;
-    std::int64_t end = 0;
-  };
-
-  /// Fixed-capacity work-stealing deque. Owner pops LIFO at the bottom
-  /// (cache-warm chunks first), thieves steal FIFO at the top. Guarded by a
-  /// per-deque mutex; see the header comment for why that is the right
-  /// trade at chunk granularity.
-  struct Deque {
-    std::mutex mu;
-    std::vector<Task> slots;
-    std::size_t top = 0;     // next steal position
-    std::size_t bottom = 0;  // next push position
+    Job(InvokeFn f, void* c, std::int64_t n, std::int64_t k)
+        : invoke(f), ctx(c), total(n), chunks(k), unfinished(k) {}
+    const InvokeFn invoke;
+    void* const ctx;
+    const std::int64_t total;
+    const std::int64_t chunks;
+    std::int64_t next_chunk = 0;  // next unclaimed chunk index
+    std::int64_t unfinished;      // chunks not yet finished
+    Job* prev = nullptr;          // open-job list links
+    Job* next = nullptr;
+    std::condition_variable done;  // latch: unfinished reached 0
   };
 
   ThreadPool();  // sized from CQ_THREADS / hardware concurrency
 
   void start_workers();
   void stop_workers();
-  void worker_main(std::size_t index);
+  void worker_main();
   void run_job(std::int64_t total, std::int64_t grain, InvokeFn invoke,
                void* ctx);
-  bool try_pop(std::size_t index, Task& out);    // LIFO from own deque
-  bool try_steal(std::size_t avoid, Task& out);  // FIFO from any other
-  /// Steal a chunk belonging to `job` from any deque (the caller helping
-  /// drain its own dispatch).
-  bool try_steal_job(const Job* job, Task& out);
-  static void finish(Task& t);
+  /// Claim `job`'s next chunk, unlinking the job when that was its last.
+  /// Caller holds mu_.
+  std::int64_t claim(Job& job);
+  /// Run chunk `ci` with mu_ released, then retake `lk` and count it done.
+  static void run_chunk(std::unique_lock<std::mutex>& lk, Job& job,
+                        std::int64_t ci);
 
   std::size_t size_ = 1;
   std::vector<std::thread> threads_;
-  std::vector<std::unique_ptr<Deque>> deques_;
-  // Sleep/wake for idle workers. pending_ counts queued (unexecuted) tasks:
-  // incremented before a pusher acquires wake_mu_ to notify, decremented
-  // under the owning deque's mutex at pop. A worker evaluates the wait
-  // predicate while holding wake_mu_, and a pusher notifies while holding
-  // it, so the worker either sees pending_ > 0 or blocks before the pusher
-  // can acquire the lock — no missed wakeups.
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  std::atomic<std::int64_t> pending_{0};
-  bool stop_ = false;  // guarded by wake_mu_
+  std::mutex mu_;
+  std::condition_variable wake_cv_;  // an open job was linked, or stop_
+  Job* head_ = nullptr;              // oldest open job; guarded by mu_
+  Job* tail_ = nullptr;              // newest open job; guarded by mu_
+  bool stop_ = false;                // guarded by mu_
 };
 
 /// The pool size CQ_THREADS requests: the parsed value clamped to

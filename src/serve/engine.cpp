@@ -19,19 +19,10 @@ std::uint64_t micros_between(Clock::time_point a, Clock::time_point b) {
 
 }  // namespace
 
-Engine::Engine(const EngineConfig& config) : config_(config) {
+Engine::Engine(const EngineConfig& config)
+    : config_(config), queue_(config.queue_capacity) {
   CQ_CHECK(config_.max_batch > 0);
-  CQ_CHECK(config_.queue_capacity > 0);
   CQ_CHECK(config_.in_channels > 0 && config_.in_h > 0 && config_.in_w > 0);
-
-  // One queue shard per worker (min one so a worker-less engine still
-  // admits); the configured capacity is split evenly across shards, rounded
-  // up so nq shards never hold fewer requests than one queue would have.
-  const std::size_t nq = std::max<std::size_t>(1, config_.workers);
-  const std::size_t shard_cap =
-      std::max<std::size_t>(1, (config_.queue_capacity + nq - 1) / nq);
-  for (std::size_t i = 0; i < nq; ++i)
-    queues_.push_back(std::make_unique<RequestQueue>(shard_cap));
 
   // Load the trained encoder: serving is full precision (the checkpointed
   // weights ARE the model; fake-quantization noise belongs to training) and
@@ -49,7 +40,6 @@ Engine::Engine(const EngineConfig& config) : config_(config) {
   const Shape sample{config_.in_channels, config_.in_h, config_.in_w};
   for (std::size_t i = 0; i < config_.workers; ++i) {
     auto w = std::make_unique<Worker>();
-    w->index = i;
     w->model = make_instance(config_.instance, *encoder_.backbone, sample,
                              static_cast<std::int64_t>(config_.max_batch));
     w->batcher = std::make_unique<Batcher>(sample, encoder_.feature_dim);
@@ -71,42 +61,38 @@ Engine::~Engine() { stop(); }
 bool Engine::submit(Request* r) {
   CQ_TRACE_SCOPE("serve.enqueue");
   CQ_CHECK(r != nullptr && r->input != nullptr && r->output != nullptr);
-  if (stopping_.load(std::memory_order_acquire)) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    r->complete(Status::kShutdown);
-    return false;
-  }
-  // Round-robin across shards; when the preferred shard is full, fall back
-  // to any shard with room so total capacity equals the sum of the shards.
-  const std::size_t nq = queues_.size();
-  const std::uint64_t ticket = rr_.fetch_add(1, std::memory_order_relaxed);
-  for (std::size_t o = 0; o < nq; ++o) {
-    if (queues_[(ticket + o) % nq]->try_push(r)) {
-      submitted_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
+  // Announce before reading stopping_ (both seq_cst, pairing with stop()):
+  // either stop() sees this submit in flight and waits for it, or this
+  // submit sees stopping_.
+  submitting_.fetch_add(1, std::memory_order_seq_cst);
+  const bool stopping = stopping_.load(std::memory_order_seq_cst);
+  const bool accepted = !stopping && queue_.try_push(r);
+  submitting_.fetch_sub(1, std::memory_order_release);
+  if (accepted) {
+    submitted_.fetch_add(1, std::memory_order_relaxed);
+    return true;
   }
   rejected_.fetch_add(1, std::memory_order_relaxed);
-  r->complete(Status::kRejectedFull);
+  r->complete(stopping ? Status::kShutdown : Status::kRejectedFull);
   return false;
 }
 
 void Engine::stop() {
   std::lock_guard<std::mutex> lock(stop_mu_);
   if (stopped_) return;
-  stopping_.store(true, std::memory_order_release);
-  for (auto& q : queues_) q->close();
+  stopping_.store(true, std::memory_order_seq_cst);
+  while (submitting_.load(std::memory_order_seq_cst) != 0)
+    std::this_thread::yield();
+  queue_.close();
   for (auto& w : workers_)
     if (w->thread.joinable()) w->thread.join();
-  // Anything still queued (only possible with zero workers, or requests
-  // raced in just before close) was accepted but can no longer run.
+  // Anything still queued (only possible with zero workers) was accepted
+  // but can no longer run.
   std::vector<Request*> leftovers;
-  for (auto& q : queues_) {
-    q->drain(leftovers);
-    for (Request* r : leftovers) {
-      shutdown_failed_.fetch_add(1, std::memory_order_relaxed);
-      r->complete(Status::kShutdown);
-    }
+  queue_.drain(leftovers);
+  for (Request* r : leftovers) {
+    shutdown_failed_.fetch_add(1, std::memory_order_relaxed);
+    r->complete(Status::kShutdown);
   }
   stopped_ = true;
 }
@@ -122,7 +108,7 @@ void Engine::worker_main(Worker& w) {
   // through a spare settle into a pure pool round-trip. Allocations before
   // the fence are warmup; after it, steady state must stay at zero at ANY
   // batch width 1..max_batch (pinned by ZeroAllocAcrossWidths).
-  if (config_.prewarm) {
+  {
     CQ_TRACE_SCOPE("serve.prewarm");
     for (int pass = 0; pass < 3; ++pass) {
       const Tensor& warm = w.batcher->prewarm(config_.max_batch);
@@ -147,38 +133,16 @@ void Engine::worker_main(Worker& w) {
   // Latency staging, sized once: the steady-state loop must not malloc.
   std::vector<std::uint64_t> queue_us(config_.max_batch);
   std::vector<std::uint64_t> total_us(config_.max_batch);
-  RequestQueue& own = *queues_[w.index];
-  const std::size_t nq = queues_.size();
-  // With siblings to steal from, bound the blocking wait on our own queue
-  // so an idle worker re-scans the other shards at this cadence. A request
-  // landing in OUR queue still wakes us immediately via its cv — the poll
-  // only bounds how stale a sibling backlog can get before we notice it.
-  const std::chrono::microseconds first_wait =
-      nq > 1 ? std::chrono::microseconds{1000}
-             : std::chrono::microseconds::max();
   for (;;) {
-    std::size_t stolen = 0;
     Clock::time_point window_start;
     {
       // Includes the bounded wait for the batch to fill (max_wait).
       CQ_TRACE_SCOPE("serve.batch_form");
-      (void)own.pop_batch_for(batch, config_.max_batch, config_.max_wait,
-                              first_wait, &window_start);
-      if (batch.empty() && nq > 1) {
-        window_start = Clock::now();  // a steal sweep never waits
-        for (std::size_t o = 1; o < nq && batch.size() < config_.max_batch;
-             ++o)
-          stolen += queues_[(w.index + o) % nq]->try_pop_some(
-              batch, config_.max_batch - batch.size());
-      }
-    }
-    if (batch.empty()) {
-      // pop_batch_for returning empty on a closed queue means it drained;
-      // the steal sweep above found nothing either, so exit. (stop()
-      // closes every shard before joining, and each remaining shard has
-      // its own worker to drain it.)
-      if (own.closed()) return;
-      continue;  // first_wait poll expired with nothing anywhere
+      // 0 means the queue is closed and drained: stop() closes it before
+      // joining, so every accepted request has been taken by some worker.
+      if (queue_.pop_batch(batch, config_.max_batch, config_.max_wait,
+                           &window_start) == 0)
+        return;
     }
 
     const auto dequeue_time = Clock::now();
@@ -216,7 +180,6 @@ void Engine::worker_main(Worker& w) {
         ++w.stats.batches;
         w.stats.served += n;
         w.stats.timed_out += expired;
-        w.stats.stolen += stolen;
         w.stats.batch_size_sum += n;
         w.stats.max_batch_seen =
             std::max<std::uint64_t>(w.stats.max_batch_seen, n);
@@ -233,10 +196,9 @@ void Engine::worker_main(Worker& w) {
         CQ_TRACE_SCOPE_N("serve.complete", batch.size());
         for (Request* r : batch) r->complete(Status::kOk);
       }
-    } else if (expired > 0 || stolen > 0) {
+    } else {  // every request in the batch had expired
       std::lock_guard<std::mutex> lock(w.stats_mu);
       w.stats.timed_out += expired;
-      w.stats.stolen += stolen;
     }
   }
 }
@@ -246,10 +208,8 @@ EngineStats Engine::stats() const {
   s.submitted = submitted_.load(std::memory_order_relaxed);
   s.rejected_full = rejected_.load(std::memory_order_relaxed);
   s.shutdown_failed = shutdown_failed_.load(std::memory_order_relaxed);
-  for (const auto& q : queues_) {
-    s.queue_depth += q->depth();
-    s.queue_peak_depth += q->peak_depth();
-  }
+  s.queue_depth = queue_.depth();
+  s.queue_peak_depth = queue_.peak_depth();
   std::uint64_t batch_size_sum = 0;
   s.workers.reserve(workers_.size());
   for (const auto& w : workers_) {
@@ -259,7 +219,6 @@ EngineStats Engine::stats() const {
       s.served += w->stats.served;
       s.timed_out += w->stats.timed_out;
       s.batches += w->stats.batches;
-      s.stolen += w->stats.stolen;
       batch_size_sum += w->stats.batch_size_sum;
       s.max_batch_seen = std::max(s.max_batch_seen, w->stats.max_batch_seen);
       s.warmup_heap_allocs += w->stats.warmup_heap_allocs;
@@ -272,7 +231,6 @@ EngineStats Engine::stats() const {
       ws.served = w->stats.served;
       ws.batches = w->stats.batches;
       ws.timed_out = w->stats.timed_out;
-      ws.stolen = w->stats.stolen;
       ws.mean_batch_size =
           w->stats.batches == 0
               ? 0.0
@@ -280,8 +238,6 @@ EngineStats Engine::stats() const {
                     static_cast<double>(w->stats.batches);
       ws.batch_hist = w->stats.batch_hist;
     }
-    ws.queue_depth = queues_[w->index]->depth();
-    ws.queue_peak_depth = queues_[w->index]->peak_depth();
     s.workers.push_back(ws);
   }
   s.mean_batch_size = s.batches == 0

@@ -6,17 +6,14 @@
 //   if (r.wait() == Status::kOk) ...  // feature vector in r.output
 //   engine.stop();                    // graceful: accepted work completes
 //
-// Architecture (DESIGN.md §10, §14): submit() round-robins across one
-// bounded lock-free RequestQueue PER worker (sharded, so producers and the
-// worker pool never contend on a single queue lock), falling back to any
-// shard with room before rejecting. Each worker pops dynamic micro-batches
-// from its OWN queue (a lone request dispatches at once; a batch with
-// company fills to max_batch or the max_wait window, whichever first),
-// stealing from sibling queues when its own runs empty, then
-// filters expired deadlines, collates into a pre-warmed batch tensor,
-// forwards through a per-worker compiled ModelInstance, and scatters
-// feature rows back. Per-worker stats (latency histograms, batch-size
-// histograms, per-queue depths, steal counts, heap-allocation deltas)
+// Architecture (DESIGN.md §10, §14): submit() pushes into one bounded
+// lock-free RequestQueue shared by every worker, and rejects at once when it
+// is full. Each worker pops a dynamic micro-batch from that queue (a lone
+// request dispatches at once; a batch with company fills to max_batch or
+// the max_wait window, whichever first), filters expired deadlines,
+// collates into a pre-warmed batch tensor, forwards through its own
+// compiled ModelInstance, and scatters feature rows back. Per-worker stats
+// (latency histograms, batch-size histograms, heap-allocation deltas)
 // aggregate on demand into EngineStats / stats_json().
 #pragma once
 
@@ -59,11 +56,6 @@ struct EngineConfig {
   std::chrono::microseconds max_wait{500};
   /// Bounded queue capacity; submit() fails fast when full.
   std::size_t queue_capacity = 64;
-  /// Forward three times at max_batch per worker at startup. The compiled
-  /// plan's arena is sized at max_batch, so every narrower width runs inside
-  /// it and steady-state serving performs zero heap allocations per request
-  /// regardless of how full each micro-batch runs.
-  bool prewarm = true;
 };
 
 class Engine {
@@ -100,7 +92,6 @@ class Engine {
 
  private:
   struct Worker {
-    std::size_t index = 0;  // also indexes this worker's own queue shard
     std::unique_ptr<ModelInstance> model;
     std::unique_ptr<Batcher> batcher;
     std::thread thread;
@@ -112,12 +103,12 @@ class Engine {
 
   EngineConfig config_;
   models::Encoder encoder_;
-  /// One shard per worker (min one, so workers == 0 still admits). Total
-  /// admission capacity is config.queue_capacity split evenly across shards.
-  std::vector<std::unique_ptr<RequestQueue>> queues_;
+  RequestQueue queue_;  // shared by every worker
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::atomic<std::uint64_t> rr_{0};  // round-robin submit ticket
   std::atomic<bool> stopping_{false};
+  // submit() calls past their stopping_ check; stop() waits for them to
+  // finish before closing the queue, so no push lands after its drain.
+  std::atomic<std::uint64_t> submitting_{0};
   bool stopped_ = false;  // guarded by stop_mu_
   std::mutex stop_mu_;
   // Startup latch: the constructor blocks until every worker has prewarmed.

@@ -95,60 +95,32 @@ Request* RequestQueue::try_pop_one() {
   return r;
 }
 
-std::size_t RequestQueue::try_pop_some(std::vector<Request*>& out,
-                                       std::size_t max) {
-  std::size_t n = 0;
-  while (n < max) {
-    Request* r = try_pop_one();
-    if (r == nullptr) break;
-    out.push_back(r);
-    ++n;
-  }
-  return n;
-}
-
 std::size_t RequestQueue::pop_batch(std::vector<Request*>& out,
                                     std::size_t max_batch,
-                                    std::chrono::microseconds max_wait) {
-  return pop_batch_for(out, max_batch, max_wait,
-                       std::chrono::microseconds::max());
-}
-
-std::size_t RequestQueue::pop_batch_for(std::vector<Request*>& out,
-                                        std::size_t max_batch,
-                                        std::chrono::microseconds max_wait,
-                                        std::chrono::microseconds first_wait,
-                                        Clock::time_point* window_start) {
+                                    std::chrono::microseconds max_wait,
+                                    Clock::time_point* window_start) {
   CQ_CHECK(max_batch > 0);
   out.clear();
 
-  // Phase 1: block for the FIRST request (bounded by first_wait).
+  // Phase 1: block for the FIRST request.
   Request* first = try_pop_one();
   if (first == nullptr) {
-    const bool bounded = first_wait != std::chrono::microseconds::max();
-    const Clock::time_point give_up =
-        bounded ? Clock::now() + first_wait : Clock::time_point::max();
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
     {
       std::unique_lock<std::mutex> lk(wait_mu_);
       for (;;) {
         // Emptiness re-check under wait_mu_: a producer that saw us in
         // sleepers_ must take this mutex before notifying, so the pop here
-        // and the wait below are atomic with respect to its wakeup.
+        // and the wait below are atomic with respect to its wakeup. Read
+        // closed_ first, so a request pushed before close() is still taken.
+        const bool closed = closed_.load(std::memory_order_acquire);
         first = try_pop_one();
-        if (first != nullptr || closed_.load(std::memory_order_acquire))
-          break;
-        if (bounded) {
-          if (wait_cv_.wait_until(lk, give_up) == std::cv_status::timeout)
-            break;
-        } else {
-          wait_cv_.wait(lk);
-        }
+        if (first != nullptr || closed) break;
+        wait_cv_.wait(lk);
       }
     }
     sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-    if (first == nullptr) first = try_pop_one();  // post-timeout/close look
-    if (first == nullptr) return 0;  // closed+drained, or first_wait expired
+    if (first == nullptr) return 0;  // closed and drained
   }
   out.push_back(first);
   const Clock::time_point window_open = Clock::now();

@@ -1,14 +1,14 @@
 // Bounded lock-free MPMC request queue with fail-fast backpressure and
 // deadline-aware batch pops — the admission-control half of the serving
-// engine.
+// engine. One queue per Engine, shared by every worker.
 //
 // Producers call try_push(), which NEVER blocks: a full queue returns false
 // immediately so the client can shed load (the TensorRT/Triton "reject at
-// admission" policy rather than unbounded buffering). Consumers call
-// pop_batch(), which blocks for the FIRST request and takes whatever is
-// already queued behind it. A lone request dispatches at once; a batch
-// that already has company lingers up to `max_wait` gathering more — the
-// dynamic micro-batching window.
+// admission" policy rather than unbounded buffering). Any number of
+// consumers call pop_batch(), which blocks for the FIRST request and takes
+// whatever is already queued behind it. A lone request dispatches at once;
+// a batch that already has company lingers up to `max_wait` gathering more
+// — the dynamic micro-batching window.
 //
 // Implementation (DESIGN.md §14): a Vyukov-style bounded MPMC ring. Each
 // cell carries a sequence number; producers claim a slot by CAS on the tail
@@ -50,28 +50,14 @@ class RequestQueue {
   /// blocking, whatever is already queued behind it. If that leaves the
   /// first request alone it returns at once; otherwise it waits at most
   /// `max_wait` past taking the FIRST request for the batch to fill, so
-  /// `max_wait` bounds only a batch that already has company.
+  /// `max_wait` bounds only a batch that already has company. When a
+  /// request is popped and `window_start` is non-null, it receives the time
+  /// the first request was taken (the window opening).
   /// Returns the number popped; 0 means the queue is closed AND drained —
   /// the consumer should exit.
   std::size_t pop_batch(std::vector<Request*>& out, std::size_t max_batch,
-                        std::chrono::microseconds max_wait);
-
-  /// pop_batch that gives up on the FIRST request after `first_wait` instead
-  /// of blocking indefinitely. Returns 0 with closed() false when the wait
-  /// simply timed out — the sharded engine uses this to interleave sibling
-  /// work-stealing scans with the blocking wait on its own queue. The same
-  /// lone-request rule applies: `max_wait` bounds only a batch that already
-  /// has company. When a request is popped and `window_start` is non-null,
-  /// it receives the time the FIRST request was taken (the window opening).
-  std::size_t pop_batch_for(std::vector<Request*>& out, std::size_t max_batch,
-                            std::chrono::microseconds max_wait,
-                            std::chrono::microseconds first_wait,
-                            Clock::time_point* window_start = nullptr);
-
-  /// Non-blocking bulk pop of up to `max` requests APPENDED to `out` (no
-  /// clear): the sibling-steal path of the sharded engine. Returns the
-  /// number appended.
-  std::size_t try_pop_some(std::vector<Request*>& out, std::size_t max);
+                        std::chrono::microseconds max_wait,
+                        Clock::time_point* window_start = nullptr);
 
   /// Reject future pushes and wake all blocked consumers. Already-queued
   /// requests remain poppable (graceful drain).
@@ -81,7 +67,6 @@ class RequestQueue {
   /// fail leftover requests after the workers exit). Returns count popped.
   std::size_t drain(std::vector<Request*>& out);
 
-  bool closed() const { return closed_.load(std::memory_order_acquire); }
   std::size_t depth() const;       // current queued count (racy snapshot)
   std::size_t peak_depth() const;  // high-water mark since construction
 
@@ -108,8 +93,8 @@ class RequestQueue {
   // Empty-queue parking. A consumer registers in sleepers_ BEFORE its final
   // emptiness re-check (done while holding wait_mu_); a producer that
   // observes sleepers_ > 0 after publishing acquires wait_mu_ (empty
-  // critical section) and notifies — the same no-missed-wakeup handshake as
-  // core::ThreadPool. Producers skip all of it while consumers are active.
+  // critical section) and notifies, so no wakeup is missed. Producers skip
+  // all of it while consumers are active.
   std::mutex wait_mu_;
   std::condition_variable wait_cv_;
   std::atomic<std::int64_t> sleepers_{0};

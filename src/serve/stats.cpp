@@ -100,7 +100,6 @@ std::string EngineStats::to_json() const {
      << "  \"timed_out\": " << timed_out << ",\n"
      << "  \"shutdown_failed\": " << shutdown_failed << ",\n"
      << "  \"batches\": " << batches << ",\n"
-     << "  \"stolen\": " << stolen << ",\n"
      << "  \"mean_batch_size\": " << mean_batch_size << ",\n"
      << "  \"max_batch_seen\": " << max_batch_seen << ",\n"
      << "  \"queue_depth\": " << queue_depth << ",\n"
@@ -116,10 +115,8 @@ std::string EngineStats::to_json() const {
     const WorkerSnapshot& w = workers[i];
     if (i) os << ", ";
     os << "{\"served\": " << w.served << ", \"batches\": " << w.batches
-       << ", \"timed_out\": " << w.timed_out << ", \"stolen\": " << w.stolen
+       << ", \"timed_out\": " << w.timed_out
        << ", \"mean_batch_size\": " << w.mean_batch_size
-       << ", \"queue_depth\": " << w.queue_depth
-       << ", \"queue_peak_depth\": " << w.queue_peak_depth
        << ", \"batch_hist\": ";
     json_batch_hist(os, w.batch_hist);
     os << "}";

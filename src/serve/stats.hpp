@@ -58,7 +58,6 @@ struct WorkerStats {
   std::uint64_t batches = 0;
   std::uint64_t served = 0;       // requests completed kOk
   std::uint64_t timed_out = 0;    // expired while queued
-  std::uint64_t stolen = 0;       // requests taken from sibling queues
   std::uint64_t batch_size_sum = 0;
   std::uint64_t max_batch_seen = 0;
   BatchHist batch_hist{};         // batch-size distribution, bucket i = size i+1
@@ -74,17 +73,14 @@ struct WorkerStats {
   LatencyHistogram window_latency;  // first taken -> dispatch, per batch
 };
 
-/// Per-worker slice of an EngineStats snapshot: each worker owns one request
-/// queue (the sharded design, DESIGN.md §14), so queue depth/peak are
-/// per-worker observables alongside its serving counters.
+/// Per-worker slice of an EngineStats snapshot: one worker's serving
+/// counters. The queue is shared by all workers, so its depth is reported
+/// once, in EngineStats.
 struct WorkerSnapshot {
   std::uint64_t served = 0;
   std::uint64_t batches = 0;
   std::uint64_t timed_out = 0;
-  std::uint64_t stolen = 0;
   double mean_batch_size = 0.0;
-  std::size_t queue_depth = 0;       // this worker's own queue, right now
-  std::size_t queue_peak_depth = 0;  // its high-water mark
   BatchHist batch_hist{};
 };
 
@@ -96,11 +92,14 @@ struct EngineStats {
   std::uint64_t timed_out = 0;
   std::uint64_t shutdown_failed = 0;  // completed kShutdown during stop()
   std::uint64_t batches = 0;
-  std::uint64_t stolen = 0;  // cross-queue steals, total
+  /// Always 0. Workers share one queue and steal nothing; the field stays
+  /// only because the end-to-end benchmark still reads it for
+  /// `serve.steals` (the work-stealing engine counted steals here).
+  std::uint64_t stolen = 0;
   double mean_batch_size = 0.0;
   std::uint64_t max_batch_seen = 0;
-  std::size_t queue_depth = 0;       // summed over all shard queues
-  std::size_t queue_peak_depth = 0;  // sum of per-shard high-water marks
+  std::size_t queue_depth = 0;       // the shared queue, right now
+  std::size_t queue_peak_depth = 0;  // its high-water mark
   std::uint64_t warmup_heap_allocs = 0;
   std::uint64_t steady_heap_allocs = 0;
   double uptime_seconds = 0.0;
@@ -113,7 +112,7 @@ struct EngineStats {
 
   /// Render as a JSON object (latencies in microseconds, p50/p90/p95/p99;
   /// batch_hist arrays trimmed at the last non-empty bucket; one "workers"
-  /// entry per worker with its queue depth and histogram).
+  /// entry per worker with its counters and histogram).
   std::string to_json() const;
 };
 

@@ -664,7 +664,7 @@ void pack_b_quantized(const float* b, std::int64_t rs, std::int64_t cs,
   };
   // Quantize-on-pack is arithmetic-dense enough to split; small packs run
   // inline (same bytes either way — slivers are partition-independent).
-  if (core::ThreadPool::instance().size() > 1 && k * n >= 1 << 16)
+  if (k * n >= 1 << 16)
     core::parallel_for(nsv, 1, range);
   else
     range(0, nsv);
@@ -701,7 +701,7 @@ void quantize_conv_input(const float* x, std::int64_t n,
 #endif
   };
   // Images write disjoint bytes, so any split matches the serial call.
-  if (core::ThreadPool::instance().size() > 1 && n * channels * hw >= 1 << 16)
+  if (n * channels * hw >= 1 << 16)
     core::parallel_for(n, 1, range);
   else
     range(0, n);
@@ -729,7 +729,7 @@ void pack_b_conv_c4(const std::uint8_t* q, const std::uint8_t* pad,
     pack_b_c4_scalar(q, pad, n, g, bp, sv0, sv1);
   };
   // Same split bar as pack_b_quantized; slivers are partition-independent.
-  if (core::ThreadPool::instance().size() > 1 && k * ncols >= 1 << 16)
+  if (k * ncols >= 1 << 16)
     core::parallel_for(nsv, 1, range);
   else
     range(0, nsv);
@@ -751,7 +751,7 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k,
 #endif
   };
   // Same bar as the fp32 path: ~2 MFLOP of MAC work before fan-out pays.
-  if (core::ThreadPool::instance().size() > 1 && 2 * m * n * k >= 2'000'000)
+  if (2 * m * n * k >= 2'000'000)
     core::parallel_for(ntiles, 1, tiles);
   else
     tiles(0, ntiles);

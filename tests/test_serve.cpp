@@ -8,6 +8,9 @@
 // batch must not perturb anyone's result by even an ulp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -135,8 +138,7 @@ TEST(RequestQueue, LoneRequestDoesNotLinger) {
   std::vector<serve::Request*> out;
   serve::Clock::time_point window_start;
   const auto t0 = serve::Clock::now();
-  EXPECT_EQ(q.pop_batch_for(out, 8, std::chrono::seconds(10),
-                            std::chrono::microseconds::max(), &window_start),
+  EXPECT_EQ(q.pop_batch(out, 8, std::chrono::seconds(10), &window_start),
             1u);
   const auto t1 = serve::Clock::now();
   EXPECT_LT(t1 - t0, std::chrono::seconds(1));
@@ -144,7 +146,7 @@ TEST(RequestQueue, LoneRequestDoesNotLinger) {
   EXPECT_EQ(out[0], &a);
   EXPECT_GE(window_start, t0);
   EXPECT_LE(window_start, t1);
-  // The blocking entry point follows the same rule.
+  // Without a window_start out-parameter the same rule holds.
   ASSERT_TRUE(q.try_push(&a));
   EXPECT_EQ(q.pop_batch(out, 8, std::chrono::seconds(10)), 1u);
   EXPECT_LT(serve::Clock::now() - t1, std::chrono::seconds(1));
@@ -329,7 +331,6 @@ TEST(Engine, BackpressureFailsFastAndShutdownDrains) {
   auto cfg = base_config();
   cfg.workers = 0;  // nothing consumes: the queue saturates deterministically
   cfg.queue_capacity = 4;
-  cfg.prewarm = false;
   serve::Engine engine(cfg);
 
   const auto inputs = make_inputs(5, 16);
@@ -377,7 +378,6 @@ TEST(Engine, ZeroAllocSteadyState) {
       cfg.workers = 1;
       cfg.instance = kind;
       cfg.max_batch = 4;
-      cfg.prewarm = true;
       serve::Engine engine(cfg);
 
       const auto inputs = make_inputs(load.clients * load.window, 17);
@@ -416,7 +416,6 @@ TEST(Engine, ZeroAllocSteadyStateAcrossWidths) {
   auto cfg = base_config();
   cfg.workers = 1;
   cfg.max_batch = 4;
-  cfg.prewarm = true;
   serve::Engine engine(cfg);
 
   const auto inputs = make_inputs(4, 19);
@@ -595,12 +594,10 @@ TEST(Engine, PerWorkerStatsAccountForEveryRequestAndBatch) {
 
   const auto stats = engine.stats();
   ASSERT_EQ(stats.workers.size(), 2u);
-  std::uint64_t served = 0, batches = 0, stolen = 0;
+  std::uint64_t served = 0, batches = 0;
   for (const serve::WorkerSnapshot& w : stats.workers) {
     served += w.served;
     batches += w.batches;
-    stolen += w.stolen;
-    EXPECT_EQ(w.queue_depth, 0u);  // drained at stop
     // The batch-size histogram is the per-worker batch ledger: bucket
     // counts sum to the worker's batches, and size-weighted they sum to
     // its served requests.
@@ -617,7 +614,6 @@ TEST(Engine, PerWorkerStatsAccountForEveryRequestAndBatch) {
   EXPECT_EQ(served, 16u);
   EXPECT_EQ(served, stats.served);
   EXPECT_EQ(batches, stats.batches);
-  EXPECT_EQ(stolen, stats.stolen);
   // Engine-level histogram is the merge of the per-worker ones.
   std::uint64_t merged = 0;
   for (std::size_t b = 0; b < serve::kBatchHistBuckets; ++b)
@@ -625,9 +621,87 @@ TEST(Engine, PerWorkerStatsAccountForEveryRequestAndBatch) {
   EXPECT_EQ(merged, stats.batches);
   // One window sample per dispatched batch.
   EXPECT_EQ(stats.window_latency.count(), stats.batches);
-  // Round-robin admission spreads across both shard queues.
+  // Both workers drained the one shared queue.
   EXPECT_EQ(stats.queue_depth, 0u);
   EXPECT_GE(stats.queue_peak_depth, 1u);
+}
+
+// stop() lands while four client threads are still submitting into the
+// queue that two workers share. Every request must reach exactly one
+// terminal status: served (bitwise equal to the serial plan), rejected at
+// admission (queue full, or engine stopping), or accepted and then failed
+// kShutdown. Each client keeps a window of requests in flight and ends
+// only when a submit is refused with kShutdown, so the stop is always
+// mid-traffic.
+TEST(Engine, StopMidTrafficCompletesEveryRequestOnce) {
+  constexpr std::size_t kClients = 4, kWindow = 4;
+  auto cfg = base_config();
+  cfg.workers = 2;
+  cfg.max_batch = 4;
+  cfg.queue_capacity = 8;  // 16 in flight against 8 cells: some shed
+  serve::Engine engine(cfg);
+
+  const auto inputs = make_inputs(kClients * kWindow, 25);
+  const auto dim = static_cast<std::size_t>(engine.feature_dim());
+  std::vector<std::vector<float>> want;
+  auto enc = load_reference();
+  auto net = serial_plan(enc, graph::Precision::kF32);
+  for (const Tensor& in : inputs) {
+    const Tensor& f = net.forward(in);
+    want.emplace_back(f.data(), f.data() + dim);
+  }
+
+  // Terminal statuses seen by the clients, indexed by serve::Status.
+  std::array<std::atomic<std::uint64_t>, 5> seen{};
+  std::atomic<std::uint64_t> wrong_rows{0};
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c)
+    clients.emplace_back([&, c] {
+      std::vector<serve::Request> slots(kWindow);
+      std::vector<float> outs(kWindow * dim);
+      const auto reap = [&](std::size_t j) {
+        const serve::Status s = slots[j].wait();
+        ++seen[static_cast<std::size_t>(s)];
+        if (s == serve::Status::kOk &&
+            std::memcmp(outs.data() + j * dim, want[c * kWindow + j].data(),
+                        dim * sizeof(float)) != 0)
+          ++wrong_rows;
+      };
+      std::size_t submits = 0;
+      for (bool refused = false; !refused; ++submits) {
+        const std::size_t j = submits % kWindow;
+        if (submits >= kWindow) reap(j);
+        slots[j].reset();
+        slots[j].input = inputs[c * kWindow + j].data();
+        slots[j].output = outs.data() + j * dim;
+        std::fill_n(slots[j].output, dim, std::nanf(""));
+        refused = !engine.submit(&slots[j]) &&
+                  slots[j].status() == serve::Status::kShutdown;
+      }
+      // The refused slot is already complete; reap every submitted slot.
+      for (std::size_t j = 0; j < std::min(submits, kWindow); ++j) reap(j);
+    });
+
+  while (engine.stats().served < 16)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  engine.stop();
+  for (auto& t : clients) t.join();
+
+  const auto count = [&](serve::Status s) {
+    return seen[static_cast<std::size_t>(s)].load();
+  };
+  EXPECT_EQ(count(serve::Status::kTimeout), 0u);
+  EXPECT_EQ(wrong_rows.load(), 0u);
+  const auto stats = engine.stats();
+  EXPECT_GE(stats.served, 16u);
+  EXPECT_EQ(stats.served, count(serve::Status::kOk));
+  EXPECT_EQ(stats.submitted,
+            stats.served + stats.timed_out + stats.shutdown_failed);
+  // rejected_full counts every refused submit, the stopping ones included.
+  EXPECT_EQ(stats.rejected_full + stats.shutdown_failed,
+            count(serve::Status::kRejectedFull) +
+                count(serve::Status::kShutdown));
+  EXPECT_EQ(stats.queue_depth, 0u);
 }
 
 TEST(Engine, StatsJsonIsWellFormed) {
@@ -659,7 +733,7 @@ TEST(Engine, StatsJsonIsWellFormed) {
        {"\"submitted\"", "\"served\"", "\"throughput_rps\"",
         "\"queue_latency\"", "\"total_latency\"", "\"p50_us\"", "\"p99_us\"",
         "\"steady_heap_allocs\"", "\"mean_batch_size\"", "\"batch_hist\"",
-        "\"workers\"", "\"stolen\"", "\"window_latency\""})
+        "\"workers\"", "\"window_latency\""})
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   const auto stats = engine.stats();
   EXPECT_EQ(stats.window_latency.count(), stats.batches);

@@ -1,4 +1,4 @@
-// Concurrency tests for the work-stealing ThreadPool and the lock-free MPMC
+// Concurrency tests for the open-job-list ThreadPool and the lock-free MPMC
 // RequestQueue — the two scale-out substrates of DESIGN.md §14. Labeled
 // substrate_serve so both sanitizer sweeps AND the tsan preset run them; the
 // stress cases here are sized to give TSan real interleavings, not just a
@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -150,23 +151,26 @@ TEST(ThreadPool, NestedDispatchRunsInlineWithoutDeadlock) {
   for (auto& h : hits) ASSERT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, ConcurrentCallersEachCoverTheirOwnRange) {
-  // Several EXTERNAL threads dispatching into the shared pool at once — the
-  // serve engine's shape (N workers all hitting parallel GEMM). Each caller
-  // must see exactly its own job completed.
-  PoolSizeGuard guard(4);
-  constexpr int kCallers = 4;
+/// `callers` EXTERNAL threads dispatching into the shared pool at once —
+/// the serve engine's shape (N workers all hitting parallel GEMM). Each
+/// caller must see exactly its own job completed, every time.
+void concurrent_callers_cover_own_range(std::size_t pool, int callers) {
+  SCOPED_TRACE("pool " + std::to_string(pool) + ", " +
+               std::to_string(callers) + " callers");
+  PoolSizeGuard guard(pool);
+  constexpr int kReps = 50;
   constexpr std::int64_t kTotal = 512;
-  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+  std::vector<std::vector<std::atomic<int>>> hits(
+      static_cast<std::size_t>(callers));
   for (auto& v : hits) {
     std::vector<std::atomic<int>> fresh(kTotal);
     for (auto& h : fresh) h.store(0, std::memory_order_relaxed);
     v.swap(fresh);
   }
-  std::vector<std::thread> callers;
-  for (int c = 0; c < kCallers; ++c) {
-    callers.emplace_back([&, c] {
-      for (int rep = 0; rep < 50; ++rep) {
+  std::vector<std::thread> threads;
+  for (int c = 0; c < callers; ++c) {
+    threads.emplace_back([&, c] {
+      for (int rep = 0; rep < kReps; ++rep) {
         core::parallel_for(kTotal, 8, [&](std::int64_t b, std::int64_t e) {
           for (std::int64_t i = b; i < e; ++i)
             hits[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)]
@@ -175,13 +179,20 @@ TEST(ThreadPool, ConcurrentCallersEachCoverTheirOwnRange) {
       }
     });
   }
-  for (auto& t : callers) t.join();
-  for (int c = 0; c < kCallers; ++c)
+  for (auto& t : threads) t.join();
+  for (int c = 0; c < callers; ++c)
     for (std::int64_t i = 0; i < kTotal; ++i)
       ASSERT_EQ(hits[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)]
                     .load(),
-                50)
+                kReps)
           << "caller " << c << " @" << i;
+}
+
+TEST(ThreadPool, ConcurrentCallersEachCoverTheirOwnRange) {
+  concurrent_callers_cover_own_range(4, 4);
+  // 24 jobs of 8 chunks each: up to 192 chunks open at once, more than a
+  // fixed 64-slot per-worker task buffer would hold.
+  concurrent_callers_cover_own_range(2, 24);
 }
 
 TEST(ThreadPool, ConfiguredThreadsParsesAndClampsEnv) {
@@ -219,13 +230,11 @@ TEST(MpmcQueue, FifoOrderAcrossManyLapsOfANonPowerOfTwoRing) {
     ASSERT_TRUE(q.try_push(&reqs[static_cast<std::size_t>(next_in % 3)]));
     ++next_in;
     if (lap % 3 == 2) {  // drain in bursts so the ring wraps at every phase
-      while (q.try_pop_some(out, 16) > 0) {
-      }
+      q.drain(out);
       for (serve::Request* r : out) {
         ASSERT_EQ(r, &reqs[static_cast<std::size_t>(next_out % 3)]);
         ++next_out;
       }
-      out.clear();
     }
   }
   EXPECT_EQ(q.depth(), static_cast<std::size_t>(next_in - next_out));
@@ -277,41 +286,6 @@ TEST(MpmcQueue, ConcurrentProducersAndConsumersDeliverEveryRequestOnce) {
   EXPECT_EQ(q.depth(), 0u);
   EXPECT_LE(q.peak_depth(), 8u);
   EXPECT_GE(q.peak_depth(), 1u);
-}
-
-TEST(MpmcQueue, PopBatchForTimesOutEmptyWithoutClosing) {
-  serve::RequestQueue q(4);
-  std::vector<serve::Request*> out{reinterpret_cast<serve::Request*>(1)};
-  const auto t0 = serve::Clock::now();
-  EXPECT_EQ(q.pop_batch_for(out, 8, std::chrono::microseconds{0},
-                            std::chrono::microseconds{2000}),
-            0u);
-  EXPECT_TRUE(out.empty());  // cleared even on timeout
-  EXPECT_FALSE(q.closed());
-  EXPECT_GE(serve::Clock::now() - t0, std::chrono::microseconds{1000});
-  // And a request arriving during the first-wait is picked up promptly.
-  serve::Request r;
-  std::thread pusher([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds{2});
-    ASSERT_TRUE(q.try_push(&r));
-  });
-  EXPECT_EQ(q.pop_batch_for(out, 8, std::chrono::microseconds{0},
-                            std::chrono::microseconds{500000}),
-            1u);
-  EXPECT_EQ(out[0], &r);
-  pusher.join();
-}
-
-TEST(MpmcQueue, TryPopSomeAppendsAndRespectsMax) {
-  serve::RequestQueue q(8);
-  std::vector<serve::Request> reqs(5);
-  for (auto& r : reqs) ASSERT_TRUE(q.try_push(&r));
-  std::vector<serve::Request*> out;
-  EXPECT_EQ(q.try_pop_some(out, 2), 2u);
-  EXPECT_EQ(q.try_pop_some(out, 16), 3u);  // appends after the first two
-  ASSERT_EQ(out.size(), 5u);
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(out[i], &reqs[i]);
-  EXPECT_EQ(q.try_pop_some(out, 16), 0u);
 }
 
 TEST(MpmcQueue, CloseWakesBlockedConsumerPromptly) {
