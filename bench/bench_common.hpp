@@ -60,7 +60,7 @@ double time_best(F&& fn, double target, int min_reps = 1) {
 }
 
 /// Standard pretraining recipe for a dataset stand-in (tuned so vanilla
-/// SimCLR comfortably beats random init; see tools/tune.cpp history).
+/// SimCLR comfortably beats random init; see `git log -- tools/tune.cpp`).
 inline core::PretrainConfig standard_pretrain(const std::string& dataset,
                                               core::CqVariant variant,
                                               quant::PrecisionSet precisions =

@@ -94,10 +94,4 @@ Tensor AugmentPipeline::batch(const Dataset& ds,
   return stack_images(views);
 }
 
-AugmentPipeline identity_pipeline() {
-  AugmentConfig cfg;
-  cfg.identity = true;
-  return AugmentPipeline(cfg);
-}
-
 }  // namespace cq::data

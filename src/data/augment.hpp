@@ -45,7 +45,4 @@ class AugmentPipeline {
   AugmentConfig config_;
 };
 
-/// The identity pipeline used by CQ-Quant.
-AugmentPipeline identity_pipeline();
-
 }  // namespace cq::data

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
 #include "core/threadpool.hpp"
 #include "core/trace.hpp"
@@ -79,8 +78,7 @@ CompiledModel::CompiledModel(Graph g, std::int64_t max_batch)
     : graph_(std::move(g)), max_batch_(max_batch) {
   CQ_CHECK(max_batch_ >= 1);
   for (const Node& n : graph_.nodes)
-    CQ_CHECK_MSG(n.op != Op::kBatchNorm && n.op != Op::kIdentity &&
-                     n.op != Op::kFlatten,
+    CQ_CHECK_MSG(n.op != Op::kBatchNorm && n.op != Op::kIdentity,
                  "CompiledModel: graph still contains " << op_name(n.op)
                      << " (" << n.label << ") — run the pass pipeline first");
   plan_ = plan_arena(graph_, max_batch_);
@@ -512,36 +510,6 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
             kernels::relu_cap(in_p + b, out_p + b, e - b, node.relu_cap);
           else
             kernels::relu(in_p + b, out_p + b, e - b);
-        });
-        break;
-      }
-
-      case Op::kMaxPool: {
-        CQ_TRACE_SCOPE_N("graph.node.maxpool", n);
-        const auto c = ishape.dim(0), h = ishape.dim(1), w = ishape.dim(2);
-        const auto k = node.pool_kernel, stride = node.pool_stride,
-                   pad = node.pool_pad;
-        const auto oh = (h + 2 * pad - k) / stride + 1;
-        const auto ow = (w + 2 * pad - k) / stride + 1;
-        // Plane (img, ch) owns output [pl*oh*ow, (pl+1)*oh*ow): each plane's
-        // max reduction is self-contained, so planes split across workers.
-        core::parallel_for(n * c, 1, [&](std::int64_t p0, std::int64_t p1) {
-          for (std::int64_t pl = p0; pl < p1; ++pl) {
-            const float* plane = in_p + pl * h * w;
-            std::int64_t o = pl * oh * ow;
-            for (std::int64_t oy = 0; oy < oh; ++oy)
-              for (std::int64_t ox = 0; ox < ow; ++ox, ++o) {
-                float best = -std::numeric_limits<float>::infinity();
-                for (std::int64_t ky = 0; ky < k; ++ky)
-                  for (std::int64_t kx = 0; kx < k; ++kx) {
-                    const auto iy = oy * stride + ky - pad;
-                    const auto ix = ox * stride + kx - pad;
-                    if (iy < 0 || iy >= h || ix < 0 || ix >= w) continue;
-                    best = std::max(best, plane[iy * w + ix]);
-                  }
-                out_p[o] = best;
-              }
-          }
         });
         break;
       }

@@ -42,8 +42,8 @@ struct CompileOptions {
 
 class CompiledModel {
  public:
-  /// Takes a graph whose pipeline has already run — kBatchNorm, kIdentity
-  /// and kFlatten must be gone (throws CheckError naming the offender
+  /// Takes a graph whose pipeline has already run — kBatchNorm and
+  /// kIdentity must be gone (throws CheckError naming the offender
   /// otherwise) — plans the arena at `max_batch`, and prepacks weights.
   CompiledModel(Graph g, std::int64_t max_batch);
 

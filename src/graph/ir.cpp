@@ -11,9 +11,7 @@ const char* op_name(Op op) {
     case Op::kConv2d: return "conv2d";
     case Op::kBatchNorm: return "batchnorm";
     case Op::kRelu: return "relu";
-    case Op::kMaxPool: return "maxpool";
     case Op::kGlobalAvgPool: return "gap";
-    case Op::kFlatten: return "flatten";
     case Op::kLinear: return "linear";
     case Op::kAdd: return "add";
     case Op::kIdentity: return "identity";
@@ -126,13 +124,6 @@ std::string node_line(const Graph& g, const Node& n) {
                       static_cast<double>(n.relu_cap));
         s += buf;
       }
-      break;
-    case Op::kMaxPool:
-      std::snprintf(buf, sizeof buf, " k=%lld s=%lld p=%lld",
-                    static_cast<long long>(n.pool_kernel),
-                    static_cast<long long>(n.pool_stride),
-                    static_cast<long long>(n.pool_pad));
-      s += buf;
       break;
     case Op::kAdd:
       if (n.add_relu) s += " +relu";

@@ -32,9 +32,7 @@ enum class Op : std::uint8_t {
   kConv2d,
   kBatchNorm,  // eval-mode affine from running stats; folded away by passes
   kRelu,
-  kMaxPool,
   kGlobalAvgPool,
-  kFlatten,   // pure shape adapter; eliminated by passes
   kLinear,
   kAdd,       // residual join, optional fused trailing ReLU
   kIdentity,  // ActQuant placeholder (serving drops fake quantization)
@@ -95,8 +93,6 @@ struct Node {
 
   // kRelu
   float relu_cap = 0.0f;  // <= 0: unbounded
-  // kMaxPool
-  std::int64_t pool_kernel = 0, pool_stride = 0, pool_pad = 0;
   // kAdd
   bool add_relu = false;
   // kBatchNorm (copied out of the module so the graph owns its constants);

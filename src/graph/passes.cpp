@@ -38,7 +38,7 @@ std::size_t eliminate_identities(Graph& g) {
   // chain identity(identity(x)) collapses in one pass.
   for (std::size_t i = 0; i < g.nodes.size(); ++i) {
     Node& n = g.nodes[i];
-    if (n.op != Op::kIdentity && n.op != Op::kFlatten) continue;
+    if (n.op != Op::kIdentity) continue;
     g.replace_uses(n.output, n.inputs[0]);
     dead[i] = true;
     ++removed;

@@ -5,7 +5,7 @@
 // and pin bitwise equivalence after every stage. run_default_passes() is the
 // canonical order:
 //
-//   eliminate_identities   drop ActQuant placeholders and Flatten adapters
+//   eliminate_identities   drop ActQuant placeholders
 //   fold_batchnorm         conv+BN -> conv with folded weight/bias
 //   [lower_int8]           (int8 plans) mark conv/linear for the igemm path
 //   fuse_epilogues         conv/linear + ReLU -> fused GEMM epilogue; int8

@@ -150,25 +150,6 @@ ValueId trace_module(Graph& g, nn::Module& child, ValueId cur,
     return g.nodes.back().output;
   }
 
-  if (auto* pool = dynamic_cast<nn::MaxPool2d*>(&child)) {
-    CQ_CHECK_MSG(in.rank() == 3,
-                 "tracer: maxpool " << label << " on " << in.str());
-    const auto oh =
-        (in.dim(1) + 2 * pool->pad() - pool->kernel()) / pool->stride() + 1;
-    const auto ow =
-        (in.dim(2) + 2 * pool->pad() - pool->kernel()) / pool->stride() + 1;
-    Node n;
-    n.op = Op::kMaxPool;
-    n.inputs = {cur};
-    n.label = label;
-    n.pool_kernel = pool->kernel();
-    n.pool_stride = pool->stride();
-    n.pool_pad = pool->pad();
-    n.output = g.add_value(Shape{in.dim(0), oh, ow}, label);
-    g.nodes.push_back(std::move(n));
-    return g.nodes.back().output;
-  }
-
   if (dynamic_cast<nn::GlobalAvgPool*>(&child) != nullptr) {
     CQ_CHECK_MSG(in.rank() == 3, "tracer: gap " << label << " on " << in.str());
     Node n;
@@ -176,16 +157,6 @@ ValueId trace_module(Graph& g, nn::Module& child, ValueId cur,
     n.inputs = {cur};
     n.label = label;
     n.output = g.add_value(Shape{in.dim(0)}, label);
-    g.nodes.push_back(std::move(n));
-    return g.nodes.back().output;
-  }
-
-  if (dynamic_cast<nn::Flatten*>(&child) != nullptr) {
-    Node n;
-    n.op = Op::kFlatten;
-    n.inputs = {cur};
-    n.label = label;
-    n.output = g.add_value(Shape{in.numel()}, label);
     g.nodes.push_back(std::move(n));
     return g.nodes.back().output;
   }

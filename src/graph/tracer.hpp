@@ -12,10 +12,10 @@
 // constant (BN folding), at which point only that node's copy detaches. The
 // traced graph therefore survives the source module tree.
 //
-// Supported children: Conv2d, BatchNorm2d, ReLU, MaxPool2d, GlobalAvgPool,
-// Flatten, Linear, ActQuant, Sequential, models::BasicBlock,
-// models::InvertedResidual, and the ViT modules. Anything else throws
-// CheckError naming the module's type_name().
+// Supported children: Conv2d, BatchNorm2d, ReLU, GlobalAvgPool, Linear,
+// ActQuant, Sequential, models::BasicBlock, models::InvertedResidual, and
+// the ViT modules. Anything else throws CheckError naming the module's
+// type_name().
 #pragma once
 
 #include "graph/ir.hpp"

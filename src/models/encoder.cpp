@@ -9,14 +9,6 @@
 
 namespace cq::models {
 
-Tensor Encoder::forward_at(const Tensor& x, int bits) {
-  const int previous = policy->bits();
-  policy->set_bits(bits);
-  Tensor f = backbone->forward(x);
-  policy->set_bits(previous);
-  return f;
-}
-
 const std::vector<std::string>& known_archs() {
   static const std::vector<std::string> archs = {
       "resnet18", "resnet34",  "resnet74",

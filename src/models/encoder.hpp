@@ -22,8 +22,6 @@ struct Encoder {
 
   /// Forward at the policy's current precision.
   Tensor forward(const Tensor& x) { return backbone->forward(x); }
-  /// Forward at an explicit precision (restores the previous one after).
-  Tensor forward_at(const Tensor& x, int bits);
 };
 
 /// Known architectures: resnet18, resnet34, resnet74, resnet110, resnet152,

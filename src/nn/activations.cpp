@@ -47,18 +47,4 @@ Tensor GELU::backward(const Tensor& grad_out) {
   return g;
 }
 
-Tensor Flatten::forward(const Tensor& x) {
-  CQ_CHECK(x.shape().rank() >= 2);
-  if (mode_ == Mode::kTrain) shapes_.push_back(x.shape());
-  const auto n = x.dim(0);
-  return x.reshape(Shape{n, x.numel() / n});
-}
-
-Tensor Flatten::backward(const Tensor& grad_out) {
-  CQ_CHECK_MSG(!shapes_.empty(), "flatten backward without matching forward");
-  Shape s = std::move(shapes_.back());
-  shapes_.pop_back();
-  return grad_out.reshape(std::move(s));
-}
-
 }  // namespace cq::nn

@@ -1,4 +1,4 @@
-// Pointwise activations and shape adapters.
+// Pointwise activations.
 #pragma once
 
 #include "nn/module.hpp"
@@ -43,21 +43,6 @@ class GELU : public Module {
 
  private:
   std::vector<Tensor> cache_;  // inputs
-};
-
-/// Flatten [N, C, H, W] -> [N, C*H*W].
-class Flatten : public Module {
- public:
-  const char* type_name() const override { return "Flatten"; }
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
-  std::size_t pending_caches() const override { return shapes_.size(); }
-
- protected:
-  void on_clear_cache() override { shapes_.clear(); }
-
- private:
-  std::vector<Shape> shapes_;
 };
 
 }  // namespace cq::nn

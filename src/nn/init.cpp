@@ -18,11 +18,4 @@ Tensor he_normal(Shape shape, std::int64_t fan_in, Rng& rng) {
   return Tensor::randn(std::move(shape), rng, 0.0f, s);
 }
 
-Tensor xavier_uniform(Shape shape, std::int64_t fan_in, std::int64_t fan_out,
-                      Rng& rng) {
-  CQ_CHECK(fan_in > 0 && fan_out > 0);
-  const float b = std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
-  return Tensor::uniform(std::move(shape), rng, -b, b);
-}
-
 }  // namespace cq::nn::init

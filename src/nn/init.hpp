@@ -12,8 +12,4 @@ Tensor he_uniform(Shape shape, std::int64_t fan_in, Rng& rng);
 /// Kaiming/He normal: N(0, sqrt(2 / fan_in)).
 Tensor he_normal(Shape shape, std::int64_t fan_in, Rng& rng);
 
-/// Xavier/Glorot uniform: U(-b, b) with b = sqrt(6 / (fan_in + fan_out)).
-Tensor xavier_uniform(Shape shape, std::int64_t fan_in, std::int64_t fan_out,
-                      Rng& rng);
-
 }  // namespace cq::nn::init

@@ -1,123 +1,6 @@
 #include "nn/pooling.hpp"
 
-#include <limits>
-
 namespace cq::nn {
-
-MaxPool2d::MaxPool2d(std::int64_t kernel, std::int64_t stride,
-                     std::int64_t pad)
-    : kernel_(kernel), stride_(stride), pad_(pad) {
-  CQ_CHECK(kernel > 0 && stride > 0 && pad >= 0 && pad < kernel);
-}
-
-Tensor MaxPool2d::forward(const Tensor& x) {
-  CQ_CHECK(x.shape().rank() == 4);
-  const auto n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const auto oh = (h + 2 * pad_ - kernel_) / stride_ + 1;
-  const auto ow = (w + 2 * pad_ - kernel_) / stride_ + 1;
-  CQ_CHECK(oh > 0 && ow > 0);
-  Tensor y = Tensor::empty(Shape{n, c, oh, ow});  // every element written
-  Cache entry;
-  entry.in_shape = x.shape();
-  entry.argmax.resize(static_cast<std::size_t>(y.numel()));
-
-  std::int64_t oidx = 0;
-  for (std::int64_t img = 0; img < n; ++img) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float* plane = x.data() + (img * c + ch) * h * w;
-      const std::int64_t plane_off = (img * c + ch) * h * w;
-      for (std::int64_t oy = 0; oy < oh; ++oy) {
-        for (std::int64_t ox = 0; ox < ow; ++ox, ++oidx) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_idx = -1;
-          for (std::int64_t ky = 0; ky < kernel_; ++ky) {
-            const std::int64_t iy = oy * stride_ + ky - pad_;
-            if (iy < 0 || iy >= h) continue;
-            for (std::int64_t kx = 0; kx < kernel_; ++kx) {
-              const std::int64_t ix = ox * stride_ + kx - pad_;
-              if (ix < 0 || ix >= w) continue;
-              const float v = plane[iy * w + ix];
-              if (v > best) {
-                best = v;
-                best_idx = plane_off + iy * w + ix;
-              }
-            }
-          }
-          CQ_DCHECK(best_idx >= 0);
-          y[oidx] = best;
-          entry.argmax[static_cast<std::size_t>(oidx)] = best_idx;
-        }
-      }
-    }
-  }
-  if (mode_ == Mode::kTrain) cache_.push_back(std::move(entry));
-  return y;
-}
-
-Tensor MaxPool2d::backward(const Tensor& grad_out) {
-  CQ_CHECK_MSG(!cache_.empty(), "maxpool backward without matching forward");
-  Cache entry = std::move(cache_.back());
-  cache_.pop_back();
-  CQ_CHECK(static_cast<std::size_t>(grad_out.numel()) == entry.argmax.size());
-  Tensor grad_in(entry.in_shape);
-  for (std::int64_t i = 0; i < grad_out.numel(); ++i)
-    grad_in[entry.argmax[static_cast<std::size_t>(i)]] += grad_out[i];
-  return grad_in;
-}
-
-AvgPool2d::AvgPool2d(std::int64_t kernel, std::int64_t stride)
-    : kernel_(kernel), stride_(stride) {
-  CQ_CHECK(kernel > 0 && stride > 0);
-}
-
-Tensor AvgPool2d::forward(const Tensor& x) {
-  CQ_CHECK(x.shape().rank() == 4);
-  const auto n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const auto oh = (h - kernel_) / stride_ + 1;
-  const auto ow = (w - kernel_) / stride_ + 1;
-  CQ_CHECK(oh > 0 && ow > 0);
-  Tensor y = Tensor::empty(Shape{n, c, oh, ow});  // every element written
-  const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-  std::int64_t oidx = 0;
-  for (std::int64_t img = 0; img < n; ++img)
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float* plane = x.data() + (img * c + ch) * h * w;
-      for (std::int64_t oy = 0; oy < oh; ++oy)
-        for (std::int64_t ox = 0; ox < ow; ++ox, ++oidx) {
-          double s = 0.0;
-          for (std::int64_t ky = 0; ky < kernel_; ++ky)
-            for (std::int64_t kx = 0; kx < kernel_; ++kx)
-              s += plane[(oy * stride_ + ky) * w + (ox * stride_ + kx)];
-          y[oidx] = static_cast<float>(s) * inv;
-        }
-    }
-  if (mode_ == Mode::kTrain) shapes_.push_back(x.shape());
-  return y;
-}
-
-Tensor AvgPool2d::backward(const Tensor& grad_out) {
-  CQ_CHECK_MSG(!shapes_.empty(), "avgpool backward without matching forward");
-  Shape in_shape = std::move(shapes_.back());
-  shapes_.pop_back();
-  const auto n = in_shape[0], c = in_shape[1], h = in_shape[2],
-             w = in_shape[3];
-  const auto oh = grad_out.dim(2), ow = grad_out.dim(3);
-  Tensor grad_in(in_shape);
-  const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-  std::int64_t oidx = 0;
-  for (std::int64_t img = 0; img < n; ++img)
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      float* plane = grad_in.data() + (img * c + ch) * h * w;
-      for (std::int64_t oy = 0; oy < oh; ++oy)
-        for (std::int64_t ox = 0; ox < ow; ++ox, ++oidx) {
-          const float g = grad_out[oidx] * inv;
-          for (std::int64_t ky = 0; ky < kernel_; ++ky)
-            for (std::int64_t kx = 0; kx < kernel_; ++kx)
-              plane[(oy * stride_ + ky) * w + (ox * stride_ + kx)] += g;
-        }
-    }
-  return grad_in;
-}
 
 Tensor GlobalAvgPool::forward(const Tensor& x) {
   CQ_CHECK(x.shape().rank() == 4);

@@ -1,53 +1,9 @@
-// Spatial pooling layers (NCHW).
+// Global average pooling (NCHW).
 #pragma once
 
 #include "nn/module.hpp"
 
 namespace cq::nn {
-
-/// Max pooling with square window. Caches argmax indices for backward.
-class MaxPool2d : public Module {
- public:
-  MaxPool2d(std::int64_t kernel, std::int64_t stride, std::int64_t pad = 0);
-
-  const char* type_name() const override { return "MaxPool2d"; }
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
-  std::size_t pending_caches() const override { return cache_.size(); }
-
-  std::int64_t kernel() const { return kernel_; }
-  std::int64_t stride() const { return stride_; }
-  std::int64_t pad() const { return pad_; }
-
- protected:
-  void on_clear_cache() override { cache_.clear(); }
-
- private:
-  struct Cache {
-    Shape in_shape;
-    std::vector<std::int64_t> argmax;  // flat index into the input, per output
-  };
-  std::int64_t kernel_, stride_, pad_;
-  std::vector<Cache> cache_;
-};
-
-/// Average pooling with square window.
-class AvgPool2d : public Module {
- public:
-  AvgPool2d(std::int64_t kernel, std::int64_t stride);
-
-  const char* type_name() const override { return "AvgPool2d"; }
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
-  std::size_t pending_caches() const override { return shapes_.size(); }
-
- protected:
-  void on_clear_cache() override { shapes_.clear(); }
-
- private:
-  std::int64_t kernel_, stride_;
-  std::vector<Shape> shapes_;
-};
 
 /// Global average pooling [N, C, H, W] -> [N, C].
 class GlobalAvgPool : public Module {

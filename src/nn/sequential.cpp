@@ -4,12 +4,6 @@
 
 namespace cq::nn {
 
-void Sequential::append(std::unique_ptr<Module> m) {
-  CQ_CHECK(m != nullptr);
-  m->set_mode(mode());
-  children_.push_back(std::move(m));
-}
-
 Tensor Sequential::forward(const Tensor& x) {
   Tensor h = x;
   for (auto& child : children_) h = child->forward(h);

@@ -21,8 +21,6 @@ class Sequential : public Module {
     return ref;
   }
 
-  void append(std::unique_ptr<Module> m);
-
   const char* type_name() const override { return "Sequential"; }
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;

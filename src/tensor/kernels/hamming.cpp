@@ -308,10 +308,6 @@ void binarize_2bit_avx2(const float* x, std::int64_t rows, std::int64_t cols,
 std::uint64_t popcount_u64(const std::uint64_t* x, std::int64_t n) {
   return popcount_u64_avx2(x, n);
 }
-std::uint32_t hamming_distance(const std::uint64_t* a, const std::uint64_t* b,
-                               std::int64_t words) {
-  return hamming_distance_avx2(a, b, words);
-}
 void hamming_scan(const std::uint64_t* query, const std::uint64_t* base,
                   std::int64_t rows, std::int64_t words_per_row,
                   std::uint32_t* out) {
@@ -336,10 +332,6 @@ void binarize_2bit(const float* x, std::int64_t rows, std::int64_t cols,
 
 std::uint64_t popcount_u64(const std::uint64_t* x, std::int64_t n) {
   return popcount_u64_portable(x, n);
-}
-std::uint32_t hamming_distance(const std::uint64_t* a, const std::uint64_t* b,
-                               std::int64_t words) {
-  return hamming_distance_portable(a, b, words);
 }
 void hamming_scan(const std::uint64_t* query, const std::uint64_t* base,
                   std::int64_t rows, std::int64_t words_per_row,

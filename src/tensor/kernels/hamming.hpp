@@ -37,11 +37,8 @@ namespace cq::kernels {
 /// its own row in bench/kernels' JSON report).
 std::uint64_t popcount_u64(const std::uint64_t* x, std::int64_t n);
 
-/// Hamming distance between two packed codes of `words` u64 words.
-std::uint32_t hamming_distance(const std::uint64_t* a, const std::uint64_t* b,
-                               std::int64_t words);
-
-/// out[r] = hamming_distance(query, base + r*words_per_row) for r in
+/// out[r] = Hamming distance between query and base + r*words_per_row (two
+/// packed codes of words_per_row u64 words) for r in
 /// [0, rows). Specialized row-parallel paths for words_per_row 1 and 2 (the
 /// whole-code-in-one-register layouts small embedding dims produce), and a
 /// 4-words-per-step blocked path with a scalar word tail for the rest.

@@ -241,16 +241,6 @@ void minmax_t(const float* x, std::int64_t n, float* lo, float* hi) {
 }
 
 template <class V>
-float sum_t(const float* x, std::int64_t n) {
-  V acc = V::zero();
-  std::int64_t i = 0;
-  for (; i + W <= n; i += W) acc = acc + V::load(x + i);
-  float s = acc.hsum();
-  for (; i < n; ++i) s += x[i];
-  return s;
-}
-
-template <class V>
 float row_max(const float* x, std::int64_t n) {
   float m = x[0];
   std::int64_t i = 0;
@@ -261,12 +251,6 @@ float row_max(const float* x, std::int64_t n) {
   }
   for (; i < n; ++i) m = max2(m, x[i]);
   return m;
-}
-
-template <class V>
-void row_sum_t(const float* x, std::int64_t rows, std::int64_t cols,
-               float* out) {
-  for (std::int64_t r = 0; r < rows; ++r) out[r] = sum_t<V>(x + r * cols, cols);
 }
 
 // exp(x - m) written in place; returns the sum of the exponentials.
@@ -502,11 +486,6 @@ void gelu_grad(const float* x, const float* g, float* y, std::int64_t n) {
 void minmax(const float* x, std::int64_t n, float* lo, float* hi) {
   minmax_t<VecF>(x, n, lo, hi);
 }
-float sum(const float* x, std::int64_t n) { return sum_t<VecF>(x, n); }
-void row_sum(const float* x, std::int64_t rows, std::int64_t cols,
-             float* out) {
-  row_sum_t<VecF>(x, rows, cols, out);
-}
 void softmax_rows(float* x, std::int64_t rows, std::int64_t cols) {
   CQ_TRACE_SCOPE_BYTES("kernels.softmax_rows", rows * cols * sizeof(float));
   softmax_rows_t<VecF>(x, rows, cols);
@@ -576,11 +555,6 @@ void gelu_grad(const float* x, const float* g, float* y, std::int64_t n) {
 }
 void minmax(const float* x, std::int64_t n, float* lo, float* hi) {
   minmax_t<VecPortable>(x, n, lo, hi);
-}
-float sum(const float* x, std::int64_t n) { return sum_t<VecPortable>(x, n); }
-void row_sum(const float* x, std::int64_t rows, std::int64_t cols,
-             float* out) {
-  row_sum_t<VecPortable>(x, rows, cols, out);
 }
 void softmax_rows(float* x, std::int64_t rows, std::int64_t cols) {
   softmax_rows_t<VecPortable>(x, rows, cols);

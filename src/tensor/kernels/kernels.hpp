@@ -60,10 +60,6 @@ void gelu_grad(const float* x, const float* g, float* y, std::int64_t n);
 
 /// Min and max over n elements (order-independent, matches sequential).
 void minmax(const float* x, std::int64_t n, float* lo, float* hi);
-/// Sum with 8-lane accumulation and a fixed reduction tree.
-float sum(const float* x, std::int64_t n);
-/// out[r] = sum of row r of the row-major [rows, cols] matrix.
-void row_sum(const float* x, std::int64_t rows, std::int64_t cols, float* out);
 /// In-place row-wise stabilized softmax of a row-major [rows, cols] matrix.
 void softmax_rows(float* x, std::int64_t rows, std::int64_t cols);
 /// In-place row-wise log-softmax.
@@ -120,8 +116,6 @@ void relu_cap_grad(const float* x, const float* g, float* y, std::int64_t n,
 void gelu(const float* x, float* y, std::int64_t n);
 void gelu_grad(const float* x, const float* g, float* y, std::int64_t n);
 void minmax(const float* x, std::int64_t n, float* lo, float* hi);
-float sum(const float* x, std::int64_t n);
-void row_sum(const float* x, std::int64_t rows, std::int64_t cols, float* out);
 void softmax_rows(float* x, std::int64_t rows, std::int64_t cols);
 void log_softmax_rows(float* x, std::int64_t rows, std::int64_t cols);
 void l2_normalize_rows(float* x, std::int64_t rows, std::int64_t cols,

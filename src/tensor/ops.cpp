@@ -1,9 +1,5 @@
 #include "tensor/ops.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 #include "tensor/gemm.hpp"
 #include "tensor/kernels/kernels.hpp"
 
@@ -16,7 +12,7 @@ void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
 }
 }  // namespace
 
-// ---- elementwise (_into cores) ---------------------------------------------
+// ---- elementwise -----------------------------------------------------------
 
 Tensor& add_into(const Tensor& a, const Tensor& b, Tensor& out) {
   check_same_shape(a, b, "add");
@@ -29,197 +25,12 @@ Tensor& add_into(const Tensor& a, const Tensor& b, Tensor& out) {
   return out;
 }
 
-Tensor& sub_into(const Tensor& a, const Tensor& b, Tensor& out) {
-  check_same_shape(a, b, "sub");
-  out.resize_as(a);
-  float* dst = out.data();
-  const float* pa = a.data();
-  const float* pb = b.data();
-  const auto n = a.numel();
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = pa[i] - pb[i];
-  return out;
-}
-
-Tensor& mul_into(const Tensor& a, const Tensor& b, Tensor& out) {
-  check_same_shape(a, b, "mul");
-  out.resize_as(a);
-  float* dst = out.data();
-  const float* pa = a.data();
-  const float* pb = b.data();
-  const auto n = a.numel();
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = pa[i] * pb[i];
-  return out;
-}
-
-Tensor& scale_into(const Tensor& a, float s, Tensor& out) {
-  out.resize_as(a);
-  float* dst = out.data();
-  const float* pa = a.data();
-  const auto n = a.numel();
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = pa[i] * s;
-  return out;
-}
-
-Tensor& add_scalar_into(const Tensor& a, float s, Tensor& out) {
-  out.resize_as(a);
-  float* dst = out.data();
-  const float* pa = a.data();
-  const auto n = a.numel();
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = pa[i] + s;
-  return out;
-}
-
-Tensor& map_into(const Tensor& a, const std::function<float(float)>& f,
-                 Tensor& out) {
-  out.resize_as(a);
-  float* dst = out.data();
-  const float* pa = a.data();
-  const auto n = a.numel();
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = f(pa[i]);
-  return out;
-}
-
-Tensor& relu_into(const Tensor& a, Tensor& out) {
-  out.resize_as(a);
-  kernels::relu(a.data(), out.data(), a.numel());
-  return out;
-}
-
-Tensor& clamp_into(const Tensor& a, float lo, float hi, Tensor& out) {
-  CQ_CHECK(lo <= hi);
-  out.resize_as(a);
-  float* dst = out.data();
-  const float* pa = a.data();
-  const auto n = a.numel();
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = std::clamp(pa[i], lo, hi);
-  return out;
-}
-
-// ---- elementwise (value wrappers) ------------------------------------------
-
 Tensor add(const Tensor& a, const Tensor& b) {
   Tensor out = a.like();
   return std::move(add_into(a, b, out));
 }
 
-Tensor sub(const Tensor& a, const Tensor& b) {
-  Tensor out = a.like();
-  return std::move(sub_into(a, b, out));
-}
-
-Tensor mul(const Tensor& a, const Tensor& b) {
-  Tensor out = a.like();
-  return std::move(mul_into(a, b, out));
-}
-
-Tensor scale(const Tensor& a, float s) {
-  Tensor out = a.like();
-  return std::move(scale_into(a, s, out));
-}
-
-Tensor add_scalar(const Tensor& a, float s) {
-  Tensor out = a.like();
-  return std::move(add_scalar_into(a, s, out));
-}
-
-Tensor map(const Tensor& a, const std::function<float(float)>& f) {
-  Tensor out = a.like();
-  return std::move(map_into(a, f, out));
-}
-
-Tensor relu(const Tensor& a) {
-  Tensor out = a.like();
-  return std::move(relu_into(a, out));
-}
-
-Tensor exp(const Tensor& a) {
-  // Vectorized polynomial exp (kernel layer), < 2 ulp vs std::exp.
-  Tensor out = a.like();
-  kernels::vexp(a.data(), out.data(), a.numel());
-  return out;
-}
-
-Tensor log(const Tensor& a) {
-  return map(a, [](float v) { return std::log(v); });
-}
-
-Tensor sqrt(const Tensor& a) {
-  return map(a, [](float v) { return std::sqrt(v); });
-}
-
-Tensor clamp(const Tensor& a, float lo, float hi) {
-  Tensor out = a.like();
-  return std::move(clamp_into(a, lo, hi, out));
-}
-
 // ---- reductions ------------------------------------------------------------
-
-float sum(const Tensor& a) {
-  // Kahan summation: cheap insurance for long reductions in fp32.
-  double s = 0.0;
-  for (std::int64_t i = 0; i < a.numel(); ++i) s += a[i];
-  return static_cast<float>(s);
-}
-
-float mean(const Tensor& a) {
-  return sum(a) / static_cast<float>(a.numel());
-}
-
-float max(const Tensor& a) {
-  if (a.numel() == 0) return -std::numeric_limits<float>::infinity();
-  float lo, hi;
-  kernels::minmax(a.data(), a.numel(), &lo, &hi);
-  return hi;
-}
-
-float min(const Tensor& a) {
-  if (a.numel() == 0) return std::numeric_limits<float>::infinity();
-  float lo, hi;
-  kernels::minmax(a.data(), a.numel(), &lo, &hi);
-  return lo;
-}
-
-std::int64_t argmax(const Tensor& a) {
-  std::int64_t best = 0;
-  for (std::int64_t i = 1; i < a.numel(); ++i)
-    if (a[i] > a[best]) best = i;
-  return best;
-}
-
-float norm(const Tensor& a) {
-  double s = 0.0;
-  for (std::int64_t i = 0; i < a.numel(); ++i)
-    s += static_cast<double>(a[i]) * a[i];
-  return static_cast<float>(std::sqrt(s));
-}
-
-float dot(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "dot");
-  double s = 0.0;
-  for (std::int64_t i = 0; i < a.numel(); ++i)
-    s += static_cast<double>(a[i]) * b[i];
-  return static_cast<float>(s);
-}
-
-Tensor row_sum(const Tensor& a) {
-  CQ_CHECK(a.shape().rank() == 2);
-  const auto n = a.dim(0), d = a.dim(1);
-  Tensor out = Tensor::empty(Shape{n});
-  kernels::row_sum(a.data(), n, d, out.data());
-  return out;
-}
-
-Tensor row_max(const Tensor& a) {
-  CQ_CHECK(a.shape().rank() == 2);
-  const auto n = a.dim(0), d = a.dim(1);
-  Tensor out = Tensor::empty(Shape{n});
-  for (std::int64_t r = 0; r < n; ++r) {
-    float m = -std::numeric_limits<float>::infinity();
-    for (std::int64_t c = 0; c < d; ++c) m = std::max(m, a.at(r, c));
-    out[r] = m;
-  }
-  return out;
-}
 
 std::vector<std::int64_t> row_argmax(const Tensor& a) {
   CQ_CHECK(a.shape().rank() == 2);
@@ -255,18 +66,6 @@ Tensor& matmul_into(const Tensor& a, const Tensor& b, Tensor& out) {
   return out;
 }
 
-Tensor& matmul_tn_into(const Tensor& a, const Tensor& b, Tensor& out) {
-  CQ_CHECK(a.shape().rank() == 2 && b.shape().rank() == 2);
-  const auto k = a.dim(0), m = a.dim(1), n = b.dim(1);
-  CQ_CHECK_MSG(b.dim(0) == k, "matmul_tn inner dims: " << a.shape().str()
-                                                       << "^T * "
-                                                       << b.shape().str());
-  out.resize(Shape{m, n});
-  check_no_alias(a, b, out, "matmul_tn");
-  gemm::gemm(gemm::Trans::kTN, m, n, k, a.data(), b.data(), out.data());
-  return out;
-}
-
 Tensor& matmul_nt_into(const Tensor& a, const Tensor& b, Tensor& out) {
   CQ_CHECK(a.shape().rank() == 2 && b.shape().rank() == 2);
   const auto m = a.dim(0), k = a.dim(1), n = b.dim(0);
@@ -296,8 +95,14 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 }
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-  Tensor c;
-  return std::move(matmul_tn_into(a, b, c));
+  CQ_CHECK(a.shape().rank() == 2 && b.shape().rank() == 2);
+  const auto k = a.dim(0), m = a.dim(1), n = b.dim(1);
+  CQ_CHECK_MSG(b.dim(0) == k, "matmul_tn inner dims: " << a.shape().str()
+                                                       << "^T * "
+                                                       << b.shape().str());
+  Tensor c = Tensor::empty(Shape{m, n});
+  gemm::gemm(gemm::Trans::kTN, m, n, k, a.data(), b.data(), c.data());
+  return c;
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {

@@ -1,17 +1,16 @@
-// Eager tensor operations. Every op has a destination-passing `_into`
-// variant that resizes `out` (reusing its pooled storage when possible) and
-// writes the full result into it; the value-returning APIs are thin wrappers
-// that allocate `out` from the pool. Shapes are validated with CQ_CHECK so
-// misuse fails at the call site.
+// Eager tensor operations. add, matmul, matmul_nt and transpose have a
+// destination-passing `_into` variant that resizes `out` (reusing its pooled
+// storage when possible) and writes the full result into it; the
+// value-returning APIs are thin wrappers that allocate `out` from the pool.
+// Shapes are validated with CQ_CHECK so misuse fails at the call site.
 //
-// _into aliasing contract: elementwise `_into` ops may be called with `out`
-// aliasing an input (same object or shared storage) — they read inputs
-// through their own handles, so copy-on-write keeps the result correct. The
-// matmul/transpose `_into` ops require `out` to be distinct from both inputs
-// (checked).
+// _into aliasing contract: add_into may be called with `out` aliasing an
+// input (same object or shared storage) — it reads inputs through their own
+// handles, so copy-on-write keeps the result correct. The matmul/transpose
+// `_into` ops require `out` to be distinct from both inputs (checked).
 #pragma once
 
-#include <functional>
+#include <vector>
 
 #include "tensor/tensor.hpp"
 
@@ -20,44 +19,10 @@ namespace cq::ops {
 // ---- elementwise -----------------------------------------------------------
 
 Tensor add(const Tensor& a, const Tensor& b);
-Tensor sub(const Tensor& a, const Tensor& b);
-Tensor mul(const Tensor& a, const Tensor& b);
-Tensor scale(const Tensor& a, float s);
-Tensor add_scalar(const Tensor& a, float s);
-/// Apply `f` to every element.
-Tensor map(const Tensor& a, const std::function<float(float)>& f);
-Tensor relu(const Tensor& a);
-Tensor exp(const Tensor& a);
-Tensor log(const Tensor& a);
-Tensor sqrt(const Tensor& a);
-Tensor clamp(const Tensor& a, float lo, float hi);
-
 Tensor& add_into(const Tensor& a, const Tensor& b, Tensor& out);
-Tensor& sub_into(const Tensor& a, const Tensor& b, Tensor& out);
-Tensor& mul_into(const Tensor& a, const Tensor& b, Tensor& out);
-Tensor& scale_into(const Tensor& a, float s, Tensor& out);
-Tensor& add_scalar_into(const Tensor& a, float s, Tensor& out);
-Tensor& map_into(const Tensor& a, const std::function<float(float)>& f,
-                 Tensor& out);
-Tensor& relu_into(const Tensor& a, Tensor& out);
-Tensor& clamp_into(const Tensor& a, float lo, float hi, Tensor& out);
 
 // ---- reductions ------------------------------------------------------------
 
-float sum(const Tensor& a);
-float mean(const Tensor& a);
-float max(const Tensor& a);
-float min(const Tensor& a);
-/// Index of the max element (first on ties).
-std::int64_t argmax(const Tensor& a);
-/// L2 norm over all elements.
-float norm(const Tensor& a);
-/// Dot product over all elements (shapes must match).
-float dot(const Tensor& a, const Tensor& b);
-
-/// Row-wise reductions on a rank-2 tensor [N, D].
-Tensor row_sum(const Tensor& a);   // -> [N]
-Tensor row_max(const Tensor& a);   // -> [N]
 /// Argmax along dim 1 of an [N, D] tensor -> vector of indices.
 std::vector<std::int64_t> row_argmax(const Tensor& a);
 
@@ -69,7 +34,8 @@ std::vector<std::int64_t> row_argmax(const Tensor& a);
 
 /// C[M,N] = A[M,K] * B[K,N].
 Tensor matmul(const Tensor& a, const Tensor& b);
-/// C[M,N] = A[K,M]^T * B[K,N].
+/// C[M,N] = A[K,M]^T * B[K,N]. The library's backward passes call
+/// gemm::gemm directly; tests use this as the weight-gradient reference.
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
 /// C[M,N] = A[M,K] * B[N,K]^T.
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
@@ -79,13 +45,13 @@ Tensor transpose(const Tensor& a);
 /// Destination-passing matmuls: `out` is resized to [M,N] (storage reused
 /// when possible) and fully overwritten. `out` must not alias `a` or `b`.
 Tensor& matmul_into(const Tensor& a, const Tensor& b, Tensor& out);
-Tensor& matmul_tn_into(const Tensor& a, const Tensor& b, Tensor& out);
 Tensor& matmul_nt_into(const Tensor& a, const Tensor& b, Tensor& out);
 Tensor& transpose_into(const Tensor& a, Tensor& out);
 
 // ---- neural-net helpers ----------------------------------------------------
 
-/// Row-wise softmax of an [N, D] tensor (numerically stabilized).
+/// Row-wise softmax of an [N, D] tensor (numerically stabilized); the
+/// reference log_softmax_rows is tested against.
 Tensor softmax_rows(const Tensor& a);
 /// Row-wise log-softmax of an [N, D] tensor.
 Tensor log_softmax_rows(const Tensor& a);

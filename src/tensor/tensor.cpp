@@ -87,11 +87,6 @@ float& Tensor::at(std::int64_t c, std::int64_t h, std::int64_t w) {
   return (*this)[(c * shape_[1] + h) * shape_[2] + w];
 }
 
-float Tensor::at(std::int64_t c, std::int64_t h, std::int64_t w) const {
-  CQ_DCHECK(shape_.rank() == 3);
-  return (*this)[(c * shape_[1] + h) * shape_[2] + w];
-}
-
 float& Tensor::at(std::int64_t n, std::int64_t c, std::int64_t h,
                   std::int64_t w) {
   CQ_DCHECK(shape_.rank() == 4);

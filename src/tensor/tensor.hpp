@@ -83,7 +83,6 @@ class Tensor {
   float at(std::int64_t r, std::int64_t c) const;
   /// 3-D accessor (CHW images); requires rank 3.
   float& at(std::int64_t c, std::int64_t h, std::int64_t w);
-  float at(std::int64_t c, std::int64_t h, std::int64_t w) const;
   /// 4-D accessor (NCHW); requires rank 4.
   float& at(std::int64_t n, std::int64_t c, std::int64_t h, std::int64_t w);
   float at(std::int64_t n, std::int64_t c, std::int64_t h,

@@ -5,7 +5,8 @@
 namespace cq {
 
 namespace {
-LogLevel g_level = LogLevel::kInfo;
+// Messages below this level are dropped.
+constexpr LogLevel kThreshold = LogLevel::kInfo;
 
 const char* level_tag(LogLevel level) {
   switch (level) {
@@ -24,12 +25,9 @@ const char* level_tag(LogLevel level) {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level = level; }
-LogLevel log_level() { return g_level; }
-
 namespace detail {
 void log_emit(LogLevel level, const std::string& msg) {
-  if (static_cast<int>(level) < static_cast<int>(g_level)) return;
+  if (static_cast<int>(level) < static_cast<int>(kThreshold)) return;
   std::fprintf(stderr, "[%s] %s\n", level_tag(level), msg.c_str());
 }
 }  // namespace detail

@@ -1,5 +1,6 @@
 // Minimal leveled logger. Single-threaded by design (target machine has one
 // core); writes to stderr so experiment tables on stdout stay machine-readable.
+// Messages below kInfo are dropped.
 #pragma once
 
 #include <sstream>
@@ -8,10 +9,6 @@
 namespace cq {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-/// Global log threshold; messages below it are dropped.
-void set_log_level(LogLevel level);
-LogLevel log_level();
 
 namespace detail {
 void log_emit(LogLevel level, const std::string& msg);

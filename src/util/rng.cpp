@@ -84,6 +84,4 @@ double Rng::normal(double mean, double stddev) {
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
-Rng Rng::split() { return Rng(next_u64()); }
-
 }  // namespace cq

@@ -45,10 +45,6 @@ class Rng {
     }
   }
 
-  /// Derive an independent child generator (for per-worker / per-phase
-  /// streams that must not perturb the parent's sequence).
-  Rng split();
-
  private:
   std::uint64_t s_[4];
   bool has_cached_normal_ = false;

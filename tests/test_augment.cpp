@@ -22,7 +22,9 @@ TEST(Augment, PreservesShapeAndRange) {
 
 TEST(Augment, IdentityPipelinePassesThrough) {
   Rng rng(2);
-  const auto aug = data::identity_pipeline();
+  data::AugmentConfig cfg;
+  cfg.identity = true;
+  const data::AugmentPipeline aug(cfg);
   Tensor img = Tensor::uniform(Shape{3, 8, 8}, rng);
   Tensor v = aug(img, rng);
   for (std::int64_t i = 0; i < img.numel(); ++i)

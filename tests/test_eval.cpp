@@ -1,9 +1,8 @@
-// Evaluation protocols: fine-tuning, linear eval, metrics.
+// Evaluation protocols: fine-tuning and linear eval.
 #include <gtest/gtest.h>
 
 #include "data/synth.hpp"
 #include "eval/classifier.hpp"
-#include "eval/metrics.hpp"
 #include "util/check.hpp"
 
 namespace cq {
@@ -98,37 +97,6 @@ TEST(LinearEval, RunsAndLeavesEncoderUntouched) {
   for (std::size_t i = 0; i < before.size(); ++i)
     for (std::int64_t j = 0; j < before[i].numel(); ++j)
       ASSERT_FLOAT_EQ(before[i][j], after[i][j]);
-}
-
-TEST(Metrics, Top1Accuracy) {
-  Tensor logits(Shape{3, 2}, {2.0f, 0.0f, 0.0f, 2.0f, 0.0f, 2.0f});
-  EXPECT_FLOAT_EQ(eval::top1_accuracy(logits, {0, 1, 0}), 100.0f * 2 / 3);
-}
-
-TEST(Metrics, ConfusionMatrixBasics) {
-  eval::ConfusionMatrix cm(3);
-  cm.add(0, 0);
-  cm.add(0, 1);
-  cm.add(1, 1);
-  cm.add(2, 2);
-  EXPECT_EQ(cm.total(), 4);
-  EXPECT_EQ(cm.count(0, 1), 1);
-  EXPECT_FLOAT_EQ(cm.accuracy(), 75.0f);
-  const auto recall = cm.per_class_recall();
-  EXPECT_FLOAT_EQ(recall[0], 50.0f);
-  EXPECT_FLOAT_EQ(recall[1], 100.0f);
-}
-
-TEST(Metrics, ConfusionRejectsOutOfRange) {
-  eval::ConfusionMatrix cm(2);
-  EXPECT_THROW(cm.add(2, 0), CheckError);
-  EXPECT_THROW(cm.add(0, -1), CheckError);
-}
-
-TEST(Metrics, EmptyClassRecallIsZero) {
-  eval::ConfusionMatrix cm(2);
-  cm.add(0, 0);
-  EXPECT_FLOAT_EQ(cm.per_class_recall()[1], 0.0f);
 }
 
 }  // namespace

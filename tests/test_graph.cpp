@@ -90,7 +90,6 @@ TEST(GraphPasses, DefaultPipelineRemovesFoldableOps) {
   for (const graph::Node& n : g.nodes) {
     EXPECT_NE(n.op, graph::Op::kBatchNorm);
     EXPECT_NE(n.op, graph::Op::kIdentity);
-    EXPECT_NE(n.op, graph::Op::kFlatten);
     if (n.op == graph::Op::kConv2d)
       EXPECT_NE(n.lowering, graph::ConvLowering::kUndecided);
   }

@@ -47,7 +47,7 @@ TEST(NtXent, ScaleInvarianceFromNormalization) {
   Tensor zb = Tensor::randn(Shape{4, 6}, rng);
   const float v1 = core::nt_xent(za, zb, 0.5f).value;
   const float v2 =
-      core::nt_xent(ops::scale(za, 3.0f), ops::scale(zb, 3.0f), 0.5f).value;
+      core::nt_xent(test::scaled(za, 3.0f), test::scaled(zb, 3.0f), 0.5f).value;
   EXPECT_NEAR(v1, v2, 1e-4);
 }
 
@@ -71,7 +71,8 @@ TEST(NtXent, GradientMatchesFiniteDifferences) {
 TEST(NtXent, LowerTemperatureSharpens) {
   Rng rng(6);
   Tensor za = Tensor::randn(Shape{6, 5}, rng);
-  Tensor zb = ops::add(za, ops::scale(Tensor::randn(Shape{6, 5}, rng), 0.1f));
+  Tensor zb =
+      ops::add(za, test::scaled(Tensor::randn(Shape{6, 5}, rng), 0.1f));
   // With near-aligned positives, sharper softmax -> lower loss.
   const float sharp = core::nt_xent(za, zb, 0.1f).value;
   const float smooth = core::nt_xent(za, zb, 1.0f).value;
@@ -90,14 +91,14 @@ TEST(NtXent, RejectsDegenerateInputs) {
 TEST(ByolMse, PerfectAlignmentGivesZero) {
   Rng rng(8);
   Tensor p = Tensor::randn(Shape{4, 6}, rng);
-  const auto loss = core::byol_mse(p, ops::scale(p, 2.0f));
+  const auto loss = core::byol_mse(p, test::scaled(p, 2.0f));
   EXPECT_NEAR(loss.value, 0.0f, 1e-5);
 }
 
 TEST(ByolMse, OppositeVectorsGiveFour) {
   Rng rng(9);
   Tensor p = Tensor::randn(Shape{3, 5}, rng);
-  const auto loss = core::byol_mse(p, ops::scale(p, -1.0f));
+  const auto loss = core::byol_mse(p, test::scaled(p, -1.0f));
   EXPECT_NEAR(loss.value, 4.0f, 1e-5);
 }
 
@@ -106,8 +107,8 @@ TEST(ByolMse, TargetGradientIsZero) {
   Tensor p = Tensor::randn(Shape{4, 5}, rng);
   Tensor t = Tensor::randn(Shape{4, 5}, rng);
   const auto loss = core::byol_mse(p, t);
-  EXPECT_FLOAT_EQ(ops::norm(loss.grad_b), 0.0f);
-  EXPECT_GT(ops::norm(loss.grad_a), 0.0f);
+  EXPECT_EQ(test::l2_norm(loss.grad_b), 0.0);
+  EXPECT_GT(test::l2_norm(loss.grad_a), 0.0);
 }
 
 TEST(ByolMse, GradientMatchesFiniteDifferences) {
@@ -125,7 +126,7 @@ TEST(ByolMse, GradientMatchesFiniteDifferences) {
 TEST(SymmetricMse, ZeroForIdenticalDirections) {
   Rng rng(12);
   Tensor a = Tensor::randn(Shape{3, 4}, rng);
-  const auto loss = core::symmetric_mse(a, ops::scale(a, 0.5f));
+  const auto loss = core::symmetric_mse(a, test::scaled(a, 0.5f));
   EXPECT_NEAR(loss.value, 0.0f, 1e-5);
 }
 
@@ -134,8 +135,8 @@ TEST(SymmetricMse, GradientsFlowToBothSides) {
   Tensor a = Tensor::randn(Shape{4, 4}, rng);
   Tensor b = Tensor::randn(Shape{4, 4}, rng);
   const auto loss = core::symmetric_mse(a, b);
-  EXPECT_GT(ops::norm(loss.grad_a), 0.0f);
-  EXPECT_GT(ops::norm(loss.grad_b), 0.0f);
+  EXPECT_GT(test::l2_norm(loss.grad_a), 0.0);
+  EXPECT_GT(test::l2_norm(loss.grad_b), 0.0);
   test::check_loss_gradient(
       [&](const Tensor& z) {
         return static_cast<double>(core::symmetric_mse(z, b).value);

@@ -9,7 +9,7 @@
 #include "models/heads.hpp"
 #include "models/mobilenetv2.hpp"
 #include "models/resnet.hpp"
-#include "tensor/ops.hpp"
+#include "testutil.hpp"
 #include "util/check.hpp"
 
 namespace cq {
@@ -31,7 +31,7 @@ TEST(Encoder, UnknownArchThrows) {
 TEST(Encoder, AllArchsProduceFeatureVectors) {
   Rng rng(2);
   for (const auto& arch : models::known_archs()) {
-    Rng arch_rng = rng.split();
+    Rng arch_rng(rng.next_u64());
     auto enc = models::make_encoder(arch, arch_rng);
     enc.backbone->set_mode(nn::Mode::kEval);
     Tensor x = Tensor::uniform(Shape{2, 3, 16, 16}, arch_rng);
@@ -99,16 +99,6 @@ TEST(Encoder, HighBitsCloseToFullPrecision) {
     d2 += std::abs(f_fp[i] - f_2[i]);
   }
   EXPECT_LT(d16, d2);
-}
-
-TEST(Encoder, ForwardAtRestoresPreviousBits) {
-  Rng rng(6);
-  auto enc = models::make_encoder("resnet18", rng);
-  enc.backbone->set_mode(nn::Mode::kEval);
-  enc.policy->set_bits(7);
-  Tensor x = Tensor::uniform(Shape{1, 3, 16, 16}, rng);
-  enc.forward_at(x, 4);
-  EXPECT_EQ(enc.policy->bits(), 7);
 }
 
 TEST(Encoder, MobileNetUsesDepthwiseGroups) {
@@ -222,7 +212,7 @@ TEST(Models, TrainForwardBackwardAllArchs) {
     // Deep CIFAR nets are slow; use the two family representatives + mnv2.
     if (arch == "resnet110" || arch == "resnet152" || arch == "resnet34")
       continue;
-    Rng arch_rng = rng.split();
+    Rng arch_rng(rng.next_u64());
     auto enc = models::make_encoder(arch, arch_rng);
     enc.policy->set_bits(4);
     Tensor x = Tensor::uniform(Shape{2, 3, 16, 16}, arch_rng);
@@ -230,10 +220,10 @@ TEST(Models, TrainForwardBackwardAllArchs) {
     Tensor g = enc.backbone->backward(Tensor::ones(f.shape()));
     EXPECT_EQ(g.shape(), x.shape()) << arch;
     // Gradients reached the stem.
-    float gnorm = 0.0f;
+    double gnorm = 0.0;
     for (nn::Parameter* p : enc.backbone->parameters())
-      gnorm += ops::norm(p->grad);
-    EXPECT_GT(gnorm, 0.0f) << arch;
+      gnorm += test::l2_norm(p->grad);
+    EXPECT_GT(gnorm, 0.0) << arch;
   }
 }
 

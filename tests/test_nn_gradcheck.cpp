@@ -145,32 +145,11 @@ TEST(GradCheck, ReLU6Cap) {
   test::check_module_gradients(relu, x, rng);
 }
 
-TEST(GradCheck, MaxPool) {
-  Rng rng(11);
-  nn::MaxPool2d pool(2, 2);
-  Tensor x = Tensor::randn(Shape{2, 2, 4, 4}, rng, 0.0f, 3.0f);
-  test::check_module_gradients(pool, x, rng);
-}
-
-TEST(GradCheck, AvgPool) {
-  Rng rng(12);
-  nn::AvgPool2d pool(2, 2);
-  Tensor x = Tensor::randn(Shape{2, 2, 4, 4}, rng);
-  test::check_module_gradients(pool, x, rng);
-}
-
 TEST(GradCheck, GlobalAvgPool) {
   Rng rng(13);
   nn::GlobalAvgPool pool;
   Tensor x = Tensor::randn(Shape{2, 3, 3, 3}, rng);
   test::check_module_gradients(pool, x, rng);
-}
-
-TEST(GradCheck, Flatten) {
-  Rng rng(14);
-  nn::Flatten flatten;
-  Tensor x = Tensor::randn(Shape{2, 2, 2, 2}, rng);
-  test::check_module_gradients(flatten, x, rng);
 }
 
 TEST(GradCheck, SequentialConvBnRelu) {

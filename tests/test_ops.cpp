@@ -8,68 +8,15 @@
 namespace cq {
 namespace {
 
-TEST(Ops, ElementwiseAddSubMul) {
+TEST(Ops, AddIsElementwiseAndChecksShapes) {
   Tensor a = Tensor::from({1, 2, 3});
   Tensor b = Tensor::from({4, 5, 6});
   EXPECT_FLOAT_EQ(ops::add(a, b)[1], 7.0f);
-  EXPECT_FLOAT_EQ(ops::sub(a, b)[2], -3.0f);
-  EXPECT_FLOAT_EQ(ops::mul(a, b)[0], 4.0f);
   EXPECT_THROW(ops::add(a, Tensor(Shape{2})), CheckError);
-}
-
-TEST(Ops, ScaleAndAddScalar) {
-  Tensor a = Tensor::from({1, -2});
-  EXPECT_FLOAT_EQ(ops::scale(a, 3.0f)[1], -6.0f);
-  EXPECT_FLOAT_EQ(ops::add_scalar(a, 1.5f)[0], 2.5f);
-}
-
-TEST(Ops, MapAppliesFunction) {
-  Tensor a = Tensor::from({1, 4, 9});
-  Tensor r = ops::map(a, [](float v) { return std::sqrt(v); });
-  EXPECT_FLOAT_EQ(r[2], 3.0f);
-}
-
-TEST(Ops, ReluClampsNegatives) {
-  Tensor a = Tensor::from({-1, 0, 2});
-  Tensor r = ops::relu(a);
-  EXPECT_FLOAT_EQ(r[0], 0.0f);
-  EXPECT_FLOAT_EQ(r[2], 2.0f);
-}
-
-TEST(Ops, ExpLogSqrtClamp) {
-  Tensor a = Tensor::from({0.0f, 1.0f});
-  EXPECT_FLOAT_EQ(ops::exp(a)[0], 1.0f);
-  EXPECT_NEAR(ops::log(ops::exp(a))[1], 1.0f, 1e-6);
-  EXPECT_FLOAT_EQ(ops::sqrt(Tensor::from({16.0f}))[0], 4.0f);
-  Tensor c = ops::clamp(Tensor::from({-5, 0.5f, 5}), 0.0f, 1.0f);
-  EXPECT_FLOAT_EQ(c[0], 0.0f);
-  EXPECT_FLOAT_EQ(c[1], 0.5f);
-  EXPECT_FLOAT_EQ(c[2], 1.0f);
-}
-
-TEST(Ops, Reductions) {
-  Tensor a = Tensor::from({1, -2, 3, 4});
-  EXPECT_FLOAT_EQ(ops::sum(a), 6.0f);
-  EXPECT_FLOAT_EQ(ops::mean(a), 1.5f);
-  EXPECT_FLOAT_EQ(ops::max(a), 4.0f);
-  EXPECT_FLOAT_EQ(ops::min(a), -2.0f);
-  EXPECT_EQ(ops::argmax(a), 3);
-  EXPECT_NEAR(ops::norm(a), std::sqrt(30.0f), 1e-5);
-}
-
-TEST(Ops, DotProduct) {
-  Tensor a = Tensor::from({1, 2, 3});
-  Tensor b = Tensor::from({4, 5, 6});
-  EXPECT_FLOAT_EQ(ops::dot(a, b), 32.0f);
 }
 
 TEST(Ops, RowReductions) {
   Tensor a(Shape{2, 3}, {1, 2, 3, 4, 6, 5});
-  Tensor rs = ops::row_sum(a);
-  EXPECT_FLOAT_EQ(rs[0], 6.0f);
-  EXPECT_FLOAT_EQ(rs[1], 15.0f);
-  Tensor rm = ops::row_max(a);
-  EXPECT_FLOAT_EQ(rm[1], 6.0f);
   const auto am = ops::row_argmax(a);
   EXPECT_EQ(am[0], 2);
   EXPECT_EQ(am[1], 1);

@@ -141,11 +141,11 @@ TEST(Pool, TrimReleasesParkedBlocks) {
 TEST(OpsInto, ElementwiseToleratesAliasedDestination) {
   Tensor a = Tensor::from({1.0f, -2.0f, 3.0f});
   Tensor b = a;  // shares storage with a
-  ops::relu_into(a, b);
+  ops::add_into(a, a, b);
   EXPECT_FLOAT_EQ(a[1], -2.0f);  // source untouched
-  EXPECT_FLOAT_EQ(b[0], 1.0f);
-  EXPECT_FLOAT_EQ(b[1], 0.0f);
-  EXPECT_FLOAT_EQ(b[2], 3.0f);
+  EXPECT_FLOAT_EQ(b[0], 2.0f);
+  EXPECT_FLOAT_EQ(b[1], -4.0f);
+  EXPECT_FLOAT_EQ(b[2], 6.0f);
 
   ops::add_into(a, a, a);  // full self-alias runs in place
   EXPECT_FLOAT_EQ(a[0], 2.0f);

@@ -120,16 +120,6 @@ TEST(Rng, BernoulliProbability) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
 }
 
-TEST(Rng, SplitIndependence) {
-  Rng parent(37);
-  Rng child = parent.split();
-  // Child stream differs from the continued parent stream.
-  int same = 0;
-  for (int i = 0; i < 64; ++i)
-    if (parent.next_u64() == child.next_u64()) ++same;
-  EXPECT_LT(same, 2);
-}
-
 TEST(Splitmix, KnownSequenceIsDeterministic) {
   std::uint64_t s1 = 42, s2 = 42;
   EXPECT_EQ(splitmix64(s1), splitmix64(s2));
