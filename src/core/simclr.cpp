@@ -190,17 +190,11 @@ PretrainStats SimClrCqTrainer::train(const data::Dataset& dataset) {
         static_cast<float>(epoch_loss / static_cast<double>(iters_per_epoch)));
     alloc_tracker.end_epoch(timer.seconds() - epoch_start,
                             stats.iterations - epoch_iter_start);
-    CQ_LOG_DEBUG << variant_name(config_.variant) << " epoch " << epoch
-                 << " loss " << stats.epoch_loss.back();
   }
   stats.final_loss =
       stats.epoch_loss.empty() ? 0.0f : stats.epoch_loss.back();
   stats.seconds = timer.seconds();
   alloc_tracker.finish(stats);
-  CQ_LOG_DEBUG << variant_name(config_.variant) << " alloc stats: first-iter "
-               << stats.first_iteration_heap_allocs << ", steady "
-               << stats.steady_allocs_per_iteration << "/iter, pool hits "
-               << stats.pool_hits << ", misses " << stats.pool_misses;
   encoder_.policy->set_full_precision();
   encoder_.backbone->clear_cache();
   projection_->clear_cache();

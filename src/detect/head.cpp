@@ -9,7 +9,6 @@
 #include "nn/conv2d.hpp"
 #include "optim/adam.hpp"
 #include "util/check.hpp"
-#include "util/logging.hpp"
 
 namespace cq::detect {
 
@@ -55,7 +54,6 @@ float Detector::train(const DetectionDataset& dataset) {
 
   float last_loss = 0.0f;
   for (std::int64_t epoch = 0; epoch < config_.epochs; ++epoch) {
-    double epoch_loss = 0.0;
     for (std::int64_t it = 0; it < iters; ++it) {
       const auto idx = batcher.next();
       std::vector<Tensor> images;
@@ -105,11 +103,8 @@ float Detector::train(const DetectionDataset& dataset) {
       }
       head_->backward(grad);  // trunk is frozen (eval mode, no caches)
       adam.step();
-      epoch_loss += loss;
       last_loss = static_cast<float>(loss);
     }
-    CQ_LOG_DEBUG << "detector epoch " << epoch << " loss "
-                 << epoch_loss / static_cast<double>(iters);
   }
   return last_loss;
 }

@@ -5,21 +5,14 @@
 namespace cq {
 
 namespace {
-// Messages below this level are dropped.
-constexpr LogLevel kThreshold = LogLevel::kInfo;
-
 const char* level_tag(LogLevel level) {
   switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
     case LogLevel::kInfo:
       return "INFO ";
     case LogLevel::kWarn:
       return "WARN ";
     case LogLevel::kError:
       return "ERROR";
-    case LogLevel::kOff:
-      return "OFF  ";
   }
   return "?";
 }
@@ -27,7 +20,6 @@ const char* level_tag(LogLevel level) {
 
 namespace detail {
 void log_emit(LogLevel level, const std::string& msg) {
-  if (static_cast<int>(level) < static_cast<int>(kThreshold)) return;
   std::fprintf(stderr, "[%s] %s\n", level_tag(level), msg.c_str());
 }
 }  // namespace detail

@@ -1,6 +1,5 @@
 // Minimal leveled logger. Single-threaded by design (target machine has one
 // core); writes to stderr so experiment tables on stdout stay machine-readable.
-// Messages below kInfo are dropped.
 #pragma once
 
 #include <sstream>
@@ -8,7 +7,7 @@
 
 namespace cq {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
+enum class LogLevel { kInfo, kWarn, kError };
 
 namespace detail {
 void log_emit(LogLevel level, const std::string& msg);
@@ -38,4 +37,3 @@ class LogLine {
 #define CQ_LOG_INFO CQ_LOG(kInfo)
 #define CQ_LOG_WARN CQ_LOG(kWarn)
 #define CQ_LOG_ERROR CQ_LOG(kError)
-#define CQ_LOG_DEBUG CQ_LOG(kDebug)

@@ -1,6 +1,7 @@
 // Contrastive losses: values, gradients, invariances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/losses.hpp"
@@ -46,8 +47,10 @@ TEST(NtXent, ScaleInvarianceFromNormalization) {
   Tensor za = Tensor::randn(Shape{4, 6}, rng);
   Tensor zb = Tensor::randn(Shape{4, 6}, rng);
   const float v1 = core::nt_xent(za, zb, 0.5f).value;
-  const float v2 =
-      core::nt_xent(test::scaled(za, 3.0f), test::scaled(zb, 3.0f), 0.5f).value;
+  Tensor za3 = za, zb3 = zb;
+  za3.mul_(3.0f);
+  zb3.mul_(3.0f);
+  const float v2 = core::nt_xent(za3, zb3, 0.5f).value;
   EXPECT_NEAR(v1, v2, 1e-4);
 }
 
@@ -71,8 +74,9 @@ TEST(NtXent, GradientMatchesFiniteDifferences) {
 TEST(NtXent, LowerTemperatureSharpens) {
   Rng rng(6);
   Tensor za = Tensor::randn(Shape{6, 5}, rng);
-  Tensor zb =
-      ops::add(za, test::scaled(Tensor::randn(Shape{6, 5}, rng), 0.1f));
+  Tensor noise = Tensor::randn(Shape{6, 5}, rng);
+  noise.mul_(0.1f);
+  Tensor zb = ops::add(za, noise);
   // With near-aligned positives, sharper softmax -> lower loss.
   const float sharp = core::nt_xent(za, zb, 0.1f).value;
   const float smooth = core::nt_xent(za, zb, 1.0f).value;
@@ -91,14 +95,18 @@ TEST(NtXent, RejectsDegenerateInputs) {
 TEST(ByolMse, PerfectAlignmentGivesZero) {
   Rng rng(8);
   Tensor p = Tensor::randn(Shape{4, 6}, rng);
-  const auto loss = core::byol_mse(p, test::scaled(p, 2.0f));
+  Tensor t = p;
+  t.mul_(2.0f);
+  const auto loss = core::byol_mse(p, t);
   EXPECT_NEAR(loss.value, 0.0f, 1e-5);
 }
 
 TEST(ByolMse, OppositeVectorsGiveFour) {
   Rng rng(9);
   Tensor p = Tensor::randn(Shape{3, 5}, rng);
-  const auto loss = core::byol_mse(p, test::scaled(p, -1.0f));
+  Tensor t = p;
+  t.mul_(-1.0f);
+  const auto loss = core::byol_mse(p, t);
   EXPECT_NEAR(loss.value, 4.0f, 1e-5);
 }
 
@@ -107,8 +115,9 @@ TEST(ByolMse, TargetGradientIsZero) {
   Tensor p = Tensor::randn(Shape{4, 5}, rng);
   Tensor t = Tensor::randn(Shape{4, 5}, rng);
   const auto loss = core::byol_mse(p, t);
-  EXPECT_EQ(test::l2_norm(loss.grad_b), 0.0);
-  EXPECT_GT(test::l2_norm(loss.grad_a), 0.0);
+  const auto nonzero = [](float v) { return v != 0.0f; };
+  EXPECT_TRUE(std::ranges::none_of(loss.grad_b.span(), nonzero));
+  EXPECT_TRUE(std::ranges::any_of(loss.grad_a.span(), nonzero));
 }
 
 TEST(ByolMse, GradientMatchesFiniteDifferences) {
@@ -126,7 +135,9 @@ TEST(ByolMse, GradientMatchesFiniteDifferences) {
 TEST(SymmetricMse, ZeroForIdenticalDirections) {
   Rng rng(12);
   Tensor a = Tensor::randn(Shape{3, 4}, rng);
-  const auto loss = core::symmetric_mse(a, test::scaled(a, 0.5f));
+  Tensor b = a;
+  b.mul_(0.5f);
+  const auto loss = core::symmetric_mse(a, b);
   EXPECT_NEAR(loss.value, 0.0f, 1e-5);
 }
 
@@ -135,8 +146,9 @@ TEST(SymmetricMse, GradientsFlowToBothSides) {
   Tensor a = Tensor::randn(Shape{4, 4}, rng);
   Tensor b = Tensor::randn(Shape{4, 4}, rng);
   const auto loss = core::symmetric_mse(a, b);
-  EXPECT_GT(test::l2_norm(loss.grad_a), 0.0);
-  EXPECT_GT(test::l2_norm(loss.grad_b), 0.0);
+  const auto nonzero = [](float v) { return v != 0.0f; };
+  EXPECT_TRUE(std::ranges::any_of(loss.grad_a.span(), nonzero));
+  EXPECT_TRUE(std::ranges::any_of(loss.grad_b.span(), nonzero));
   test::check_loss_gradient(
       [&](const Tensor& z) {
         return static_cast<double>(core::symmetric_mse(z, b).value);

@@ -1,6 +1,7 @@
 // MoCo trainer and queue-based InfoNCE loss.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/losses.hpp"
@@ -60,8 +61,9 @@ TEST(InfoNceQueue, KeyGradientIsZero) {
   Tensor k = Tensor::randn(Shape{3, 5}, rng);
   Tensor queue = ops::l2_normalize_rows(Tensor::randn(Shape{8, 5}, rng));
   const auto loss = core::info_nce_queue(q, k, queue, 0.5f);
-  EXPECT_EQ(test::l2_norm(loss.grad_b), 0.0);
-  EXPECT_GT(test::l2_norm(loss.grad_a), 0.0);
+  const auto nonzero = [](float v) { return v != 0.0f; };
+  EXPECT_TRUE(std::ranges::none_of(loss.grad_b.span(), nonzero));
+  EXPECT_TRUE(std::ranges::any_of(loss.grad_a.span(), nonzero));
 }
 
 TEST(InfoNceQueue, GradientMatchesFiniteDifferences) {

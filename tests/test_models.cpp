@@ -1,6 +1,7 @@
 // Model zoo: shapes, quantization wiring, checkpointing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -9,7 +10,6 @@
 #include "models/heads.hpp"
 #include "models/mobilenetv2.hpp"
 #include "models/resnet.hpp"
-#include "testutil.hpp"
 #include "util/check.hpp"
 
 namespace cq {
@@ -220,10 +220,11 @@ TEST(Models, TrainForwardBackwardAllArchs) {
     Tensor g = enc.backbone->backward(Tensor::ones(f.shape()));
     EXPECT_EQ(g.shape(), x.shape()) << arch;
     // Gradients reached the stem.
-    double gnorm = 0.0;
+    bool any_grad = false;
     for (nn::Parameter* p : enc.backbone->parameters())
-      gnorm += test::l2_norm(p->grad);
-    EXPECT_GT(gnorm, 0.0) << arch;
+      any_grad |= std::ranges::any_of(p->grad.span(),
+                                      [](float v) { return v != 0.0f; });
+    EXPECT_TRUE(any_grad) << arch;
   }
 }
 

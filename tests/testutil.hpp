@@ -1,5 +1,5 @@
 // Shared test helpers: numeric gradient checking against Module::backward,
-// race-free shared fixture files, and small tensor conveniences.
+// and race-free shared fixture files.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -15,20 +15,6 @@
 #include "tensor/tensor.hpp"
 
 namespace cq::test {
-
-/// L2 norm over all elements, accumulated in double.
-inline double l2_norm(const Tensor& t) {
-  double s = 0.0;
-  for (std::int64_t i = 0; i < t.numel(); ++i)
-    s += static_cast<double>(t[i]) * t[i];
-  return std::sqrt(s);
-}
-
-/// `t` times `s`; the caller's tensor is untouched (copy-on-write).
-inline Tensor scaled(Tensor t, float s) {
-  t.mul_(s);
-  return t;
-}
 
 /// Writes a fixture file that several test processes may build at once
 /// (ctest runs each discovered case in its own process, so a function-static

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Reachability probe: which library functions does no shipped binary reach?
 
-    python3 tools/reach_probe.py [--build-dir DIR] [--jobs N]
+    python3 tools/reach_probe.py [--build-dir DIR]
 
 Builds every bench/ and examples/ target and the standalone perfbench binary
 at -O0 with one section per function, and links them with --gc-sections. At
@@ -56,14 +56,15 @@ def run(cmd, **kw):
     return subprocess.run(cmd, check=True, text=True, **kw)
 
 
-def configure_and_build(src, out, targets, jobs):
+def configure_and_build(src, out, targets):
     run(["cmake", "-S", src, "-B", out, "-G", "Ninja",
          "-DCMAKE_BUILD_TYPE=Debug", "-DCMAKE_CXX_FLAGS_DEBUG=-O0",
          "-DCMAKE_CXX_FLAGS=-ffunction-sections -fdata-sections "
          "-DCQ_FORCE_SCALAR",
          "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections"],
         stdout=subprocess.DEVNULL)
-    run(["cmake", "--build", out, "-j", str(jobs), "--target", *targets],
+    run(["cmake", "--build", out, "-j", str(len(os.sched_getaffinity(0))),
+         "--target", *targets],
         stdout=subprocess.DEVNULL)
 
 
@@ -181,7 +182,6 @@ def read_allowlist():
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--build-dir", default=os.path.join(ROOT, "build-reach"))
-    ap.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     args = ap.parse_args()
 
     allow, bad = read_allowlist()
@@ -194,9 +194,9 @@ def main():
     bench_build = os.path.join(build, "perfbench")
     try:
         configure_and_build(ROOT, build,
-                            [f"{d}/all" for d in SHIPPED_DIRS], args.jobs)
+                            [f"{d}/all" for d in SHIPPED_DIRS])
         configure_and_build(os.path.join(ROOT, "perfbench"), bench_build,
-                            ["perfbench"], args.jobs)
+                            ["perfbench"])
     except subprocess.CalledProcessError as e:
         log(f"build failed: {e}")
         return 2
