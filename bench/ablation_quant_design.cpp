@@ -48,7 +48,7 @@ int main() {
 
     Rng rng(42);
     auto encoder = models::make_encoder("resnet18", rng, qcfg);
-    auto cfg = bench::standard_pretrain(bundle.name, core::CqVariant::kCqC,
+    auto cfg = bench::standard_pretrain(core::CqVariant::kCqC,
                                         quant::PrecisionSet::range(6, 16));
     cfg.distinct_pair = knob.distinct_pair;
     // No cache: the quantizer config is part of the encoder, not the key.

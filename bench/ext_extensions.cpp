@@ -35,7 +35,7 @@ int main() {
   // E1: MoCo vanilla vs MoCo + CQ-A.
   for (const bool use_cq : {false, true}) {
     auto cfg = bench::standard_pretrain(
-        bundle.name, use_cq ? core::CqVariant::kCqA : core::CqVariant::kVanilla,
+        use_cq ? core::CqVariant::kCqA : core::CqVariant::kVanilla,
         quant::PrecisionSet::range(6, 16));
     cfg.byol_ema = 0.95f;  // key-encoder momentum
     cfg.moco_queue = 256;
@@ -50,7 +50,7 @@ int main() {
     if (noise) qcfg.perturb = quant::PerturbMode::kGaussian;
     Rng rng(42);
     auto encoder = models::make_encoder("resnet18", rng, qcfg);
-    auto cfg = bench::standard_pretrain(bundle.name, core::CqVariant::kCqC,
+    auto cfg = bench::standard_pretrain(core::CqVariant::kCqC,
                                         quant::PrecisionSet::range(6, 16));
     core::SimClrCqTrainer trainer(encoder, cfg);  // uncached (custom qconfig)
     trainer.train(bundle.ssl_train);
@@ -61,7 +61,7 @@ int main() {
 
   // E3: random pair sampling vs cyclic precision schedule.
   for (const bool cyclic : {false, true}) {
-    auto cfg = bench::standard_pretrain(bundle.name, core::CqVariant::kCqC,
+    auto cfg = bench::standard_pretrain(core::CqVariant::kCqC,
                                         quant::PrecisionSet::range(6, 16));
     if (cyclic) {
       cfg.precision_sampling =

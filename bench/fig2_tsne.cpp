@@ -25,7 +25,6 @@ int main() {
     for (int m = 0; m < 2; ++m) {
       const bool is_cq = m == 1;
       auto cfg = bench::standard_pretrain(
-          bundle.name,
           is_cq ? core::CqVariant::kCqC : core::CqVariant::kVanilla,
           is_cq ? quant::PrecisionSet::range(6, 16) : quant::PrecisionSet());
       auto encoder = bench::pretrained_encoder(arch, bundle, cfg);

@@ -21,10 +21,9 @@
 //   service  closed-loop search::Service load (encode -> binarize -> scan)
 //            with concurrent clients: sustained qps + e2e p50/p99.
 //
-// Protocol: bitwise equivalence gates run before any timing — backend vs
-// scalar kernels on the scan path, and pool-size 1 vs 2 parity for the
-// threaded query path (the determinism contract). A mismatch fails the
-// bench and is reported as "bitwise_equivalent": false.
+// Protocol: bitwise equivalence gates (backend vs scalar kernels on the scan
+// path) run before any timing. A mismatch fails the bench and is reported as
+// "bitwise_equivalent": false.
 //
 // Flags: --json=PATH writes the report; --smoke runs the gates + a tiny
 // service burst only (the `search_smoke` ctest, label `bench`).
@@ -41,7 +40,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/threadpool.hpp"
 #include "search/recall.hpp"
 #include "search/service.hpp"
 #include "tensor/kernels/hamming.hpp"
@@ -65,9 +63,9 @@ constexpr std::int64_t kOverfetch = 8;
 
 // ---- equivalence gates -----------------------------------------------------
 
-/// Backend-vs-scalar bitwise parity on the scan kernels (odd shapes included)
-/// plus pool-size 1 vs 2 parity of a full Index::query. Runs before any
-/// timing; returns false (and records a failure) on the first mismatch.
+/// Backend-vs-scalar bitwise parity on the scan kernels (odd shapes
+/// included). Runs before any timing; returns false (and records a failure)
+/// on the first mismatch.
 bool equivalence_gate() {
   Rng rng(0xB17);
   const std::int64_t dim = 64, rows = 3 * search::Index::kScanBlock + 517;
@@ -90,38 +88,6 @@ bool equivalence_gate() {
     kernels::scalar::hamming_scan(a.data(), a.data(), rows, words, db.data());
     check(da == db, "hamming_scan backend != portable (bitwise)");
   }
-
-  // Threaded query determinism: identical results at pool sizes 1 and 2.
-  search::IndexConfig icfg;
-  icfg.dim = dim;
-  icfg.layout = search::CodeLayout::k1Bit;
-  icfg.store_embeddings = true;
-  std::vector<std::uint64_t> ids(static_cast<std::size_t>(rows));
-  for (std::int64_t r = 0; r < rows; ++r)
-    ids[r] = static_cast<std::uint64_t>(r);
-  search::Index index(
-      icfg, search::Binarizer::fit(base.data(), rows, dim,
-                                   search::CodeLayout::k1Bit));
-  index.add(base.data(), ids.data(), rows);
-  search::QueryOptions opts;
-  opts.k = kTopK;
-  opts.overfetch = kOverfetch;
-  opts.rerank = true;
-  search::QueryScratch scratch;
-  index.prepare(opts, scratch);
-  std::vector<search::Result> r1(static_cast<std::size_t>(kTopK)), r2(r1);
-  auto& pool = core::ThreadPool::instance();
-  const std::size_t original = pool.size();
-  pool.set_size(1);
-  const std::int64_t n1 = index.query(base.data(), opts, scratch, r1.data());
-  pool.set_size(2);
-  const std::int64_t n2 = index.query(base.data(), opts, scratch, r2.data());
-  pool.set_size(original);
-  bool same = n1 == n2;
-  for (std::int64_t i = 0; same && i < n1; ++i)
-    same = r1[i].id == r2[i].id && r1[i].dist == r2[i].dist &&
-           std::memcmp(&r1[i].score, &r2[i].score, sizeof(float)) == 0;
-  check(same, "Index::query differs across pool sizes (determinism)");
   return g_failures == 0;
 }
 
@@ -283,7 +249,7 @@ std::vector<EncoderRecall> bench_recall(const core::DatasetBundle& bundle) {
     // Identical recipes to the paper-table benches, so the encoder
     // checkpoints come from (and land in) the shared pretrain cache.
     auto cfg = bench::standard_pretrain(
-        bundle.name, is_cq ? core::CqVariant::kCqC : core::CqVariant::kVanilla,
+        is_cq ? core::CqVariant::kCqC : core::CqVariant::kVanilla,
         is_cq ? quant::PrecisionSet::range(6, 16) : quant::PrecisionSet());
     auto encoder = bench::pretrained_encoder("resnet18", bundle, cfg);
     const Tensor features = eval::extract_features(encoder, bundle.labeled, 32);
@@ -431,9 +397,8 @@ void write_json(const std::string& path, const ScanSection& scan,
                "  \"regenerate\": \"build/bench/search "
                "--json=bench_out/search.json\",\n");
   std::fprintf(f,
-               "  \"hardware\": {\"cores\": %u, \"cq_threads\": %llu},\n",
-               std::thread::hardware_concurrency(),
-               static_cast<unsigned long long>(core::configured_threads()));
+               "  \"hardware\": {\"cores\": %u},\n",
+               std::thread::hardware_concurrency());
   std::fprintf(f, "  \"bitwise_equivalent\": %s,\n",
                g_failures == 0 ? "true" : "false");
   std::fprintf(f,

@@ -47,7 +47,7 @@ int main() {
     for (int m = 0; m < 3; ++m) {
       const auto& method = methods[m];
       auto cfg = bench::standard_pretrain(
-          bundle.name, method.variant,
+          method.variant,
           method.lo > 0 ? quant::PrecisionSet::range(method.lo, method.hi)
                         : quant::PrecisionSet());
       auto encoder = bench::pretrained_encoder(archs[a], bundle, cfg);

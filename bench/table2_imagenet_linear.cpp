@@ -26,7 +26,7 @@ int main() {
     std::vector<std::string> row = {archs[a]};
     for (int m = 0; m < 3; ++m) {
       auto cfg = bench::standard_pretrain(
-          bundle.name, methods[m].variant,
+          methods[m].variant,
           methods[m].lo > 0
               ? quant::PrecisionSet::range(methods[m].lo, methods[m].hi)
               : quant::PrecisionSet());

@@ -47,7 +47,7 @@ int main() {
   for (int a = 0; a < 2; ++a) {
     for (int m = 0; m < 3; ++m) {
       auto cfg = bench::standard_pretrain(
-          bundle.name, methods[m].variant,
+          methods[m].variant,
           methods[m].lo > 0
               ? quant::PrecisionSet::range(methods[m].lo, methods[m].hi)
               : quant::PrecisionSet());

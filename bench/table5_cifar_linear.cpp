@@ -23,7 +23,6 @@ int main() {
     std::vector<std::string> row = {is_cq ? "CQ-C" : "SimCLR"};
     for (int a = 0; a < 6; ++a) {
       auto cfg = bench::standard_pretrain(
-          bundle.name,
           is_cq ? core::CqVariant::kCqC : core::CqVariant::kVanilla,
           is_cq ? quant::PrecisionSet::range(6, 16) : quant::PrecisionSet());
       auto encoder = bench::pretrained_encoder(archs[a], bundle, cfg);

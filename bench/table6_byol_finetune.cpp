@@ -27,7 +27,6 @@ int main() {
     for (int m = 0; m < 2; ++m) {
       const bool is_cq = m == 1;
       auto cfg = bench::standard_pretrain(
-          bundle.name,
           is_cq ? core::CqVariant::kCqC : core::CqVariant::kVanilla,
           quant::PrecisionSet::range(6, 16));
       // BYOL needs a slightly gentler LR than NT-Xent training.

@@ -44,7 +44,7 @@ int main() {
   for (int a = 0; a < 3; ++a) {
     for (int m = 0; m < 4; ++m) {
       auto cfg = bench::standard_pretrain(
-          bundle.name, methods[m].variant,
+          methods[m].variant,
           methods[m].variant == core::CqVariant::kVanilla
               ? quant::PrecisionSet()
               : quant::PrecisionSet::range(6, 16));

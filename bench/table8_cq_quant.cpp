@@ -37,7 +37,7 @@ int main() {
           return models::make_encoder(archs[a], rng);
         }
         auto cfg = bench::standard_pretrain(
-            bundle.name, core::CqVariant::kCqQuant,
+            core::CqVariant::kCqQuant,
             s == 0 ? quant::PrecisionSet::range(6, 16)
                    : quant::PrecisionSet::range(8, 16));
         cfg.augment.identity = true;  // Sec 4.5: no input augmentation

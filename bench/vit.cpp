@@ -24,8 +24,8 @@
 //            contract).
 //
 // Protocol: bitwise equivalence gates run before any timing — compiled fp32
-// plan vs the eager module tree, and pool-size 1 vs 2 parity of the int8
-// plan. A mismatch fails the bench and is reported as
+// plan vs the eager module tree, and batch-4 vs four batch-1 forwards of the
+// int8 plan. A mismatch fails the bench and is reported as
 // "bitwise_equivalent": false.
 //
 // Flags: --json=PATH writes the report; --smoke runs the gates + a tiny
@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/threadpool.hpp"
 #include "graph/executor.hpp"
 #include "quant/ptq.hpp"
 #include "search/recall.hpp"
@@ -76,8 +75,8 @@ graph::CompiledModel compile_vit(models::Encoder& enc,
 
 // ---- equivalence gates -----------------------------------------------------
 
-/// Compiled fp32 == eager bitwise at several widths, and pool-size 1 vs 2
-/// parity of the int8 plan. Runs before any timing.
+/// Compiled fp32 == eager bitwise at several widths, and the int8 plan's
+/// batch-4 rows == its batch-1 forwards. Runs before any timing.
 bool equivalence_gate(models::Encoder& enc) {
   auto fp = compile_vit(enc, 4, graph::Precision::kF32);
   Rng rng(0xA77);
@@ -94,17 +93,17 @@ bool equivalence_gate(models::Encoder& enc) {
 
   auto q = compile_vit(enc, 4, graph::Precision::kInt8);
   const Tensor x = Tensor::uniform(Shape{4, 3, kImg, kImg}, rng, -1.0f, 1.0f);
-  core::ThreadPool& pool = core::ThreadPool::instance();
-  const std::size_t old_size = pool.size();
-  pool.set_size(1);
-  const Tensor serial = q.forward(x);  // copy: arena reused below
-  pool.set_size(2);
-  const Tensor& threaded = q.forward(x);
-  pool.set_size(old_size);
-  bool same = threaded.shape() == serial.shape();
-  for (std::int64_t i = 0; same && i < serial.numel(); ++i)
-    same = threaded.data()[i] == serial.data()[i];
-  check(same, "int8 plan pool-size 1 != 2 (bitwise)");
+  const Tensor batched = q.forward(x);  // copy: arena reused below
+  const std::int64_t per = 3 * kImg * kImg, feats = batched.dim(1);
+  bool same = true;
+  for (std::int64_t i = 0; same && i < 4; ++i) {
+    Tensor single(Shape{1, 3, kImg, kImg});
+    std::copy_n(x.data() + i * per, per, single.data());
+    const Tensor& one = q.forward(single);
+    for (std::int64_t c = 0; same && c < feats; ++c)
+      same = one.data()[c] == batched.data()[i * feats + c];
+  }
+  check(same, "int8 plan batch 4 != batch 1 (bitwise)");
   return g_failures == 0;
 }
 
@@ -348,9 +347,8 @@ void write_json(const std::string& path, const std::vector<AttnCase>& attn,
   std::fprintf(f,
                "  \"regenerate\": \"build/bench/vit "
                "--json=bench_out/vit.json\",\n");
-  std::fprintf(f, "  \"hardware\": {\"cores\": %u, \"cq_threads\": %llu},\n",
-               std::thread::hardware_concurrency(),
-               static_cast<unsigned long long>(core::configured_threads()));
+  std::fprintf(f, "  \"hardware\": {\"cores\": %u},\n",
+               std::thread::hardware_concurrency());
   std::fprintf(f, "  \"bitwise_equivalent\": %s,\n",
                g_failures == 0 ? "true" : "false");
 

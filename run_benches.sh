@@ -5,8 +5,6 @@
 #   gemm.json        blocked-vs-reference GEMM GFLOP/s
 #   pipeline.json    steady-state allocation accounting
 #   kernels.json     SIMD kernel layer: fused epilogues, quantize-on-pack
-#   threadpool.json  thread pool: size-1 parity, dispatch overhead,
-#                    parallel_for scaling
 #   search.json      binary-embedding search: Hamming scan vs fp32 brute
 #                    force, recall@10-vs-bits, service qps/p99
 #   vit.json         transformer encoder: attention GEMM GFLOP/s,
@@ -35,32 +33,13 @@
 set -u
 cd "$(dirname "$0")"
 
-# Bench numbers are only comparable when the thread count is pinned: detect
-# the hardware, print it, persist it next to the outputs, and default
-# CQ_THREADS to the detected core count (callers can still override). The
-# full run calls this before running anything; the threadpool JSON also
-# records the same values under its "hardware" key. The --check sweeps do
-# NOT pin: the sanitizer runs force CQ_THREADS=4 instead so the threaded
-# paths are exercised with real concurrency even on a single-core host.
-pin_bench_threads() {
-  CORES="$(nproc)"
-  export CQ_THREADS="${CQ_THREADS:-$CORES}"
-  echo "hardware: ${CORES} cores, CQ_THREADS=${CQ_THREADS}"
-  mkdir -p bench_out
-  echo "cores=${CORES} cq_threads=${CQ_THREADS}" > bench_out/hardware.txt
-}
-
 case "${1:-}" in
 --check)
   set -e
-  # CQ_THREADS=4 forces real pool/queue concurrency through the sanitizer
-  # runs regardless of the host's core count (the threadpool, parallel-GEMM,
-  # and MPMC queue tests must be clean at >=4 threads, not just at the
-  # single-core default).
   echo "=== sanitize preset (ASan+UBSan, substrate + kernel tests) ==="
   cmake --preset sanitize
   cmake --build --preset sanitize -j"$(nproc)"
-  CQ_THREADS=4 ctest --preset sanitize -j"$(nproc)"
+  ctest --preset sanitize -j"$(nproc)"
   echo "=== scalar preset (CQ_SCALAR_KERNELS=ON, portable backend) ==="
   cmake --preset scalar
   cmake --build --preset scalar -j"$(nproc)"
@@ -68,7 +47,7 @@ case "${1:-}" in
   echo "=== tsan preset (ThreadSanitizer, serve-labeled tests) ==="
   cmake --preset tsan
   cmake --build --preset tsan -j"$(nproc)"
-  CQ_THREADS=4 ctest --preset tsan -j"$(nproc)"
+  ctest --preset tsan -j"$(nproc)"
   echo ALL_CHECKS_DONE
   exit 0
   ;;
@@ -79,15 +58,13 @@ case "${1:-}" in
   ;;
 esac
 
-pin_bench_threads
-
 export CQ_FT_EPOCHS=${CQ_FT_EPOCHS:-10}
 export CQ_DET_EPOCHS=${CQ_DET_EPOCHS:-20}
 export CQ_TSNE_ITERS=${CQ_TSNE_ITERS:-200}
 
 if [ ! -x build/bench/micro_kernels ] || [ ! -x build/bench/kernels ] \
    || [ ! -x build/bench/pipeline_alloc ] \
-   || [ ! -x build/bench/threadpool ] || [ ! -x build/bench/search ] \
+   || [ ! -x build/bench/search ] \
    || [ ! -x build/bench/vit ]; then
   cmake --preset default
   cmake --build --preset default -j"$(nproc)"
@@ -129,7 +106,6 @@ json_report() { # name command...
 json_report gemm ./build/bench/micro_kernels --gemm_json=bench_out/gemm.json
 json_report pipeline ./build/bench/pipeline_alloc --json=bench_out/pipeline.json
 json_report kernels ./build/bench/kernels --json=bench_out/kernels.json
-json_report threadpool ./build/bench/threadpool --json=bench_out/threadpool.json
 json_report search ./build/bench/search --json=bench_out/search.json
 json_report vit ./build/bench/vit --json=bench_out/vit.json
 echo ALL_BENCHES_DONE

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "core/threadpool.hpp"
 #include "core/trace.hpp"
 #include "graph/tracer.hpp"
 #include "models/vit.hpp"
@@ -17,26 +16,6 @@
 namespace cq::graph {
 
 namespace {
-
-// Batch-parallel dispatch (DESIGN.md §14): split the batch into the
-// deterministic image slices plan.cpp defines — every batched value and
-// scratch slot is image-strided, so slices touch disjoint arena bytes — and
-// run each slice's images on a pool worker. Inline (the exact serial loop)
-// at pool size 1 or batch 1; allocation-free either way, preserving the
-// ZeroAllocSteadyState contract.
-template <typename F>
-void for_each_image(std::int64_t n, F&& fn) {
-  core::ThreadPool& pool = core::ThreadPool::instance();
-  const std::int64_t parts = std::min<std::int64_t>(
-      n, static_cast<std::int64_t>(pool.size()) *
-             core::ThreadPool::kChunksPerThread);
-  pool.parallel_for(parts, 1, [&](std::int64_t s0, std::int64_t s1) {
-    for (std::int64_t s = s0; s < s1; ++s) {
-      const ImageSlice sl = image_slice(n, parts, s);
-      for (std::int64_t img = sl.begin; img < sl.end; ++img) fn(img);
-    }
-  });
-}
 
 ConvGeometry conv_geometry(const Node& n, const Shape& in) {
   ConvGeometry g;
@@ -267,14 +246,14 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
           // Image i owns columns [i*spatial, (i+1)*spatial): every one of
           // its columns quantizes with that image's scale, whatever the
           // batch width.
-          for_each_image(n, [&](std::int64_t img) {
+          for (std::int64_t img = 0; img < n; ++img) {
             const float in_scale =
                 in_max != nullptr
                     ? scale_from_max(in_max[img])
                     : sample_scale(in_p + img * sample_in, sample_in);
             img_inv[img] = 1.0f / in_scale;
             std::fill_n(col_scale + img * spatial, spatial, in_scale);
-          });
+          }
           // The epilogue writes the finished NCHW activation: residual,
           // ReLU/ReLU6 and the per-image max included.
           const float* residual =
@@ -319,40 +298,35 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
           {
             CQ_TRACE_SCOPE_N("serve.lower", n);
             // Image img writes cols_buf slice img*spatial*krows (im2row) or
-            // the img*spatial column band (im2col) — disjoint either way.
-            for_each_image(n, [&](std::int64_t img) {
+            // the img*spatial column band (im2col).
+            for (std::int64_t img = 0; img < n; ++img) {
               const float* src =
                   in_p + img * sample_in + grp * cin_g * in_h * in_w;
               if (patch_major)
                 im2row(src, geo, cols_buf + img * spatial * krows);
               else
                 im2col(src, geo, cols_buf + img * spatial, cols);
-            });
+            }
           }
           ep.bias = st.bias.data() + grp * cout_g;
           gemm::gemm(patch_major ? gemm::Trans::kNT : gemm::Trans::kNN,
                      cout_g, cols, krows,
                      node.weight.data() + grp * cout_g * krows, cols_buf,
                      gout, /*accumulate=*/false, ep);
-          const std::int64_t sg =
-              std::max<std::int64_t>(1, (std::int64_t{1} << 14) / cols);
-          core::parallel_for(cout_g, sg, [&](std::int64_t o0,
-                                             std::int64_t o1) {
-            for (std::int64_t oc_local = o0; oc_local < o1; ++oc_local) {
-              const float* src = gout + oc_local * cols;
-              const std::int64_t oc = grp * cout_g + oc_local;
-              if (spatial == 1) {
-                for (std::int64_t img = 0; img < n; ++img)
-                  out_p[img * node.conv.out_channels + oc] = src[img];
-              } else {
-                for (std::int64_t img = 0; img < n; ++img)
-                  std::memcpy(
-                      out_p + (img * node.conv.out_channels + oc) * spatial,
-                      src + img * spatial,
-                      static_cast<std::size_t>(spatial) * sizeof(float));
-              }
+          for (std::int64_t oc_local = 0; oc_local < cout_g; ++oc_local) {
+            const float* src = gout + oc_local * cols;
+            const std::int64_t oc = grp * cout_g + oc_local;
+            if (spatial == 1) {
+              for (std::int64_t img = 0; img < n; ++img)
+                out_p[img * node.conv.out_channels + oc] = src[img];
+            } else {
+              for (std::int64_t img = 0; img < n; ++img)
+                std::memcpy(
+                    out_p + (img * node.conv.out_channels + oc) * spatial,
+                    src + img * spatial,
+                    static_cast<std::size_t>(spatial) * sizeof(float));
             }
-          });
+          }
         }
         break;
       }
@@ -368,10 +342,10 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
           float* in_scale = arena_ptr(scratch[0]);
           float* in_inv = arena_ptr(scratch[1]);
           auto* bp = reinterpret_cast<std::uint8_t*>(base_ + scratch[2]);
-          for_each_image(rows, [&](std::int64_t s) {
+          for (std::int64_t s = 0; s < rows; ++s) {
             in_scale[s] = sample_scale(in_p + s * in, in);
             in_inv[s] = 1.0f / in_scale[s];
-          });
+          }
           igemm::pack_b_quantized(in_p, /*rs=*/1, /*cs=*/in, in, rows, in_inv,
                                   bp);
           // GEMM column s is output row s: the epilogue writes [rows, out]
@@ -410,10 +384,10 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
         const std::int64_t sample_in =
             node.conv.in_channels * geo.in_h * geo.in_w;
         float* patches = arena_ptr(scratch[0]);
-        // Image img owns patch rows [img*seq, (img+1)*seq) — disjoint.
-        for_each_image(n, [&](std::int64_t img) {
+        // Image img owns patch rows [img*seq, (img+1)*seq).
+        for (std::int64_t img = 0; img < n; ++img) {
           im2row(in_p + img * sample_in, geo, patches + img * seq * krows);
-        });
+        }
         gemm::Epilogue ep;
         ep.bias = st.bias.data();
         ep.bias_kind = gemm::Epilogue::Bias::kPerCol;
@@ -426,10 +400,10 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
           gemm::gemm(gemm::Trans::kNT, rows, dim, krows, patches,
                      node.weight.data(), out_p, /*accumulate=*/false, ep);
         const float* pos = node.pos_embed.data();
-        for_each_image(n, [&](std::int64_t img) {
+        for (std::int64_t img = 0; img < n; ++img) {
           float* dst = out_p + img * seq * dim;
           for (std::int64_t j = 0; j < seq * dim; ++j) dst[j] += pos[j];
-        });
+        }
         break;
       }
 
@@ -439,27 +413,20 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
         const std::int64_t rows_per = ishape.numel() / cols;
         const float* gamma = node.bn_gamma.data();
         const float* beta = node.bn_beta.data();
-        // Row-independent arithmetic: any per-image split matches the eager
+        // Row-independent arithmetic: per-image calls match the eager
         // whole-batch call bit for bit (shared nn::detail::layernorm_rows).
-        for_each_image(n, [&](std::int64_t img) {
+        for (std::int64_t img = 0; img < n; ++img) {
           nn::detail::layernorm_rows(in_p + img * rows_per * cols,
                                      out_p + img * rows_per * cols, rows_per,
                                      cols, gamma, beta, node.bn_eps,
                                      /*xhat=*/nullptr, /*inv_std=*/nullptr);
-        });
+        }
         break;
       }
 
       case Op::kGelu: {
         CQ_TRACE_SCOPE_N("graph.node.gelu", n);
-        const std::int64_t count = n * ishape.numel();
-        // Elementwise and position-independent, like kRelu above: the vector
-        // and scalar-tail lanes are bit-identical, so any contiguous split
-        // reproduces the eager single-call output.
-        core::parallel_for(count, 1 << 14, [&](std::int64_t b,
-                                               std::int64_t e) {
-          kernels::gelu(in_p + b, out_p + b, e - b);
-        });
+        kernels::gelu(in_p, out_p, n * ishape.numel());
         break;
       }
 
@@ -468,65 +435,50 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
         const Shape& oshape = graph_.value(node.output).shape;
         const std::int64_t seq = oshape.dim(0), dim = oshape.dim(1);
         const std::int64_t heads = node.attn_heads;
-        const std::int64_t per =
-            3 * seq * dim +
-            models::detail::attention_scratch_floats(seq, dim, heads);
-        float* buf = arena_ptr(scratch[0]);
-        // Each image gets its own q/k/v + score scratch slice, so the
-        // batch-parallel sweep shares nothing across workers; the shared
+        // Images reuse one q/k/v + score scratch; the shared
         // attention_forward helper keeps compiled == eager bitwise.
-        for_each_image(n, [&](std::int64_t img) {
-          float* qh = buf + img * per;
-          float* kh = qh + seq * dim;
-          float* vh = kh + seq * dim;
-          float* sc = vh + seq * dim;
+        float* qh = arena_ptr(scratch[0]);
+        float* kh = qh + seq * dim;
+        float* vh = kh + seq * dim;
+        float* sc = vh + seq * dim;
+        for (std::int64_t img = 0; img < n; ++img)
           models::detail::attention_forward(in_p + img * seq * 3 * dim, seq,
                                             dim, heads, qh, kh, vh,
                                             /*probs=*/nullptr, sc,
                                             out_p + img * seq * dim);
-        });
         break;
       }
 
       case Op::kSeqMean: {
         CQ_TRACE_SCOPE_N("graph.node.seq_mean", n);
         const std::int64_t seq = ishape.dim(0), dim = ishape.dim(1);
-        for_each_image(n, [&](std::int64_t img) {
+        for (std::int64_t img = 0; img < n; ++img) {
           models::detail::seq_mean_forward(in_p + img * seq * dim, seq, dim,
                                            out_p + img * dim);
-        });
+        }
         break;
       }
 
       case Op::kRelu: {
         CQ_TRACE_SCOPE_N("graph.node.relu", n);
         const std::int64_t count = n * ishape.numel();
-        // Elementwise: any contiguous split computes identical values. The
-        // kernels:: entry points are position-independent, so handing each
-        // worker a subrange matches the single serial call bit for bit.
-        core::parallel_for(count, 1 << 14, [&](std::int64_t b,
-                                               std::int64_t e) {
-          if (node.relu_cap > 0.0f)
-            kernels::relu_cap(in_p + b, out_p + b, e - b, node.relu_cap);
-          else
-            kernels::relu(in_p + b, out_p + b, e - b);
-        });
+        if (node.relu_cap > 0.0f)
+          kernels::relu_cap(in_p, out_p, count, node.relu_cap);
+        else
+          kernels::relu(in_p, out_p, count);
         break;
       }
 
       case Op::kGlobalAvgPool: {
         CQ_TRACE_SCOPE_N("graph.node.gap", n);
         const auto c = ishape.dim(0), spatial = ishape.dim(1) * ishape.dim(2);
-        // One double accumulator per plane, never split mid-plane, so the
-        // summation order is partition-independent.
-        core::parallel_for(n * c, 8, [&](std::int64_t p0, std::int64_t p1) {
-          for (std::int64_t pl = p0; pl < p1; ++pl) {
-            const float* plane = in_p + pl * spatial;
-            double s = 0.0;
-            for (std::int64_t j = 0; j < spatial; ++j) s += plane[j];
-            out_p[pl] = static_cast<float>(s / spatial);
-          }
-        });
+        // One double accumulator per plane.
+        for (std::int64_t pl = 0; pl < n * c; ++pl) {
+          const float* plane = in_p + pl * spatial;
+          double s = 0.0;
+          for (std::int64_t j = 0; j < spatial; ++j) s += plane[j];
+          out_p[pl] = static_cast<float>(s / spatial);
+        }
         break;
       }
 
@@ -535,11 +487,11 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
         const float* a = in_p;
         const float* b = in_ptr(node.inputs[1], x);
         const std::int64_t count = n * ishape.numel();
-        core::parallel_for(count, 1 << 14, [&](std::int64_t j0,
-                                               std::int64_t j1) {
-          for (std::int64_t j = j0; j < j1; ++j) out_p[j] = a[j] + b[j];
-          if (node.add_relu) kernels::relu(out_p + j0, out_p + j0, j1 - j0);
-        });
+        // Which NaN survives NaN + NaN is pinned rather than left to the
+        // compiler's operand order: b's, the bytes this node has served.
+        for (std::int64_t j = 0; j < count; ++j)
+          out_p[j] = kernels::add_first(b[j], a[j]);
+        if (node.add_relu) kernels::relu(out_p, out_p, count);
         break;
       }
 

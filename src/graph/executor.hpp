@@ -13,7 +13,7 @@
 //  * an int8 conv/linear node equals the textbook two-pass lowering
 //    (per-sample scales, im2col, quantize-on-pack, one igemm per group);
 //  * a batch-N forward equals N batch-1 forwards bitwise at any width
-//    1..max_batch, at any thread-pool size.
+//    1..max_batch.
 // They hold because every choice a node body makes (lowering, GEMM entry
 // point, epilogue folding, quantization scale) depends on the layer's
 // geometry and on one sample's values, never on the batch width.

@@ -77,13 +77,12 @@ std::vector<std::int64_t> node_scratch_bytes(const Graph& g, std::size_t i,
     case Op::kAttnCore: {
       const Shape& out = g.value(n.output).shape;
       const std::int64_t seq = out.dim(0), dim = out.dim(1);
-      // Per image: gathered q/k/v heads plus the score+context scratch the
-      // shared attention_forward helper needs; sliced per image so the
-      // batch-parallel sweep never shares scratch across threads.
-      const std::int64_t per =
-          3 * seq * dim +
-          models::detail::attention_scratch_floats(seq, dim, n.attn_heads);
-      return {batch * per * kF};
+      // One image's gathered q/k/v heads plus the score+context scratch the
+      // shared attention_forward helper needs; images run one after another
+      // and reuse it.
+      return {(3 * seq * dim + models::detail::attention_scratch_floats(
+                                   seq, dim, n.attn_heads)) *
+              kF};
     }
     default:
       return {};
@@ -201,16 +200,6 @@ ArenaPlan plan_arena(const Graph& g, std::int64_t max_batch) {
     }
   }
   return plan;
-}
-
-ImageSlice image_slice(std::int64_t batch, std::int64_t parts,
-                       std::int64_t s) {
-  const std::int64_t base = batch / parts;
-  const std::int64_t rem = batch % parts;
-  ImageSlice out;
-  out.begin = s * base + (s < rem ? s : rem);
-  out.end = out.begin + base + (s < rem ? 1 : 0);
-  return out;
 }
 
 std::string dump(const Graph& g, const ArenaPlan& plan) {

@@ -79,20 +79,6 @@ std::vector<std::int64_t> node_scratch_bytes(const Graph& g, std::size_t i,
 
 ArenaPlan plan_arena(const Graph& g, std::int64_t max_batch);
 
-/// Deterministic batch partition for the executor's parallel per-image
-/// loops (DESIGN.md §14). Every batched buffer the plan allocates is
-/// image-strided — image `img` owns elements [img*stride, (img+1)*stride)
-/// of each scratch slot — so slice s of `parts` even contiguous slices
-/// touches arena bytes disjoint from every other slice. The split is a pure
-/// function of (batch, parts): the first batch%parts slices get one extra
-/// image, independent of pool size or scheduling, so parallel execution
-/// stays bitwise-identical to serial.
-struct ImageSlice {
-  std::int64_t begin = 0;
-  std::int64_t end = 0;  // exclusive
-};
-ImageSlice image_slice(std::int64_t batch, std::int64_t parts, std::int64_t s);
-
 /// dump() with per-node arena offsets appended.
 std::string dump(const Graph& g, const ArenaPlan& plan);
 

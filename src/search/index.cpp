@@ -4,7 +4,6 @@
 #include <cstring>
 #include <mutex>
 
-#include "core/threadpool.hpp"
 #include "tensor/kernels/hamming.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "util/check.hpp"
@@ -140,18 +139,15 @@ void Index::ensure_scratch(const QueryOptions& opts, QueryScratch& s) const {
   const std::int64_t dim = binarizer_.dim();
   const std::int64_t m = std::max<std::int64_t>(
       1, std::min(opts.k * opts.overfetch, std::max<std::int64_t>(rows, 1)));
-  const std::int64_t nblocks = (rows + kScanBlock - 1) / kScanBlock;
+  const std::int64_t block = std::min(rows, kScanBlock);
   if (static_cast<std::int64_t>(s.qnorm.size()) != dim) s.qnorm.resize(dim);
   if (static_cast<std::int64_t>(s.qcode.size()) !=
       binarizer_.words_per_row())
     s.qcode.resize(binarizer_.words_per_row());
-  if (static_cast<std::int64_t>(s.dist.size()) < rows) s.dist.resize(rows);
-  if (static_cast<std::int64_t>(s.hits.size()) < rows) s.hits.resize(rows);
-  if (static_cast<std::int64_t>(s.blocks.size()) < nblocks)
-    s.blocks.resize(nblocks);
-  // reset() reserves; arming everything here makes prepare() a true prewarm.
-  for (std::int64_t b = 0; b < nblocks; ++b) s.blocks[b].reset(m);
-  s.merged.reset(m);
+  if (static_cast<std::int64_t>(s.dist.size()) < block) s.dist.resize(block);
+  if (static_cast<std::int64_t>(s.hits.size()) < block) s.hits.resize(block);
+  // reset() reserves; arming the heap here makes prepare() a true prewarm.
+  s.heap.reset(m);
   if (static_cast<std::int64_t>(s.rerank_score.capacity()) < m) {
     s.rerank_score.reserve(m);
     s.order.reserve(m);
@@ -181,46 +177,33 @@ std::int64_t Index::query(const float* embedding, const QueryOptions& opts,
   binarizer_.encode(s.qnorm.data(), 1, s.qcode.data());
 
   const std::int64_t m = std::min(opts.k * opts.overfetch, rows);
-  const std::int64_t nblocks = (rows + kScanBlock - 1) / kScanBlock;
-  // Blocked scan: each block's distances land in a disjoint dist slice and
-  // feed a bounded heap while the slice is cache-hot. The heap is per CHUNK
-  // (keyed by the chunk's first block — chunks are disjoint, so no two
-  // chunks share a slot), not per block: one heap amortizes its warm-up
-  // over the whole chunk, and a chunk heap always retains its range's top-m
-  // under the (dist, row) total order, so the merged top-m is the unique
-  // global top-m for EVERY chunk partition — pool size stays unobservable.
-  core::parallel_for(nblocks, 1, [&](std::int64_t b0, std::int64_t b1) {
-    TopK& heap = s.blocks[b0];
-    // Rows ascend within a chunk, so once the heap is full its max distance
-    // is a STRICT rejection bound: a later candidate tying it loses the
-    // (dist, row) order outright. filter_lt_u32 applies that bound 8 rows
-    // per compare; the bound refreshes per block, so stale-limit survivors
-    // just fall through to push's own compare — exactness never depends on
-    // how often the limit tightens.
-    std::uint32_t limit = 0;  // 0 = heap not yet full, no pruning
-    for (std::int64_t b = b0; b < b1; ++b) {
-      const std::int64_t r0 = b * kScanBlock;
-      const std::int64_t r1 = std::min(rows, r0 + kScanBlock);
-      kernels::hamming_scan(s.qcode.data(), codes_.data() + r0 * words,
-                            r1 - r0, words, s.dist.data() + r0);
-      if (heap.size() < m) {
-        for (std::int64_t r = r0; r < r1; ++r) heap.push({s.dist[r], r});
-      } else {
-        const std::int64_t nhit = kernels::filter_lt_u32(
-            s.dist.data() + r0, r1 - r0, limit, s.hits.data() + r0);
-        for (std::int64_t h = 0; h < nhit; ++h) {
-          const std::int64_t r = r0 + s.hits[r0 + h];
-          heap.push({s.dist[r], r});
-        }
+  // Blocked scan: each block's distances land in the block-sized dist
+  // buffer and feed the bounded heap while they are cache-hot. Rows ascend,
+  // so once the heap is full its max distance is a STRICT rejection bound:
+  // a later candidate tying it loses the (dist, row) order outright.
+  // filter_lt_u32 applies that bound 8 rows per compare; the bound
+  // refreshes per block, so stale-limit survivors just fall through to
+  // push's own compare — exactness never depends on how often the limit
+  // tightens.
+  TopK& heap = s.heap;
+  std::uint32_t limit = 0;  // 0 = heap not yet full, no pruning
+  for (std::int64_t r0 = 0; r0 < rows; r0 += kScanBlock) {
+    const std::int64_t len = std::min(kScanBlock, rows - r0);
+    kernels::hamming_scan(s.qcode.data(), codes_.data() + r0 * words, len,
+                          words, s.dist.data());
+    if (heap.size() < m) {
+      for (std::int64_t i = 0; i < len; ++i) heap.push({s.dist[i], r0 + i});
+    } else {
+      const std::int64_t nhit =
+          kernels::filter_lt_u32(s.dist.data(), len, limit, s.hits.data());
+      for (std::int64_t h = 0; h < nhit; ++h) {
+        const std::int64_t i = s.hits[h];
+        heap.push({s.dist[i], r0 + i});
       }
-      if (heap.size() == m) limit = heap.heap().front().dist;
     }
-  });
-  // Serial merge (unused chunk slots are empty); the total order makes the
-  // merged top-m unique, so even the merge order only matters for speed.
-  for (std::int64_t b = 0; b < nblocks; ++b)
-    for (const Candidate& c : s.blocks[b].heap()) s.merged.push(c);
-  const auto& pool = s.merged.sorted();  // nearest-first, ties to lower row
+    if (heap.size() == m) limit = heap.heap().front().dist;
+  }
+  const auto& pool = heap.sorted();  // nearest-first, ties to lower row
   const std::int64_t pooled = static_cast<std::int64_t>(pool.size());
   const std::int64_t emit = std::min(opts.k, pooled);
 

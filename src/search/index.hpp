@@ -5,17 +5,13 @@
 // side array and, optionally, the fp32 embeddings for exact cosine rerank.
 // Queries are EXACT bounded-heap top-k over a blocked Hamming scan:
 //
-//   * The row range splits into fixed kScanBlock-row blocks. A
-//     core::ThreadPool::parallel_for runs hamming_scan per block into a
-//     disjoint slice of the scratch distance buffer and feeds a per-chunk
-//     TopK while the slice is cache-hot; once the heap is full, a SIMD
+//   * The row range splits into fixed kScanBlock-row blocks. hamming_scan
+//     writes each block's distances into a block-sized scratch buffer that
+//     feeds one TopK while it is cache-hot; once the heap is full, a SIMD
 //     filter (kernels::filter_lt_u32) rejects 8 distances per compare
 //     against the heap's current bound before any heap code runs.
-//   * A chunk heap retains the top-m of its whole subrange, and the
-//     (dist, row) total order makes the merged top-m the unique global
-//     top-m for every chunk partition — results are bitwise-identical at
-//     every CQ_THREADS, the same determinism contract as the GEMM macro
-//     loops.
+//   * The (dist, row) total order makes the top-m set and its sorted order
+//     unique, so results never depend on push order.
 //   * All scan state lives in a caller-owned QueryScratch: after
 //     prepare()/the first query at a given (k, overfetch), the query path
 //     performs zero heap allocations until the index grows.
@@ -115,20 +111,13 @@ struct Result {
 /// first query (or explicitly by Index::prepare) and reused allocation-free
 /// afterwards while the index size and (k, overfetch) stay put.
 class QueryScratch {
- public:
-  std::int64_t steady_bytes() const {
-    return static_cast<std::int64_t>(dist.capacity()) * 4;
-  }
-
  private:
   friend class Index;
   std::vector<float> qnorm;          // [dim] normalized query
   std::vector<std::uint64_t> qcode;  // [words_per_row] packed query
-  std::vector<std::uint32_t> dist;   // [rows] block-sliced distances
-  std::vector<std::int32_t> hits;    // [rows] filter_lt_u32 output, sliced
-  std::vector<TopK> blocks;          // per-chunk heaps, keyed by first block
-  TopK merged;                       // block-merge accumulator
-  std::vector<Candidate> pool;       // overfetched pool, scan order
+  std::vector<std::uint32_t> dist;   // [kScanBlock] one block's distances
+  std::vector<std::int32_t> hits;    // [kScanBlock] filter_lt_u32 output
+  TopK heap;                         // the scan's top-m
   std::vector<float> rerank_score;   // [pool] exact cosine scores
   std::vector<std::int64_t> order;   // rerank permutation
 };
@@ -178,8 +167,8 @@ class Index {
   void save(const std::string& path) const;
   static Index load(const std::string& path);
 
-  /// Rows per scan block — the unit of parallel_for dispatch AND of the
-  /// deterministic merge order; fixed so results never depend on pool size.
+  /// Rows per scan block: the distances of one block stay cache-hot between
+  /// the scan and the heap feed.
   static constexpr std::int64_t kScanBlock = 4096;
 
  private:

@@ -13,10 +13,11 @@
 //   auto st = svc.search(image, opts, ctx, hits, &n, deadline);
 //
 // The whole path inherits the repo's determinism contract: batched encode is
-// bitwise-identical to serial (graph executor), the scan is block-structured
-// (Index), so two services at different CQ_THREADS/worker counts return
-// identical results. Search-side stats (scan rate, candidates/s, e2e
-// latency percentiles) merge with the engine's in stats_json().
+// bitwise-identical to batch-1 encode (graph executor) and the top-k is
+// unique under the (dist, row) order (Index), so two services at different
+// worker counts return identical results. Search-side stats (scan rate,
+// candidates/s, e2e latency percentiles) merge with the engine's in
+// stats_json().
 #pragma once
 
 #include <cstdint>

@@ -4,9 +4,7 @@
 // the TOTAL order (dist, row) lexicographic — ties on distance break toward
 // the lower row index. Because the order is total, the top-k SET and its
 // sorted order are unique properties of the candidate stream: the result is
-// independent of push order, which is what makes the blocked parallel scan
-// (per-block heaps merged in block order) bitwise-identical to the serial
-// scan at every pool size.
+// independent of push order.
 //
 // Storage is a caller-provided vector that reset() reuses — after the first
 // query sized a scratch, pushes never allocate (the 0-alloc steady-state

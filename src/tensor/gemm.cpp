@@ -18,7 +18,6 @@
 #include <cstring>
 #include <vector>
 
-#include "core/threadpool.hpp"
 #include "core/trace.hpp"
 #include "util/check.hpp"
 
@@ -53,19 +52,12 @@ Strides b_strides(Trans t, std::int64_t k, std::int64_t n) {
 // [s*MR, s*MR+MR) laid out p-major so the micro-kernel reads MR contiguous
 // floats per k-step. Short edge slivers are zero-padded to full MR. The
 // quantized variant folds Eq. 10 into the gather (quantize-on-pack).
-//
-// Each sliver writes a disjoint kc*MR region at a base derived from its
-// index — not a running pointer — so the [sv0, sv1) sliver range can be
-// split across pool workers with bit-identical results (the bytes written
-// per sliver do not depend on who packs the neighbours).
 template <bool Q>
-void pack_a_impl(const float* a, Strides s, std::int64_t sv0, std::int64_t sv1,
-                 std::int64_t mc, std::int64_t kc, float* ap,
-                 const QuantSpec& q) {
-  for (std::int64_t sv = sv0; sv < sv1; ++sv) {
-    const std::int64_t ir = sv * MR;
+void pack_a_impl(const float* a, Strides s, std::int64_t mc, std::int64_t kc,
+                 float* ap, const QuantSpec& q) {
+  float* dst = ap;
+  for (std::int64_t ir = 0; ir < mc; ir += MR) {
     const std::int64_t mr = std::min(MR, mc - ir);
-    float* dst = ap + sv * (kc * MR);
     for (std::int64_t p = 0; p < kc; ++p) {
       for (std::int64_t i = 0; i < mr; ++i) {
         const float v = a[(ir + i) * s.rs + p * s.cs];
@@ -76,37 +68,28 @@ void pack_a_impl(const float* a, Strides s, std::int64_t sv0, std::int64_t sv1,
   }
 }
 
-void pack_a_range(const float* a, Strides s, std::int64_t sv0, std::int64_t sv1,
-                  std::int64_t mc, std::int64_t kc, float* ap,
-                  const QuantSpec* q) {
-  if (q != nullptr)
-    pack_a_impl<true>(a, s, sv0, sv1, mc, kc, ap, *q);
-  else
-    pack_a_impl<false>(a, s, sv0, sv1, mc, kc, ap, QuantSpec{});
-}
-
 void pack_a(const float* a, Strides s, std::int64_t mc, std::int64_t kc,
             float* ap, const QuantSpec* q) {
   CQ_TRACE_SCOPE_HOT_BYTES("gemm.pack_a", mc * kc * sizeof(float));
-  pack_a_range(a, s, 0, (mc + MR - 1) / MR, mc, kc, ap, q);
+  if (q != nullptr)
+    pack_a_impl<true>(a, s, mc, kc, ap, *q);
+  else
+    pack_a_impl<false>(a, s, mc, kc, ap, QuantSpec{});
 }
 
 // Pack a kc x nc block of op(B) into NR-column slivers, zero-padded likewise.
-// Sliver-indexed like pack_a_impl so [sv0, sv1) splits across workers.
 template <bool Q>
-void pack_b_impl(const float* b, Strides s, std::int64_t sv0, std::int64_t sv1,
-                 std::int64_t kc, std::int64_t nc, float* bp,
-                 const QuantSpec& q) {
+void pack_b_impl(const float* b, Strides s, std::int64_t kc, std::int64_t nc,
+                 float* bp, const QuantSpec& q) {
   if (s.cs != 1) {
     // Column-strided source (kNT: op(B) columns are contiguous rows of the
     // stored [N, K] matrix). The generic k-outer order below would read
     // with stride K on every element; walk source rows instead — contiguous
     // reads, sliver-strided writes into the (L1-resident) packed buffer.
     // Same values into the same slots, so results stay bit-identical.
-    for (std::int64_t sv = sv0; sv < sv1; ++sv) {
-      const std::int64_t jr = sv * NR;
+    for (std::int64_t jr = 0; jr < nc; jr += NR) {
       const std::int64_t nr = std::min(NR, nc - jr);
-      float* sliver = bp + sv * (kc * NR);
+      float* sliver = bp + (jr / NR) * (kc * NR);
       for (std::int64_t j = 0; j < NR; ++j) {
         if (j < nr) {
           const float* src = b + (jr + j) * s.cs;
@@ -121,10 +104,9 @@ void pack_b_impl(const float* b, Strides s, std::int64_t sv0, std::int64_t sv1,
     }
     return;
   }
-  for (std::int64_t sv = sv0; sv < sv1; ++sv) {
-    const std::int64_t jr = sv * NR;
+  float* dst = bp;
+  for (std::int64_t jr = 0; jr < nc; jr += NR) {
     const std::int64_t nr = std::min(NR, nc - jr);
-    float* dst = bp + sv * (kc * NR);
     for (std::int64_t p = 0; p < kc; ++p) {
       for (std::int64_t j = 0; j < nr; ++j) {
         const float v = b[p * s.rs + (jr + j) * s.cs];
@@ -135,19 +117,13 @@ void pack_b_impl(const float* b, Strides s, std::int64_t sv0, std::int64_t sv1,
   }
 }
 
-void pack_b_range(const float* b, Strides s, std::int64_t sv0, std::int64_t sv1,
-                  std::int64_t kc, std::int64_t nc, float* bp,
-                  const QuantSpec* q) {
-  if (q != nullptr)
-    pack_b_impl<true>(b, s, sv0, sv1, kc, nc, bp, *q);
-  else
-    pack_b_impl<false>(b, s, sv0, sv1, kc, nc, bp, QuantSpec{});
-}
-
 void pack_b(const float* b, Strides s, std::int64_t kc, std::int64_t nc,
             float* bp, const QuantSpec* q) {
   CQ_TRACE_SCOPE_HOT_BYTES("gemm.pack_b", kc * nc * sizeof(float));
-  pack_b_range(b, s, 0, (nc + NR - 1) / NR, kc, nc, bp, q);
+  if (q != nullptr)
+    pack_b_impl<true>(b, s, kc, nc, bp, *q);
+  else
+    pack_b_impl<false>(b, s, kc, nc, bp, QuantSpec{});
 }
 
 // Epilogue applied to one C element: c = act(c + bias). The same formula is
@@ -264,9 +240,8 @@ void micro_kernel(std::int64_t kc, const float* __restrict__ ap,
 #endif
 
 // Packing scratch, reused across calls so small GEMMs don't pay an
-// allocation each time. thread_local: each CALLING thread (main, serve
-// workers) owns one buffer; pool workers only touch it through the pointers
-// a dispatch hands them, never through this accessor.
+// allocation each time. thread_local: each thread (main, serve workers) owns
+// one buffer.
 std::vector<float>& scratch(std::size_t need) {
   static thread_local std::vector<float> buf;
   if (buf.size() < need) buf.resize(need);
@@ -289,17 +264,6 @@ void apply_epilogue_plain(float* c, std::int64_t m, std::int64_t n,
       crow[j] = epilogue_elem(crow[j], bias, ep);
     }
   }
-}
-
-// Work below this many FLOPs (2*m*n*k) runs serially even when the pool has
-// workers: at ~40 GFLOP/s the threshold is ~50us of compute, comfortably
-// above the few-microsecond dispatch cost.
-constexpr std::int64_t kMinParallelFlops = 2'000'000;
-
-bool want_parallel(std::int64_t m, std::int64_t n, std::int64_t k) {
-  return core::ThreadPool::instance().size() > 1 &&
-         !core::ThreadPool::on_worker_thread() &&
-         2 * m * n * k >= kMinParallelFlops;
 }
 
 }  // namespace
@@ -335,14 +299,6 @@ void gemm(Trans trans, std::int64_t m, std::int64_t n, std::int64_t k,
   float* ap = buf.data();
   float* bp = buf.data() + a_cap;
 
-  // Parallel dispatch (DESIGN.md §14): packing splits by sliver, the kernel
-  // phase by output tile. Every tile's kc-long accumulation runs entirely
-  // inside one micro_kernel call, so WHERE a tile executes cannot change its
-  // result — parallel output is bitwise-identical to serial at every pool
-  // size (enforced by the ParallelMatchesSerial fuzz suites).
-  core::ThreadPool& pool = core::ThreadPool::instance();
-  const bool par = want_parallel(m, n, k);
-
   for (std::int64_t jc = 0; jc < n; jc += NC) {
     const std::int64_t nc = std::min(NC, n - jc);
     for (std::int64_t pc = 0; pc < k; pc += KC) {
@@ -353,39 +309,19 @@ void gemm(Trans trans, std::int64_t m, std::int64_t n, std::int64_t k,
       const bool overwrite = pc == 0 && !accumulate;
       const Epilogue* panel_ep = pc + kc == k ? ep : nullptr;
       const float* bsrc = b + pc * bs.rs + jc * bs.cs;
-      if (par) {
-        CQ_TRACE_SCOPE_HOT_BYTES("gemm.pack_b", kc * nc * sizeof(float));
-        pool.parallel_for((nc + NR - 1) / NR, 1,
-                          [&](std::int64_t sv0, std::int64_t sv1) {
-                            pack_b_range(bsrc, bs, sv0, sv1, kc, nc, bp, qb);
-                          });
-      } else {
-        pack_b(bsrc, bs, kc, nc, bp, qb);
-      }
+      pack_b(bsrc, bs, kc, nc, bp, qb);
       for (std::int64_t ic = 0; ic < m; ic += MC) {
         const std::int64_t mc = std::min(MC, m - ic);
         const float* asrc = a + ic * as.rs + pc * as.cs;
-        if (par) {
-          CQ_TRACE_SCOPE_HOT_BYTES("gemm.pack_a", mc * kc * sizeof(float));
-          pool.parallel_for((mc + MR - 1) / MR, 1,
-                            [&](std::int64_t sv0, std::int64_t sv1) {
-                              pack_a_range(asrc, as, sv0, sv1, mc, kc, ap, qa);
-                            });
-        } else {
-          pack_a(asrc, as, mc, kc, ap, qa);
-        }
+        pack_a(asrc, as, mc, kc, ap, qa);
         CQ_TRACE_SCOPE_HOT("gemm.kernel");
-        // Flat jr-major tile grid: tile t covers C rows [ic+ir, ic+ir+mr)
-        // and columns [jc+jr, jc+jr+nr) — disjoint across t by construction.
-        const std::int64_t nir = (mc + MR - 1) / MR;
-        const std::int64_t ntiles = ((nc + NR - 1) / NR) * nir;
-        auto tiles = [&](std::int64_t t0, std::int64_t t1) {
-          for (std::int64_t t = t0; t < t1; ++t) {
-            const std::int64_t jr = (t / nir) * NR;
-            const std::int64_t ir = (t % nir) * MR;
-            const std::int64_t nr = std::min(NR, nc - jr);
+        // Tile (jr, ir) covers C rows [ic+ir, ic+ir+mr) and columns
+        // [jc+jr, jc+jr+nr); its whole kc-long sum runs in one micro_kernel.
+        for (std::int64_t jr = 0; jr < nc; jr += NR) {
+          const std::int64_t nr = std::min(NR, nc - jr);
+          const float* bpp = bp + (jr / NR) * (kc * NR);
+          for (std::int64_t ir = 0; ir < mc; ir += MR) {
             const std::int64_t mr = std::min(MR, mc - ir);
-            const float* bpp = bp + (jr / NR) * (kc * NR);
             const float* app = ap + (ir / MR) * (kc * MR);
             micro_kernel(
                 kc, app, bpp, c + (ic + ir) * n + (jc + jr), n, mr, nr,
@@ -393,11 +329,7 @@ void gemm(Trans trans, std::int64_t m, std::int64_t n, std::int64_t k,
                 bias_rows != nullptr ? bias_rows + ic + ir : nullptr,
                 bias_cols != nullptr ? bias_cols + jc + jr : nullptr);
           }
-        };
-        if (par)
-          pool.parallel_for(ntiles, 1, tiles);
-        else
-          tiles(0, ntiles);
+        }
       }
     }
   }
@@ -435,43 +367,24 @@ void gemm_prepacked_b(std::int64_t m, std::int64_t n, std::int64_t k,
   // eligible) and owns the overwrite-vs-accumulate decision. The loop nest
   // and per-tile traversal mirror gemm() exactly, so element results are
   // bit-identical; only the source of the packed B slivers differs.
-  core::ThreadPool& pool = core::ThreadPool::instance();
-  const bool par = want_parallel(m, n, k);
   for (std::int64_t jc = 0; jc < n; jc += NC) {
     const std::int64_t nc = std::min(NC, n - jc);
     for (std::int64_t ic = 0; ic < m; ic += MC) {
       const std::int64_t mc = std::min(MC, m - ic);
-      const float* asrc = a + ic * k;
-      if (par) {
-        CQ_TRACE_SCOPE_HOT_BYTES("gemm.pack_a", mc * k * sizeof(float));
-        pool.parallel_for((mc + MR - 1) / MR, 1,
-                          [&](std::int64_t sv0, std::int64_t sv1) {
-                            pack_a_range(asrc, as, sv0, sv1, mc, k, ap, qa);
-                          });
-      } else {
-        pack_a(asrc, as, mc, k, ap, qa);
-      }
+      pack_a(a + ic * k, as, mc, k, ap, qa);
       CQ_TRACE_SCOPE_HOT("gemm.kernel");
-      const std::int64_t nir = (mc + MR - 1) / MR;
-      const std::int64_t ntiles = ((nc + NR - 1) / NR) * nir;
-      auto tiles = [&](std::int64_t t0, std::int64_t t1) {
-        for (std::int64_t t = t0; t < t1; ++t) {
-          const std::int64_t jr = (t / nir) * NR;
-          const std::int64_t ir = (t % nir) * MR;
-          const std::int64_t nr = std::min(NR, nc - jr);
+      for (std::int64_t jr = 0; jr < nc; jr += NR) {
+        const std::int64_t nr = std::min(NR, nc - jr);
+        const float* bpp = packed_b + ((jc + jr) / NR) * (k * NR);
+        for (std::int64_t ir = 0; ir < mc; ir += MR) {
           const std::int64_t mr = std::min(MR, mc - ir);
-          const float* bpp = packed_b + ((jc + jr) / NR) * (k * NR);
           const float* app = ap + (ir / MR) * (k * MR);
           micro_kernel(k, app, bpp, c + (ic + ir) * n + (jc + jr), n, mr, nr,
                        !accumulate, ep,
                        bias_rows != nullptr ? bias_rows + ic + ir : nullptr,
                        bias_cols != nullptr ? bias_cols + jc + jr : nullptr);
         }
-      };
-      if (par)
-        pool.parallel_for(ntiles, 1, tiles);
-      else
-        tiles(0, ntiles);
+      }
     }
   }
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "core/threadpool.hpp"
 #include "core/trace.hpp"
 
 namespace cq {
@@ -88,74 +87,61 @@ void im2col_batched(const float* images, std::int64_t n,
                        g.col_rows() * n * spatial * sizeof(float));
   CQ_DCHECK(col_stride >= n * spatial);
   // Patch row `row` (one (c, kh, kw) triple) writes only cols[row *
-  // col_stride ...), so rows split freely across pool workers — pure data
-  // movement, identical bytes at any split. The grain keeps each chunk
-  // moving at least ~32k floats so small lowerings run inline.
+  // col_stride ...).
   const std::int64_t kk = g.kernel_h * g.kernel_w;
-  const std::int64_t grain =
-      std::max<std::int64_t>(1, (std::int64_t{1} << 15) / (n * spatial + 1));
-  core::parallel_for(g.col_rows(), grain, [&](std::int64_t r0,
-                                              std::int64_t r1) {
-    for (std::int64_t row = r0; row < r1; ++row) {
-      const std::int64_t c = row / kk;
-      const std::int64_t kh = (row % kk) / g.kernel_w;
-      const std::int64_t kw = row % g.kernel_w;
-      const std::int64_t chan_off = c * g.in_h * g.in_w;
-      {
-        // Identical range hoist to the strided single-image overload above
-        // (same copy/fill structure, so the bytes match bit for bit) —
-        // computed once per patch row here instead of once per (row, image).
-        const std::int64_t off = kw - g.pad;
-        std::int64_t x0 = off < 0 ? (-off + g.stride - 1) / g.stride : 0;
-        std::int64_t x1 =
-            off < g.in_w ? (g.in_w - 1 - off) / g.stride : -1;
-        x0 = std::min(x0, ow);
-        x1 = std::min(x1, ow - 1);
-        const std::int64_t yoff = kh - g.pad;
-        std::int64_t y0 = yoff < 0 ? (-yoff + g.stride - 1) / g.stride : 0;
-        std::int64_t y1 = yoff < g.in_h ? (g.in_h - 1 - yoff) / g.stride : -1;
-        y0 = std::min(y0, oh);
-        y1 = std::min(y1, oh - 1);
-        const bool contiguous =
-            g.stride == 1 && ow == g.in_w && y1 >= y0 && x1 >= x0;
-        for (std::int64_t img = 0; img < n; ++img) {
-          const float* chan = images + img * sample_stride + chan_off;
-          float* out_row = cols + row * col_stride + img * spatial;
-          std::fill(out_row, out_row + y0 * ow, 0.0f);
-          std::fill(out_row + (y1 + 1) * ow, out_row + oh * ow, 0.0f);
-          if (contiguous) {
-            std::memcpy(out_row + y0 * ow + x0,
-                        chan + (y0 + yoff) * g.in_w + off + x0,
-                        static_cast<std::size_t>((y1 - y0) * ow + x1 - x0 +
-                                                 1) *
-                            sizeof(float));
-            for (std::int64_t y = y0; y <= y1; ++y) {
-              float* dst = out_row + y * ow;
-              for (std::int64_t x = 0; x < x0; ++x) dst[x] = 0.0f;
-              for (std::int64_t x = x1 + 1; x < ow; ++x) dst[x] = 0.0f;
-            }
-            continue;
-          }
-          for (std::int64_t y = y0; y <= y1; ++y) {
-            const std::int64_t iy = y * g.stride + yoff;
-            float* dst = out_row + y * ow;
-            const float* src = chan + iy * g.in_w + off;
-            std::fill(dst, dst + x0, 0.0f);
-            if (g.stride == 1) {
-              if (x1 >= x0)
-                std::memcpy(dst + x0, src + x0,
-                            static_cast<std::size_t>(x1 - x0 + 1) *
-                                sizeof(float));
-            } else {
-              for (std::int64_t x = x0; x <= x1; ++x)
-                dst[x] = src[x * g.stride];
-            }
-            if (x1 + 1 < ow) std::fill(dst + x1 + 1, dst + ow, 0.0f);
-          }
+  for (std::int64_t row = 0; row < g.col_rows(); ++row) {
+    const std::int64_t c = row / kk;
+    const std::int64_t kh = (row % kk) / g.kernel_w;
+    const std::int64_t kw = row % g.kernel_w;
+    const std::int64_t chan_off = c * g.in_h * g.in_w;
+    // Identical range hoist to the strided single-image overload above
+    // (same copy/fill structure, so the bytes match bit for bit) —
+    // computed once per patch row here instead of once per (row, image).
+    const std::int64_t off = kw - g.pad;
+    std::int64_t x0 = off < 0 ? (-off + g.stride - 1) / g.stride : 0;
+    std::int64_t x1 = off < g.in_w ? (g.in_w - 1 - off) / g.stride : -1;
+    x0 = std::min(x0, ow);
+    x1 = std::min(x1, ow - 1);
+    const std::int64_t yoff = kh - g.pad;
+    std::int64_t y0 = yoff < 0 ? (-yoff + g.stride - 1) / g.stride : 0;
+    std::int64_t y1 = yoff < g.in_h ? (g.in_h - 1 - yoff) / g.stride : -1;
+    y0 = std::min(y0, oh);
+    y1 = std::min(y1, oh - 1);
+    const bool contiguous =
+        g.stride == 1 && ow == g.in_w && y1 >= y0 && x1 >= x0;
+    for (std::int64_t img = 0; img < n; ++img) {
+      const float* chan = images + img * sample_stride + chan_off;
+      float* out_row = cols + row * col_stride + img * spatial;
+      std::fill(out_row, out_row + y0 * ow, 0.0f);
+      std::fill(out_row + (y1 + 1) * ow, out_row + oh * ow, 0.0f);
+      if (contiguous) {
+        std::memcpy(out_row + y0 * ow + x0,
+                    chan + (y0 + yoff) * g.in_w + off + x0,
+                    static_cast<std::size_t>((y1 - y0) * ow + x1 - x0 + 1) *
+                        sizeof(float));
+        for (std::int64_t y = y0; y <= y1; ++y) {
+          float* dst = out_row + y * ow;
+          for (std::int64_t x = 0; x < x0; ++x) dst[x] = 0.0f;
+          for (std::int64_t x = x1 + 1; x < ow; ++x) dst[x] = 0.0f;
         }
+        continue;
+      }
+      for (std::int64_t y = y0; y <= y1; ++y) {
+        const std::int64_t iy = y * g.stride + yoff;
+        float* dst = out_row + y * ow;
+        const float* src = chan + iy * g.in_w + off;
+        std::fill(dst, dst + x0, 0.0f);
+        if (g.stride == 1) {
+          if (x1 >= x0)
+            std::memcpy(dst + x0, src + x0,
+                        static_cast<std::size_t>(x1 - x0 + 1) * sizeof(float));
+        } else {
+          for (std::int64_t x = x0; x <= x1; ++x) dst[x] = src[x * g.stride];
+        }
+        if (x1 + 1 < ow) std::fill(dst + x1 + 1, dst + ow, 0.0f);
       }
     }
-  });
+  }
 }
 
 void im2row(const float* image, const ConvGeometry& g, float* rows) {

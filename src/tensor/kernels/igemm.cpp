@@ -14,13 +14,12 @@
 #include "tensor/kernels/igemm.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 
-#include "core/threadpool.hpp"
 #include "core/trace.hpp"
 #include "tensor/im2col.hpp"
+#include "tensor/kernels/kernels.hpp"
 #include "util/check.hpp"
 
 #if !defined(CQ_FORCE_SCALAR) && defined(__AVX512F__) && \
@@ -53,14 +52,13 @@ std::int32_t quantize_impl(float v, float inv_scale) {
   return static_cast<std::int32_t>(std::nearbyintf(t));
 }
 
-// Pack B slivers [sv0, sv1) (sliver sv covers columns [sv*NR, sv*NR+NR)).
-// Each sliver writes a disjoint kp*NR byte region, so ranges split across
-// pool workers bitwise-identically to the serial full-range call.
+// Pack B into NR-column slivers (sliver sv covers columns
+// [sv*NR, sv*NR+NR)).
 void pack_b_scalar(const float* b, std::int64_t rs, std::int64_t cs,
                    std::int64_t k, std::int64_t n, const float* col_inv_scale,
-                   std::uint8_t* bp, std::int64_t sv0, std::int64_t sv1) {
+                   std::uint8_t* bp) {
   const std::int64_t kp = padded_k(k);
-  for (std::int64_t sv = sv0; sv < sv1; ++sv) {
+  for (std::int64_t sv = 0; sv < (n + NR - 1) / NR; ++sv) {
     const std::int64_t jr = sv * NR;
     const std::int64_t nr = std::min(NR, n - jr);
     std::uint8_t* sliver = bp + sv * (kp * NR);
@@ -97,16 +95,15 @@ void pack_b_scalar(const float* b, std::int64_t rs, std::int64_t cs,
   }
 }
 
-// Quantize images [i0, i1) of one conv group into the channel-quad layout
+// Quantize the n images of one conv group into the channel-quad layout
 // documented at quantize_conv_input. Channels past `channels` take the
 // image's pad byte, quantize(0.0f, inv) + 128.
 void quantize_act_scalar(const float* x, std::int64_t n,
                          std::int64_t sample_stride, std::int64_t channels,
                          std::int64_t hw, const float* img_inv,
-                         std::uint8_t* q, std::uint8_t* pad, std::int64_t i0,
-                         std::int64_t i1) {
+                         std::uint8_t* q, std::uint8_t* pad) {
   const std::int64_t cq4 = (channels + KU - 1) / KU;
-  for (std::int64_t img = i0; img < i1; ++img) {
+  for (std::int64_t img = 0; img < n; ++img) {
     const float inv = img_inv[img];
     auto byte = [inv](float v) {
       return static_cast<std::uint8_t>(quantize_impl(v, inv) + 128);
@@ -124,16 +121,11 @@ void quantize_act_scalar(const float* x, std::int64_t n,
   }
 }
 
-// Output-pixel walk over the columns of a channel-quad conv pack. A range
-// of slivers divides once for its first column, then steps lane by lane.
+// Output-pixel walk over the columns of a channel-quad conv pack, from
+// column 0 lane by lane.
 struct ConvWalk {
   std::int64_t oh, ow, img = 0, y = 0, x = 0;
-  ConvWalk(const ConvGeometry& g, std::int64_t col)
-      : oh(g.out_h()), ow(g.out_w()) {
-    img = col / (oh * ow);
-    y = (col % (oh * ow)) / ow;
-    x = col % ow;
-  }
+  explicit ConvWalk(const ConvGeometry& g) : oh(g.out_h()), ow(g.out_w()) {}
   void next() {
     if (++x == ow) {
       x = 0;
@@ -142,18 +134,17 @@ struct ConvWalk {
   }
 };
 
-// Channel-quad conv pack over slivers [sv0, sv1): quad block (t, cq) of
-// column j is the 4 bytes of channel quad cq at the column's tap-t pixel,
-// the image's pad byte in all 4 lanes for a tap outside the image, and
-// 0x80 for a dead column.
+// Channel-quad conv pack: quad block (t, cq) of column j is the 4 bytes of
+// channel quad cq at the column's tap-t pixel, the image's pad byte in all
+// 4 lanes for a tap outside the image, and 0x80 for a dead column.
 void pack_b_c4_scalar(const std::uint8_t* q, const std::uint8_t* pad,
-                      std::int64_t n, const ConvGeometry& g, std::uint8_t* bp,
-                      std::int64_t sv0, std::int64_t sv1) {
+                      std::int64_t n, const ConvGeometry& g,
+                      std::uint8_t* bp) {
   const std::int64_t kp = conv_k(g), ncols = n * g.col_cols();
   const std::int64_t cq4 = (g.in_channels + KU - 1) / KU;
   const std::int64_t plane = g.in_h * g.in_w;
-  ConvWalk walk(g, sv0 * NR);
-  for (std::int64_t sv = sv0; sv < sv1; ++sv) {
+  ConvWalk walk(g);
+  for (std::int64_t sv = 0; sv < (ncols + NR - 1) / NR; ++sv) {
     std::int64_t img[NR], iy0[NR], ix0[NR];
     const std::int64_t nr = std::min(NR, ncols - sv * NR);
     for (std::int64_t j = 0; j < nr; ++j, walk.next()) {
@@ -205,15 +196,6 @@ bool tile_lanes(const Epilogue& ep, std::int64_t n, std::int64_t jr,
   return false;
 }
 
-// a + b under x86's NaN rule, made explicit: a NaN `a` comes back quieted
-// whatever `b` is. A plain `a + b` leaves the operand order, and so which
-// payload survives NaN + NaN, to the compiler (it treats + as commutative).
-inline float add_first(float a, float b) {
-  if (a != a)
-    return std::bit_cast<float>(std::bit_cast<std::uint32_t>(a) | 0x400000u);
-  return a + b;
-}
-
 // kernels::relu / relu_cap on one value (their scalar-tail form).
 inline float activate(float v, const Epilogue& ep) {
   if (ep.act == Act::kNone) return v;
@@ -222,11 +204,11 @@ inline float activate(float v, const Epilogue& ep) {
   return v;
 }
 
-// Running per-image max of one tile range (Epilogue::absmax). Tiles run
-// jr-major, so a range meets an image in one stretch, or a few where
-// slivers cross images; each stretch raises the image's shared slot once,
-// with an atomic max. Activated values are >= +0 and NaN-free, so the slot
-// ends at the exact maximum whatever order ranges publish in.
+// Running per-image max over the tile grid (Epilogue::absmax). Tiles run
+// jr-major, so the grid meets an image in one stretch, or a few where
+// slivers cross images; each stretch raises the image's slot once.
+// Activated values are >= +0 and NaN-free, so the slot ends at the exact
+// maximum.
 struct ImageMax {
   float* slots = nullptr;  // null: the epilogue publishes nothing
   std::int64_t img = -1;
@@ -240,14 +222,9 @@ struct ImageMax {
     }
     max = std::max(max, v);
   }
-  // Call once the range's last tile is written.
+  // Call once the last tile is written.
   void publish() const {
-    if (slots == nullptr || img < 0) return;
-    std::atomic_ref<float> ref(slots[img]);
-    float cur = ref.load(std::memory_order_relaxed);
-    while (cur < max &&
-           !ref.compare_exchange_weak(cur, max, std::memory_order_relaxed)) {
-    }
+    if (slots != nullptr && img >= 0) slots[img] = std::max(slots[img], max);
   }
 };
 
@@ -273,7 +250,8 @@ void write_back_scalar(const std::int32_t acc[MR][NR], std::int64_t ir,
       const std::int64_t at = off[j] + (ir + i) * ldc;
       if (ep.residual != nullptr) {
         const float r = ep.residual[at];
-        v = ep.residual_first ? add_first(r, v) : add_first(v, r);
+        v = ep.residual_first ? kernels::add_first(r, v)
+                              : kernels::add_first(v, r);
       }
       v = activate(v, ep);
       c[at] = v;
@@ -284,19 +262,19 @@ void write_back_scalar(const std::int32_t acc[MR][NR], std::int64_t ir,
     for (std::int64_t j = 0; j < nr; ++j) maxes.add(img[j], colmax[j]);
 }
 
-// Compute output tiles [t0, t1) of the flat jr-major tile grid (tile t is
-// jr strip t / nir, ir strip t % nir, nir = ceil(m / MR)). Each tile owns
-// its full-k accumulator and a disjoint C region, so any partition of the
-// grid produces bitwise-identical output.
-void gemm_scalar_tiles(std::int64_t m, std::int64_t n, std::int64_t k,
-                       const std::int8_t* ap, const std::int32_t* rowsum,
-                       const std::uint8_t* bp, float* c, std::int64_t ldc,
-                       const Epilogue& ep, std::int64_t t0, std::int64_t t1) {
+// Compute the flat jr-major tile grid (tile t is jr strip t / nir, ir strip
+// t % nir, nir = ceil(m / MR)). Each tile owns its full-k accumulator and a
+// disjoint C region.
+void gemm_scalar(std::int64_t m, std::int64_t n, std::int64_t k,
+                 const std::int8_t* ap, const std::int32_t* rowsum,
+                 const std::uint8_t* bp, float* c, std::int64_t ldc,
+                 const Epilogue& ep) {
   const std::int64_t kp = padded_k(k);
   const std::int64_t k4 = kp / KU;
   const std::int64_t nir = (m + MR - 1) / MR;
+  const std::int64_t ntiles = ((n + NR - 1) / NR) * nir;
   ImageMax maxes{ep.absmax};
-  for (std::int64_t t = t0; t < t1; ++t) {
+  for (std::int64_t t = 0; t < ntiles; ++t) {
     const std::int64_t jr = (t / nir) * NR;
     const std::int64_t ir = (t % nir) * MR;
     const std::int64_t nr = std::min(NR, n - jr);
@@ -320,14 +298,6 @@ void gemm_scalar_tiles(std::int64_t m, std::int64_t n, std::int64_t k,
     write_back_scalar(acc, ir, jr, mr, nr, n, rowsum, c, ldc, ep, maxes);
   }
   maxes.publish();
-}
-
-void gemm_scalar(std::int64_t m, std::int64_t n, std::int64_t k,
-                 const std::int8_t* ap, const std::int32_t* rowsum,
-                 const std::uint8_t* bp, float* c, std::int64_t ldc,
-                 const Epilogue& ep) {
-  const std::int64_t ntiles = ((n + NR - 1) / NR) * ((m + MR - 1) / MR);
-  gemm_scalar_tiles(m, n, k, ap, rowsum, bp, c, ldc, ep, 0, ntiles);
 }
 
 void check_gemm_args(std::int64_t n, std::int64_t k, std::int64_t ldc,
@@ -366,7 +336,7 @@ inline __m512i quantize_row(const float* src, __mmask16 mask, __m512 inv) {
   return quantize_vec(_mm512_maskz_loadu_ps(mask, src), inv);
 }
 
-// add_first, lane for lane.
+// kernels::add_first, lane for lane.
 inline __m512 add_first(__m512 a, __m512 b) {
   const __mmask16 nan = _mm512_cmp_ps_mask(a, a, _CMP_UNORD_Q);
   const __m512 quiet = _mm512_castsi512_ps(_mm512_or_si512(
@@ -385,9 +355,9 @@ inline __mmask16 lane_mask(std::int64_t nr) {
 void quantize_act_vnni(const float* x, std::int64_t n,
                        std::int64_t sample_stride, std::int64_t channels,
                        std::int64_t hw, const float* img_inv, std::uint8_t* q,
-                       std::uint8_t* pad, std::int64_t i0, std::int64_t i1) {
+                       std::uint8_t* pad) {
   const std::int64_t cq4 = (channels + KU - 1) / KU;
-  for (std::int64_t img = i0; img < i1; ++img) {
+  for (std::int64_t img = 0; img < n; ++img) {
     const __m512 inv = _mm512_set1_ps(img_inv[img]);
     const __m512i padv = quantize_vec(_mm512_setzero_ps(), inv);
     pad[img] =
@@ -421,16 +391,15 @@ void quantize_act_vnni(const float* x, std::int64_t n,
 // dwords. Masked-off lanes keep the lane's fill dword: the image's pad
 // bytes, or 0x80808080 for a dead column. Requires int32 dword indices.
 void pack_b_c4_vnni(const std::uint8_t* q, const std::uint8_t* pad,
-                    std::int64_t n, const ConvGeometry& g, std::uint8_t* bp,
-                    std::int64_t sv0, std::int64_t sv1) {
+                    std::int64_t n, const ConvGeometry& g, std::uint8_t* bp) {
   const std::int64_t kp = conv_k(g), ncols = n * g.col_cols();
   const std::int64_t cq4 = (g.in_channels + KU - 1) / KU;
   const std::int64_t plane = g.in_h * g.in_w;
   const auto* q32 = reinterpret_cast<const std::int32_t*>(q);
   const __m512i hv = _mm512_set1_epi32(static_cast<std::int32_t>(g.in_h));
   const __m512i wv = _mm512_set1_epi32(static_cast<std::int32_t>(g.in_w));
-  ConvWalk walk(g, sv0 * NR);
-  for (std::int64_t sv = sv0; sv < sv1; ++sv) {
+  ConvWalk walk(g);
+  for (std::int64_t sv = 0; sv < (ncols + NR - 1) / NR; ++sv) {
     alignas(64) std::int32_t base[NR], iy0[NR], ix0[NR], fill[NR];
     const std::int64_t nr = std::min(NR, ncols - sv * NR);
     bool contiguous = true;
@@ -481,14 +450,14 @@ void pack_b_c4_vnni(const std::uint8_t* q, const std::uint8_t* pad,
 
 void pack_b_vnni(const float* b, std::int64_t rs, std::int64_t cs,
                  std::int64_t k, std::int64_t n, const float* col_inv_scale,
-                 std::uint8_t* bp, std::int64_t sv0, std::int64_t sv1) {
+                 std::uint8_t* bp) {
   if (cs != 1) {  // strided gather: the scalar walk is already column-local
-    pack_b_scalar(b, rs, cs, k, n, col_inv_scale, bp, sv0, sv1);
+    pack_b_scalar(b, rs, cs, k, n, col_inv_scale, bp);
     return;
   }
   const std::int64_t kp = padded_k(k);
   const __m512i zero128 = _mm512_set1_epi32(128);
-  for (std::int64_t sv = sv0; sv < sv1; ++sv) {
+  for (std::int64_t sv = 0; sv < (n + NR - 1) / NR; ++sv) {
     const std::int64_t jr = sv * NR;
     const std::int64_t nr = std::min(NR, n - jr);
     const __mmask16 mask =
@@ -514,17 +483,18 @@ void pack_b_vnni(const float* b, std::int64_t rs, std::int64_t cs,
   }
 }
 
-// Tile-range form mirroring gemm_scalar_tiles: same flat jr-major grid,
-// per-tile register accumulation, disjoint C writes.
-void gemm_vnni_tiles(std::int64_t m, std::int64_t n, std::int64_t k,
-                     const std::int8_t* ap, const std::int32_t* rowsum,
-                     const std::uint8_t* bp, float* c, std::int64_t ldc,
-                     const Epilogue& ep, std::int64_t t0, std::int64_t t1) {
+// Mirrors gemm_scalar: same flat jr-major grid, per-tile register
+// accumulation, disjoint C writes.
+void gemm_vnni(std::int64_t m, std::int64_t n, std::int64_t k,
+               const std::int8_t* ap, const std::int32_t* rowsum,
+               const std::uint8_t* bp, float* c, std::int64_t ldc,
+               const Epilogue& ep) {
   const std::int64_t kp = padded_k(k);
   const std::int64_t k4 = kp / KU;
   const std::int64_t nir = (m + MR - 1) / MR;
+  const std::int64_t ntiles = ((n + NR - 1) / NR) * nir;
   ImageMax maxes{ep.absmax};
-  for (std::int64_t t = t0; t < t1; ++t) {
+  for (std::int64_t t = 0; t < ntiles; ++t) {
     const std::int64_t jr = (t / nir) * NR;
     const std::int64_t ir = (t % nir) * MR;
     const std::int64_t nr = std::min(NR, n - jr);
@@ -654,20 +624,11 @@ void pack_b_quantized(const float* b, std::int64_t rs, std::int64_t cs,
                       std::int64_t k, std::int64_t n,
                       const float* col_inv_scale, std::uint8_t* bp) {
   CQ_TRACE_SCOPE_HOT_BYTES("igemm.pack_b", k * n * sizeof(float));
-  const std::int64_t nsv = (n + NR - 1) / NR;
-  auto range = [&](std::int64_t sv0, std::int64_t sv1) {
 #if CQ_IGEMM_VNNI
-    pack_b_vnni(b, rs, cs, k, n, col_inv_scale, bp, sv0, sv1);
+  pack_b_vnni(b, rs, cs, k, n, col_inv_scale, bp);
 #else
-    pack_b_scalar(b, rs, cs, k, n, col_inv_scale, bp, sv0, sv1);
+  pack_b_scalar(b, rs, cs, k, n, col_inv_scale, bp);
 #endif
-  };
-  // Quantize-on-pack is arithmetic-dense enough to split; small packs run
-  // inline (same bytes either way — slivers are partition-independent).
-  if (k * n >= 1 << 16)
-    core::parallel_for(nsv, 1, range);
-  else
-    range(0, nsv);
 }
 
 std::int64_t conv_k(const ConvGeometry& g) {
@@ -691,48 +652,27 @@ void quantize_conv_input(const float* x, std::int64_t n,
                          std::uint8_t* q, std::uint8_t* pad) {
   CQ_TRACE_SCOPE_HOT_BYTES("igemm.quantize_act",
                            n * channels * hw * sizeof(float));
-  auto range = [&](std::int64_t i0, std::int64_t i1) {
 #if CQ_IGEMM_VNNI
-    quantize_act_vnni(x, n, sample_stride, channels, hw, img_inv, q, pad, i0,
-                      i1);
+  quantize_act_vnni(x, n, sample_stride, channels, hw, img_inv, q, pad);
 #else
-    quantize_act_scalar(x, n, sample_stride, channels, hw, img_inv, q, pad,
-                        i0, i1);
+  quantize_act_scalar(x, n, sample_stride, channels, hw, img_inv, q, pad);
 #endif
-  };
-  // Images write disjoint bytes, so any split matches the serial call.
-  if (n * channels * hw >= 1 << 16)
-    core::parallel_for(n, 1, range);
-  else
-    range(0, n);
 }
 
 void pack_b_conv_c4(const std::uint8_t* q, const std::uint8_t* pad,
                     std::int64_t n, const ConvGeometry& g, std::uint8_t* bp) {
-  const std::int64_t k = conv_k(g), ncols = n * g.col_cols();
-  CQ_TRACE_SCOPE_HOT_BYTES("igemm.pack_b_conv", k * ncols);
-  const std::int64_t nsv = (ncols + NR - 1) / NR;
+  CQ_TRACE_SCOPE_HOT_BYTES("igemm.pack_b_conv", conv_k(g) * n * g.col_cols());
 #if CQ_IGEMM_VNNI
   // Every dword index a lane forms lies in [-pad * (in_w + 1),
   // (cq4 * n + 1) * plane + pad * (in_w + 1)); gathers take int32 lanes.
   const std::int64_t cq4 = (g.in_channels + KU - 1) / KU;
-  const bool vnni = (cq4 * n + 1) * g.in_h * g.in_w + g.pad * (g.in_w + 1) <
-                    (std::int64_t{1} << 31);
+  if ((cq4 * n + 1) * g.in_h * g.in_w + g.pad * (g.in_w + 1) <
+      (std::int64_t{1} << 31)) {
+    pack_b_c4_vnni(q, pad, n, g, bp);
+    return;
+  }
 #endif
-  auto range = [&](std::int64_t sv0, std::int64_t sv1) {
-#if CQ_IGEMM_VNNI
-    if (vnni) {
-      pack_b_c4_vnni(q, pad, n, g, bp, sv0, sv1);
-      return;
-    }
-#endif
-    pack_b_c4_scalar(q, pad, n, g, bp, sv0, sv1);
-  };
-  // Same split bar as pack_b_quantized; slivers are partition-independent.
-  if (k * ncols >= 1 << 16)
-    core::parallel_for(nsv, 1, range);
-  else
-    range(0, nsv);
+  pack_b_c4_scalar(q, pad, n, g, bp);
 }
 
 void gemm(std::int64_t m, std::int64_t n, std::int64_t k,
@@ -742,19 +682,11 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k,
   if (m <= 0 || n <= 0) return;
   CQ_TRACE_SCOPE_BYTES("igemm", m * k + k * n + m * n * sizeof(float));
   check_gemm_args(n, k, ldc, ep);
-  const std::int64_t ntiles = ((n + NR - 1) / NR) * ((m + MR - 1) / MR);
-  auto tiles = [&](std::int64_t t0, std::int64_t t1) {
 #if CQ_IGEMM_VNNI
-    gemm_vnni_tiles(m, n, k, ap, rowsum, bp, c, ldc, ep, t0, t1);
+  gemm_vnni(m, n, k, ap, rowsum, bp, c, ldc, ep);
 #else
-    gemm_scalar_tiles(m, n, k, ap, rowsum, bp, c, ldc, ep, t0, t1);
+  gemm_scalar(m, n, k, ap, rowsum, bp, c, ldc, ep);
 #endif
-  };
-  // Same bar as the fp32 path: ~2 MFLOP of MAC work before fan-out pays.
-  if (2 * m * n * k >= 2'000'000)
-    core::parallel_for(ntiles, 1, tiles);
-  else
-    tiles(0, ntiles);
 }
 
 namespace detail {
@@ -780,19 +712,19 @@ namespace scalar {
 void pack_b_quantized(const float* b, std::int64_t rs, std::int64_t cs,
                       std::int64_t k, std::int64_t n,
                       const float* col_inv_scale, std::uint8_t* bp) {
-  pack_b_scalar(b, rs, cs, k, n, col_inv_scale, bp, 0, (n + NR - 1) / NR);
+  pack_b_scalar(b, rs, cs, k, n, col_inv_scale, bp);
 }
 
 void quantize_conv_input(const float* x, std::int64_t n,
                          std::int64_t sample_stride, std::int64_t channels,
                          std::int64_t hw, const float* img_inv,
                          std::uint8_t* q, std::uint8_t* pad) {
-  quantize_act_scalar(x, n, sample_stride, channels, hw, img_inv, q, pad, 0, n);
+  quantize_act_scalar(x, n, sample_stride, channels, hw, img_inv, q, pad);
 }
 
 void pack_b_conv_c4(const std::uint8_t* q, const std::uint8_t* pad,
                     std::int64_t n, const ConvGeometry& g, std::uint8_t* bp) {
-  pack_b_c4_scalar(q, pad, n, g, bp, 0, (n * g.col_cols() + NR - 1) / NR);
+  pack_b_c4_scalar(q, pad, n, g, bp);
 }
 
 void gemm(std::int64_t m, std::int64_t n, std::int64_t k,

@@ -171,10 +171,8 @@ using Act = gemm::Epilogue::Act;
 ///
 /// absmax (optional, needs act != kNone): absmax[j / pixels] is raised to
 /// the largest C value of that image this call writes. Activated outputs
-/// are NaN-free and >= +0, so the max is exact in any order; each pool
-/// worker's tile range publishes with an atomic max, so the result is
-/// race-free and independent of how the pool splits the tile grid. The caller zero-fills it (once for all of a conv's
-/// group GEMMs).
+/// are NaN-free and >= +0, so the max is exact in any order. The caller
+/// zero-fills it (once for all of a conv's group GEMMs).
 struct Epilogue {
   const float* row_scale = nullptr;   // [m] per-output-channel weight scales
   const float* col_scale = nullptr;   // [n] per-column activation scales

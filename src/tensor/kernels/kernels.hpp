@@ -20,11 +20,21 @@
 // to the historical loops.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "tensor/gemm.hpp"  // gemm::QuantSpec — shared with quantize-on-pack
 
 namespace cq::kernels {
+
+/// a + b under x86's NaN rule, made explicit: a NaN `a` comes back quieted
+/// whatever `b` is. A plain `a + b` leaves the operand order, and so which
+/// payload survives NaN + NaN, to the compiler (it treats + as commutative).
+inline float add_first(float a, float b) {
+  if (a != a)
+    return std::bit_cast<float>(std::bit_cast<std::uint32_t>(a) | 0x400000u);
+  return a + b;
+}
 
 /// Name of the compiled-in default backend: "avx2" or "scalar".
 const char* backend();

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/threadpool.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
@@ -71,6 +70,10 @@ TEST(GemmFuzz, BlockedMatchesReferenceAcrossShapes) {
       {1, 5, 257},  {3, 17, 256}, {2, 16, 255}, {127, 16, 9}, {128, 17, 8},
       {129, 31, 6}, {8, 127, 7},  {8, 128, 7},  {8, 129, 7},  {31, 33, 64},
       {3, 1024, 5}, {2, 1030, 3}, {4, 1033, 9},  // NC-boundary column blocks
+      // Many panels on every axis with odd tails: several MR/NR panels,
+      // NC blocks, MC blocks with k > kKC, and KC panels accumulating.
+      {129, 257, 65}, {8, 2100, 80}, {300, 16, 640}, {17, 33, 2048},
+      {64, 64, 256},
   };
   const std::vector<std::int64_t> pool = {1,  2,  3,  5,  7,  8,  9,
                                           13, 15, 16, 17, 24, 31, 32,
@@ -116,12 +119,13 @@ TEST(GemmPrepackedB, BitwiseMatchesGemmKnn) {
   // operand — callers that pre-lay-out B (the compiled plan's prepacked
   // Linear weights) rely on this to keep compiled == eager bitwise. Shapes
   // cover ragged n (zero-padded final sliver), n > kNC (several column
-  // blocks), k == kKC (the single-panel cap), and m > kMC (several A
-  // blocks).
+  // blocks), k == kKC (the single-panel cap), m > kMC (several A blocks),
+  // and both at once.
   Rng rng(0xBEEF);
   const std::vector<std::array<std::int64_t, 3>> shapes = {
       {8, 64, 72},   {5, 48, 27},  {7, 33, 100},  {1, 1, 1},
       {3, 1040, 9},  {16, 2048, 72}, {130, 16, 256}, {64, 100, 13},
+      {130, 1040, 72},  // several A blocks AND several column blocks
   };
   int idx = 0;
   for (const auto& [m, n, k] : shapes) {
@@ -167,76 +171,6 @@ TEST(GemmPrepackedB, PackBlockBEmitsTheDocumentedLayout) {
     for (std::size_t i = 0; i < expected.size(); ++i)
       ASSERT_EQ(bp[i], expected[i]) << "k=" << k << " n=" << n << " @" << i;
   }
-}
-
-// The threading contract (DESIGN.md §14): the pool changes WHERE tiles run,
-// never what they compute — every thread count must produce output BITWISE
-// identical to the serial path, because training-vs-serving parity and the
-// golden-reference suites all assume one set of float results.
-TEST(GemmParallel, BitwiseIdenticalToSerialAtEveryThreadCount) {
-  core::ThreadPool& pool = core::ThreadPool::instance();
-  const std::size_t old_size = pool.size();
-  Rng rng(0x51CAD);
-  // Shapes chosen to exercise the parallel regime (>= the flop threshold),
-  // odd M/N tails (partial MR/NR tiles at the grid edge), multiple NC/MC
-  // blocks, and a tile grid SMALLER than 8*kChunksPerThread chunks.
-  const std::vector<std::array<std::int64_t, 3>> shapes = {
-      {129, 257, 65},   // odd everything, several MR/NR panels
-      {8, 2100, 80},    // single MR panel, many NR panels + NC blocks
-      {300, 16, 640},   // many MR panels, single NR panel, k > kKC
-      {17, 33, 2048},   // deep k: multiple KC panels accumulate into C
-      {64, 64, 256},    // exact tile multiples
-  };
-  const gemm::Trans variants[] = {gemm::Trans::kNN, gemm::Trans::kTN,
-                                  gemm::Trans::kNT};
-  for (const auto& [m, n, k] : shapes) {
-    for (auto t : variants) {
-      const auto [asize, bsize] = operand_sizes(t, m, n, k);
-      Tensor a = Tensor::randn(Shape{asize}, rng);
-      Tensor b = Tensor::randn(Shape{bsize}, rng);
-      Tensor c0 = Tensor::randn(Shape{m * n}, rng);
-      gemm::Epilogue ep;
-      ep.act = gemm::Epilogue::Act::kRelu;
-      pool.set_size(1);
-      Tensor c_serial = c0;
-      gemm::gemm(t, m, n, k, a.data(), b.data(), c_serial.data(),
-                 /*accumulate=*/true, ep);
-      for (std::size_t threads : {2u, 3u, 8u}) {
-        pool.set_size(threads);
-        Tensor c_par = c0;
-        gemm::gemm(t, m, n, k, a.data(), b.data(), c_par.data(),
-                   /*accumulate=*/true, ep);
-        for (std::int64_t i = 0; i < m * n; ++i)
-          ASSERT_EQ(c_par[i], c_serial[i])
-              << trans_name(t) << " threads=" << threads << " m=" << m
-              << " n=" << n << " k=" << k << " @" << i;
-      }
-      pool.set_size(old_size);
-    }
-  }
-}
-
-TEST(GemmParallel, PrepackedBBitwiseIdenticalAcrossThreadCounts) {
-  core::ThreadPool& pool = core::ThreadPool::instance();
-  const std::size_t old_size = pool.size();
-  Rng rng(0x51CAE);
-  const std::int64_t m = 130, n = 1040, k = 72;
-  Tensor a = Tensor::randn(Shape{m * k}, rng);
-  Tensor b = Tensor::randn(Shape{k * n}, rng);
-  const auto packed = sliver_pack(b.data(), k, n);
-  pool.set_size(1);
-  Tensor c_serial(Shape{m * n});
-  gemm::gemm_prepacked_b(m, n, k, a.data(), packed.data(), c_serial.data(),
-                         /*accumulate=*/false, gemm::Epilogue{});
-  for (std::size_t threads : {2u, 3u, 8u}) {
-    pool.set_size(threads);
-    Tensor c_par(Shape{m * n});
-    gemm::gemm_prepacked_b(m, n, k, a.data(), packed.data(), c_par.data(),
-                           /*accumulate=*/false, gemm::Epilogue{});
-    for (std::int64_t i = 0; i < m * n; ++i)
-      ASSERT_EQ(c_par[i], c_serial[i]) << "threads=" << threads << " @" << i;
-  }
-  pool.set_size(old_size);
 }
 
 TEST(GemmTest, KZeroZeroesOrPreservesC) {

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "core/threadpool.hpp"
 #include "graph/executor.hpp"
 #include "graph/ir.hpp"
 #include "graph/passes.hpp"
@@ -90,8 +89,9 @@ TEST(GraphPasses, DefaultPipelineRemovesFoldableOps) {
   for (const graph::Node& n : g.nodes) {
     EXPECT_NE(n.op, graph::Op::kBatchNorm);
     EXPECT_NE(n.op, graph::Op::kIdentity);
-    if (n.op == graph::Op::kConv2d)
+    if (n.op == graph::Op::kConv2d) {
       EXPECT_NE(n.lowering, graph::ConvLowering::kUndecided);
+    }
   }
   // The int8 plan also folds every ReLU and residual Add into its convs:
   // stem conv, 8 blocks x 2 convs, 3 shortcut convs, gap.
@@ -149,7 +149,9 @@ void expect_passes_keep_bits(nn::Sequential& net, const Shape& sample,
         return n.op == graph::Op::kConv2d;
       });
   const std::size_t fused = graph::fuse_epilogues(g);
-  if (has_conv) EXPECT_GT(fused, 0u);
+  if (has_conv) {
+    EXPECT_GT(fused, 0u);
+  }
   check_stage("+fuse_epilogues");
   graph::select_conv_lowering(g);
   check_stage("+select_conv_lowering");
@@ -542,40 +544,11 @@ TEST(GraphExecutor, CompiledBatchedEqualsSerial) {
   }
 }
 
-// The executor's per-image batch splits and elementwise range splits must be
-// invisible in the output: every pool size produces the same bytes as the
-// serial run, in BOTH precisions (DESIGN.md §14 — tile ownership + the
-// image_slice partition make parallel execution bitwise-deterministic).
-TEST(GraphExecutor, CompiledForwardBitwiseIdenticalAcrossThreadCounts) {
-  core::ThreadPool& pool = core::ThreadPool::instance();
-  const std::size_t old_size = pool.size();
-  for (auto precision : {graph::Precision::kF32, graph::Precision::kInt8}) {
-    SCOPED_TRACE(precision == graph::Precision::kF32 ? "fp32" : "int8");
-    auto enc = eval_encoder("resnet18", 43);
-    auto model = graph::compile(*enc.backbone, Shape{3, kH, kW},
-                                graph::CompileOptions{6, precision, true});
-    Rng rng(47);
-    const Tensor batch =
-        Tensor::uniform(Shape{5, 3, kH, kW}, rng, -1.0f, 1.0f);
-    pool.set_size(1);
-    const Tensor serial = model.forward(batch);  // copy: arena reused below
-    for (std::size_t threads : {2u, 3u, 8u}) {
-      SCOPED_TRACE(threads);
-      pool.set_size(threads);
-      expect_bitwise(model.forward(batch), serial);
-    }
-    pool.set_size(old_size);
-  }
-}
-
 // A non-finite sample must not perturb its batch-mates. Each int8 conv's
 // epilogue hands the next conv one max per image; a NaN or Inf that leaked
 // across images would shift a finite sample's scale. Every finite row of a
-// mixed batch equals that sample's batch-1 forward bitwise, at pool sizes 1
-// and 3.
-TEST(GraphExecutor, NonFiniteSampleIsolatedAcrossThreadCounts) {
-  core::ThreadPool& pool = core::ThreadPool::instance();
-  const std::size_t old_size = pool.size();
+// mixed batch equals that sample's batch-1 forward bitwise.
+TEST(GraphExecutor, NonFiniteSampleIsolatedFromBatchMates) {
   constexpr std::int64_t kBatch = 6, kNan = 1, kInf = 4;
   const std::int64_t per = 3 * kH * kW;
   for (const char* arch : {"resnet18", "mobilenetv2"}) {
@@ -590,45 +563,16 @@ TEST(GraphExecutor, NonFiniteSampleIsolatedAcrossThreadCounts) {
                 std::numeric_limits<float>::quiet_NaN());
     std::fill_n(batch.data() + kInf * per, per,
                 std::numeric_limits<float>::infinity());
-    for (std::size_t threads : {1u, 3u}) {
-      SCOPED_TRACE(threads);
-      pool.set_size(threads);
-      const Tensor mixed = model.forward(batch);  // copy: arena reused below
-      for (std::int64_t i = 0; i < kBatch; ++i) {
-        if (i == kNan || i == kInf) continue;
-        Tensor single(Shape{1, 3, kH, kW});
-        std::copy_n(batch.data() + i * per, per, single.data());
-        const Tensor& feats = model.forward(single);
-        for (std::int64_t c = 0; c < feats.dim(1); ++c)
-          ASSERT_EQ(std::bit_cast<std::uint32_t>(mixed.at(i, c)),
-                    std::bit_cast<std::uint32_t>(feats.at(0, c)))
-              << "sample " << i << " feature " << c;
-      }
-    }
-  }
-  pool.set_size(old_size);
-}
-
-// image_slice is the executor's partition contract: exact cover with no
-// overlap, even distribution (sizes differ by at most one, larger slices
-// first), and pure-function determinism.
-TEST(GraphPlanner, ImageSlicePartitionsExactlyAndEvenly) {
-  for (std::int64_t batch : {1, 2, 5, 7, 16}) {
-    for (std::int64_t parts : {1, 2, 3, 5, 8}) {
-      std::int64_t covered = 0;
-      std::int64_t prev_len = batch;  // lengths must be non-increasing
-      for (std::int64_t s = 0; s < parts; ++s) {
-        const graph::ImageSlice sl = graph::image_slice(batch, parts, s);
-        ASSERT_EQ(sl.begin, covered) << batch << "/" << parts << "@" << s;
-        ASSERT_GE(sl.end, sl.begin);
-        const std::int64_t len = sl.end - sl.begin;
-        ASSERT_LE(len, prev_len);
-        ASSERT_GE(len, batch / parts);
-        ASSERT_LE(len, batch / parts + 1);
-        prev_len = len;
-        covered = sl.end;
-      }
-      ASSERT_EQ(covered, batch) << batch << "/" << parts;
+    const Tensor mixed = model.forward(batch);  // copy: arena reused below
+    for (std::int64_t i = 0; i < kBatch; ++i) {
+      if (i == kNan || i == kInf) continue;
+      Tensor single(Shape{1, 3, kH, kW});
+      std::copy_n(batch.data() + i * per, per, single.data());
+      const Tensor& feats = model.forward(single);
+      for (std::int64_t c = 0; c < feats.dim(1); ++c)
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(mixed.at(i, c)),
+                  std::bit_cast<std::uint32_t>(feats.at(0, c)))
+            << "sample " << i << " feature " << c;
     }
   }
 }

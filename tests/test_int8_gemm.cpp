@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "core/threadpool.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/kernels/igemm.hpp"
 #include "tensor/kernels/kernels.hpp"
@@ -151,8 +150,8 @@ TEST(Int8Gemm, PackedBuffersMatchScalarTwinBitwise) {
   // including the offset-binary pad bytes — or packed-buffer reuse across
   // backends would silently diverge.
   Rng rng(21);
-  for (const auto [k, n] : {std::pair<std::int64_t, std::int64_t>{1, 1},
-                            {3, 5}, {4, 16}, {7, 17}, {64, 33}, {129, 47}}) {
+  for (const auto& [k, n] : {std::pair<std::int64_t, std::int64_t>{1, 1},
+                             {3, 5}, {4, 16}, {7, 17}, {64, 33}, {129, 47}}) {
     const Problem p = make_problem(4, n, k, rng);
     std::vector<std::uint8_t> bp(
         static_cast<std::size_t>(igemm::packed_b_bytes(k, n)), 0xAB);
@@ -173,6 +172,18 @@ TEST(Int8Gemm, FuzzShapeSweepWithOddTails) {
     for (std::int64_t n : {1, 15, 16, 17, 33})
       for (std::int64_t k : {1, 3, 4, 5, 37, 128})
         check(make_problem(m, n, k, rng));
+  // Grids of many tiles with odd tails on every axis, the wide one through
+  // the zero-point path.
+  for (const auto& [m, n, k] : std::vector<std::array<std::int64_t, 3>>{
+           {65, 129, 130}, {8, 1040, 70}, {200, 17, 300}}) {
+    Problem p = make_problem(m, n, k, rng);
+    if (n > 100) {
+      p.col_zp.resize(static_cast<std::size_t>(n));
+      for (auto& zp : p.col_zp) zp = rng.uniform_int(-5, 5);
+    }
+    check(p);
+    if (HasFatalFailure()) return;
+  }
 }
 
 TEST(Int8Gemm, FuzzRandomizedShapes) {
@@ -257,46 +268,6 @@ TEST(Int8Gemm, Int32AccumulatorsSurviveWorstCaseK) {
       EXPECT_EQ(got[static_cast<std::size_t>(i * p.n + j)],
                 eff * (p.row_scale[static_cast<std::size_t>(i)] *
                        p.col_scale[static_cast<std::size_t>(j)]));
-}
-
-TEST(Int8Gemm, ParallelBitwiseIdenticalToSerialAtEveryThreadCount) {
-  // Integer accumulation is exact in any order, but the packed buffers and
-  // the output tiles must still land in exactly the same bytes at every
-  // pool size — and the epilogue's float folds must happen once per tile
-  // regardless of which thread runs it. Shapes are sized past both parallel
-  // thresholds (2M flops for the kernel grid, 64K elements for pack_b) and
-  // include odd tails plus a pool larger than the tile grid.
-  core::ThreadPool& pool = core::ThreadPool::instance();
-  const std::size_t old_size = pool.size();
-  Rng rng(31);
-  const std::vector<std::array<std::int64_t, 3>> shapes = {
-      {65, 129, 130},  // odd tails on every axis, deep enough to go parallel
-      {8, 1040, 70},   // wide n: many pack_b slivers, single row panel
-      {200, 17, 300},  // many row panels, single column sliver
-      {3, 5, 7},       // tiny: stays serial at any size, still must match
-  };
-  for (const auto& [m, n, k] : shapes) {
-    Problem p = make_problem(m, n, k, rng);
-    if (n > 100) {  // zero-point path on the wide shape
-      p.col_zp.resize(static_cast<std::size_t>(n));
-      for (auto& zp : p.col_zp) zp = rng.uniform_int(-5, 5);
-    }
-    pool.set_size(1);
-    const std::vector<float> serial = run_backend(p, p.n, false);
-    const std::vector<float> serial_twin = run_backend(p, p.n, true);
-    for (std::size_t threads : {2u, 3u, 8u}) {
-      pool.set_size(threads);
-      const std::vector<float> par = run_backend(p, p.n, false);
-      const std::vector<float> par_twin = run_backend(p, p.n, true);
-      ASSERT_EQ(par, serial) << "threads=" << threads << " m=" << m
-                             << " n=" << n << " k=" << k;
-      ASSERT_EQ(par_twin, serial_twin)
-          << "scalar twin threads=" << threads << " m=" << m << " n=" << n
-          << " k=" << k;
-    }
-    pool.set_size(old_size);
-    check(p);  // and the parallel-capable path still matches the oracle
-  }
 }
 
 TEST(Int8Gemm, LeadingDimensionLargerThanN) {
@@ -486,6 +457,10 @@ TEST(Int8ConvPack, MatchesTwoPassOverGeometrySweep) {
             if (HasFatalFailure()) return;
           }
         }
+  // Wide batches: many slivers per pack, contiguous and gathered.
+  check_conv(make_conv_case(16, 8, 8, 3, 1, 1, 32, rng));
+  check_conv(make_conv_case(16, 9, 7, 3, 2, 1, 29, rng));
+  check_conv(make_conv_case(16, 13, 11, 3, 1, 1, 29, rng));
 }
 
 TEST(Int8ConvPack, ChannelCountsPadTheLastQuad) {
@@ -544,39 +519,6 @@ TEST(Int8ConvPack, NonFiniteInputsAndScales) {
         if (img % 3 != 2) cc.img_inv[img] = (img % 3 == 0) ? inf : 0.0f;
       check_conv(cc);
     }
-  }
-}
-
-TEST(Int8ConvPack, BitwiseInvariantToPoolSize) {
-  // Shapes past the pack split bar (k * ncols >= 64K); slivers are the
-  // unit of work, so any partition writes the same bytes. The last case is
-  // also past the quantize split bar (n * channels * hw >= 64K), which
-  // splits by image.
-  core::ThreadPool& pool = core::ThreadPool::instance();
-  const std::size_t old_size = pool.size();
-  Rng rng(44);
-  const std::vector<ConvCase> cases = {
-      make_conv_case(16, 8, 8, 3, 1, 1, 32, rng),    // contiguous slivers
-      make_conv_case(16, 9, 7, 3, 2, 1, 29, rng),    // gathered slivers
-      make_conv_case(16, 13, 11, 3, 1, 1, 29, rng),  // split quantize
-  };
-  auto same = [](const QuadPack& a, const QuadPack& b) {
-    return a.act == b.act && a.pad == b.pad && a.bp == b.bp;
-  };
-  for (const ConvCase& cc : cases) {
-    pool.set_size(1);
-    const QuadPack serial = channel_quad(cc, 0, false);
-    const QuadPack serial_twin = channel_quad(cc, 0, true);
-    for (std::size_t threads : {2u, 3u, 8u}) {
-      pool.set_size(threads);
-      ASSERT_TRUE(same(channel_quad(cc, 0, false), serial))
-          << "threads=" << threads << " " << describe(cc, 0);
-      ASSERT_TRUE(same(channel_quad(cc, 0, true), serial_twin))
-          << "threads=" << threads << " " << describe(cc, 0);
-    }
-    pool.set_size(old_size);
-    ASSERT_TRUE(same(serial, serial_twin));
-    check_conv(cc);
   }
 }
 
@@ -695,8 +637,8 @@ TEST(Int8Gemm, KZeroWritesBias) {
 // int32 sums of reference(), detail::epilogue_value, a float add in the
 // residual's operand order, then kernels::relu / relu_cap, stored at the
 // NCHW address and reduced per image with a plain max loop. Both backends
-// must match it bitwise at every pool size — outputs, untouched channels
-// (the sentinel) and the published maxima.
+// must match it bitwise — outputs, untouched channels (the sentinel) and the
+// published maxima.
 
 struct EpilogueCase {
   std::int64_t pixels = 0, images = 0;
@@ -713,9 +655,8 @@ struct EpilogueCase {
 EpilogueCase make_epilogue_case(std::int64_t pixels, Rng& rng) {
   EpilogueCase ec;
   ec.pixels = pixels;
-  // >= 810 columns: past gemm's 2 MFLOP fan-out bar with m = 21, k = 64
-  // (so pool sizes 2 and 3 split the tile grid), and a short last sliver
-  // for most pixel counts.
+  // >= 810 columns: many slivers, and a short last sliver for most pixel
+  // counts.
   ec.images = (810 + pixels - 1) / pixels;
   ec.channels = 29;
   ec.group_off = 5;
@@ -849,23 +790,13 @@ void check_epilogue(const EpilogueCase& ec, const std::string& what) {
 
 TEST(Int8Epilogue, NchwResidualActivationAndAbsMaxMatchOracle) {
   // Pixels per image from 1 (every lane its own image) through 2x2, 3x3,
-  // 4x4 and 6x6 (slivers cross images) to 12x12 (many slivers per image),
-  // at pool sizes 1-3: the tile grid splits differently, the bytes and the
-  // maxima must not move.
-  core::ThreadPool& pool = core::ThreadPool::instance();
-  const std::size_t old_size = pool.size();
+  // 4x4 and 6x6 (slivers cross images) to 12x12 (many slivers per image).
   Rng rng(50);
   for (std::int64_t pixels : {1, 4, 9, 16, 36, 144}) {
     const EpilogueCase ec = make_epilogue_case(pixels, rng);
-    for (std::size_t threads : {1u, 2u, 3u}) {
-      pool.set_size(threads);
-      check_epilogue(ec, "pixels=" + std::to_string(pixels) +
-                             " threads=" + std::to_string(threads));
-      if (HasFatalFailure()) break;
-    }
-    if (HasFatalFailure()) break;
+    check_epilogue(ec, "pixels=" + std::to_string(pixels));
+    if (HasFatalFailure()) return;
   }
-  pool.set_size(old_size);
 }
 
 TEST(Int8Epilogue, ResidualOperandOrderKeepsNaNPayload) {

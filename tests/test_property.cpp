@@ -213,7 +213,9 @@ TEST_P(PrecisionSetProperty, PairsAreDistinctAndInRange) {
     EXPECT_LE(q1, hi);
     EXPECT_GE(q2, lo);
     EXPECT_LE(q2, hi);
-    if (lo != hi) EXPECT_NE(q1, q2);
+    if (lo != hi) {
+      EXPECT_NE(q1, q2);
+    }
   }
 }
 

@@ -1,8 +1,8 @@
 // Vector search subsystem (DESIGN.md §15): Hamming/binarize kernel fuzz
 // (backend vs scalar twin, odd tails, 2-bit layout), bounded top-k vs a
-// std::partial_sort oracle, index build/query/save/load, threaded-scan
-// bitwise parity across pool sizes, the 0-alloc steady-state contract of the
-// query path, and the serve-engine-backed Service (encode -> binarize ->
+// std::partial_sort oracle, index build/query/save/load against a
+// brute-force oracle (one scan block and several), the 0-alloc steady-state
+// contract of the query path, and the serve-engine-backed Service (encode -> binarize ->
 // scan) including concurrent query + incremental add (the tsan target).
 #include <gtest/gtest.h>
 
@@ -17,7 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/threadpool.hpp"
+#include "counting_new.hpp"
 #include "models/encoder.hpp"
 #include "search/index.hpp"
 #include "search/recall.hpp"
@@ -28,23 +28,6 @@
 #include "testutil.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
-
-// Global allocation counter for the 0-alloc steady-state assertions. The
-// tensor-pool AllocTracker can't see QueryScratch's std::vectors, so the
-// test binary replaces operator new wholesale and counts every heap
-// allocation from any thread.
-static std::atomic<std::uint64_t> g_heap_allocs{0};
-
-void* operator new(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace cq {
 namespace {
@@ -314,6 +297,27 @@ Index make_random_index(Rng& rng, std::int64_t rows, std::int64_t dim,
   return index;
 }
 
+/// Brute-force top-k oracle: scalar-twin scan over the index's own codes +
+/// partial_sort under the (dist, row) order.
+std::vector<Candidate> oracle_topk(const Index& index,
+                                   const std::vector<float>& query,
+                                   std::int64_t k) {
+  const std::int64_t rows = index.size(), words = index.words_per_row();
+  std::vector<std::uint64_t> qcode(static_cast<std::size_t>(words));
+  std::vector<float> qn = query;
+  kernels::l2_normalize_rows(qn.data(), 1, index.dim(), nullptr, 1e-12f);
+  index.binarizer().encode(qn.data(), 1, qcode.data());
+  std::vector<Candidate> all(static_cast<std::size_t>(rows));
+  for (std::int64_t r = 0; r < rows; ++r)
+    all[r] = {kernels::scalar::hamming_distance(
+                  index.codes().data() + r * words, qcode.data(), words),
+              r};
+  std::partial_sort(all.begin(), all.begin() + k, all.end(),
+                    search::candidate_less);
+  all.resize(static_cast<std::size_t>(k));
+  return all;
+}
+
 TEST(SearchIndex, QueryMatchesBruteForceOracle) {
   Rng rng(707);
   const std::int64_t rows = 500, dim = 48;
@@ -326,20 +330,7 @@ TEST(SearchIndex, QueryMatchesBruteForceOracle) {
     const auto query = random_floats(rng, dim);
     const auto n = index.query(query.data(), opts, scratch, hits.data());
     ASSERT_EQ(n, 7);
-    // Oracle: scalar-twin scan over the index's own codes + partial_sort.
-    std::vector<std::uint64_t> qcode(
-        static_cast<std::size_t>(index.words_per_row()));
-    std::vector<float> qn = query;
-    kernels::l2_normalize_rows(qn.data(), 1, dim, nullptr, 1e-12f);
-    index.binarizer().encode(qn.data(), 1, qcode.data());
-    std::vector<Candidate> all(static_cast<std::size_t>(rows));
-    for (std::int64_t r = 0; r < rows; ++r)
-      all[r] = {kernels::scalar::hamming_distance(
-                    index.codes().data() + r * index.words_per_row(),
-                    qcode.data(), index.words_per_row()),
-                r};
-    std::partial_sort(all.begin(), all.begin() + 7, all.end(),
-                      search::candidate_less);
+    const auto all = oracle_topk(index, query, 7);
     for (int i = 0; i < 7; ++i) {
       EXPECT_EQ(hits[i].id, 1000 + static_cast<std::uint64_t>(all[i].row));
       EXPECT_EQ(hits[i].dist, all[i].dist);
@@ -370,40 +361,29 @@ TEST(SearchIndex, RerankReturnsExactCosineOrder) {
     EXPECT_GE(hits[i - 1].score, hits[i].score);
 }
 
-TEST(SearchIndex, ThreadedScanBitwiseParityAcrossPoolSizes) {
+TEST(SearchIndex, MultiBlockScanMatchesBruteForceOracle) {
   Rng rng(909);
-  // > 2 full scan blocks so parallel_for actually splits.
+  // > 2 full scan blocks and a partial one. 2-bit codes of 24 dims span
+  // distances 0..48, so 12.8k rows tie heavily: the row tiebreak and the
+  // heap's pruning bound both carry across block boundaries.
   const std::int64_t rows = 3 * Index::kScanBlock + 517, dim = 24;
   Index index = make_random_index(rng, rows, dim, CodeLayout::k2Bit, false);
   QueryOptions opts;
   opts.k = 13;
   opts.overfetch = 3;
-  const auto query = random_floats(rng, dim);
-
-  auto& pool = core::ThreadPool::instance();
-  const auto original = pool.size();
-  std::vector<Result> baseline(13);
-  std::int64_t baseline_n = 0;
-  for (std::size_t size : {1u, 2u, 3u, 8u}) {
-    pool.set_size(size);
-    QueryScratch scratch;
-    std::vector<Result> hits(13);
-    const auto n = index.query(query.data(), opts, scratch, hits.data());
-    if (size == 1) {
-      baseline = hits;
-      baseline_n = n;
-      continue;
-    }
-    ASSERT_EQ(n, baseline_n) << "pool=" << size;
-    for (std::int64_t i = 0; i < n; ++i) {
-      EXPECT_EQ(hits[i].id, baseline[i].id) << "pool=" << size;
-      EXPECT_EQ(hits[i].dist, baseline[i].dist) << "pool=" << size;
-      // Bitwise, not approximate: scores must survive re-partitioning.
-      EXPECT_EQ(std::bit_cast<std::uint32_t>(hits[i].score),
-                std::bit_cast<std::uint32_t>(baseline[i].score));
+  QueryScratch scratch;
+  std::vector<Result> hits(13);
+  for (int q = 0; q < 5; ++q) {
+    const auto query = random_floats(rng, dim);
+    ASSERT_EQ(index.query(query.data(), opts, scratch, hits.data()), 13);
+    const auto all = oracle_topk(index, query, 13);
+    for (int i = 0; i < 13; ++i) {
+      EXPECT_EQ(hits[i].id, 1000 + static_cast<std::uint64_t>(all[i].row))
+          << "query " << q << " rank " << i;
+      EXPECT_EQ(hits[i].dist, all[i].dist) << "query " << q << " rank " << i;
+      EXPECT_EQ(hits[i].score, -static_cast<float>(all[i].dist));
     }
   }
-  pool.set_size(original);
 }
 
 TEST(SearchIndex, ZeroAllocQuerySteadyState) {
@@ -418,10 +398,10 @@ TEST(SearchIndex, ZeroAllocQuerySteadyState) {
   std::vector<Result> hits(10);
   // First query may still size lazy pieces; afterwards the path is clean.
   index.query(query.data(), opts, scratch, hits.data());
-  const auto before = g_heap_allocs.load();
+  const auto before = test::heap_allocs();
   for (int i = 0; i < 20; ++i)
     index.query(query.data(), opts, scratch, hits.data());
-  EXPECT_EQ(g_heap_allocs.load() - before, 0u)
+  EXPECT_EQ(test::heap_allocs() - before, 0u)
       << "steady-state query path must not touch the heap";
 }
 

@@ -22,6 +22,7 @@
 #include "models/encoder.hpp"
 #include "serve/engine.hpp"
 #include "serve/queue.hpp"
+#include "serve/request.hpp"
 #include "serve/stats.hpp"
 #include "testutil.hpp"
 #include "util/check.hpp"
@@ -171,6 +172,94 @@ TEST(RequestQueue, WindowStillFillsWhenRequestsQueued) {
   EXPECT_EQ(out[0], &a);
   EXPECT_EQ(out[1], &b);
   EXPECT_EQ(out[2], &c);
+}
+
+// Lock-free MPMC RequestQueue: concurrency properties beyond the functional
+// cases above — ring laps at a non-power-of-two capacity, many producers and
+// consumers, and close() waking a blocked consumer.
+
+TEST(MpmcQueue, FifoOrderAcrossManyLapsOfANonPowerOfTwoRing) {
+  // capacity 3 forces the sequence-number lap arithmetic through the
+  // pos % capacity (non-power-of-two) path thousands of times.
+  serve::RequestQueue q(3);
+  std::vector<serve::Request> reqs(3);
+  std::vector<serve::Request*> out;
+  int next_in = 0, next_out = 0;
+  for (int lap = 0; lap < 2000; ++lap) {
+    ASSERT_TRUE(q.try_push(&reqs[static_cast<std::size_t>(next_in % 3)]));
+    ++next_in;
+    if (lap % 3 == 2) {  // drain in bursts so the ring wraps at every phase
+      q.drain(out);
+      for (serve::Request* r : out) {
+        ASSERT_EQ(r, &reqs[static_cast<std::size_t>(next_out % 3)]);
+        ++next_out;
+      }
+    }
+  }
+  EXPECT_EQ(q.depth(), static_cast<std::size_t>(next_in - next_out));
+  EXPECT_EQ(q.peak_depth(), 3u);
+}
+
+TEST(MpmcQueue, ConcurrentProducersAndConsumersDeliverEveryRequestOnce) {
+  constexpr int kProducers = 4, kConsumers = 4, kPerProducer = 2000;
+  constexpr int kTotal = kProducers * kPerProducer;
+  serve::RequestQueue q(8);  // small ring: constant full/empty contention
+  std::vector<serve::Request> reqs(kTotal);
+  std::vector<std::atomic<int>> delivered(kTotal);
+  for (auto& d : delivered) d.store(0, std::memory_order_relaxed);
+
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        serve::Request* r =
+            &reqs[static_cast<std::size_t>(p * kPerProducer + i)];
+        while (!q.try_push(r)) std::this_thread::yield();  // ring full
+      }
+    });
+  }
+  std::vector<std::thread> consumers;
+  std::atomic<int> popped{0};
+  for (int c = 0; c < kConsumers; ++c) {
+    consumers.emplace_back([&] {
+      std::vector<serve::Request*> batch;
+      for (;;) {
+        const std::size_t n =
+            q.pop_batch(batch, 8, std::chrono::microseconds{50});
+        if (n == 0) return;  // closed and drained
+        for (serve::Request* r : batch) {
+          const auto idx = static_cast<std::size_t>(r - reqs.data());
+          delivered[idx].fetch_add(1, std::memory_order_relaxed);
+        }
+        popped.fetch_add(static_cast<int>(n), std::memory_order_relaxed);
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  q.close();
+  for (auto& t : consumers) t.join();
+
+  EXPECT_EQ(popped.load(), kTotal);
+  for (int i = 0; i < kTotal; ++i)
+    ASSERT_EQ(delivered[static_cast<std::size_t>(i)].load(), 1) << "@" << i;
+  EXPECT_EQ(q.depth(), 0u);
+  EXPECT_LE(q.peak_depth(), 8u);
+  EXPECT_GE(q.peak_depth(), 1u);
+}
+
+TEST(MpmcQueue, CloseWakesBlockedConsumerPromptly) {
+  serve::RequestQueue q(4);
+  std::atomic<bool> done{false};
+  std::thread consumer([&] {
+    std::vector<serve::Request*> batch;
+    EXPECT_EQ(q.pop_batch(batch, 8, std::chrono::microseconds{1000}), 0u);
+    done.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds{5});
+  EXPECT_FALSE(done.load(std::memory_order_acquire));
+  q.close();
+  consumer.join();
+  EXPECT_TRUE(done.load(std::memory_order_acquire));
 }
 
 TEST(LatencyHistogram, PercentilesAndMerge) {
@@ -605,11 +694,15 @@ TEST(Engine, PerWorkerStatsAccountForEveryRequestAndBatch) {
     for (std::size_t b = 0; b < serve::kBatchHistBuckets; ++b) {
       hist_batches += w.batch_hist[b];
       hist_served += w.batch_hist[b] * (b + 1);
-      if (b + 1 > cfg.max_batch) EXPECT_EQ(w.batch_hist[b], 0u);
+      if (b + 1 > cfg.max_batch) {
+        EXPECT_EQ(w.batch_hist[b], 0u);
+      }
     }
     EXPECT_EQ(hist_batches, w.batches);
     EXPECT_EQ(hist_served, w.served);
-    if (w.batches > 0) EXPECT_GT(w.mean_batch_size, 0.0);
+    if (w.batches > 0) {
+      EXPECT_GT(w.mean_batch_size, 0.0);
+    }
   }
   EXPECT_EQ(served, 16u);
   EXPECT_EQ(served, stats.served);

@@ -4,9 +4,6 @@
 // hand-counted SimCLR toy run, and allocation-free steady-state recording.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <set>
 #include <string>
 #include <thread>
@@ -14,36 +11,13 @@
 
 #include "core/simclr.hpp"
 #include "core/trace.hpp"
+#include "counting_new.hpp"
 #include "data/synth.hpp"
 #include "models/encoder.hpp"
 #include "serve/engine.hpp"
 #include "serve/queue.hpp"
 #include "testutil.hpp"
 #include "util/rng.hpp"
-
-// Global operator new/delete instrumentation for the steady-state
-// allocation test. Counting is the only side effect; every other test sees
-// plain malloc behavior.
-namespace {
-std::atomic<std::uint64_t> g_global_news{0};
-}  // namespace
-
-// GCC pairs the free() below with the *implicit* ::operator new at inlined
-// call sites and warns; the replacement new above allocates with malloc, so
-// the pairing is in fact correct.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t n) {
-  g_global_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace cq {
 namespace {
@@ -422,11 +396,11 @@ TEST(Trace, SteadyStateSpanRecordingIsAllocationFree) {
   for (int i = 0; i < 16; ++i) {
     CQ_TRACE_SCOPE_BYTES("ttrace.steady", 64);
   }
-  const auto before = g_global_news.load(std::memory_order_relaxed);
+  const auto before = test::heap_allocs();
   for (int i = 0; i < 1000; ++i) {
     CQ_TRACE_SCOPE_BYTES("ttrace.steady", 64);
   }
-  const auto after = g_global_news.load(std::memory_order_relaxed);
+  const auto after = test::heap_allocs();
   trace::enable(false);
   EXPECT_EQ(after - before, 0u) << "span recording allocated on the heap";
   EXPECT_EQ(trace::span_count(), 1016u);

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/simclr.hpp"
-#include "core/threadpool.hpp"
 #include "data/synth.hpp"
 #include "graph/executor.hpp"
 #include "graph/passes.hpp"
@@ -194,34 +193,6 @@ TEST(VitGraph, CompiledInt8BatchedEqualsSerial) {
     const Tensor& feats = model.forward(single);
     for (std::int64_t c = 0; c < feats.dim(1); ++c)
       EXPECT_EQ(batched.at(i, c), feats.at(0, c)) << i << "," << c;
-  }
-}
-
-// Pool-size sweep: the per-image slices and elementwise range splits must be
-// invisible — every thread count reproduces the serial bytes, in BOTH
-// precisions.
-TEST(VitGraph, CompiledBitwiseIdenticalAcrossThreadCounts) {
-  core::ThreadPool& pool = core::ThreadPool::instance();
-  const std::size_t old_size = pool.size();
-  for (auto precision : {graph::Precision::kF32, graph::Precision::kInt8}) {
-    SCOPED_TRACE(precision == graph::Precision::kF32 ? "fp32" : "int8");
-    auto enc = eval_vit(37);
-    auto model = graph::compile(*enc.backbone, Shape{3, kImg, kImg},
-                                graph::CompileOptions{6, precision, true});
-    Rng rng(41);
-    for (std::int64_t n : {1, 3, 6}) {
-      SCOPED_TRACE(n);
-      const Tensor batch = Tensor::uniform(Shape{n, 3, kImg, kImg}, rng,
-                                           -1.0f, 1.0f);
-      pool.set_size(1);
-      const Tensor serial = model.forward(batch);  // copy: arena reused below
-      for (std::size_t threads : {2u, 3u, 8u}) {
-        SCOPED_TRACE(threads);
-        pool.set_size(threads);
-        expect_bitwise(model.forward(batch), serial);
-      }
-    }
-    pool.set_size(old_size);
   }
 }
 
