@@ -62,9 +62,10 @@ double time_best(F&& fn, double target, int min_reps = 1) {
 /// Standard pretraining recipe, shared by every dataset stand-in (tuned so
 /// vanilla SimCLR comfortably beats random init; see
 /// `git log -- tools/tune.cpp`).
-inline core::PretrainConfig standard_pretrain(
-    core::CqVariant variant,
-    quant::PrecisionSet precisions = quant::PrecisionSet::range(6, 16)) {
+inline core::PretrainConfig standard_pretrain(core::CqVariant variant,
+                                              quant::PrecisionSet precisions =
+                                                  quant::PrecisionSet::range(
+                                                      6, 16)) {
   core::PretrainConfig cfg;
   cfg.variant = variant;
   cfg.precisions = std::move(precisions);

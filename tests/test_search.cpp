@@ -2,8 +2,9 @@
 // (backend vs scalar twin, odd tails, 2-bit layout), bounded top-k vs a
 // std::partial_sort oracle, index build/query/save/load against a
 // brute-force oracle (one scan block and several), the 0-alloc steady-state
-// contract of the query path, and the serve-engine-backed Service (encode -> binarize ->
-// scan) including concurrent query + incremental add (the tsan target).
+// contract of the query path, and the serve-engine-backed Service
+// (encode -> binarize -> scan) including concurrent query + incremental add
+// (the tsan target).
 #include <gtest/gtest.h>
 
 #include <algorithm>
