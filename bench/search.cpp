@@ -6,8 +6,9 @@
 //            one for retrieval — a resident fp32 matrix at this size streams
 //            from DRAM while the 1-bit codes fit in cache.
 //
-//   query    end-to-end Index::query (scan + bounded heap + exact-cosine
-//            rerank of the overfetched pool) vs an fp32 brute-force query
+//   query    end-to-end Index::query (bound scan + counting selection +
+//            exact-cosine rerank of the overfetched pool; the build's
+//            hamming_below backend is recorded) vs an fp32 brute-force query
 //            (dot_scan + top-k heap) on the same corpus, per-query qps. The
 //            1-bit rerank speedup here is the headline: it keeps the
 //            ground-truth-equal operating point (recall section) AND the
@@ -42,6 +43,7 @@
 #include "bench_common.hpp"
 #include "search/recall.hpp"
 #include "search/service.hpp"
+#include "search/topk.hpp"
 #include "tensor/kernels/hamming.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "util/rng.hpp"
@@ -68,7 +70,7 @@ constexpr std::int64_t kOverfetch = 8;
 /// on the first mismatch.
 bool equivalence_gate() {
   Rng rng(0xB17);
-  const std::int64_t dim = 64, rows = 3 * search::Index::kScanBlock + 517;
+  const std::int64_t dim = 64, rows = 12805;
   std::vector<float> base(static_cast<std::size_t>(rows * dim));
   for (auto& v : base) v = rng.uniform(-1.0f, 1.0f);
   std::vector<float> thr(static_cast<std::size_t>(dim), 0.0f);
@@ -232,6 +234,8 @@ QuerySection bench_query(const std::vector<float>& base, std::int64_t rows,
     s.cases.push_back(c);
   }
   std::printf("query  %-13s %8.0f qps\n", "fp32_brute", s.fp32_qps);
+  std::printf("query  hamming_below backend: %s\n",
+              kernels::hamming_below_backend());
   return s;
 }
 
@@ -397,8 +401,10 @@ void write_json(const std::string& path, const ScanSection& scan,
                "  \"regenerate\": \"build/bench/search "
                "--json=bench_out/search.json\",\n");
   std::fprintf(f,
-               "  \"hardware\": {\"cores\": %u},\n",
-               std::thread::hardware_concurrency());
+               "  \"hardware\": {\"cores\": %u, "
+               "\"hamming_below_backend\": \"%s\"},\n",
+               std::thread::hardware_concurrency(),
+               kernels::hamming_below_backend());
   std::fprintf(f, "  \"bitwise_equivalent\": %s,\n",
                g_failures == 0 ? "true" : "false");
   std::fprintf(f,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <mutex>
 
 #include "tensor/kernels/hamming.hpp"
@@ -36,11 +37,16 @@ Binarizer Binarizer::fit(const float* data, std::int64_t rows,
                          std::int64_t dim, CodeLayout layout) {
   CQ_CHECK(rows > 0 && dim > 0);
   Binarizer b = sign(dim, layout);
+  // Index encodes unit rows, so the thresholds come from unit rows too:
+  // medians of raw features sit at the raw scale, and against unit codes
+  // nearly every bit would read the same.
+  std::vector<float> unit(data, data + rows * dim);
+  kernels::l2_normalize_rows(unit.data(), rows, dim, nullptr, kNormEps);
   // Order statistics per coordinate: the VALUE at a rank is a deterministic
   // function of the sample regardless of nth_element's internal ordering.
   std::vector<float> col(static_cast<std::size_t>(rows));
   for (std::int64_t j = 0; j < dim; ++j) {
-    for (std::int64_t r = 0; r < rows; ++r) col[r] = data[r * dim + j];
+    for (std::int64_t r = 0; r < rows; ++r) col[r] = unit[r * dim + j];
     if (layout == CodeLayout::k1Bit) {
       auto mid = col.begin() + rows / 2;
       std::nth_element(col.begin(), mid, col.end());
@@ -137,17 +143,20 @@ std::int64_t Index::size() const {
 void Index::ensure_scratch(const QueryOptions& opts, QueryScratch& s) const {
   const std::int64_t rows = static_cast<std::int64_t>(ids_.size());
   const std::int64_t dim = binarizer_.dim();
+  const std::int64_t words = binarizer_.words_per_row();
   const std::int64_t m = std::max<std::int64_t>(
       1, std::min(opts.k * opts.overfetch, std::max<std::int64_t>(rows, 1)));
-  const std::int64_t block = std::min(rows, kScanBlock);
+  const std::int64_t buffer = 2 * m + kScanBlock;
+  auto grow = [](auto& v, std::int64_t n) {
+    if (static_cast<std::int64_t>(v.size()) < n) v.resize(n);
+  };
   if (static_cast<std::int64_t>(s.qnorm.size()) != dim) s.qnorm.resize(dim);
-  if (static_cast<std::int64_t>(s.qcode.size()) !=
-      binarizer_.words_per_row())
-    s.qcode.resize(binarizer_.words_per_row());
-  if (static_cast<std::int64_t>(s.dist.size()) < block) s.dist.resize(block);
-  if (static_cast<std::int64_t>(s.hits.size()) < block) s.hits.resize(block);
-  // reset() reserves; arming the heap here makes prepare() a true prewarm.
-  s.heap.reset(m);
+  if (static_cast<std::int64_t>(s.qcode.size()) != words) s.qcode.resize(words);
+  grow(s.dist, buffer);
+  grow(s.sorted_dist, buffer);
+  grow(s.row, buffer);
+  grow(s.sorted_row, buffer);
+  grow(s.count, 64 * words + 1);
   if (static_cast<std::int64_t>(s.rerank_score.capacity()) < m) {
     s.rerank_score.reserve(m);
     s.order.reserve(m);
@@ -159,6 +168,32 @@ void Index::prepare(const QueryOptions& opts, QueryScratch& s) const {
   ensure_scratch(opts, s);
 }
 
+std::uint32_t QueryScratch::keep_nearest(std::int64_t n, std::int64_t m,
+                                         std::uint32_t span) {
+  std::fill(count.begin(), count.begin() + span, 0);
+  for (std::int64_t i = 0; i < n; ++i) ++count[dist[i]];
+  // Exclusive prefix sums, up to the distance t of the m-th candidate.
+  std::uint32_t t = 0;
+  for (std::int64_t start = 0;; ++t) {
+    const std::int64_t c = count[t];
+    count[t] = start;
+    start += c;
+    if (start >= m) break;
+  }
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::uint32_t d = dist[i];
+    if (d > t) continue;
+    const std::int64_t at = count[d]++;
+    if (at < m) {  // only ties at t can run past m
+      sorted_dist[at] = d;
+      sorted_row[at] = row[i];
+    }
+  }
+  dist.swap(sorted_dist);
+  row.swap(sorted_row);
+  return t;
+}
+
 std::int64_t Index::query(const float* embedding, const QueryOptions& opts,
                           QueryScratch& s, Result* out) const {
   CQ_CHECK(opts.k >= 1 && opts.overfetch >= 1);
@@ -166,6 +201,8 @@ std::int64_t Index::query(const float* embedding, const QueryOptions& opts,
   CQ_CHECK_MSG(!opts.rerank || config_.store_embeddings,
                "rerank requires store_embeddings");
   const std::int64_t rows = static_cast<std::int64_t>(ids_.size());
+  s.compared_ = 0;
+  s.pooled_ = 0;
   if (rows == 0) return 0;
   ensure_scratch(opts, s);
 
@@ -177,40 +214,39 @@ std::int64_t Index::query(const float* embedding, const QueryOptions& opts,
   binarizer_.encode(s.qnorm.data(), 1, s.qcode.data());
 
   const std::int64_t m = std::min(opts.k * opts.overfetch, rows);
-  // Blocked scan: each block's distances land in the block-sized dist
-  // buffer and feed the bounded heap while they are cache-hot. Rows ascend,
-  // so once the heap is full its max distance is a STRICT rejection bound:
-  // a later candidate tying it loses the (dist, row) order outright.
-  // filter_lt_u32 applies that bound 8 rows per compare; the bound
-  // refreshes per block, so stale-limit survivors just fall through to
-  // push's own compare — exactness never depends on how often the limit
-  // tightens.
-  TopK& heap = s.heap;
-  std::uint32_t limit = 0;  // 0 = heap not yet full, no pruning
-  for (std::int64_t r0 = 0; r0 < rows; r0 += kScanBlock) {
+  const std::uint64_t* q = s.qcode.data();
+  // Arm: every one of the first m rows is a candidate.
+  std::int64_t n = kernels::hamming_below(
+      q, codes_.data(), m, words, std::numeric_limits<std::uint32_t>::max(),
+      s.row.data(), s.dist.data());
+  std::uint32_t bound =
+      s.keep_nearest(n, m, static_cast<std::uint32_t>(64 * words + 1));
+  // Scan the rest against the strict bound; survivors append in row order.
+  // A zero bound ends the scan: m rows at distance 0 are already held.
+  std::int64_t r0 = m;
+  for (; r0 < rows && bound > 0; r0 += kScanBlock) {
     const std::int64_t len = std::min(kScanBlock, rows - r0);
-    kernels::hamming_scan(s.qcode.data(), codes_.data() + r0 * words, len,
-                          words, s.dist.data());
-    if (heap.size() < m) {
-      for (std::int64_t i = 0; i < len; ++i) heap.push({s.dist[i], r0 + i});
-    } else {
-      const std::int64_t nhit =
-          kernels::filter_lt_u32(s.dist.data(), len, limit, s.hits.data());
-      for (std::int64_t h = 0; h < nhit; ++h) {
-        const std::int64_t i = s.hits[h];
-        heap.push({s.dist[i], r0 + i});
-      }
+    const std::int64_t got = kernels::hamming_below(
+        q, codes_.data() + r0 * words, len, words, bound, s.row.data() + n,
+        s.dist.data() + n);
+    for (std::int64_t i = n; i < n + got; ++i) s.row[i] += r0;
+    n += got;
+    if (n >= 2 * m) {
+      bound = s.keep_nearest(n, m, bound + 1);
+      n = m;
     }
-    if (heap.size() == m) limit = heap.heap().front().dist;
   }
-  const auto& pool = heap.sorted();  // nearest-first, ties to lower row
-  const std::int64_t pooled = static_cast<std::int64_t>(pool.size());
-  const std::int64_t emit = std::min(opts.k, pooled);
+  if (n > m) s.keep_nearest(n, m, bound + 1);
+  s.compared_ = std::min(r0, rows);
+  s.pooled_ = m;
+  const std::uint32_t* pool_dist = s.dist.data();
+  const std::int64_t* pool_row = s.row.data();
+  const std::int64_t emit = std::min(opts.k, m);
 
   if (!opts.rerank) {
     for (std::int64_t i = 0; i < emit; ++i) {
-      out[i] = {ids_[pool[i].row], pool[i].dist,
-                -static_cast<float>(pool[i].dist)};
+      out[i] = {ids_[pool_row[i]], pool_dist[i],
+                -static_cast<float>(pool_dist[i])};
     }
     return emit;
   }
@@ -218,10 +254,10 @@ std::int64_t Index::query(const float* embedding, const QueryOptions& opts,
   // Exact-cosine rerank of the overfetched pool. dot_scan keeps the fixed
   // 8-lane reduction, so reranked scores (and thus results) are identical
   // across SIMD backends too.
-  s.rerank_score.resize(static_cast<std::size_t>(pooled));
-  s.order.resize(static_cast<std::size_t>(pooled));
-  for (std::int64_t i = 0; i < pooled; ++i) {
-    kernels::dot_scan(s.qnorm.data(), embeddings_.data() + pool[i].row * dim,
+  s.rerank_score.resize(static_cast<std::size_t>(m));
+  s.order.resize(static_cast<std::size_t>(m));
+  for (std::int64_t i = 0; i < m; ++i) {
+    kernels::dot_scan(s.qnorm.data(), embeddings_.data() + pool_row[i] * dim,
                       1, dim, &s.rerank_score[i]);
     s.order[i] = i;
   }
@@ -229,11 +265,11 @@ std::int64_t Index::query(const float* embedding, const QueryOptions& opts,
             [&](std::int64_t a, std::int64_t b) {
               if (s.rerank_score[a] != s.rerank_score[b])
                 return s.rerank_score[a] > s.rerank_score[b];
-              return pool[a].row < pool[b].row;
+              return pool_row[a] < pool_row[b];
             });
   for (std::int64_t i = 0; i < emit; ++i) {
     const std::int64_t p = s.order[i];
-    out[i] = {ids_[pool[p].row], pool[p].dist, s.rerank_score[p]};
+    out[i] = {ids_[pool_row[p]], pool_dist[p], s.rerank_score[p]};
   }
   return emit;
 }

@@ -3,15 +3,24 @@
 // An Index stores one packed bitplane code per embedding (1-bit or 2-bit per
 // dimension, layout contract in tensor/kernels/hamming.hpp) plus a u64 id
 // side array and, optionally, the fp32 embeddings for exact cosine rerank.
-// Queries are EXACT bounded-heap top-k over a blocked Hamming scan:
+// Codes are packed from L2-normalized rows: add(), query() and
+// Binarizer::fit all normalize first, so thresholds and codes share a scale.
+// Queries are EXACT top-m selection (m = k * overfetch) over a Hamming scan,
+// with no heap:
 //
-//   * The row range splits into fixed kScanBlock-row blocks. hamming_scan
-//     writes each block's distances into a block-sized scratch buffer that
-//     feeds one TopK while it is cache-hot; once the heap is full, a SIMD
-//     filter (kernels::filter_lt_u32) rejects 8 distances per compare
-//     against the heap's current bound before any heap code runs.
+//   * The first m rows arm a candidate buffer, and a counting sort over the
+//     integer distance range [0, 64 * words_per_row] orders them; the m-th
+//     distance becomes a STRICT bound. A later row tying it loses the
+//     (dist, row) order to the m rows already held, all of lower row.
+//   * The rest is scanned in kScanBlock-row blocks by the fused kernel
+//     kernels::hamming_below, which returns only the rows under the bound.
+//     Survivors are appended in row order. When the buffer reaches 2m, one
+//     counting pass keeps the top m and tightens the bound.
+//   * Once the bound is 0 the scan stops: m rows at distance 0 precede
+//     every later row.
 //   * The (dist, row) total order makes the top-m set and its sorted order
-//     unique, so results never depend on push order.
+//     unique; the pool is a stable counting sort, so it is exactly the
+//     sorted top-m of a brute-force scan.
 //   * All scan state lives in a caller-owned QueryScratch: after
 //     prepare()/the first query at a given (k, overfetch), the query path
 //     performs zero heap allocations until the index grows.
@@ -25,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "search/topk.hpp"
 #include "util/serialize.hpp"
 
 namespace cq::search {
@@ -50,14 +58,17 @@ class Binarizer {
   /// collapse to the 1-bit levels encoded at 2 bits (useful as a baseline).
   static Binarizer sign(std::int64_t dim, CodeLayout layout);
 
-  /// Per-coordinate order-statistic thresholds from a [rows, dim] sample:
-  /// the median for k1Bit, tertiles (ranks n/3 and 2n/3) for k2Bit.
+  /// Per-coordinate order-statistic thresholds from a [rows, dim] sample of
+  /// any norm: the median for k1Bit, tertiles (ranks n/3 and 2n/3) for
+  /// k2Bit, taken over a copy whose rows are L2-normalized the way Index
+  /// normalizes, so the thresholds live on the unit sphere where Index
+  /// encodes.
   static Binarizer fit(const float* data, std::int64_t rows, std::int64_t dim,
                        CodeLayout layout);
 
   /// Pack `rows` embeddings of `dim` floats into codes
-  /// ([rows * words_per_row] u64s). Inputs should be L2-normalized when the
-  /// thresholds were fit on normalized data (Index handles this).
+  /// ([rows * words_per_row] u64s). Expects unit rows: fitted thresholds
+  /// are unit-scale (Index normalizes before it encodes).
   void encode(const float* x, std::int64_t rows, std::uint64_t* codes) const;
 
   std::int64_t dim() const { return dim_; }
@@ -111,15 +122,35 @@ struct Result {
 /// first query (or explicitly by Index::prepare) and reused allocation-free
 /// afterwards while the index size and (k, overfetch) stay put.
 class QueryScratch {
+ public:
+  /// Rows the last query compared its code against: the index size it saw,
+  /// or fewer when its bound reached 0.
+  std::int64_t compared() const { return compared_; }
+  /// Hamming candidates the last query pooled: min(k * overfetch, rows).
+  std::int64_t pooled() const { return pooled_; }
+
  private:
   friend class Index;
+  /// Stable counting sort of the n buffered candidates by distance, cut to
+  /// the first m. Candidates of equal distance sit in the buffer in row
+  /// order (survivors are appended in row order, and every pass is stable),
+  /// so this keeps the exact top m under the (dist, row) order,
+  /// nearest-first. Every buffered distance is < span. Returns the m-th
+  /// distance.
+  std::uint32_t keep_nearest(std::int64_t n, std::int64_t m,
+                             std::uint32_t span);
+
   std::vector<float> qnorm;          // [dim] normalized query
   std::vector<std::uint64_t> qcode;  // [words_per_row] packed query
-  std::vector<std::uint32_t> dist;   // [kScanBlock] one block's distances
-  std::vector<std::int32_t> hits;    // [kScanBlock] filter_lt_u32 output
-  TopK heap;                         // the scan's top-m
+  // The candidate buffer [2m + kScanBlock]: distances and rows, and the
+  // counting sort's target, swapped with them after each pass.
+  std::vector<std::uint32_t> dist, sorted_dist;
+  std::vector<std::int64_t> row, sorted_row;
+  std::vector<std::int64_t> count;   // [64 * words_per_row + 1] per distance
   std::vector<float> rerank_score;   // [pool] exact cosine scores
   std::vector<std::int64_t> order;   // rerank permutation
+  std::int64_t compared_ = 0;
+  std::int64_t pooled_ = 0;
 };
 
 class Index {
@@ -167,9 +198,9 @@ class Index {
   void save(const std::string& path) const;
   static Index load(const std::string& path);
 
-  /// Rows per scan block: the distances of one block stay cache-hot between
-  /// the scan and the heap feed.
-  static constexpr std::int64_t kScanBlock = 4096;
+  /// Rows per hamming_below call: how often the scan checks for a full
+  /// buffer and a zero bound.
+  static constexpr std::int64_t kScanBlock = 256;
 
  private:
   void ensure_scratch(const QueryOptions& opts, QueryScratch& s) const;

@@ -59,15 +59,13 @@ std::int64_t Service::run_scan(const float* embedding,
                                const QueryOptions& opts, QueryScratch& scratch,
                                Result* out) const {
   const auto t0 = serve::Clock::now();
-  const std::int64_t rows = index_.size();
   const std::int64_t n = index_.query(embedding, opts, scratch, out);
   const auto us = micros_between(t0, serve::Clock::now());
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.queries += 1;
   stats_.results += static_cast<std::uint64_t>(n);
-  stats_.codes_scanned += static_cast<std::uint64_t>(rows);
-  stats_.candidates += static_cast<std::uint64_t>(
-      std::min(opts.k * opts.overfetch, rows));
+  stats_.codes_scanned += static_cast<std::uint64_t>(scratch.compared());
+  stats_.candidates += static_cast<std::uint64_t>(scratch.pooled());
   stats_.scan_micros += us;
   stats_.scan_latency.record(us);
   return n;

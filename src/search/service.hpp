@@ -40,6 +40,8 @@ struct ServiceConfig {
 struct SearchStats {
   std::uint64_t queries = 0;        // searches that reached the scan
   std::uint64_t results = 0;        // result rows emitted
+  // Both as Index::query reports them through its scratch: rows the query
+  // compared (fewer than the index when its bound reached 0), and its pool.
   std::uint64_t codes_scanned = 0;  // index rows Hamming-scanned
   std::uint64_t candidates = 0;     // overfetched pool entries considered
   std::uint64_t scan_micros = 0;    // time inside Index::query

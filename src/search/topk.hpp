@@ -1,4 +1,6 @@
-// Bounded top-k selection for the Hamming scan (DESIGN.md §15).
+// Bounded top-k heap for bench/search's fp32 brute-force baseline, and the
+// (dist, row) candidate order Index's selection is defined by (DESIGN.md
+// §15). Index::query itself selects with counting passes, not this heap.
 //
 // A TopK is a fixed-capacity max-heap over (distance, row) pairs ordered by
 // the TOTAL order (dist, row) lexicographic — ties on distance break toward
@@ -6,9 +8,8 @@
 // sorted order are unique properties of the candidate stream: the result is
 // independent of push order.
 //
-// Storage is a caller-provided vector that reset() reuses — after the first
-// query sized a scratch, pushes never allocate (the 0-alloc steady-state
-// contract of the query path).
+// Storage is a vector that reset() reuses — after the first reset at a given
+// k, pushes never allocate.
 #pragma once
 
 #include <algorithm>

@@ -5,7 +5,10 @@
 // Like the float kernel layer (kernels.hpp), every primitive is built twice:
 //
 //   kernels::foo          — the compile-time-detected backend (AVX2 nibble-LUT
-//                           popcount + movemask binarization when available)
+//                           popcount + movemask binarization when available;
+//                           hamming_below uses AVX-512 VPOPCNTDQ instead when
+//                           the build machine has __AVX512F__ and
+//                           __AVX512VPOPCNTDQ__, selected like igemm's VNNI)
 //   kernels::scalar::foo  — a portable twin, always compiled
 //
 // All kernels here are integer (or integer-from-float-compare) pipelines, so
@@ -46,14 +49,24 @@ void hamming_scan(const std::uint64_t* query, const std::uint64_t* base,
                   std::int64_t rows, std::int64_t words_per_row,
                   std::uint32_t* out);
 
-/// Compacts the indices i (ascending) with x[i] < limit into `out` and
-/// returns the count. This is the top-k feed's pruning primitive: once a scan
-/// heap is full, its current k-th best distance is an upper bound, and almost
-/// every row fails it — the AVX2 path rejects 8 distances per compare+
-/// movemask step instead of one compare per row. Exact (integer compare), so
-/// backend and scalar twin emit identical index lists.
-std::int64_t filter_lt_u32(const std::uint32_t* x, std::int64_t n,
-                           std::uint32_t limit, std::int32_t* out);
+/// The fused scan + filter of the top-k feed: for r in [0, rows), computes
+/// d = Hamming(query, base + r*words_per_row) and, when d < limit, appends r
+/// to rows_out and d to dist_out; returns the count. Rows come out
+/// ascending, and both outputs need room for `rows` entries. Once the
+/// selection holds its k-th best distance as a strict bound, almost every
+/// row fails it, so the distances never leave registers: the compare runs
+/// on the popcount lanes and only survivors are written. limit 0 emits
+/// nothing; any limit above 64*words_per_row emits every row (the arming
+/// pass). Exact integer compare, so backend and scalar twin emit identical
+/// lists.
+std::int64_t hamming_below(const std::uint64_t* query,
+                           const std::uint64_t* base, std::int64_t rows,
+                           std::int64_t words_per_row, std::uint32_t limit,
+                           std::int64_t* rows_out, std::uint32_t* dist_out);
+
+/// Which hamming_below backend this build compiled: "avx512_vpopcntdq",
+/// "avx2" or "portable" (bench/search records it beside its scan numbers).
+const char* hamming_below_backend();
 
 // ---- binarization ----------------------------------------------------------
 
@@ -91,8 +104,10 @@ std::uint32_t hamming_distance(const std::uint64_t* a, const std::uint64_t* b,
 void hamming_scan(const std::uint64_t* query, const std::uint64_t* base,
                   std::int64_t rows, std::int64_t words_per_row,
                   std::uint32_t* out);
-std::int64_t filter_lt_u32(const std::uint32_t* x, std::int64_t n,
-                           std::uint32_t limit, std::int32_t* out);
+std::int64_t hamming_below(const std::uint64_t* query,
+                           const std::uint64_t* base, std::int64_t rows,
+                           std::int64_t words_per_row, std::uint32_t limit,
+                           std::int64_t* rows_out, std::uint32_t* dist_out);
 void binarize_1bit(const float* x, std::int64_t rows, std::int64_t cols,
                    const float* thresholds, std::int64_t words_per_row,
                    std::uint64_t* codes);

@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -97,32 +99,64 @@ TEST(HammingKernels, DistanceAndScanMatchScalarFuzz) {
   }
 }
 
-TEST(HammingKernels, FilterLtMatchesScalarAtBoundaryLimits) {
+TEST(HammingKernels, BelowMatchesScalarAtBoundaryLimits) {
+  std::printf("hamming_below backend: %s\n",
+              kernels::hamming_below_backend());
+  RecordProperty("hamming_below_backend", kernels::hamming_below_backend());
   Rng rng(2020);
-  for (std::int64_t n : {0, 1, 7, 8, 9, 63, 64, 100, 4097}) {
-    std::vector<std::uint32_t> x(static_cast<std::size_t>(n));
-    for (auto& v : x) v = static_cast<std::uint32_t>(rng.next_u64() % 97);
-    // Limits straddle the value range: 0 (reject all), 1, a mid value, the
-    // max value, past-the-end, and the extreme. Index lists must be
-    // identical (both ascending) and match a naive oracle.
-    for (std::uint32_t limit : {0u, 1u, 48u, 96u, 97u, 0xFFFFFFFFu}) {
-      std::vector<std::int32_t> got(static_cast<std::size_t>(n) + 1, -1);
-      std::vector<std::int32_t> want(static_cast<std::size_t>(n) + 1, -1);
-      const std::int64_t ng =
-          kernels::filter_lt_u32(x.data(), n, limit, got.data());
-      const std::int64_t nw =
-          kernels::scalar::filter_lt_u32(x.data(), n, limit, want.data());
-      ASSERT_EQ(ng, nw) << "n=" << n << " limit=" << limit;
-      std::int64_t cnt = 0;
-      for (std::int64_t i = 0; i < n; ++i) {
-        if (x[static_cast<std::size_t>(i)] >= limit) continue;
-        ASSERT_EQ(got[static_cast<std::size_t>(cnt)], i) << "limit=" << limit;
-        ++cnt;
+  // 1 and 2 words and the n-word path below and above one 8-word vector.
+  for (std::int64_t words : {1, 2, 3, 5, 8, 9}) {
+    const std::uint32_t full = static_cast<std::uint32_t>(64 * words);
+    // Row counts with odd tails around every vector step width.
+    for (std::int64_t rows : {0, 1, 7, 8, 9, 15, 17, 31, 33, 100, 257}) {
+      const auto query = random_words(rng, words);
+      auto base = random_words(rng, rows * words);
+      // Mix in rows at distance 0, 1 and 64*words so that the boundary
+      // limits below split real rows, not just random ~32*words ones.
+      for (std::int64_t r = 0; r < rows; ++r) {
+        const std::uint64_t kind = rng.next_u64() % 4;
+        for (std::int64_t w = 0; w < words; ++w) {
+          std::uint64_t& x = base[r * words + w];
+          if (kind == 0) x = query[w];
+          if (kind == 1) x = query[w] ^ (w == 0 ? 1u : 0u);
+          if (kind == 2) x = ~query[w];
+        }
       }
-      ASSERT_EQ(ng, cnt);
-      for (std::int64_t i = 0; i < ng; ++i)
-        ASSERT_EQ(got[static_cast<std::size_t>(i)],
-                  want[static_cast<std::size_t>(i)]);
+      for (std::uint32_t limit :
+           {0u, 1u, 2u, full / 2, full, full + 1, 0xFFFFFFFFu}) {
+        const std::size_t cap = static_cast<std::size_t>(rows) + 1;
+        std::vector<std::int64_t> got_rows(cap, -1), want_rows(cap, -1);
+        std::vector<std::uint32_t> got_dist(cap, 7), want_dist(cap, 7);
+        const std::int64_t ng =
+            kernels::hamming_below(query.data(), base.data(), rows, words,
+                                   limit, got_rows.data(), got_dist.data());
+        const std::int64_t nw = kernels::scalar::hamming_below(
+            query.data(), base.data(), rows, words, limit, want_rows.data(),
+            want_dist.data());
+        ASSERT_EQ(ng, nw) << "words=" << words << " rows=" << rows
+                          << " limit=" << limit;
+        EXPECT_EQ(got_rows, want_rows) << "words=" << words << " rows=" << rows
+                                       << " limit=" << limit;
+        EXPECT_EQ(got_dist, want_dist) << "words=" << words << " rows=" << rows
+                                       << " limit=" << limit;
+        // Naive oracle: ascending rows whose popcount distance is < limit.
+        std::int64_t cnt = 0;
+        for (std::int64_t r = 0; r < rows; ++r) {
+          std::uint32_t d = 0;
+          for (std::int64_t w = 0; w < words; ++w)
+            d += static_cast<std::uint32_t>(
+                std::popcount(base[r * words + w] ^ query[w]));
+          if (d >= limit) continue;
+          ASSERT_LT(cnt, ng);
+          ASSERT_EQ(got_rows[static_cast<std::size_t>(cnt)], r);
+          ASSERT_EQ(got_dist[static_cast<std::size_t>(cnt)], d);
+          ++cnt;
+        }
+        ASSERT_EQ(ng, cnt);
+        if (limit > full) {
+          ASSERT_EQ(ng, rows);
+        }
+      }
     }
   }
 }
@@ -249,34 +283,115 @@ TEST(TopKHeap, MatchesPartialSortOracle) {
 
 // ---- Binarizer fit ---------------------------------------------------------
 
-TEST(Binarizer, FitUsesPerCoordinateOrderStatistics) {
-  // Column 0 constant, column 1 a known ramp: the median/tertiles are
-  // exact order statistics of each coordinate independently.
-  const std::int64_t rows = 9, dim = 2;
-  std::vector<float> data(rows * dim);
+/// A [rows, dim] sample whose row norms spread over three decades, so that
+/// thresholds fit on raw values and on unit rows differ.
+std::vector<float> spread_norm_sample(Rng& rng, std::int64_t rows,
+                                      std::int64_t dim) {
+  auto data = random_floats(rng, rows * dim);
   for (std::int64_t r = 0; r < rows; ++r) {
-    data[r * dim + 0] = 5.0f;
-    data[r * dim + 1] = static_cast<float>(r);  // 0..8
+    const float scale = static_cast<float>(std::pow(10.0, rng.uniform(-1, 2)));
+    for (std::int64_t j = 0; j < dim; ++j) data[r * dim + j] *= scale;
   }
+  return data;
+}
+
+/// The thresholds exactly as Binarizer::save writes them.
+std::vector<char> threshold_bytes(const search::Binarizer& b) {
+  const std::string path = testing::TempDir() + "cq_binarizer_thresholds.bin";
+  BinaryWriter w(path);
+  b.save(w);
+  w.close();
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(Binarizer, FitUsesPerCoordinateOrderStatistics) {
+  // The thresholds are exact order statistics of each coordinate of the
+  // L2-normalized sample (the scale Index encodes at), independently per
+  // coordinate: the oracle sorts each normalized column in full.
+  Rng rng(606);
+  const std::int64_t rows = 31, dim = 5;
+  const auto data = spread_norm_sample(rng, rows, dim);
+  auto unit = data;
+  kernels::l2_normalize_rows(unit.data(), rows, dim, nullptr, 1e-12f);
+  std::vector<float> med(dim), lo(dim), hi(dim);
+  for (std::int64_t j = 0; j < dim; ++j) {
+    std::vector<float> col(rows);
+    for (std::int64_t r = 0; r < rows; ++r) col[r] = unit[r * dim + j];
+    std::sort(col.begin(), col.end());
+    med[j] = col[rows / 2];
+    lo[j] = col[rows / 3];
+    hi[j] = col[(2 * rows) / 3];
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  auto above = [&](const std::vector<float>& t) {
+    std::vector<float> p(t.size());
+    for (std::size_t j = 0; j < t.size(); ++j) p[j] = std::nextafter(t[j], inf);
+    return p;
+  };
+  const std::uint64_t all = (std::uint64_t{1} << dim) - 1;
+
   auto b1 = search::Binarizer::fit(data.data(), rows, dim,
                                    CodeLayout::k1Bit);
   std::vector<std::uint64_t> code(1);
-  std::vector<float> probe = {5.0f, 4.0f};  // exactly at both medians
-  b1.encode(probe.data(), 1, code.data());
-  EXPECT_EQ(code[0] & 3u, 0u);  // strict >: at-threshold stays 0
-  probe = {5.5f, 4.5f};
-  b1.encode(probe.data(), 1, code.data());
-  EXPECT_EQ(code[0] & 3u, 3u);
+  b1.encode(med.data(), 1, code.data());
+  EXPECT_EQ(code[0], 0u);  // strict >: at-threshold stays 0
+  b1.encode(above(med).data(), 1, code.data());
+  EXPECT_EQ(code[0], all);
 
   auto b2 = search::Binarizer::fit(data.data(), rows, dim,
                                    CodeLayout::k2Bit);
-  // Ramp column: lo = value at rank 3 (=3), hi = value at rank 6 (=6).
-  probe = {5.0f, 3.5f};
-  b2.encode(probe.data(), 1, code.data());
-  EXPECT_EQ((code[0] >> 2) & 3u, 1u);  // above lo, below hi
-  probe = {5.0f, 6.5f};
-  b2.encode(probe.data(), 1, code.data());
-  EXPECT_EQ((code[0] >> 2) & 3u, 3u);  // above both
+  // Level per dimension j in bits 2j, 2j+1: 00 at lo, 01 above lo and at
+  // hi, 11 above hi.
+  std::uint64_t level1 = 0;
+  for (std::int64_t j = 0; j < dim; ++j) level1 |= std::uint64_t{1} << (2 * j);
+  b2.encode(lo.data(), 1, code.data());
+  EXPECT_EQ(code[0], 0u);
+  b2.encode(above(lo).data(), 1, code.data());
+  EXPECT_EQ(code[0], level1);
+  b2.encode(hi.data(), 1, code.data());
+  EXPECT_EQ(code[0], level1);
+  b2.encode(above(hi).data(), 1, code.data());
+  EXPECT_EQ(code[0], level1 | (level1 << 1));
+}
+
+TEST(Binarizer, FitIsScaleInvariant) {
+  // Index encodes unit rows, so scaling the fit sample must not move a
+  // threshold: the fit normalizes before it takes order statistics.
+  // Scaling by a power of two is exact through the normalization, so those
+  // thresholds are bitwise identical. Scaling by 10 rounds each value, and
+  // a normalized coordinate may land one ulp away, so there the test asks
+  // that thresholds encode random unit probes identically.
+  Rng rng(607);
+  const std::int64_t rows = 257, dim = 24, probes = 4096;
+  const auto data = spread_norm_sample(rng, rows, dim);
+  auto unit_probes = random_floats(rng, probes * dim);
+  kernels::l2_normalize_rows(unit_probes.data(), probes, dim, nullptr, 1e-12f);
+  auto scaled = [&](float f) {
+    auto v = data;
+    for (auto& x : v) x *= f;
+    return v;
+  };
+  for (CodeLayout layout : {CodeLayout::k1Bit, CodeLayout::k2Bit}) {
+    const auto base = search::Binarizer::fit(data.data(), rows, dim, layout);
+    std::vector<std::uint64_t> want(
+        static_cast<std::size_t>(probes * base.words_per_row()));
+    base.encode(unit_probes.data(), probes, want.data());
+    for (const float f : {0.125f, 8.0f, 10.0f}) {
+      const auto v = scaled(f);
+      const auto b = search::Binarizer::fit(v.data(), rows, dim, layout);
+      const std::string label =
+          "layout " + std::to_string(static_cast<int>(layout)) + " x" +
+          std::to_string(f);
+      if (f != 10.0f) {
+        EXPECT_EQ(threshold_bytes(base), threshold_bytes(b)) << label;
+      }
+      std::vector<std::uint64_t> got(want.size());
+      b.encode(unit_probes.data(), probes, got.data());
+      EXPECT_EQ(got, want) << label;
+    }
+  }
 }
 
 // ---- Index -----------------------------------------------------------------
@@ -364,10 +479,11 @@ TEST(SearchIndex, RerankReturnsExactCosineOrder) {
 
 TEST(SearchIndex, MultiBlockScanMatchesBruteForceOracle) {
   Rng rng(909);
-  // > 2 full scan blocks and a partial one. 2-bit codes of 24 dims span
+  // Many scan blocks and a partial one. 2-bit codes of 24 dims span
   // distances 0..48, so 12.8k rows tie heavily: the row tiebreak and the
-  // heap's pruning bound both carry across block boundaries.
-  const std::int64_t rows = 3 * Index::kScanBlock + 517, dim = 24;
+  // selection bound both carry across block boundaries.
+  const std::int64_t rows = 12805, dim = 24;
+  ASSERT_GT(rows, 3 * Index::kScanBlock);
   Index index = make_random_index(rng, rows, dim, CodeLayout::k2Bit, false);
   QueryOptions opts;
   opts.k = 13;
@@ -387,9 +503,211 @@ TEST(SearchIndex, MultiBlockScanMatchesBruteForceOracle) {
   }
 }
 
+/// Checks one query against the oracles: without rerank, the brute-force
+/// Hamming top-k (ids, dists, scores); with rerank, the cosine ground truth
+/// over the brute-force pool of k * overfetch rows (ties to the lower row).
+void expect_oracle_results(const Index& index,
+                           const std::vector<float>& embeddings,
+                           const std::vector<float>& query,
+                           const QueryOptions& opts, QueryScratch& scratch,
+                           const std::string& label) {
+  const std::int64_t rows = index.size(), dim = index.dim();
+  const std::int64_t m = std::min(opts.k * opts.overfetch, rows);
+  const std::int64_t want = std::min(opts.k, rows);
+  std::vector<Result> hits(static_cast<std::size_t>(opts.k));
+  ASSERT_EQ(index.query(query.data(), opts, scratch, hits.data()), want)
+      << label;
+  EXPECT_EQ(scratch.pooled(), m) << label;
+  const auto pool = oracle_topk(index, query, m);
+  if (!opts.rerank) {
+    for (std::int64_t i = 0; i < want; ++i) {
+      EXPECT_EQ(hits[i].id, 1000 + static_cast<std::uint64_t>(pool[i].row))
+          << label << " rank " << i;
+      EXPECT_EQ(hits[i].dist, pool[i].dist) << label << " rank " << i;
+      EXPECT_EQ(hits[i].score, -static_cast<float>(pool[i].dist)) << label;
+    }
+    return;
+  }
+  // The pool's rows in ascending row order, so ground-truth ties (to the
+  // lower local index) break toward the lower row as the index does.
+  std::vector<std::int64_t> pool_rows;
+  for (const auto& c : pool) pool_rows.push_back(c.row);
+  std::sort(pool_rows.begin(), pool_rows.end());
+  std::vector<float> pool_emb;
+  for (std::int64_t r : pool_rows)
+    pool_emb.insert(pool_emb.end(), embeddings.begin() + r * dim,
+                    embeddings.begin() + (r + 1) * dim);
+  const auto gt = search::cosine_ground_truth(pool_emb.data(), m,
+                                              query.data(), 1, dim, want);
+  for (std::int64_t i = 0; i < want; ++i) {
+    const std::int64_t row = pool_rows[gt[0][i]];
+    EXPECT_EQ(hits[i].id, 1000 + static_cast<std::uint64_t>(row))
+        << label << " rank " << i;
+    const auto it =
+        std::find_if(pool.begin(), pool.end(),
+                     [&](const Candidate& c) { return c.row == row; });
+    ASSERT_NE(it, pool.end()) << label;
+    EXPECT_EQ(hits[i].dist, it->dist) << label << " rank " << i;
+    if (i > 0) {
+      EXPECT_GE(hits[i - 1].score, hits[i].score) << label;
+    }
+  }
+}
+
+/// An index of `rows` random embeddings plus the embeddings themselves.
+struct OracleIndex {
+  Index index;
+  std::vector<float> embeddings;
+};
+
+OracleIndex make_oracle_index(std::vector<float> embeddings,
+                              std::int64_t dim, CodeLayout layout) {
+  const std::int64_t rows = static_cast<std::int64_t>(embeddings.size()) / dim;
+  std::vector<std::uint64_t> ids(static_cast<std::size_t>(rows));
+  for (std::int64_t r = 0; r < rows; ++r)
+    ids[r] = 1000 + static_cast<std::uint64_t>(r);
+  IndexConfig cfg;
+  cfg.dim = dim;
+  cfg.layout = layout;
+  cfg.store_embeddings = true;
+  Index index(cfg, search::Binarizer::sign(dim, layout));
+  index.add(embeddings.data(), ids.data(), rows);
+  return {std::move(index), std::move(embeddings)};
+}
+
+TEST(SearchIndex, ZeroBoundStopMatchesOracles) {
+  // More than m rows share the query's code (distance 0): a few in the
+  // arming rows, then enough in one block for the m-th to fall mid-block or
+  // on the block's last row, and more after the point where the scan may
+  // stop. Every later zero-distance row loses to the m held at lower rows.
+  const std::int64_t dim = 64, B = Index::kScanBlock;
+  QueryOptions opts;
+  opts.k = 5;
+  opts.overfetch = 4;
+  const std::int64_t m = opts.k * opts.overfetch;
+  const std::int64_t rows = m + 5 * B + 37;
+  for (const bool block_edge : {false, true}) {
+    Rng rng(block_edge ? 1402 : 1401);
+    const auto query = random_floats(rng, dim);
+    auto emb = random_floats(rng, rows * dim);
+    auto make_twin = [&](std::int64_t r) {  // same signs, other magnitudes
+      for (std::int64_t j = 0; j < dim; ++j)
+        emb[r * dim + j] =
+            query[j] * static_cast<float>(rng.uniform(0.5, 1.5));
+    };
+    for (std::int64_t r : {2, 7, 11}) make_twin(r);
+    // The m-th twin lands at `last`, inside the second scanned block.
+    const std::int64_t last = block_edge ? m + 2 * B - 1 : m + B + B / 2;
+    std::int64_t placed = 3;
+    for (std::int64_t r = last; placed < m; r -= 3, ++placed) make_twin(r);
+    ASSERT_GE(last - 3 * (m - 4), m + B);  // all in the second block
+    for (std::int64_t r = last + 1; r < last + 40; r += 2) make_twin(r);
+    for (std::int64_t r = rows - 20; r < rows; ++r) make_twin(r);
+    for (CodeLayout layout : {CodeLayout::k1Bit, CodeLayout::k2Bit}) {
+      const auto oi = make_oracle_index(emb, dim, layout);
+      for (const bool rerank : {false, true}) {
+        opts.rerank = rerank;
+        QueryScratch scratch;
+        const std::string label =
+            std::string(block_edge ? "edge" : "mid") + " layout " +
+            std::to_string(static_cast<int>(layout)) +
+            (rerank ? " rerank" : "");
+        expect_oracle_results(oi.index, oi.embeddings, query, opts, scratch,
+                              label);
+        EXPECT_LT(scratch.compared(), rows) << label << ": no zero-bound stop";
+        EXPECT_GE(scratch.compared(), last + 1) << label;
+      }
+    }
+  }
+}
+
+TEST(SearchIndex, PoolWiderThanScanBlockMatchesOracles) {
+  Rng rng(1501);
+  const std::int64_t dim = 20;  // 1-bit distances 0..20: heavy ties
+  QueryOptions opts;
+  opts.k = 9;
+  opts.overfetch = 2 * Index::kScanBlock / 9 + 5;
+  ASSERT_GT(opts.k * opts.overfetch, Index::kScanBlock);
+  const std::int64_t rows = 6 * Index::kScanBlock + 123;
+  for (CodeLayout layout : {CodeLayout::k1Bit, CodeLayout::k2Bit}) {
+    const auto oi =
+        make_oracle_index(random_floats(rng, rows * dim), dim, layout);
+    for (const bool rerank : {false, true}) {
+      opts.rerank = rerank;
+      QueryScratch scratch;
+      for (int q = 0; q < 3; ++q) {
+        const std::string label = "layout " +
+                                  std::to_string(static_cast<int>(layout)) +
+                                  (rerank ? " rerank" : "") + " q" +
+                                  std::to_string(q);
+        expect_oracle_results(oi.index, oi.embeddings,
+                              random_floats(rng, dim), opts, scratch, label);
+        EXPECT_EQ(scratch.compared(), rows) << label;
+      }
+    }
+  }
+}
+
+TEST(SearchIndex, IndexNoLargerThanPoolMatchesOracles) {
+  Rng rng(1601);
+  const std::int64_t dim = 40;
+  QueryOptions opts;
+  opts.k = 10;
+  opts.overfetch = 8;
+  // Fewer rows than k, between k and m, and exactly m: the arming rows are
+  // the whole index.
+  for (std::int64_t rows : {6, 37, 80}) {
+    for (CodeLayout layout : {CodeLayout::k1Bit, CodeLayout::k2Bit}) {
+      const auto oi =
+          make_oracle_index(random_floats(rng, rows * dim), dim, layout);
+      for (const bool rerank : {false, true}) {
+        opts.rerank = rerank;
+        QueryScratch scratch;
+        const std::string label =
+            "rows " + std::to_string(rows) + " layout " +
+            std::to_string(static_cast<int>(layout)) +
+            (rerank ? " rerank" : "");
+        expect_oracle_results(oi.index, oi.embeddings,
+                              random_floats(rng, dim), opts, scratch, label);
+        EXPECT_EQ(scratch.compared(), rows) << label;
+      }
+    }
+  }
+}
+
+TEST(SearchIndex, FitOnLargeNormSampleGivesBalancedCodes) {
+  // Raw features far from unit norm (here ~280, all coordinates positive):
+  // thresholds fit at that scale would sit above every unit-row coordinate
+  // and set no bit at all. Fit on the sample itself, each bit splits the
+  // rows near the median, and the codes are nearly all distinct.
+  Rng rng(1701);
+  const std::int64_t rows = 512, dim = 32;
+  std::vector<float> emb(static_cast<std::size_t>(rows * dim));
+  for (auto& v : emb) v = static_cast<float>(50.0 + 10.0 * rng.normal());
+  std::vector<std::uint64_t> ids(static_cast<std::size_t>(rows));
+  for (std::int64_t r = 0; r < rows; ++r)
+    ids[r] = static_cast<std::uint64_t>(r);
+  IndexConfig cfg;
+  cfg.dim = dim;
+  Index index(cfg, search::Binarizer::fit(emb.data(), rows, dim,
+                                          CodeLayout::k1Bit));
+  index.add(emb.data(), ids.data(), rows);
+  const auto& codes = index.codes();
+  for (std::int64_t j = 0; j < dim; ++j) {
+    std::int64_t set = 0;
+    for (std::int64_t r = 0; r < rows; ++r) set += (codes[r] >> j) & 1;
+    EXPECT_GE(set, rows * 4 / 10) << "bit " << j;
+    EXPECT_LE(set, rows * 6 / 10) << "bit " << j;
+  }
+  auto distinct = codes;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+  EXPECT_GT(static_cast<std::int64_t>(distinct.size()), rows * 9 / 10);
+}
+
 TEST(SearchIndex, ZeroAllocQuerySteadyState) {
   Rng rng(1010);
-  const std::int64_t rows = 2 * Index::kScanBlock, dim = 64;
+  const std::int64_t rows = 8192, dim = 64;
   Index index = make_random_index(rng, rows, dim, CodeLayout::k1Bit, false);
   QueryOptions opts;
   opts.k = 10;
@@ -620,6 +938,42 @@ TEST(SearchService, StatsJsonReportsEngineAndSearchSections) {
         "\"scan_codes_per_s\"", "\"candidates_per_s\"", "\"e2e_latency\"",
         "\"p99_us\"", "\"steady_heap_allocs\""})
     EXPECT_NE(json.find(key), std::string::npos) << key;
+  svc.stop();
+}
+
+TEST(SearchService, CodesScannedCountsComparedRows) {
+  // The first rows share the query's code, so the bound is 0 once the
+  // arming rows are in and the scan stops there: the counter must report
+  // the rows compared, not the index size.
+  const std::int64_t rows = 3000, dim = 64;
+  Rng rng(45);
+  const auto query = random_floats(rng, dim);
+  auto emb = random_floats(rng, rows * dim);
+  for (std::int64_t r = 0; r < 40; ++r)
+    for (std::int64_t j = 0; j < dim; ++j)
+      emb[r * dim + j] = query[j] * static_cast<float>(rng.uniform(0.5, 1.5));
+  std::vector<std::uint64_t> ids(static_cast<std::size_t>(rows));
+  for (std::int64_t r = 0; r < rows; ++r)
+    ids[r] = static_cast<std::uint64_t>(r);
+  IndexConfig cfg;
+  cfg.dim = dim;
+  Index index(cfg, search::Binarizer::sign(dim, CodeLayout::k1Bit));
+  index.add(emb.data(), ids.data(), rows);
+  search::Service svc(service_config(1), std::move(index));
+  QueryOptions opts;
+  opts.k = 3;
+  opts.overfetch = 2;
+  QueryScratch scratch;
+  std::vector<Result> hits(3);
+  for (int i = 0; i < 2; ++i)
+    ASSERT_EQ(svc.search_features(query.data(), opts, scratch, hits.data()), 3);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(hits[i].id, static_cast<std::uint64_t>(i));
+  }
+  EXPECT_EQ(scratch.compared(), 6);  // the arming rows alone
+  const auto stats = svc.search_stats();
+  EXPECT_EQ(stats.codes_scanned, 2u * 6u);
+  EXPECT_EQ(stats.candidates, 2u * 6u);
   svc.stop();
 }
 
