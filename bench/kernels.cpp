@@ -18,7 +18,6 @@
 // bench_out/kernels.json); --smoke runs tiny shapes and the equivalence
 // checks only — wired as the `kernels_smoke` ctest (label `bench`) so CI
 // catches bench bitrot cheaply.
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -31,7 +30,6 @@
 #include "bench_common.hpp"
 #include "quant/quantizer.hpp"
 #include "tensor/gemm.hpp"
-#include "tensor/kernels/hamming.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/tensor.hpp"
 
@@ -394,35 +392,6 @@ std::vector<KernelCase> bench_kernels(bool smoke, Rng& rng) {
           check(bitwise_equal(std::as_const(pa).data(),
                               std::as_const(pb).data(), n),
                 "adam_update backend != portable (bitwise)");
-        },
-        smoke));
-  }
-
-  {
-    // Bit-population reduction over packed u64 codes (the search layer's
-    // Hamming substrate): seed-style std::popcount loop vs the SWAR/AVX2
-    // block reduction.
-    std::vector<std::uint64_t> words(static_cast<std::size_t>(n));
-    Rng wrng(0xB17C0DE);
-    for (auto& w : words) w = wrng.next_u64();
-    std::uint64_t sum = 0;
-    out.push_back(bench_kernel(
-        "popcount_u64", n, 8.0 * n,
-        [&] {
-          sum = 0;
-          for (std::int64_t i = 0; i < n; ++i)
-            sum += static_cast<std::uint64_t>(
-                std::popcount(words[static_cast<std::size_t>(i)]));
-          escape(&sum);
-        },
-        [&] {
-          sum = kernels::popcount_u64(words.data(), n);
-          escape(&sum);
-        },
-        [&] {
-          check(kernels::popcount_u64(words.data(), n) ==
-                    kernels::scalar::popcount_u64(words.data(), n),
-                "popcount_u64 backend != portable");
         },
         smoke));
   }

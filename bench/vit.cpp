@@ -55,7 +55,7 @@ using bench::g_failures;
 using bench::time_best;
 
 constexpr std::int64_t kImg = 16;
-constexpr std::int64_t kTopK = 10;
+constexpr std::int64_t kTopN = 10;
 
 models::Encoder fresh_vit(std::uint64_t seed) {
   Rng rng(seed);
@@ -234,7 +234,7 @@ double recall_vs_fp32(
     const Tensor& base, const Tensor& queries) {
   const auto got = search::cosine_ground_truth(
       base.data(), base.dim(0), queries.data(), queries.dim(0), base.dim(1),
-      kTopK);
+      kTopN);
   double hits = 0.0;
   for (std::size_t qi = 0; qi < gt_fp.size(); ++qi) {
     for (const std::int64_t id : got[qi])
@@ -242,7 +242,7 @@ double recall_vs_fp32(
           gt_fp[qi].end())
         hits += 1.0;
   }
-  return hits / (static_cast<double>(gt_fp.size()) * kTopK);
+  return hits / (static_cast<double>(gt_fp.size()) * kTopN);
 }
 
 bool tables_equal(const quant::ScaleTable& a, const quant::ScaleTable& b) {
@@ -279,7 +279,7 @@ PtqSection bench_ptq(models::Encoder& enc, const core::DatasetBundle& bundle,
   ptq.dim = base_fp.dim(1);
   const auto gt_fp = search::cosine_ground_truth(
       base_fp.data(), base_rows, query_fp.data(), num_queries, ptq.dim,
-      kTopK);
+      kTopN);
 
   // Naive min-max scales: the plan exactly as compiled.
   auto naive = compile_vit(enc, max_batch, graph::Precision::kInt8);
@@ -377,7 +377,7 @@ void write_json(const std::string& path, const std::vector<AttnCase>& attn,
                static_cast<long long>(ptq.base_rows),
                static_cast<long long>(ptq.num_queries),
                static_cast<long long>(ptq.dim),
-               static_cast<long long>(kTopK));
+               static_cast<long long>(kTopN));
   std::fprintf(f,
                "    \"calibration\": {\"rounds\": %d, \"candidates\": %d, "
                "\"spread\": %.2f, \"tau\": %.2f, \"proposed\": %d, "

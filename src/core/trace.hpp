@@ -3,11 +3,10 @@
 // Every instrumented scope (CQ_TRACE_SCOPE and friends) does two things:
 //  * always feeds the aggregate profiler (core/prof.hpp) — call counts,
 //    wall-ns, bytes, alloc deltas; and
-//  * when tracing is compiled in (CMake option CQ_TRACE, on by default;
-//    -DCQ_TRACE=OFF removes the span machinery entirely) AND enabled at
-//    runtime (trace::enable), records a span into the calling thread's
-//    preallocated ring buffer. Recording a span performs no heap
-//    allocation in steady state: one mutex, two stores into a fixed slot.
+//  * when tracing is enabled at runtime (trace::enable), records a span
+//    into the calling thread's preallocated ring buffer. Recording a span
+//    performs no heap allocation in steady state: one mutex, two stores
+//    into a fixed slot.
 //
 // Rings are registered globally on each thread's first span; the registry
 // holds shared ownership so spans survive thread exit (the serving engine's
@@ -45,8 +44,8 @@ struct Span {
   static constexpr std::int64_t kNoArg = -1;
 };
 
-/// Runtime gate. Off by default: compiled-in scopes then cost one relaxed
-/// atomic load beyond their (always-on) profiler accounting.
+/// Runtime gate. Off by default: scopes then cost one relaxed atomic load
+/// beyond their (always-on) profiler accounting.
 void enable(bool on);
 bool enabled();
 
@@ -75,27 +74,23 @@ std::uint32_t enter();
 void leave();
 }  // namespace detail
 
-/// RAII span: profiler accounting always; ring recording when compiled in
-/// and runtime-enabled. Use the macros below, which cache the profiler
+/// RAII span: profiler accounting always; ring recording when
+/// runtime-enabled. Use the macros below, which cache the profiler
 /// counter per call site.
 class Scope {
  public:
   Scope(prof::Counter& counter, const char* name,
         std::int64_t arg = Span::kNoArg, std::uint64_t bytes = 0)
       : timer_(counter, bytes), name_(name), arg_(arg) {
-#if defined(CQ_TRACE_COMPILED)
     live_ = enabled();
     if (live_) detail::enter();
-#endif
   }
   ~Scope() {
-#if defined(CQ_TRACE_COMPILED)
     if (live_) {
       const std::uint64_t end = prof::now_ns();
       detail::leave();
       detail::record(name_, timer_.start_ns(), end, arg_);
     }
-#endif
   }
   Scope(const Scope&) = delete;
   Scope& operator=(const Scope&) = delete;
@@ -106,24 +101,20 @@ class Scope {
   prof::ScopeTimer timer_;
   const char* name_;
   std::int64_t arg_;
-#if defined(CQ_TRACE_COMPILED)
   bool live_ = false;
-#endif
 };
 
 /// Hot-path spans: the per-cache-block GEMM internals fire hundreds of
 /// thousands of times per training run, so even the always-on profiler
 /// accounting (two clock reads + relaxed adds per scope) costs whole
 /// percents of iteration time there. A HotScope therefore skips ALL
-/// accounting — profiler included — unless tracing is compiled in AND
-/// runtime-enabled; when disabled it costs one relaxed atomic load (and
-/// nothing at all in a CQ_TRACE=OFF build). Its counters consequently
-/// appear in the aggregate table only for traced runs.
+/// accounting — profiler included — unless tracing is runtime-enabled;
+/// when disabled it costs one relaxed atomic load. Its counters
+/// consequently appear in the aggregate table only for traced runs.
 class HotScope {
  public:
   HotScope(prof::Counter& counter, const char* name,
            std::int64_t arg = Span::kNoArg, std::uint64_t bytes = 0) {
-#if defined(CQ_TRACE_COMPILED)
     if (enabled()) {
       counter_ = &counter;
       name_ = name;
@@ -133,15 +124,8 @@ class HotScope {
       detail::enter();
       start_ns_ = prof::now_ns();
     }
-#else
-    (void)counter;
-    (void)name;
-    (void)arg;
-    (void)bytes;
-#endif
   }
   ~HotScope() {
-#if defined(CQ_TRACE_COMPILED)
     if (counter_ != nullptr) {
       const std::uint64_t end = prof::now_ns();
       counter_->record(end - start_ns_, bytes_,
@@ -149,20 +133,17 @@ class HotScope {
       detail::leave();
       detail::record(name_, start_ns_, end, arg_);
     }
-#endif
   }
   HotScope(const HotScope&) = delete;
   HotScope& operator=(const HotScope&) = delete;
 
  private:
-#if defined(CQ_TRACE_COMPILED)
   prof::Counter* counter_ = nullptr;
   const char* name_ = nullptr;
   std::int64_t arg_ = Span::kNoArg;
   std::uint64_t bytes_ = 0;
   std::uint64_t start_ns_ = 0;
   std::uint64_t start_allocs_ = 0;
-#endif
 };
 
 }  // namespace cq::trace

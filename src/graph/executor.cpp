@@ -287,7 +287,6 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
         }
 
         CQ_TRACE_SCOPE_N("graph.node.conv", n);
-        const bool patch_major = node.lowering == ConvLowering::kIm2row;
         float* cols_buf = arena_ptr(scratch[0]);
         float* gout = arena_ptr(scratch[1]);
         gemm::Epilogue ep;
@@ -297,22 +296,15 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
         for (std::int64_t grp = 0; grp < node.conv.groups; ++grp) {
           {
             CQ_TRACE_SCOPE_N("serve.lower", n);
-            // Image img writes cols_buf slice img*spatial*krows (im2row) or
-            // the img*spatial column band (im2col).
-            for (std::int64_t img = 0; img < n; ++img) {
-              const float* src =
-                  in_p + img * sample_in + grp * cin_g * in_h * in_w;
-              if (patch_major)
-                im2row(src, geo, cols_buf + img * spatial * krows);
-              else
-                im2col(src, geo, cols_buf + img * spatial, cols);
-            }
+            // Image img writes the img*spatial column band.
+            for (std::int64_t img = 0; img < n; ++img)
+              im2col(in_p + img * sample_in + grp * cin_g * in_h * in_w, geo,
+                     cols_buf + img * spatial, cols);
           }
           ep.bias = st.bias.data() + grp * cout_g;
-          gemm::gemm(patch_major ? gemm::Trans::kNT : gemm::Trans::kNN,
-                     cout_g, cols, krows,
-                     node.weight.data() + grp * cout_g * krows, cols_buf,
-                     gout, /*accumulate=*/false, ep);
+          gemm::gemm(gemm::Trans::kNN, cout_g, cols, krows,
+                     node.weight.data() + grp * cout_g * krows, cols_buf, gout,
+                     /*accumulate=*/false, ep);
           for (std::int64_t oc_local = 0; oc_local < cout_g; ++oc_local) {
             const float* src = gout + oc_local * cols;
             const std::int64_t oc = grp * cout_g + oc_local;

@@ -107,8 +107,6 @@ std::string node_line(const Graph& g, const Node& n) {
                     static_cast<long long>(n.conv.pad),
                     static_cast<long long>(n.conv.groups));
       s += buf;
-      if (n.lowering != ConvLowering::kUndecided)
-        s += n.lowering == ConvLowering::kIm2row ? " im2row" : " im2col";
       if (n.precision == Precision::kInt8) s += " int8";
       if (n.inputs.size() > 1) s += " +res %" + std::to_string(n.inputs[1]);
       s += act_suffix(n);

@@ -4,11 +4,10 @@
 // holding the tensors that flow between them. The tracer (tracer.hpp) emits
 // one node per nn module, UNFUSED — BatchNorm, ReLU and ActQuant appear as
 // their own nodes — and the pass pipeline (passes.hpp) rewrites the graph
-// (conv+BN folding, epilogue fusion, lowering selection, dead-op
-// elimination) before the arena planner (plan.hpp) and executor
-// (executor.hpp) turn it into a runnable plan. New fusions become passes
-// over this IR instead of hand-edits scattered across nn/ and serve/
-// (DESIGN.md §13).
+// (conv+BN folding, int8 lowering, epilogue fusion, dead-op elimination)
+// before the arena planner (plan.hpp) and executor (executor.hpp) turn it
+// into a runnable plan. New fusions become passes over this IR instead of
+// hand-edits scattered across nn/ and serve/ (DESIGN.md §13).
 //
 // Shapes are PER-SAMPLE (no batch dimension): every op in the supported set
 // is batch-parallel, so a plan compiled at `max_batch` serves any batch
@@ -51,16 +50,6 @@ const char* op_name(Op op);
 /// micro-kernels; everything else runs the fp32 gemm/kernels primitives.
 enum class Precision : std::uint8_t { kF32, kInt8 };
 
-/// How a conv lowers its input into a GEMM operand. Both are bitwise-equal
-/// (shared micro-kernel and k-panel order, see tensor/im2col.hpp); the
-/// select_conv_lowering pass picks by layer geometry only, so batched and
-/// serial forwards stay bitwise identical.
-enum class ConvLowering : std::uint8_t {
-  kUndecided,  // executor defaults to kIm2col
-  kIm2col,     // row-major column matrix, gemm kNN
-  kIm2row,     // patch-major transpose, gemm kNT (thumbnail spatial sizes)
-};
-
 using ValueId = std::int32_t;
 inline constexpr ValueId kNoValue = -1;
 
@@ -84,7 +73,6 @@ struct Node {
   std::vector<float> bias;            // empty = all-zero
   gemm::Epilogue::Act act = gemm::Epilogue::Act::kNone;  // fused epilogue
   float act_cap = 0.0f;
-  ConvLowering lowering = ConvLowering::kUndecided;
   Precision precision = Precision::kF32;
   // int8 kConv2d with a fused residual Add: inputs[1] is the Add's other
   // operand, and the sum keeps the Add's order — inputs[1] + conv when

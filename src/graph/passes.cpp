@@ -146,28 +146,6 @@ std::size_t fuse_epilogues(Graph& g) {
   return fused;
 }
 
-std::size_t select_conv_lowering(Graph& g) {
-  std::size_t decided = 0;
-  for (Node& n : g.nodes) {
-    if (n.op != Op::kConv2d) continue;
-    const Shape& out = g.value(n.output).shape;
-    const std::int64_t spatial = out.dim(1) * out.dim(2);
-    // A geometry-only rule: the choice never depends on batch width, so
-    // batched and serial forwards stay bitwise identical. Int8 convs keep the
-    // im2col tag but materialize no column matrix: the executor quantizes
-    // the input once into channel-quad bytes and copies their dwords into
-    // packed-B slivers (igemm::pack_b_conv_c4), in (tap, cq, ci) k order.
-    ConvLowering want = ConvLowering::kIm2col;
-    if (n.precision == Precision::kF32 && spatial <= 16)
-      want = ConvLowering::kIm2row;
-    if (n.lowering != want) {
-      n.lowering = want;
-      ++decided;
-    }
-  }
-  return decided;
-}
-
 std::size_t eliminate_dead_ops(Graph& g) {
   // Nodes are in topological order, so one reverse sweep propagates
   // liveness from the graph output through every needed input.
@@ -201,7 +179,6 @@ std::vector<PassResult> run_default_passes(Graph& g, Precision precision) {
   run("fold_batchnorm", fold_batchnorm);
   if (precision == Precision::kInt8) run("lower_int8", lower_int8);
   run("fuse_epilogues", fuse_epilogues);
-  run("select_conv_lowering", select_conv_lowering);
   run("eliminate_dead_ops", eliminate_dead_ops);
   return results;
 }

@@ -10,7 +10,6 @@
 //   [lower_int8]           (int8 plans) mark conv/linear for the igemm path
 //   fuse_epilogues         conv/linear + ReLU -> fused GEMM epilogue; int8
 //                          conv + residual Add(+ReLU) -> one conv
-//   select_conv_lowering   im2row+kNT vs im2col+kNN by layer geometry
 //   eliminate_dead_ops     drop nodes unreachable from the graph output
 //
 // Epilogue fusion covers both precisions. fp32 conv/linear take ReLU/ReLU6
@@ -37,7 +36,6 @@ std::size_t eliminate_identities(Graph& g);
 std::size_t fold_batchnorm(Graph& g);
 std::size_t lower_int8(Graph& g);
 std::size_t fuse_epilogues(Graph& g);
-std::size_t select_conv_lowering(Graph& g);
 std::size_t eliminate_dead_ops(Graph& g);
 
 struct PassResult {

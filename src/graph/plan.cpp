@@ -55,7 +55,7 @@ std::vector<std::int64_t> node_scratch_bytes(const Graph& g, std::size_t i,
                 batch,
                 igemm::packed_b_bytes(igemm::conv_k(geo), cols)};
       const std::int64_t cout_g = n.conv.out_channels / n.conv.groups;
-      return {krows * cols * kF,    // cols (im2col / im2row matrix)
+      return {krows * cols * kF,    // cols (im2col matrix)
               cout_g * cols * kF};  // gout
     }
     case Op::kLinear: {

@@ -90,12 +90,14 @@ Binarizer Binarizer::load(BinaryReader& r) {
   Binarizer b;
   b.dim_ = dim;
   b.layout_ = layout;
-  b.words_ = words_for(dim, layout);
   b.lo_ = r.read_f32_array();
   b.hi_ = r.read_f32_array();
   CQ_CHECK(static_cast<std::int64_t>(b.lo_.size()) == dim);
   CQ_CHECK(static_cast<std::int64_t>(b.hi_.size()) ==
            (layout == CodeLayout::k2Bit ? dim : 0));
+  // words_for multiplies dim, so it runs only once the checks above have
+  // bounded dim by the reader's array-length cap.
+  b.words_ = words_for(dim, layout);
   return b;
 }
 

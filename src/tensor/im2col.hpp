@@ -50,13 +50,9 @@ void im2col_batched(const float* images, std::int64_t n,
 
 /// Patch-major lowering (im2row): the TRANSPOSE of the im2col matrix,
 /// shape [col_cols, col_rows] — one contiguous (c, kh, kw)-ordered patch
-/// per output pixel, matching the weight row layout. Paired with
-/// gemm::Trans::kNT this is interchangeable with im2col + kNN: the blocked
-/// GEMM shares one micro-kernel and k-panel order across transpose
-/// variants, so the two lowerings give bit-identical outputs.
-/// Worth it when out_h*out_w is small (deep stages on
-/// thumbnail inputs): the row-major walk then degenerates into
-/// per-element bookkeeping, while patch writes stay contiguous.
+/// per output pixel, matching the weight row layout, so each patch is one
+/// GEMM row. The ViT patch embedding (eager models::ViT and the compiled
+/// kPatchEmbed node) lowers its strided patchify this way; convs use im2col.
 void im2row(const float* image, const ConvGeometry& g, float* rows);
 
 /// Scatter-add a column matrix back into a CHW image gradient.

@@ -30,27 +30,12 @@ inline std::uint64_t pc64(std::uint64_t v) {
   return static_cast<std::uint64_t>(std::popcount(v));
 }
 
-std::uint64_t popcount_u64_portable(const std::uint64_t* x, std::int64_t n) {
-  std::uint64_t total = 0;
-  for (std::int64_t i = 0; i < n; ++i) total += pc64(x[i]);
-  return total;
-}
-
 std::uint32_t hamming_distance_portable(const std::uint64_t* a,
                                         const std::uint64_t* b,
                                         std::int64_t words) {
   std::uint64_t d = 0;
   for (std::int64_t w = 0; w < words; ++w) d += pc64(a[w] ^ b[w]);
   return static_cast<std::uint32_t>(d);
-}
-
-void hamming_scan_portable(const std::uint64_t* query,
-                           const std::uint64_t* base, std::int64_t rows,
-                           std::int64_t words_per_row, std::uint32_t* out) {
-  for (std::int64_t r = 0; r < rows; ++r)
-    out[r] =
-        hamming_distance_portable(base + r * words_per_row, query,
-                                  words_per_row);
 }
 
 /// hamming_below over rows [r, rows), appending after the first n outputs;
@@ -166,24 +151,13 @@ inline __m256i popcount256(__m256i v) {
   return _mm256_sad_epu8(cnt, _mm256_setzero_si256());
 }
 
+#if !HAMMING_VPOPCNT
 /// Sum of the four u64 lanes.
 inline std::uint64_t hsum4_epi64(__m256i v) {
   const __m128i s = _mm_add_epi64(_mm256_castsi256_si128(v),
                                   _mm256_extracti128_si256(v, 1));
   return static_cast<std::uint64_t>(
       _mm_cvtsi128_si64(_mm_add_epi64(s, _mm_unpackhi_epi64(s, s))));
-}
-
-std::uint64_t popcount_u64_avx2(const std::uint64_t* x, std::int64_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    acc = _mm256_add_epi64(
-        acc, popcount256(_mm256_loadu_si256(
-                 reinterpret_cast<const __m256i*>(x + i))));
-  std::uint64_t total = hsum4_epi64(acc);
-  for (; i < n; ++i) total += pc64(x[i]);
-  return total;
 }
 
 std::uint32_t hamming_distance_avx2(const std::uint64_t* a,
@@ -203,58 +177,6 @@ std::uint32_t hamming_distance_avx2(const std::uint64_t* a,
   return static_cast<std::uint32_t>(d);
 }
 
-void hamming_scan_avx2(const std::uint64_t* query, const std::uint64_t* base,
-                       std::int64_t rows, std::int64_t words_per_row,
-                       std::uint32_t* out) {
-  if (words_per_row == 1) {
-    // Whole code in one word: four ROWS per step. The popcount lanes are
-    // per-row distances already; compact the u64 lanes (values <= 64) into
-    // four u32s with one cross-lane permute.
-    const __m256i q = _mm256_set1_epi64x(static_cast<long long>(query[0]));
-    const __m256i pack = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
-    std::int64_t r = 0;
-    for (; r + 4 <= rows; r += 4) {
-      const __m256i v = _mm256_xor_si256(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + r)), q);
-      const __m256i pc = _mm256_permutevar8x32_epi32(popcount256(v), pack);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + r),
-                       _mm256_castsi256_si128(pc));
-    }
-    for (; r < rows; ++r)
-      out[r] = static_cast<std::uint32_t>(pc64(base[r] ^ query[0]));
-    return;
-  }
-  if (words_per_row == 2) {
-    // Two rows per step; fold each row's two u64 lanes with an in-lane swap.
-    const __m256i q = _mm256_setr_epi64x(static_cast<long long>(query[0]),
-                                         static_cast<long long>(query[1]),
-                                         static_cast<long long>(query[0]),
-                                         static_cast<long long>(query[1]));
-    std::int64_t r = 0;
-    for (; r + 2 <= rows; r += 2) {
-      const __m256i v = _mm256_xor_si256(
-          _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(base + 2 * r)),
-          q);
-      const __m256i pc = popcount256(v);
-      const __m256i s =
-          _mm256_add_epi64(pc, _mm256_shuffle_epi32(pc, 0x4E));
-      out[r] = static_cast<std::uint32_t>(
-          _mm_cvtsi128_si64(_mm256_castsi256_si128(s)));
-      out[r + 1] = static_cast<std::uint32_t>(
-          _mm_cvtsi128_si64(_mm256_extracti128_si256(s, 1)));
-    }
-    for (; r < rows; ++r)
-      out[r] = static_cast<std::uint32_t>(pc64(base[2 * r] ^ query[0]) +
-                                          pc64(base[2 * r + 1] ^ query[1]));
-    return;
-  }
-  for (std::int64_t r = 0; r < rows; ++r)
-    out[r] = hamming_distance_avx2(base + r * words_per_row, query,
-                                   words_per_row);
-}
-
-#if !HAMMING_VPOPCNT
 std::int64_t hamming_below_avx2(const std::uint64_t* query,
                                 const std::uint64_t* base, std::int64_t rows,
                                 std::int64_t words, std::uint32_t limit,
@@ -514,14 +436,6 @@ std::int64_t hamming_below_vpopcnt(const std::uint64_t* query,
 
 #ifdef CQ_SIMD_AVX2
 
-std::uint64_t popcount_u64(const std::uint64_t* x, std::int64_t n) {
-  return popcount_u64_avx2(x, n);
-}
-void hamming_scan(const std::uint64_t* query, const std::uint64_t* base,
-                  std::int64_t rows, std::int64_t words_per_row,
-                  std::uint32_t* out) {
-  hamming_scan_avx2(query, base, rows, words_per_row, out);
-}
 void binarize_1bit(const float* x, std::int64_t rows, std::int64_t cols,
                    const float* thresholds, std::int64_t words_per_row,
                    std::uint64_t* codes) {
@@ -535,14 +449,6 @@ void binarize_2bit(const float* x, std::int64_t rows, std::int64_t cols,
 
 #else
 
-std::uint64_t popcount_u64(const std::uint64_t* x, std::int64_t n) {
-  return popcount_u64_portable(x, n);
-}
-void hamming_scan(const std::uint64_t* query, const std::uint64_t* base,
-                  std::int64_t rows, std::int64_t words_per_row,
-                  std::uint32_t* out) {
-  hamming_scan_portable(query, base, rows, words_per_row, out);
-}
 void binarize_1bit(const float* x, std::int64_t rows, std::int64_t cols,
                    const float* thresholds, std::int64_t words_per_row,
                    std::uint64_t* codes) {
@@ -589,17 +495,9 @@ void dot_scan(const float* query, const float* base, std::int64_t rows,
 
 namespace scalar {
 
-std::uint64_t popcount_u64(const std::uint64_t* x, std::int64_t n) {
-  return popcount_u64_portable(x, n);
-}
 std::uint32_t hamming_distance(const std::uint64_t* a, const std::uint64_t* b,
                                std::int64_t words) {
   return hamming_distance_portable(a, b, words);
-}
-void hamming_scan(const std::uint64_t* query, const std::uint64_t* base,
-                  std::int64_t rows, std::int64_t words_per_row,
-                  std::uint32_t* out) {
-  hamming_scan_portable(query, base, rows, words_per_row, out);
 }
 std::int64_t hamming_below(const std::uint64_t* query,
                            const std::uint64_t* base, std::int64_t rows,

@@ -1,6 +1,6 @@
 // Binary-embedding kernels: sign/threshold binarization into packed 64-bit
-// bitplanes, popcount reductions, and the SIMD Hamming-distance scan that is
-// the hot loop of the vector search subsystem (src/search/, DESIGN.md §15).
+// bitplanes, and the fused Hamming bound scan (hamming_below) that is the
+// hot loop of the vector search subsystem (src/search/, DESIGN.md §15).
 //
 // Like the float kernel layer (kernels.hpp), every primitive is built twice:
 //
@@ -34,20 +34,7 @@
 
 namespace cq::kernels {
 
-// ---- popcount reductions ---------------------------------------------------
-
-/// Total set bits over n words (the primitive the scan is built from; has
-/// its own row in bench/kernels' JSON report).
-std::uint64_t popcount_u64(const std::uint64_t* x, std::int64_t n);
-
-/// out[r] = Hamming distance between query and base + r*words_per_row (two
-/// packed codes of words_per_row u64 words) for r in
-/// [0, rows). Specialized row-parallel paths for words_per_row 1 and 2 (the
-/// whole-code-in-one-register layouts small embedding dims produce), and a
-/// 4-words-per-step blocked path with a scalar word tail for the rest.
-void hamming_scan(const std::uint64_t* query, const std::uint64_t* base,
-                  std::int64_t rows, std::int64_t words_per_row,
-                  std::uint32_t* out);
+// ---- Hamming distance ------------------------------------------------------
 
 /// The fused scan + filter of the top-k feed: for r in [0, rows), computes
 /// d = Hamming(query, base + r*words_per_row) and, when d < limit, appends r
@@ -98,12 +85,8 @@ void dot_scan(const float* query, const float* base, std::int64_t rows,
 // ---- portable reference instantiation --------------------------------------
 
 namespace scalar {
-std::uint64_t popcount_u64(const std::uint64_t* x, std::int64_t n);
 std::uint32_t hamming_distance(const std::uint64_t* a, const std::uint64_t* b,
                                std::int64_t words);
-void hamming_scan(const std::uint64_t* query, const std::uint64_t* base,
-                  std::int64_t rows, std::int64_t words_per_row,
-                  std::uint32_t* out);
 std::int64_t hamming_below(const std::uint64_t* query,
                            const std::uint64_t* base, std::int64_t rows,
                            std::int64_t words_per_row, std::uint32_t limit,

@@ -89,9 +89,6 @@ TEST(GraphPasses, DefaultPipelineRemovesFoldableOps) {
   for (const graph::Node& n : g.nodes) {
     EXPECT_NE(n.op, graph::Op::kBatchNorm);
     EXPECT_NE(n.op, graph::Op::kIdentity);
-    if (n.op == graph::Op::kConv2d) {
-      EXPECT_NE(n.lowering, graph::ConvLowering::kUndecided);
-    }
   }
   // The int8 plan also folds every ReLU and residual Add into its convs:
   // stem conv, 8 blocks x 2 convs, 3 shortcut convs, gap.
@@ -108,9 +105,9 @@ TEST(GraphPasses, DefaultPipelineRemovesFoldableOps) {
 
 // The anchor is the passes-off plan: the traced IR after only the passes a
 // plan cannot run without (identities dropped, BN folded) plus lower_int8
-// for int8 plans. Every later pass (epilogue fusion, lowering selection,
-// DCE) must keep the forward bitwise equal to it at every batch width, and
-// so must graph::compile's full pipeline.
+// for int8 plans. Every later pass (epilogue fusion, DCE) must keep the
+// forward bitwise equal to it at every batch width, and so must
+// graph::compile's full pipeline.
 void expect_passes_keep_bits(nn::Sequential& net, const Shape& sample,
                              graph::Precision precision,
                              std::int64_t max_batch) {
@@ -153,8 +150,6 @@ void expect_passes_keep_bits(nn::Sequential& net, const Shape& sample,
     EXPECT_GT(fused, 0u);
   }
   check_stage("+fuse_epilogues");
-  graph::select_conv_lowering(g);
-  check_stage("+select_conv_lowering");
   graph::eliminate_dead_ops(g);
   check_stage("+eliminate_dead_ops");
   auto full = graph::compile(

@@ -95,9 +95,9 @@ TEST(Im2col, PaddingProducesZeros) {
 }
 
 TEST(Im2row, IsExactTransposeOfIm2col) {
-  // im2row + gemm kNT replaces im2col + kNN in the serving fast path for
-  // small spatial extents; the swap is sound only if the patch matrix is
-  // the exact transpose of the column matrix (same values, bit for bit).
+  // im2row lowers the ViT patch embedding; its patch rows follow the
+  // weight row layout only if the patch matrix is the exact transpose of
+  // the column matrix (same values, bit for bit).
   Rng rng(5);
   for (const auto& [h, w, k, stride, pad] :
        std::vector<std::tuple<int, int, int, int, int>>{

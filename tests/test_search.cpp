@@ -1,6 +1,6 @@
 // Vector search subsystem (DESIGN.md §15): Hamming/binarize kernel fuzz
-// (backend vs scalar twin, odd tails, 2-bit layout), bounded top-k vs a
-// std::partial_sort oracle, index build/query/save/load against a
+// (backend vs scalar twin, odd tails, 2-bit layout), Binarizer fit and
+// load, index build/query/save/load against a std::partial_sort
 // brute-force oracle (one scan block and several), the 0-alloc steady-state
 // contract of the query path, and the serve-engine-backed Service
 // (encode -> binarize -> scan) including concurrent query + incremental add
@@ -18,6 +18,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "counting_new.hpp"
@@ -25,7 +26,6 @@
 #include "search/index.hpp"
 #include "search/recall.hpp"
 #include "search/service.hpp"
-#include "search/topk.hpp"
 #include "tensor/kernels/hamming.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "testutil.hpp"
@@ -35,14 +35,12 @@
 namespace cq {
 namespace {
 
-using search::Candidate;
 using search::CodeLayout;
 using search::Index;
 using search::IndexConfig;
 using search::QueryOptions;
 using search::QueryScratch;
 using search::Result;
-using search::TopK;
 
 std::vector<std::uint64_t> random_words(Rng& rng, std::int64_t n) {
   std::vector<std::uint64_t> v(static_cast<std::size_t>(n));
@@ -59,56 +57,18 @@ std::vector<float> random_floats(Rng& rng, std::int64_t n, double lo = -1.0,
 
 // ---- kernel fuzz: backend vs scalar twin -----------------------------------
 
-TEST(HammingKernels, PopcountMatchesScalarAndOracle) {
-  Rng rng(101);
-  for (std::int64_t n : {0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 64, 100, 1023}) {
-    const auto words = random_words(rng, n);
-    std::uint64_t oracle = 0;
-    for (auto w : words)
-      oracle += static_cast<std::uint64_t>(std::popcount(w));
-    EXPECT_EQ(kernels::popcount_u64(words.data(), n), oracle) << "n=" << n;
-    EXPECT_EQ(kernels::scalar::popcount_u64(words.data(), n), oracle);
-  }
-}
-
-TEST(HammingKernels, DistanceAndScanMatchScalarFuzz) {
-  Rng rng(202);
-  for (std::int64_t words : {1, 2, 3, 4, 5, 7, 8, 13}) {
-    for (std::int64_t rows : {1, 2, 3, 5, 17, 100, 259}) {
-      const auto base = random_words(rng, rows * words);
-      const auto query = random_words(rng, words);
-      std::vector<std::uint32_t> got(static_cast<std::size_t>(rows));
-      std::vector<std::uint32_t> want(static_cast<std::size_t>(rows));
-      kernels::hamming_scan(query.data(), base.data(), rows, words,
-                            got.data());
-      kernels::scalar::hamming_scan(query.data(), base.data(), rows, words,
-                                    want.data());
-      for (std::int64_t r = 0; r < rows; ++r) {
-        ASSERT_EQ(got[r], want[r]) << "words=" << words << " row=" << r;
-        // The scan must agree with the pairwise twin and a naive oracle.
-        std::uint32_t oracle = 0;
-        for (std::int64_t w = 0; w < words; ++w)
-          oracle += static_cast<std::uint32_t>(
-              std::popcount(base[r * words + w] ^ query[w]));
-        ASSERT_EQ(got[r], oracle);
-        ASSERT_EQ(kernels::scalar::hamming_distance(base.data() + r * words,
-                                                    query.data(), words),
-                  oracle);
-      }
-    }
-  }
-}
-
 TEST(HammingKernels, BelowMatchesScalarAtBoundaryLimits) {
   std::printf("hamming_below backend: %s\n",
               kernels::hamming_below_backend());
   RecordProperty("hamming_below_backend", kernels::hamming_below_backend());
   Rng rng(2020);
-  // 1 and 2 words and the n-word path below and above one 8-word vector.
-  for (std::int64_t words : {1, 2, 3, 5, 8, 9}) {
+  // 1 and 2 words, the AVX2 n-word path below, at and past one 4-word
+  // step, and the AVX-512 one below and above one 8-word vector.
+  for (std::int64_t words : {1, 2, 3, 4, 5, 7, 8, 9, 13}) {
     const std::uint32_t full = static_cast<std::uint32_t>(64 * words);
     // Row counts with odd tails around every vector step width.
-    for (std::int64_t rows : {0, 1, 7, 8, 9, 15, 17, 31, 33, 100, 257}) {
+    for (std::int64_t rows :
+         {0, 1, 2, 3, 5, 7, 8, 9, 15, 17, 31, 33, 100, 257, 259}) {
       const auto query = random_words(rng, words);
       auto base = random_words(rng, rows * words);
       // Mix in rows at distance 0, 1 and 64*words so that the boundary
@@ -146,6 +106,9 @@ TEST(HammingKernels, BelowMatchesScalarAtBoundaryLimits) {
           for (std::int64_t w = 0; w < words; ++w)
             d += static_cast<std::uint32_t>(
                 std::popcount(base[r * words + w] ^ query[w]));
+          ASSERT_EQ(kernels::scalar::hamming_distance(base.data() + r * words,
+                                                      query.data(), words),
+                    d);
           if (d >= limit) continue;
           ASSERT_LT(cnt, ng);
           ASSERT_EQ(got_rows[static_cast<std::size_t>(cnt)], r);
@@ -246,37 +209,6 @@ TEST(HammingKernels, DotScanBitwiseAcrossBackends) {
                     static_cast<double>(base[r * dim + j]);
         ASSERT_NEAR(got[r], oracle, 1e-4) << "dim=" << dim;
       }
-    }
-  }
-}
-
-// ---- bounded top-k vs oracle -----------------------------------------------
-
-TEST(TopKHeap, MatchesPartialSortOracle) {
-  Rng rng(606);
-  TopK topk;
-  for (int trial = 0; trial < 50; ++trial) {
-    const std::int64_t n = 1 + static_cast<std::int64_t>(
-                                   rng.uniform_index(400));
-    const std::int64_t k = 1 + static_cast<std::int64_t>(
-                                   rng.uniform_index(40));
-    std::vector<Candidate> stream(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i)
-      // Small distance range forces heavy ties -> exercises the row
-      // tiebreak of the total order.
-      stream[i] = {static_cast<std::uint32_t>(rng.uniform_index(8)), i};
-    topk.reset(k);
-    for (const auto& c : stream) topk.push(c);
-    auto got = topk.sorted();
-
-    auto oracle = stream;
-    const auto kk = std::min<std::int64_t>(k, n);
-    std::partial_sort(oracle.begin(), oracle.begin() + kk, oracle.end(),
-                      search::candidate_less);
-    ASSERT_EQ(static_cast<std::int64_t>(got.size()), kk);
-    for (std::int64_t i = 0; i < kk; ++i) {
-      EXPECT_EQ(got[i].dist, oracle[i].dist) << trial << ":" << i;
-      EXPECT_EQ(got[i].row, oracle[i].row) << trial << ":" << i;
     }
   }
 }
@@ -394,6 +326,20 @@ TEST(Binarizer, FitIsScaleInvariant) {
   }
 }
 
+TEST(Binarizer, LoadRejectsHugeDimBeforeSizingCodes) {
+  // A crafted dim must fail the threshold-array check before anything sizes
+  // codes from it: the 2-bit word count of dim 2^62 overflows int64.
+  const std::string path = testing::TempDir() + "cq_binarizer_huge_dim.bin";
+  BinaryWriter w(path);
+  w.write_u32(static_cast<std::uint32_t>(CodeLayout::k2Bit));
+  w.write_u64(std::uint64_t{1} << 62);
+  w.write_f32_array({});
+  w.write_f32_array({});
+  w.close();
+  BinaryReader r(path);
+  EXPECT_THROW(search::Binarizer::load(r), CheckError);
+}
+
 // ---- Index -----------------------------------------------------------------
 
 Index make_random_index(Rng& rng, std::int64_t rows, std::int64_t dim,
@@ -413,23 +359,26 @@ Index make_random_index(Rng& rng, std::int64_t rows, std::int64_t dim,
   return index;
 }
 
-/// Brute-force top-k oracle: scalar-twin scan over the index's own codes +
-/// partial_sort under the (dist, row) order.
-std::vector<Candidate> oracle_topk(const Index& index,
-                                   const std::vector<float>& query,
-                                   std::int64_t k) {
+/// One oracle candidate as (dist, row): the pair's own order is the index's
+/// total order, nearer first and ties to the lower row.
+using DistRow = std::pair<std::uint32_t, std::int64_t>;
+
+/// Brute-force top-k oracle: scalar-twin distances over the index's own
+/// codes + partial_sort under the (dist, row) order.
+std::vector<DistRow> oracle_topk(const Index& index,
+                                 const std::vector<float>& query,
+                                 std::int64_t k) {
   const std::int64_t rows = index.size(), words = index.words_per_row();
   std::vector<std::uint64_t> qcode(static_cast<std::size_t>(words));
   std::vector<float> qn = query;
   kernels::l2_normalize_rows(qn.data(), 1, index.dim(), nullptr, 1e-12f);
   index.binarizer().encode(qn.data(), 1, qcode.data());
-  std::vector<Candidate> all(static_cast<std::size_t>(rows));
+  std::vector<DistRow> all(static_cast<std::size_t>(rows));
   for (std::int64_t r = 0; r < rows; ++r)
     all[r] = {kernels::scalar::hamming_distance(
                   index.codes().data() + r * words, qcode.data(), words),
               r};
-  std::partial_sort(all.begin(), all.begin() + k, all.end(),
-                    search::candidate_less);
+  std::partial_sort(all.begin(), all.begin() + k, all.end());
   all.resize(static_cast<std::size_t>(k));
   return all;
 }
@@ -448,8 +397,8 @@ TEST(SearchIndex, QueryMatchesBruteForceOracle) {
     ASSERT_EQ(n, 7);
     const auto all = oracle_topk(index, query, 7);
     for (int i = 0; i < 7; ++i) {
-      EXPECT_EQ(hits[i].id, 1000 + static_cast<std::uint64_t>(all[i].row));
-      EXPECT_EQ(hits[i].dist, all[i].dist);
+      EXPECT_EQ(hits[i].id, 1000 + static_cast<std::uint64_t>(all[i].second));
+      EXPECT_EQ(hits[i].dist, all[i].first);
     }
   }
 }
@@ -495,10 +444,10 @@ TEST(SearchIndex, MultiBlockScanMatchesBruteForceOracle) {
     ASSERT_EQ(index.query(query.data(), opts, scratch, hits.data()), 13);
     const auto all = oracle_topk(index, query, 13);
     for (int i = 0; i < 13; ++i) {
-      EXPECT_EQ(hits[i].id, 1000 + static_cast<std::uint64_t>(all[i].row))
+      EXPECT_EQ(hits[i].id, 1000 + static_cast<std::uint64_t>(all[i].second))
           << "query " << q << " rank " << i;
-      EXPECT_EQ(hits[i].dist, all[i].dist) << "query " << q << " rank " << i;
-      EXPECT_EQ(hits[i].score, -static_cast<float>(all[i].dist));
+      EXPECT_EQ(hits[i].dist, all[i].first) << "query " << q << " rank " << i;
+      EXPECT_EQ(hits[i].score, -static_cast<float>(all[i].first));
     }
   }
 }
@@ -521,17 +470,17 @@ void expect_oracle_results(const Index& index,
   const auto pool = oracle_topk(index, query, m);
   if (!opts.rerank) {
     for (std::int64_t i = 0; i < want; ++i) {
-      EXPECT_EQ(hits[i].id, 1000 + static_cast<std::uint64_t>(pool[i].row))
+      EXPECT_EQ(hits[i].id, 1000 + static_cast<std::uint64_t>(pool[i].second))
           << label << " rank " << i;
-      EXPECT_EQ(hits[i].dist, pool[i].dist) << label << " rank " << i;
-      EXPECT_EQ(hits[i].score, -static_cast<float>(pool[i].dist)) << label;
+      EXPECT_EQ(hits[i].dist, pool[i].first) << label << " rank " << i;
+      EXPECT_EQ(hits[i].score, -static_cast<float>(pool[i].first)) << label;
     }
     return;
   }
   // The pool's rows in ascending row order, so ground-truth ties (to the
   // lower local index) break toward the lower row as the index does.
   std::vector<std::int64_t> pool_rows;
-  for (const auto& c : pool) pool_rows.push_back(c.row);
+  for (const auto& c : pool) pool_rows.push_back(c.second);
   std::sort(pool_rows.begin(), pool_rows.end());
   std::vector<float> pool_emb;
   for (std::int64_t r : pool_rows)
@@ -545,9 +494,9 @@ void expect_oracle_results(const Index& index,
         << label << " rank " << i;
     const auto it =
         std::find_if(pool.begin(), pool.end(),
-                     [&](const Candidate& c) { return c.row == row; });
+                     [&](const DistRow& c) { return c.second == row; });
     ASSERT_NE(it, pool.end()) << label;
-    EXPECT_EQ(hits[i].dist, it->dist) << label << " rank " << i;
+    EXPECT_EQ(hits[i].dist, it->first) << label << " rank " << i;
     if (i > 0) {
       EXPECT_GE(hits[i - 1].score, hits[i].score) << label;
     }
