@@ -3,50 +3,9 @@
 #include <cmath>
 #include <sstream>
 
-#include "core/prof.hpp"
-#include "tensor/storage.hpp"
 #include "util/check.hpp"
 
 namespace cq::core {
-
-AllocTracker::AllocTracker() {
-  const auto s = tensor::alloc_stats();
-  base_allocs_ = s.cumulative_allocations;
-  base_hits_ = s.pool_hits;
-  base_misses_ = s.pool_misses;
-  epoch_start_allocs_ = s.cumulative_allocations;
-}
-
-void AllocTracker::end_first_iteration() {
-  first_iter_allocs_ = tensor::alloc_stats().cumulative_allocations -
-                       base_allocs_;
-}
-
-void AllocTracker::end_epoch(double seconds, std::int64_t iterations) {
-  const auto now = tensor::alloc_stats().cumulative_allocations;
-  epoch_allocs_.push_back(now - epoch_start_allocs_);
-  epoch_seconds_.push_back(seconds);
-  epoch_start_allocs_ = now;
-  last_epoch_iterations_ = iterations;
-}
-
-std::uint64_t AllocTracker::thread_allocs() {
-  return tensor::alloc_stats().cumulative_allocations;
-}
-
-void AllocTracker::finish(PretrainStats& stats) const {
-  const auto s = tensor::alloc_stats();
-  stats.first_iteration_heap_allocs = first_iter_allocs_;
-  stats.epoch_heap_allocs = epoch_allocs_;
-  stats.epoch_seconds = epoch_seconds_;
-  stats.pool_hits = s.pool_hits - base_hits_;
-  stats.pool_misses = s.pool_misses - base_misses_;
-  if (!epoch_allocs_.empty() && last_epoch_iterations_ > 0)
-    stats.steady_allocs_per_iteration =
-        static_cast<double>(epoch_allocs_.back()) /
-        static_cast<double>(last_epoch_iterations_);
-  stats.profile_json = prof::json();
-}
 
 std::string variant_name(CqVariant variant) {
   switch (variant) {

@@ -55,8 +55,10 @@ struct PretrainConfig {
   std::int64_t proj_hidden = 64;
   std::int64_t proj_dim = 32;
   data::AugmentConfig augment;
-  /// BYOL only: target-network EMA momentum and predictor hidden width.
+  /// EMA momentum of BYOL's target network and of MoCo's key encoder (the
+  /// name predates MoCo; it stays so cache_key() text does not change).
   float byol_ema = 0.99f;
+  /// BYOL only: predictor hidden width.
   std::int64_t pred_hidden = 32;
   /// MoCo only: negative-queue length.
   std::int64_t moco_queue = 256;
@@ -103,35 +105,6 @@ struct PretrainStats {
   /// finished. Cumulative across the process — callers wanting a per-run
   /// view call prof::reset() before train().
   std::string profile_json;
-};
-
-/// Captures tensor::alloc_stats() deltas over a pretraining run so every
-/// runner (SimCLR / BYOL / MoCo) reports identical allocation accounting.
-/// Construct at the start of train(), call end_first_iteration() once after
-/// the first optimizer step, end_epoch() per epoch, and finish() before
-/// returning stats.
-class AllocTracker {
- public:
-  AllocTracker();
-  void end_first_iteration();
-  void end_epoch(double seconds, std::int64_t iterations);
-  void finish(PretrainStats& stats) const;
-
-  /// Cumulative heap allocations (tensor-pool misses) made by the CALLING
-  /// thread. A delta of zero across a window proves the window ran entirely
-  /// off pooled storage; the serving engine samples this per worker to
-  /// report its zero-allocation steady state.
-  static std::uint64_t thread_allocs();
-
- private:
-  std::uint64_t base_allocs_ = 0;
-  std::uint64_t base_hits_ = 0;
-  std::uint64_t base_misses_ = 0;
-  std::uint64_t first_iter_allocs_ = 0;
-  std::uint64_t epoch_start_allocs_ = 0;
-  std::vector<std::uint64_t> epoch_allocs_;
-  std::vector<double> epoch_seconds_;
-  std::int64_t last_epoch_iterations_ = 0;
 };
 
 }  // namespace cq::core

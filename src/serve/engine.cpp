@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/cq.hpp"
 #include "core/trace.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -115,7 +114,7 @@ void Engine::worker_main(Worker& w) {
       (void)w.model->forward(warm);
     }
   }
-  const std::uint64_t warm_allocs = core::AllocTracker::thread_allocs();
+  const std::uint64_t warm_allocs = prof::thread_allocs();
   {
     std::lock_guard<std::mutex> lock(w.stats_mu);
     w.stats.warmup_heap_allocs = warm_allocs;
@@ -149,7 +148,7 @@ void Engine::worker_main(Worker& w) {
     const std::size_t expired = w.batcher->filter_expired(batch, dequeue_time);
 
     if (!batch.empty()) {
-      const std::uint64_t allocs_before = core::AllocTracker::thread_allocs();
+      const std::uint64_t allocs_before = prof::thread_allocs();
       const Tensor* input;
       {
         CQ_TRACE_SCOPE_N("serve.collate", batch.size());
@@ -164,7 +163,7 @@ void Engine::worker_main(Worker& w) {
         CQ_TRACE_SCOPE_N("serve.scatter", batch.size());
         w.batcher->scatter(*features, batch);
       }
-      const std::uint64_t allocs_after = core::AllocTracker::thread_allocs();
+      const std::uint64_t allocs_after = prof::thread_allocs();
 
       // Record latencies and stats BEFORE completing: complete() frees the
       // client to destroy the request, and a client that has seen wait()

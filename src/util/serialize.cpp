@@ -60,8 +60,10 @@ BinaryWriter::~BinaryWriter() {
 }
 
 BinaryReader::BinaryReader(const std::string& path)
-    : in_(path, std::ios::binary), path_(path) {
+    : in_(path, std::ios::binary | std::ios::ate), path_(path) {
   CQ_CHECK_MSG(in_.good(), "cannot open " << path << " for reading");
+  size_ = static_cast<std::uint64_t>(in_.tellg());
+  in_.seekg(0);
 }
 
 void BinaryReader::require(bool cond, const char* what) {
@@ -92,31 +94,34 @@ float BinaryReader::read_f32() {
   return v;
 }
 
-std::string BinaryReader::read_string() {
+std::uint64_t BinaryReader::read_length(std::size_t elem_size) {
   const auto n = read_u64();
-  require(n < (1ULL << 20), "implausible string length");
-  std::string s(n, '\0');
-  in_.read(s.data(), static_cast<std::streamsize>(n));
+  const auto left = size_ - static_cast<std::uint64_t>(in_.tellg());
+  require(n <= left / elem_size, "record length exceeds the bytes left");
+  // Loaders size products from these lengths; the cap keeps them in range.
+  require(n < (1ULL << 30), "implausible record length");
+  return n;
+}
+
+std::string BinaryReader::read_string() {
+  std::string s(read_length(1), '\0');
+  in_.read(s.data(), static_cast<std::streamsize>(s.size()));
   require(in_.good(), "truncated string");
   return s;
 }
 
 std::vector<float> BinaryReader::read_f32_array() {
-  const auto n = read_u64();
-  require(n < (1ULL << 30), "implausible array length");
-  std::vector<float> v(n);
+  std::vector<float> v(read_length(sizeof(float)));
   in_.read(reinterpret_cast<char*>(v.data()),
-           static_cast<std::streamsize>(n * sizeof(float)));
+           static_cast<std::streamsize>(v.size() * sizeof(float)));
   require(in_.good(), "truncated f32 array");
   return v;
 }
 
 std::vector<std::uint64_t> BinaryReader::read_u64_array() {
-  const auto n = read_u64();
-  require(n < (1ULL << 30), "implausible array length");
-  std::vector<std::uint64_t> v(n);
+  std::vector<std::uint64_t> v(read_length(sizeof(std::uint64_t)));
   in_.read(reinterpret_cast<char*>(v.data()),
-           static_cast<std::streamsize>(n * sizeof(std::uint64_t)));
+           static_cast<std::streamsize>(v.size() * sizeof(std::uint64_t)));
   require(in_.good(), "truncated u64 array");
   return v;
 }

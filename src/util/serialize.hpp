@@ -60,9 +60,14 @@ class BinaryReader {
 
  private:
   void require(bool cond, const char* what);
+  /// Reads a record's element count and rejects it, before the caller
+  /// allocates, when `elem_size`-byte elements would run past the file end
+  /// or the count reaches 2^30.
+  std::uint64_t read_length(std::size_t elem_size);
 
   std::ifstream in_;
   std::string path_;
+  std::uint64_t size_ = 0;  // file size in bytes
   bool ok_ = true;
 };
 

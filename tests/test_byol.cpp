@@ -105,21 +105,6 @@ TEST(ByolTrainer, TargetLagsOnlineAfterTraining) {
   EXPECT_GT(online_vs_target, 1e-5f);
 }
 
-TEST(ByolTrainer, NoPendingCachesAfterTraining) {
-  const auto ds = tiny_dataset();
-  Rng rng(7);
-  auto enc = models::make_encoder("resnet18", rng);
-  core::ByolCqTrainer trainer(enc, tiny_config(core::CqVariant::kCqC));
-  trainer.train(ds);
-  std::size_t pending = 0;
-  std::function<void(nn::Module&)> count = [&](nn::Module& m) {
-    pending += m.pending_caches();
-    m.visit_children(count);
-  };
-  count(*enc.backbone);
-  EXPECT_EQ(pending, 0u);
-}
-
 TEST(ByolTrainer, LossDecreasesOverTraining) {
   const auto ds = tiny_dataset(32);
   Rng rng(8);

@@ -156,20 +156,5 @@ TEST(MocoTrainer, LossDecreasesAfterQueueWarmup) {
   EXPECT_LT(stats.epoch_loss.back(), stats.epoch_loss[2]);
 }
 
-TEST(MocoTrainer, NoPendingCachesAfterTraining) {
-  const auto ds = tiny_dataset();
-  Rng rng(12);
-  auto enc = models::make_encoder("resnet18", rng);
-  core::MocoCqTrainer trainer(enc, tiny_config(core::CqVariant::kCqA));
-  trainer.train(ds);
-  std::size_t pending = 0;
-  std::function<void(nn::Module&)> count = [&](nn::Module& m) {
-    pending += m.pending_caches();
-    m.visit_children(count);
-  };
-  count(*enc.backbone);
-  EXPECT_EQ(pending, 0u);
-}
-
 }  // namespace
 }  // namespace cq

@@ -100,30 +100,6 @@ TEST(SimClrTrainer, LossDecreasesOverTraining) {
   EXPECT_LT(stats.epoch_loss.back(), stats.epoch_loss.front());
 }
 
-TEST(SimClrTrainer, NoPendingCachesAfterTraining) {
-  const auto ds = tiny_dataset();
-  Rng rng(3);
-  auto enc = models::make_encoder("resnet18", rng);
-  core::SimClrCqTrainer trainer(enc, tiny_config(core::CqVariant::kCqC));
-  trainer.train(ds);
-  std::size_t pending = 0;
-  std::function<void(nn::Module&)> count = [&](nn::Module& m) {
-    pending += m.pending_caches();
-    m.visit_children(count);
-  };
-  count(*enc.backbone);
-  EXPECT_EQ(pending, 0u);
-}
-
-TEST(SimClrTrainer, PolicyRestoredToFullPrecision) {
-  const auto ds = tiny_dataset();
-  Rng rng(4);
-  auto enc = models::make_encoder("resnet18", rng);
-  core::SimClrCqTrainer trainer(enc, tiny_config(core::CqVariant::kCqA));
-  trainer.train(ds);
-  EXPECT_FALSE(enc.policy->active());
-}
-
 TEST(SimClrTrainer, CqVariantRequiresPrecisions) {
   Rng rng(5);
   auto enc = models::make_encoder("resnet18", rng);
@@ -154,33 +130,6 @@ TEST(SimClrTrainer, TrainingChangesWeights) {
       diff += std::abs(before[i][j] - after[i][j]);
   EXPECT_GT(diff, 1e-3f);
 }
-
-TEST(SimClrTrainer, DeterministicGivenSeed) {
-  const auto ds = tiny_dataset();
-  auto run = [&](std::uint64_t seed) {
-    Rng rng(9);
-    auto enc = models::make_encoder("resnet18", rng);
-    auto cfg = tiny_config(core::CqVariant::kCqA);
-    cfg.seed = seed;
-    core::SimClrCqTrainer trainer(enc, cfg);
-    return trainer.train(ds).final_loss;
-  };
-  EXPECT_FLOAT_EQ(run(5), run(5));
-  EXPECT_NE(run(5), run(6));
-}
-
-TEST(SimClrTrainer, DivergenceDetectedAtInsaneLr) {
-  const auto ds = tiny_dataset();
-  Rng rng(8);
-  auto enc = models::make_encoder("resnet18", rng);
-  auto cfg = tiny_config(core::CqVariant::kVanilla);
-  cfg.lr = 1e6f;
-  cfg.epochs = 4;
-  core::SimClrCqTrainer trainer(enc, cfg);
-  const auto stats = trainer.train(ds);
-  EXPECT_TRUE(stats.diverged);
-}
-
 
 TEST(CyclicPrecision, WalksTriangleAndMirrors) {
   const auto set = quant::PrecisionSet::range(4, 8);  // {4,5,6,7,8}

@@ -257,5 +257,37 @@ TEST(Serialize, RejectsTruncatedFile) {
   std::filesystem::remove(path);
 }
 
+TEST(Serialize, RejectsLengthPastFileEndBeforeAllocating) {
+  // A few-byte record that claims 2^25 elements (or 2^64 - 1, whose byte
+  // count overflows) must fail on its length alone, not zero-fill the
+  // claimed array first and then find the file short.
+  const std::string path = "test_ser_len.bin";
+  for (const std::uint64_t claimed : {1ULL << 25, ~0ULL}) {
+    {
+      BinaryWriter w(path);
+      write_checkpoint_header(w);
+      w.write_u64(claimed);
+      w.write_f32(1.0f);
+      w.close();
+    }
+    const auto expect_rejected = [&](auto read) {
+      BinaryReader r(path);
+      read_checkpoint_header(r);
+      try {
+        read(r);
+        ADD_FAILURE() << "length " << claimed << " accepted";
+      } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find("exceeds the bytes left"),
+                  std::string::npos)
+            << e.what();
+      }
+    };
+    expect_rejected([](BinaryReader& r) { r.read_f32_array(); });
+    expect_rejected([](BinaryReader& r) { r.read_u64_array(); });
+    expect_rejected([](BinaryReader& r) { r.read_string(); });
+  }
+  std::filesystem::remove(path);
+}
+
 }  // namespace
 }  // namespace cq
