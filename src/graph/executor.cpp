@@ -481,8 +481,7 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
         const std::int64_t count = n * ishape.numel();
         // Which NaN survives NaN + NaN is pinned rather than left to the
         // compiler's operand order: b's, the bytes this node has served.
-        for (std::int64_t j = 0; j < count; ++j)
-          out_p[j] = kernels::add_first(b[j], a[j]);
+        kernels::add(b, a, out_p, count);
         if (node.add_relu) kernels::relu(out_p, out_p, count);
         break;
       }

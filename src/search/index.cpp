@@ -1,6 +1,7 @@
 #include "search/index.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <mutex>
@@ -263,12 +264,19 @@ std::int64_t Index::query(const float* embedding, const QueryOptions& opts,
                       1, dim, &s.rerank_score[i]);
     s.order[i] = i;
   }
-  std::sort(s.order.begin(), s.order.end(),
-            [&](std::int64_t a, std::int64_t b) {
-              if (s.rerank_score[a] != s.rerank_score[b])
-                return s.rerank_score[a] > s.rerank_score[b];
-              return pool_row[a] < pool_row[b];
-            });
+  // (score desc, NaN scores last, row asc) is a total order over the
+  // pool's distinct rows, so selecting the first `emit` gives the first
+  // `emit` of a full sort. A stored embedding holding NaN scores NaN, which
+  // a plain `>` leaves unordered.
+  std::partial_sort(s.order.begin(), s.order.begin() + emit, s.order.end(),
+                    [&](std::int64_t a, std::int64_t b) {
+                      const float sa = s.rerank_score[a];
+                      const float sb = s.rerank_score[b];
+                      if (std::isnan(sa) != std::isnan(sb))
+                        return std::isnan(sb);
+                      if (sa != sb && !std::isnan(sa)) return sa > sb;
+                      return pool_row[a] < pool_row[b];
+                    });
   for (std::int64_t i = 0; i < emit; ++i) {
     const std::int64_t p = s.order[i];
     out[i] = {ids_[pool_row[p]], pool_dist[p], s.rerank_score[p]};

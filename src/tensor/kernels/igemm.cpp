@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "core/trace.hpp"
 #include "tensor/im2col.hpp"
@@ -23,7 +24,8 @@
 #include "util/check.hpp"
 
 #if !defined(CQ_FORCE_SCALAR) && defined(__AVX512F__) && \
-    defined(__AVX512BW__) && defined(__AVX512VNNI__)
+    defined(__AVX512BW__) && defined(__AVX512VL__) && \
+    defined(__AVX512VNNI__)
 #define CQ_IGEMM_VNNI 1
 #include <immintrin.h>
 #else
@@ -448,21 +450,57 @@ void pack_b_c4_vnni(const std::uint8_t* q, const std::uint8_t* pad,
   }
 }
 
+// VNNI form of pack_b_scalar's column-strided walk (rs == 1, the Linear's
+// [rows, in] input): column j of B is the contiguous source row b + j * cs.
+// Sixteen of its k-values quantize with the column's broadcast inverse
+// scale, narrow to bytes and land as four dwords, one in each of four quad
+// blocks. Lanes past k and dead columns take the pad byte 128, as in
+// pack_b_scalar.
+void pack_b_rows_vnni(const float* b, std::int64_t cs, std::int64_t k,
+                      std::int64_t n, const float* col_inv_scale,
+                      std::uint8_t* bp) {
+  const std::int64_t kp = padded_k(k);
+  const __m128i pad = _mm_set1_epi8(static_cast<char>(0x80));
+  for (std::int64_t sv = 0; sv < (n + NR - 1) / NR; ++sv) {
+    const std::int64_t jr = sv * NR;
+    const std::int64_t nr = std::min(NR, n - jr);
+    std::uint8_t* sliver = bp + sv * (kp * NR);
+    for (std::int64_t j = 0; j < NR; ++j) {
+      std::uint8_t* dst = sliver + j * KU;
+      if (j >= nr) {
+        for (std::int64_t p = 0; p < kp; p += KU)
+          std::memset(dst + (p / KU) * (NR * KU), 0x80, KU);
+        continue;
+      }
+      const float* src = b + (jr + j) * cs;
+      const __m512 inv = _mm512_set1_ps(col_inv_scale[jr + j]);
+      for (std::int64_t p = 0; p < kp; p += NR) {  // p < k: kp - k < KU
+        const __mmask16 live = lane_mask(std::min(NR, k - p));
+        alignas(16) std::uint32_t quad[KU];
+        _mm_store_si128(reinterpret_cast<__m128i*>(quad),
+                        _mm512_mask_cvtepi32_epi8(
+                            pad, live, quantize_row(src + p, live, inv)));
+        // Dword d holds k-values p + 4d .. p + 4d + 3: quad block p / 4 + d.
+        const std::int64_t quads = std::min(KU, (kp - p) / KU);
+        for (std::int64_t d = 0; d < quads; ++d)
+          std::memcpy(dst + (p / KU + d) * (NR * KU), &quad[d], KU);
+      }
+    }
+  }
+}
+
 void pack_b_vnni(const float* b, std::int64_t rs, std::int64_t cs,
                  std::int64_t k, std::int64_t n, const float* col_inv_scale,
                  std::uint8_t* bp) {
-  if (cs != 1) {  // strided gather: the scalar walk is already column-local
-    pack_b_scalar(b, rs, cs, k, n, col_inv_scale, bp);
+  if (cs != 1) {
+    pack_b_rows_vnni(b, cs, k, n, col_inv_scale, bp);
     return;
   }
   const std::int64_t kp = padded_k(k);
   const __m512i zero128 = _mm512_set1_epi32(128);
   for (std::int64_t sv = 0; sv < (n + NR - 1) / NR; ++sv) {
     const std::int64_t jr = sv * NR;
-    const std::int64_t nr = std::min(NR, n - jr);
-    const __mmask16 mask =
-        nr == NR ? static_cast<__mmask16>(0xFFFF)
-                 : static_cast<__mmask16>((1u << nr) - 1u);
+    const __mmask16 mask = lane_mask(std::min(NR, n - jr));
     const __m512 inv = _mm512_maskz_loadu_ps(mask, col_inv_scale + jr);
     std::uint8_t* sliver = bp + sv * (kp * NR);
     for (std::int64_t p = 0; p < kp; p += KU) {
@@ -483,12 +521,61 @@ void pack_b_vnni(const float* b, std::int64_t rs, std::int64_t cs,
   }
 }
 
+// Column-run store for row-major [n, m] output (pixels == 1, ldc == 1: the
+// Linear's [rows, out]): out[i] is tile row i over the 16 columns, and
+// column j's mr outputs are the floats dst[j * stride .. + mr). An 8 x 16
+// in-register transpose puts each column in one 256-bit half, stored as one
+// masked 8-float run.
+void store_column_runs(const __m512 out[MR], std::int64_t mr, std::int64_t nr,
+                       float* dst, std::int64_t stride) {
+  static_assert(MR == 8 && NR == 16, "the transpose is written for 8 x 16");
+  // Within each 128-bit lane L (columns 4L .. 4L+3): t[2h] holds rows
+  // (2h, 2h+1) of columns 4L, 4L+1; t[2h+1] of columns 4L+2, 4L+3.
+  __m512 t[MR];
+  for (int h = 0; h < 4; ++h) {
+    t[2 * h] = _mm512_unpacklo_ps(out[2 * h], out[2 * h + 1]);
+    t[2 * h + 1] = _mm512_unpackhi_ps(out[2 * h], out[2 * h + 1]);
+  }
+  // u[4g + c], lane L: rows 4g .. 4g+3 of column 4L + c.
+  __m512 u[MR];
+  for (int g = 0; g < 2; ++g) {
+    const __m512* tg = t + 4 * g;
+    u[4 * g + 0] = _mm512_shuffle_ps(tg[0], tg[2], _MM_SHUFFLE(1, 0, 1, 0));
+    u[4 * g + 1] = _mm512_shuffle_ps(tg[0], tg[2], _MM_SHUFFLE(3, 2, 3, 2));
+    u[4 * g + 2] = _mm512_shuffle_ps(tg[1], tg[3], _MM_SHUFFLE(1, 0, 1, 0));
+    u[4 * g + 3] = _mm512_shuffle_ps(tg[1], tg[3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+  // Joining lanes (L, L) of u[c] and u[4 + c] gives column 4L + c whole:
+  // halves[0] holds columns c | c + 4, halves[1] columns c + 8 | c + 12.
+  const __m512i lo_idx = _mm512_setr_epi32(0, 1, 2, 3, 16, 17, 18, 19, 4, 5,
+                                           6, 7, 20, 21, 22, 23);
+  const __m512i hi_idx = _mm512_add_epi32(lo_idx, _mm512_set1_epi32(8));
+  const auto rows = static_cast<__mmask8>((1u << mr) - 1u);
+  for (std::int64_t c = 0; c < 4; ++c) {
+    const __m512 halves[2] = {_mm512_permutex2var_ps(u[c], lo_idx, u[4 + c]),
+                              _mm512_permutex2var_ps(u[c], hi_idx, u[4 + c])};
+    for (std::int64_t h = 0; h < 4; ++h) {
+      const std::int64_t j = c + 4 * h;
+      if (j >= nr) break;
+      const __m512 w = halves[h / 2];
+      const __m256 col =
+          h % 2 == 0 ? _mm512_castps512_ps256(w)
+                     : _mm256_castpd_ps(_mm512_extractf64x4_pd(
+                           _mm512_castps_pd(w), 1));
+      _mm256_mask_storeu_ps(dst + j * stride, rows, col);
+    }
+  }
+}
+
 // Mirrors gemm_scalar: same flat jr-major grid, per-tile register
-// accumulation, disjoint C writes.
-void gemm_vnni(std::int64_t m, std::int64_t n, std::int64_t k,
-               const std::int8_t* ap, const std::int32_t* rowsum,
-               const std::uint8_t* bp, float* c, std::int64_t ldc,
-               const Epilogue& ep) {
+// accumulation, disjoint C writes. kColumnRuns (pixels == 1, ldc == 1)
+// finishes the whole tile in registers and stores it column by column;
+// otherwise each tile row is stored as it is finished.
+template <bool kColumnRuns>
+void gemm_vnni_tiles(std::int64_t m, std::int64_t n, std::int64_t k,
+                     const std::int8_t* ap, const std::int32_t* rowsum,
+                     const std::uint8_t* bp, float* c, std::int64_t ldc,
+                     const Epilogue& ep) {
   const std::int64_t kp = padded_k(k);
   const std::int64_t k4 = kp / KU;
   const std::int64_t nir = (m + MR - 1) / MR;
@@ -527,8 +614,9 @@ void gemm_vnni(std::int64_t m, std::int64_t n, std::int64_t k,
         }
       }
       // Output lanes: one masked row store when the tile sits in one image,
-      // else a scatter through per-lane offsets (an image boundary inside
-      // the sliver, e.g. outputs of 2x2 or 3x3 pixels).
+      // column runs for row-major [n, m] output, else a scatter through
+      // per-lane offsets (an image boundary inside the sliver, e.g. outputs
+      // of 2x2 or 3x3 pixels).
       std::int64_t off[NR], img[NR];
       const bool one_image = tile_lanes(ep, n, jr, nr, off, img);
       __m512i relv = _mm512_setzero_si512();
@@ -540,6 +628,7 @@ void gemm_vnni(std::int64_t m, std::int64_t n, std::int64_t k,
       }
       const __m512 zero = _mm512_setzero_ps();
       __m512 colmax = zero;
+      __m512 outs[MR] = {};  // the finished tile, kColumnRuns only
       for (std::int64_t i = 0; i < mr; ++i) {
         // eff = acc - (128 + zp_j) * rowsum_i, then the two-step float fold
         // (mul, add — explicit intrinsics, never contracted) matching
@@ -566,12 +655,16 @@ void gemm_vnni(std::int64_t m, std::int64_t n, std::int64_t k,
           if (ep.act == Act::kReluCap)
             out = _mm512_min_ps(out, _mm512_set1_ps(ep.cap));
         }
-        if (one_image)
+        if constexpr (kColumnRuns)
+          outs[i] = out;
+        else if (one_image)
           _mm512_mask_storeu_ps(c + row, mask, out);
         else
           _mm512_mask_i32scatter_ps(c + row, mask, relv, out, 4);
         colmax = _mm512_max_ps(colmax, out);
       }
+      if constexpr (kColumnRuns)
+        store_column_runs(outs, mr, nr, c + off[0] + ir, ep.image_stride);
       if (ep.absmax != nullptr && one_image) {
         maxes.add(img[0], _mm512_mask_reduce_max_ps(mask, colmax));
       } else if (ep.absmax != nullptr) {
@@ -586,6 +679,16 @@ void gemm_vnni(std::int64_t m, std::int64_t n, std::int64_t k,
     }
   }
   maxes.publish();
+}
+
+void gemm_vnni(std::int64_t m, std::int64_t n, std::int64_t k,
+               const std::int8_t* ap, const std::int32_t* rowsum,
+               const std::uint8_t* bp, float* c, std::int64_t ldc,
+               const Epilogue& ep) {
+  if (ep.pixels == 1 && ldc == 1)
+    gemm_vnni_tiles<true>(m, n, k, ap, rowsum, bp, c, ldc, ep);
+  else
+    gemm_vnni_tiles<false>(m, n, k, ap, rowsum, bp, c, ldc, ep);
 }
 
 #endif  // CQ_IGEMM_VNNI
@@ -624,6 +727,7 @@ void pack_b_quantized(const float* b, std::int64_t rs, std::int64_t cs,
                       std::int64_t k, std::int64_t n,
                       const float* col_inv_scale, std::uint8_t* bp) {
   CQ_TRACE_SCOPE_HOT_BYTES("igemm.pack_b", k * n * sizeof(float));
+  CQ_CHECK(cs == 1 || rs == 1);
 #if CQ_IGEMM_VNNI
   pack_b_vnni(b, rs, cs, k, n, col_inv_scale, bp);
 #else
@@ -712,6 +816,7 @@ namespace scalar {
 void pack_b_quantized(const float* b, std::int64_t rs, std::int64_t cs,
                       std::int64_t k, std::int64_t n,
                       const float* col_inv_scale, std::uint8_t* bp) {
+  CQ_CHECK(cs == 1 || rs == 1);
   pack_b_scalar(b, rs, cs, k, n, col_inv_scale, bp);
 }
 

@@ -87,8 +87,9 @@ void pack_a_s8(const std::int8_t* a, std::int64_t m, std::int64_t k,
                std::int8_t* ap, std::int32_t* rowsum);
 
 /// Quantize-on-pack for the dynamic operand: reads the fp32 matrix with
-/// op(B)(p, j) = b[p * rs + j * cs] (rs/cs cover both the im2col [k, n]
-/// row-major layout and the linear-layer transposed [n, k] walk), quantizes
+/// op(B)(p, j) = b[p * rs + j * cs] (cs == 1: the im2col [k, n] row-major
+/// layout; rs == 1: the linear layer's transposed [n, k] walk, each column
+/// one contiguous source row; one of the two must hold), quantizes
 /// each element with its column's scale,
 ///   q = clamp(nearbyint(v * col_inv_scale[j]), -127, 127)
 /// (round half to even — matches _mm512_cvtps_epi32 under the default FP

@@ -108,6 +108,18 @@ void relu_cap_t(const float* x, float* y, std::int64_t n, float cap) {
 }
 
 template <class V>
+void add_t(const float* a, const float* b, float* y, std::int64_t n) {
+  const V quiet = V::broadcast(std::bit_cast<float>(0x400000u));
+  std::int64_t i = 0;
+  for (; i + W <= n; i += W) {
+    const V av = V::load(a + i);
+    V::blend(V::is_nan(av), V::bit_or(av, quiet), av + V::load(b + i))
+        .store(y + i);
+  }
+  for (; i < n; ++i) y[i] = add_first(a[i], b[i]);
+}
+
+template <class V>
 void relu_grad_t(const float* x, const float* g, float* y, std::int64_t n) {
   const V zero = V::zero();
   std::int64_t i = 0;
@@ -465,6 +477,9 @@ using simd::VecF;
 
 void vexp(const float* x, float* y, std::int64_t n) { vexp_t<VecF>(x, y, n); }
 void relu(const float* x, float* y, std::int64_t n) { relu_t<VecF>(x, y, n); }
+void add(const float* a, const float* b, float* y, std::int64_t n) {
+  add_t<VecF>(a, b, y, n);
+}
 void relu_cap(const float* x, float* y, std::int64_t n, float cap) {
   relu_cap_t<VecF>(x, y, n, cap);
 }
@@ -536,6 +551,9 @@ void vexp(const float* x, float* y, std::int64_t n) {
 }
 void relu(const float* x, float* y, std::int64_t n) {
   relu_t<VecPortable>(x, y, n);
+}
+void add(const float* a, const float* b, float* y, std::int64_t n) {
+  add_t<VecPortable>(a, b, y, n);
 }
 void relu_cap(const float* x, float* y, std::int64_t n, float cap) {
   relu_cap_t<VecPortable>(x, y, n, cap);

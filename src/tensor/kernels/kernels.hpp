@@ -48,6 +48,10 @@ int simd_width();
 /// ([-87.3, 88.7]): overflow saturates near FLT_MAX, underflow to ~1e-38.
 void vexp(const float* x, float* y, std::int64_t n);
 
+/// y = add_first(a, b) lane-wise: a + b, except that a NaN `a` comes back
+/// quieted. Any of a, b and y may alias.
+void add(const float* a, const float* b, float* y, std::int64_t n);
+
 /// y = max(x, 0) with the exact lane semantics of the historical scalar loop
 /// (x > 0 ? x : 0 — NaN maps to 0).
 void relu(const float* x, float* y, std::int64_t n);
@@ -118,6 +122,7 @@ void add_rows(const float* src, std::int64_t rows, std::int64_t cols,
 /// equality at runtime in a single binary.
 namespace scalar {
 void vexp(const float* x, float* y, std::int64_t n);
+void add(const float* a, const float* b, float* y, std::int64_t n);
 void relu(const float* x, float* y, std::int64_t n);
 void relu_cap(const float* x, float* y, std::int64_t n, float cap);
 void relu_grad(const float* x, const float* g, float* y, std::int64_t n);

@@ -125,6 +125,21 @@ struct VecPortable {
           a.lane[i] < b.lane[i] ? std::uint32_t{0xFFFFFFFFu} : 0u);
     return r;
   }
+  /// All-bits lane mask: a is NaN.
+  static VecPortable is_nan(VecPortable a) {
+    VecPortable r;
+    for (int i = 0; i < kWidth; ++i)
+      r.lane[i] = std::bit_cast<float>(
+          a.lane[i] != a.lane[i] ? std::uint32_t{0xFFFFFFFFu} : 0u);
+    return r;
+  }
+  static VecPortable bit_or(VecPortable a, VecPortable b) {
+    VecPortable r;
+    for (int i = 0; i < kWidth; ++i)
+      r.lane[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(a.lane[i]) |
+                                       std::bit_cast<std::uint32_t>(b.lane[i]));
+    return r;
+  }
   static VecPortable bit_and(VecPortable a, VecPortable b) {
     VecPortable r;
     for (int i = 0; i < kWidth; ++i)
@@ -235,6 +250,12 @@ struct VecAvx2 {
   }
   static VecAvx2 cmp_lt(VecAvx2 a, VecAvx2 b) {
     return {_mm256_cmp_ps(a.v, b.v, _CMP_LT_OQ)};
+  }
+  static VecAvx2 is_nan(VecAvx2 a) {
+    return {_mm256_cmp_ps(a.v, a.v, _CMP_UNORD_Q)};
+  }
+  static VecAvx2 bit_or(VecAvx2 a, VecAvx2 b) {
+    return {_mm256_or_ps(a.v, b.v)};
   }
   static VecAvx2 bit_and(VecAvx2 a, VecAvx2 b) {
     return {_mm256_and_ps(a.v, b.v)};

@@ -221,6 +221,7 @@ float oracle_sample_scale(const float* x, std::int64_t n) {
 }
 
 struct OracleWeights {
+  std::vector<std::int8_t> q;       // [rows, cols] symmetric int8 weights
   std::vector<std::int8_t> packed;  // igemm packed A, groups side by side
   std::vector<std::int32_t> rowsum;
   std::vector<float> scales;
@@ -232,7 +233,8 @@ OracleWeights oracle_weights(const Tensor& w, std::int64_t groups) {
   OracleWeights o;
   o.scales.resize(static_cast<std::size_t>(rows));
   o.rowsum.resize(static_cast<std::size_t>(rows));
-  std::vector<std::int8_t> q(static_cast<std::size_t>(rows * cols));
+  std::vector<std::int8_t>& q = o.q;
+  q.resize(static_cast<std::size_t>(rows * cols));
   for (std::int64_t r = 0; r < rows; ++r) {
     float max_abs = 0.0f;
     for (std::int64_t c = 0; c < cols; ++c)
@@ -417,6 +419,51 @@ TEST(GraphExecutor, Int8LinearNodeMatchesTwoPassOracle) {
     expect_bitwise(model.forward(x),
                    oracle_linear(x, fc.weight().value, bias));
   }
+}
+
+// The token Linears of the ViT from integer arithmetic alone: each row's
+// scale from a plain max-|x| loop, its values through
+// igemm::detail::quantize_value, an int32 dot against the int8 weights, and
+// igemm::detail::epilogue_value. No packing and no igemm::gemm, so the
+// plan's pack and store are checked against code they do not share.
+TEST(GraphExecutor, Int8TokenLinearMatchesIntegerOracle) {
+  constexpr std::int64_t kSeq = 16, kMaxBatch = 9;
+  for (const std::int64_t in : {32, 64})
+    for (const std::int64_t out : {32, 64, 96}) {
+      SCOPED_TRACE(testing::Message() << "in " << in << " out " << out);
+      Rng rng(static_cast<std::uint64_t>(107 + in + out));
+      nn::Sequential net;
+      auto& fc = net.emplace<nn::Linear>(in, out, rng, true, "fc");
+      fc.bias()->value = Tensor::uniform(Shape{out}, rng, -0.5f, 0.5f);
+      net.set_mode(nn::Mode::kEval);
+      const OracleWeights ow = oracle_weights(fc.weight().value, 1);
+      const float* bias = fc.bias()->value.data();
+      auto model = graph::compile(
+          net, Shape{kSeq, in},
+          graph::CompileOptions{kMaxBatch, graph::Precision::kInt8, true});
+      for (std::int64_t n = 1; n <= kMaxBatch; ++n) {
+        SCOPED_TRACE(n);
+        const Tensor x = Tensor::uniform(Shape{n, kSeq, in}, rng, -2.0f, 2.0f);
+        Tensor want(Shape{n, kSeq, out});
+        for (std::int64_t s = 0; s < n * kSeq; ++s) {
+          const float* row = x.data() + s * in;
+          float max_abs = 0.0f;
+          for (std::int64_t c = 0; c < in; ++c)
+            max_abs = std::max(max_abs, std::fabs(row[c]));
+          const float scale = std::max(max_abs / 127.0f, 1e-12f);
+          const float inv = 1.0f / scale;
+          for (std::int64_t r = 0; r < out; ++r) {
+            std::int32_t acc = 0;
+            for (std::int64_t c = 0; c < in; ++c)
+              acc += std::int32_t{ow.q[static_cast<std::size_t>(r * in + c)]} *
+                     igemm::detail::quantize_value(row[c], inv);
+            want.data()[s * out + r] = igemm::detail::epilogue_value(
+                acc, ow.scales[static_cast<std::size_t>(r)], scale, bias[r]);
+          }
+        }
+        expect_bitwise(model.forward(x), want);
+      }
+    }
 }
 
 // ---- ReLU: one kernel for both precisions ----------------------------------

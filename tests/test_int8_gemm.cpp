@@ -290,6 +290,82 @@ TEST(Int8Gemm, StridedBSource) {
   }
 }
 
+TEST(Int8Gemm, RowWalkPackMatchesScalarTwinBitwise) {
+  // The Linear's walk (rs = 1, cs = k): every k tail against the 16-value
+  // row chunks, every column tail, non-finite and saturating inputs and
+  // zero-range columns. Both buffers start from different fills, so every
+  // byte, pads included, must be written and equal.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(), inf,
+                            -inf, 1e30f, -1e30f, 0.0f, -0.0f};
+  Rng rng(31);
+  for (std::int64_t k = 1; k <= 70; ++k)
+    for (std::int64_t n : {1, 15, 16, 17, 48, 128}) {
+      Problem p = make_problem(1, n, k, rng);
+      p.rs = 1;
+      p.cs = k;
+      const int last = static_cast<int>(std::size(specials)) - 1;
+      for (auto& v : p.b)
+        if (rng.bernoulli(0.1)) v = specials[rng.uniform_int(0, last)];
+      for (auto& inv : p.col_inv)
+        if (rng.bernoulli(0.15)) inv = 0.0f;
+      const auto bytes = static_cast<std::size_t>(igemm::packed_b_bytes(k, n));
+      std::vector<std::uint8_t> got(bytes, 0x11), want(bytes, 0x22);
+      igemm::pack_b_quantized(p.b.data(), p.rs, p.cs, k, n, p.col_inv.data(),
+                              got.data());
+      igemm::scalar::pack_b_quantized(p.b.data(), p.rs, p.cs, k, n,
+                                      p.col_inv.data(), want.data());
+      ASSERT_EQ(got, want) << "k=" << k << " n=" << n;
+    }
+}
+
+TEST(Int8Gemm, ColumnRunOutputMatchesScalarTwinBitwise) {
+  // Linear output (pixels = 1, ldc = 1): column j's m outputs are the floats
+  // c[j * image_stride .. + m). Every mr tail, a tight and a padded image
+  // stride with a group offset, with and without ReLU and the per-image max.
+  Rng rng(32);
+  for (std::int64_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 96})
+    for (std::int64_t n : {1, 5, 16, 17, 40})
+      for (const bool padded : {false, true})
+        for (const igemm::Act act : {igemm::Act::kNone, igemm::Act::kRelu}) {
+          const Problem p = make_problem(m, n, 37, rng);
+          const std::int64_t stride = padded ? m + 11 : m;
+          const std::int64_t off = padded ? 5 : 0;
+          std::vector<std::int8_t> ap(
+              static_cast<std::size_t>(igemm::packed_a_bytes(m, p.k)));
+          std::vector<std::int32_t> rowsum(static_cast<std::size_t>(m));
+          igemm::pack_a_s8(p.a.data(), m, p.k, ap.data(), rowsum.data());
+          std::vector<std::uint8_t> bp(
+              static_cast<std::size_t>(igemm::packed_b_bytes(p.k, n)));
+          igemm::scalar::pack_b_quantized(p.b.data(), p.rs, p.cs, p.k, n,
+                                          p.col_inv.data(), bp.data());
+          igemm::Epilogue ep;
+          ep.row_scale = p.row_scale.data();
+          ep.col_scale = p.col_scale.data();
+          ep.bias = p.bias.data();
+          ep.pixels = 1;
+          ep.image_stride = stride;
+          ep.act = act;
+          std::vector<float> c[2], maxes[2];
+          for (int twin = 0; twin < 2; ++twin) {
+            c[twin].assign(static_cast<std::size_t>(n * stride + off), -999.0f);
+            maxes[twin].assign(static_cast<std::size_t>(n), 0.0f);
+            ep.absmax = act == igemm::Act::kNone ? nullptr : maxes[twin].data();
+            auto* gemm = twin == 1 ? &igemm::scalar::gemm : &igemm::gemm;
+            gemm(m, n, p.k, ap.data(), rowsum.data(), bp.data(),
+                 c[twin].data() + off, /*ldc=*/1, ep);
+          }
+          const std::string what = "m=" + std::to_string(m) +
+                                   " n=" + std::to_string(n) +
+                                   " stride=" + std::to_string(stride);
+          for (std::size_t i = 0; i < c[0].size(); ++i)
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(c[0][i]),
+                      std::bit_cast<std::uint32_t>(c[1][i]))
+                << what << " at " << i;
+          ASSERT_EQ(maxes[0], maxes[1]) << what;
+        }
+}
+
 // ---- Channel-quad conv lowering: quantize_conv_input + pack_b_conv_c4 ------
 //
 // The oracle is the two-pass sequence over the same k order: the input's

@@ -82,6 +82,36 @@ TEST(KernelBackendFuzz, ElementwiseBitIdentical) {
   }
 }
 
+TEST(KernelBackendFuzz, AddKeepsFirstNaNBitIdentical) {
+  // Quiet and signalling NaN payloads in both operands, alone and together:
+  // both backends must return add_first's bits, the first operand's NaN
+  // quieted, in vector bodies and scalar tails.
+  const float nan_a = std::bit_cast<float>(0x7fc0000au);
+  const float snan_a = std::bit_cast<float>(0xff80000cu);
+  const float nan_b = std::bit_cast<float>(0xffc0000bu);
+  const float snan_b = std::bit_cast<float>(0x7f80000du);
+  Rng rng(0xABC5);
+  for (auto n : kLens) {
+    Tensor x = fuzz_values(n, rng), g = fuzz_values(n, rng);
+    for (std::int64_t i = 0; i < n; ++i) {
+      if (i % 3 == 0) x.data()[i] = i % 2 ? nan_a : snan_a;
+      if (i % 4 == 0) g.data()[i] = i % 8 ? nan_b : snan_b;
+    }
+    Tensor want(Shape{std::max<std::int64_t>(n, 1)}), a = want, b = want;
+    for (std::int64_t i = 0; i < n; ++i)
+      want.data()[i] = kernels::add_first(x.data()[i], g.data()[i]);
+    kernels::add(x.data(), g.data(), a.data(), n);
+    kernels::scalar::add(x.data(), g.data(), b.data(), n);
+    expect_bits_equal(a.data(), want.data(), n, "add");
+    expect_bits_equal(b.data(), want.data(), n, "scalar::add");
+    for (std::int64_t i = 0; i < n; i += 12)  // both NaN: the first one wins
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(a.data()[i]),
+                std::bit_cast<std::uint32_t>(x.data()[i]) | 0x400000u);
+    kernels::add(x.data(), g.data(), x.data(), n);  // y aliases a
+    expect_bits_equal(x.data(), want.data(), n, "add in place");
+  }
+}
+
 TEST(KernelBackendFuzz, ReductionsBitIdentical) {
   Rng rng(0xABC2);
   for (auto n : kLens) {

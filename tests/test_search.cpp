@@ -426,6 +426,56 @@ TEST(SearchIndex, RerankReturnsExactCosineOrder) {
     EXPECT_GE(hits[i - 1].score, hits[i].score);
 }
 
+TEST(SearchIndex, RerankRanksNaNScoresLastAndSelectsAFullSortsPrefix) {
+  // Every third stored embedding holds a NaN, so its cosine is NaN. With the
+  // pool spanning the index, the full result list must be the finite scores
+  // descending, then the NaN rows by row; a smaller k must return its prefix.
+  Rng rng(810);
+  const std::int64_t rows = 300, dim = 32;
+  auto embeddings = random_floats(rng, rows * dim);
+  for (std::int64_t r = 0; r < rows; r += 3)
+    embeddings[static_cast<std::size_t>(r * dim + 5)] =
+        std::numeric_limits<float>::quiet_NaN();
+  std::vector<std::uint64_t> ids(static_cast<std::size_t>(rows));
+  for (std::int64_t r = 0; r < rows; ++r)
+    ids[static_cast<std::size_t>(r)] = 1000 + static_cast<std::uint64_t>(r);
+  IndexConfig cfg;
+  cfg.dim = dim;
+  cfg.store_embeddings = true;
+  Index index(cfg, search::Binarizer::sign(dim, CodeLayout::k1Bit));
+  index.add(embeddings.data(), ids.data(), rows);
+  const auto query = random_floats(rng, dim);
+  QueryScratch scratch;
+  QueryOptions opts;
+  opts.k = rows;
+  opts.rerank = true;
+  std::vector<Result> all(static_cast<std::size_t>(rows));
+  ASSERT_EQ(index.query(query.data(), opts, scratch, all.data()), rows);
+  const std::int64_t finite = rows - (rows + 2) / 3;
+  for (std::int64_t i = 0; i < rows; ++i) {
+    const Result& hit = all[static_cast<std::size_t>(i)];
+    ASSERT_EQ(std::isnan(hit.score), i >= finite) << i;
+    if (i == 0) continue;
+    const Result& prev = all[static_cast<std::size_t>(i - 1)];
+    if (i < finite) {
+      EXPECT_TRUE(prev.score > hit.score ||
+                  (prev.score == hit.score && prev.id < hit.id)) << i;
+    } else if (i > finite) {
+      EXPECT_LT(prev.id, hit.id) << i;
+    }
+  }
+  for (const std::int64_t k : {1, 10, 150, 250}) {
+    opts.k = k;
+    opts.overfetch = (rows + k - 1) / k;  // the pool still spans the index
+    std::vector<Result> top(static_cast<std::size_t>(k));
+    ASSERT_EQ(index.query(query.data(), opts, scratch, top.data()), k);
+    for (std::int64_t i = 0; i < k; ++i)
+      EXPECT_EQ(top[static_cast<std::size_t>(i)].id,
+                all[static_cast<std::size_t>(i)].id)
+          << "k " << k << " at " << i;
+  }
+}
+
 TEST(SearchIndex, MultiBlockScanMatchesBruteForceOracle) {
   Rng rng(909);
   // Many scan blocks and a partial one. 2-bit codes of 24 dims span
