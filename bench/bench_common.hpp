@@ -1,15 +1,10 @@
-// Shared harness for the table/figure reproduction binaries.
+// Helpers shared by the bench binaries: the paper experiments
+// (experiments.cpp) and the search and vit benches pretrain encoders with
+// the standard recipe below; the micro benches (kernels, search, vit,
+// micro_kernels) share the timing and check helpers.
 //
-// Every bench prints the paper's reference numbers next to the measured
-// ones. Absolute values are NOT expected to match (the substrate is a
-// scaled-down synthetic stand-in — see DESIGN.md); the *shape* (ordering,
-// approximate factors) is what EXPERIMENTS.md tracks.
-//
-// Environment knobs: CQ_SCALE (dataset sizes), CQ_EPOCHS (pretrain epochs),
-// CQ_CACHE_DIR (encoder checkpoint reuse across bench binaries).
-//
-// The micro benches (kernels, search, vit, micro_kernels) share the timing
-// and check helpers below.
+// Environment knobs: CQ_EPOCHS (pretrain epochs), CQ_CACHE_DIR (encoder
+// checkpoint reuse across runs).
 #pragma once
 
 #include <algorithm>
@@ -17,8 +12,6 @@
 #include <string>
 
 #include "core/runner.hpp"
-#include "eval/classifier.hpp"
-#include "util/table.hpp"
 #include "util/timer.hpp"
 
 namespace cq::bench {
@@ -81,23 +74,6 @@ inline core::PretrainConfig standard_pretrain(core::CqVariant variant,
   return cfg;
 }
 
-inline eval::EvalConfig finetune_config(int bits) {
-  eval::EvalConfig cfg;
-  cfg.epochs = static_cast<std::int64_t>(core::env_int("CQ_FT_EPOCHS", 15));
-  cfg.batch_size = 16;
-  cfg.lr = 0.02f;
-  cfg.eval_bits = bits;
-  return cfg;
-}
-
-inline eval::EvalConfig linear_config() {
-  eval::EvalConfig cfg;
-  cfg.epochs = 30;
-  cfg.batch_size = 32;
-  cfg.lr = 0.05f;
-  return cfg;
-}
-
 /// Pretrain (or load from cache) an encoder for (arch, bundle, config).
 inline models::Encoder pretrained_encoder(const std::string& arch,
                                           const core::DatasetBundle& bundle,
@@ -111,53 +87,6 @@ inline models::Encoder pretrained_encoder(const std::string& arch,
   const auto result = core::pretrain_cached(encoder, config, bundle, family);
   if (stats_out != nullptr) *stats_out = result.stats;
   return encoder;
-}
-
-/// The four fine-tuning cells of the paper's tables: FP/4-bit x 10%/1%.
-struct FinetuneCells {
-  float fp10 = 0.0f, fp1 = 0.0f, q10 = 0.0f, q1 = 0.0f;
-  bool failed = false;  // pretraining diverged; cells are meaningless
-};
-
-inline FinetuneCells finetune_four(models::Encoder& encoder,
-                                   const core::DatasetBundle& bundle,
-                                   std::uint64_t split_seed = 77) {
-  Rng split_rng(split_seed);
-  const auto lab10 = data::subset_fraction(bundle.labeled, 0.10, split_rng);
-  const auto lab1 = data::subset_fraction(bundle.labeled, 0.01, split_rng);
-  FinetuneCells cells;
-  cells.fp10 = eval::finetune_eval(encoder, lab10, bundle.test,
-                                   finetune_config(32))
-                   .test_accuracy;
-  cells.fp1 =
-      eval::finetune_eval(encoder, lab1, bundle.test, finetune_config(32))
-          .test_accuracy;
-  cells.q10 = eval::finetune_eval(encoder, lab10, bundle.test,
-                                  finetune_config(4))
-                  .test_accuracy;
-  cells.q1 =
-      eval::finetune_eval(encoder, lab1, bundle.test, finetune_config(4))
-          .test_accuracy;
-  return cells;
-}
-
-/// "measured (paper ref)" cell formatting.
-inline std::string cell(float measured, float paper) {
-  return TableWriter::num(measured, 1) + " (" + TableWriter::num(paper, 2) +
-         ")";
-}
-
-inline std::string cell(float measured) {
-  return TableWriter::num(measured, 1);
-}
-
-inline void print_preamble(const std::string& table_id,
-                           const std::string& description) {
-  std::printf("==== %s ====\n%s\n", table_id.c_str(), description.c_str());
-  std::printf(
-      "Cells show: measured-on-synthetic (paper reference). Absolute values "
-      "are not comparable;\nthe tracked claim is the ordering/shape — see "
-      "EXPERIMENTS.md.\n\n");
 }
 
 }  // namespace cq::bench

@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "eval/classifier.hpp"
 #include "search/recall.hpp"
 #include "search/service.hpp"
 #include "tensor/kernels/hamming.hpp"

@@ -40,15 +40,14 @@ int main(int argc, char** argv) {
   trainer.train(ssl_set);
 
   // 2. Move the pooled backbone's weights into a spatial trunk.
-  //    (GlobalAvgPool has no parameters, so the checkpoint is compatible.)
-  models::save_module("detection_trunk.ckpt", *encoder.backbone);
+  //    (GlobalAvgPool has no parameters, so they map one to one.)
   Rng trunk_rng(1);
   auto policy = std::make_shared<quant::QuantPolicy>();
   std::int64_t trunk_dim = 0;
   auto trunk = models::build_resnet(models::resnet18_config(), policy,
                                     trunk_rng, &trunk_dim,
                                     /*include_gap=*/false);
-  models::load_module("detection_trunk.ckpt", *trunk);
+  nn::copy_parameters(*encoder.backbone, *trunk);
 
   // 3. Detection data: cluttered canvases with one object + tight box.
   detect::DetectionConfig det_cfg;

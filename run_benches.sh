@@ -1,6 +1,7 @@
 #!/bin/bash
-# Runs every table/figure bench, skipping ones already completed
-# (marker: bench_out/<name>.txt ends with the CQ_BENCH_DONE line), then
+# Runs every paper experiment (`build/bench/experiments <name>`), skipping
+# ones already completed (marker: bench_out/<name>.txt ends with the
+# CQ_BENCH_DONE line), then
 # the report-only micro benches, each writing a JSON report into bench_out/:
 #   gemm.json        blocked-vs-reference GEMM GFLOP/s
 #   pipeline.json    steady-state allocation accounting
@@ -62,7 +63,8 @@ export CQ_FT_EPOCHS=${CQ_FT_EPOCHS:-10}
 export CQ_DET_EPOCHS=${CQ_DET_EPOCHS:-20}
 export CQ_TSNE_ITERS=${CQ_TSNE_ITERS:-200}
 
-if [ ! -x build/bench/micro_kernels ] || [ ! -x build/bench/kernels ] \
+if [ ! -x build/bench/experiments ] || [ ! -x build/bench/micro_kernels ] \
+   || [ ! -x build/bench/kernels ] \
    || [ ! -x build/bench/pipeline_alloc ] \
    || [ ! -x build/bench/search ] \
    || [ ! -x build/bench/vit ]; then
@@ -71,17 +73,15 @@ if [ ! -x build/bench/micro_kernels ] || [ ! -x build/bench/kernels ] \
 fi
 
 mkdir -p bench_out
-for b in table1_imagenet_finetune table2_imagenet_linear table3_detection_transfer \
-         table4_cifar_finetune table5_cifar_linear table6_byol_finetune \
-         table7_cq_variants table8_cq_quant fig2_tsne ablation_quant_design \
-         ext_extensions; do
+for b in table1 table2 table3 table4 table5 table6 table7 table8 fig2 \
+         ablation extensions; do
   out="bench_out/${b}.txt"
   if [ -f "$out" ] && grep -q "^CQ_BENCH_DONE$" "$out"; then
     echo "skip $b (done)"
     continue
   fi
   echo "=== RUNNING $b ==="
-  if ./build/bench/$b > "$out.tmp" 2> "bench_out/${b}.err"; then
+  if ./build/bench/experiments "$b" > "$out.tmp" 2> "bench_out/${b}.err"; then
     echo "CQ_BENCH_DONE" >> "$out.tmp"
     mv "$out.tmp" "$out"
     echo "done $b"

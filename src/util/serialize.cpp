@@ -1,6 +1,10 @@
 #include "util/serialize.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstring>
+#include <filesystem>
 
 #include "util/check.hpp"
 
@@ -8,11 +12,21 @@ namespace cq {
 
 namespace {
 constexpr char kMagic[4] = {'C', 'Q', 'C', 'K'};
+
+/// `path` plus a suffix no other writer shares: the pid keeps concurrent
+/// processes apart, the counter concurrent writers within one.
+std::string temp_name(const std::string& path) {
+  static std::atomic<std::uint64_t> counter{0};
+  return path + "." + std::to_string(::getpid()) + "." +
+         std::to_string(counter.fetch_add(1)) + ".tmp";
 }
+}  // namespace
 
 BinaryWriter::BinaryWriter(const std::string& path)
-    : out_(path, std::ios::binary), path_(path) {
-  CQ_CHECK_MSG(out_.good(), "cannot open " << path << " for writing");
+    : path_(path),
+      tmp_path_(temp_name(path)),
+      out_(tmp_path_, std::ios::binary) {
+  CQ_CHECK_MSG(out_.good(), "cannot open " << tmp_path_ << " for writing");
 }
 
 void BinaryWriter::write_u32(std::uint32_t v) {
@@ -46,17 +60,19 @@ void BinaryWriter::write_u64_array(const std::vector<std::uint64_t>& v) {
 
 void BinaryWriter::close() {
   if (closed_) return;
-  out_.flush();
-  CQ_CHECK_MSG(out_.good(), "write failure on " << path_);
   out_.close();
+  CQ_CHECK_MSG(!out_.fail(), "write failure on " << tmp_path_);
+  std::error_code ec;
+  std::filesystem::rename(tmp_path_, path_, ec);
+  CQ_CHECK_MSG(!ec, "cannot publish " << path_ << ": " << ec.message());
   closed_ = true;
 }
 
 BinaryWriter::~BinaryWriter() {
-  try {
-    close();
-  } catch (...) {
-  }
+  if (closed_) return;
+  out_.close();
+  std::error_code ec;
+  std::filesystem::remove(tmp_path_, ec);  // best effort: nothing to report
 }
 
 BinaryReader::BinaryReader(const std::string& path)

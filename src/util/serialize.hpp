@@ -13,6 +13,10 @@
 
 namespace cq {
 
+/// Writes to a temp file beside `path` that is unique to this writer, and
+/// publishes it by renaming it onto `path` in close(). A reader of `path`
+/// therefore sees either no file or a complete one: a process killed or a
+/// writer that throws mid-save leaves `path` as it was.
 class BinaryWriter {
  public:
   explicit BinaryWriter(const std::string& path);
@@ -24,7 +28,9 @@ class BinaryWriter {
   void write_f32_array(const std::vector<float>& v);
   void write_u64_array(const std::vector<std::uint64_t>& v);
 
-  /// Flushes and closes; throws on I/O failure.
+  /// Flushes, closes and renames the temp file onto the path; throws on I/O
+  /// failure. A writer destroyed without a successful close() removes its
+  /// temp file and publishes nothing.
   void close();
 
   ~BinaryWriter();
@@ -32,8 +38,9 @@ class BinaryWriter {
   BinaryWriter& operator=(const BinaryWriter&) = delete;
 
  private:
-  std::ofstream out_;
   std::string path_;
+  std::string tmp_path_;
+  std::ofstream out_;
   bool closed_ = false;
 };
 

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -157,26 +158,46 @@ TEST(Checkpoint, RejectsArchMismatch) {
 }
 
 TEST(Checkpoint, ClassificationWeightsLoadIntoDetectionTrunk) {
-  // GAP carries no parameters, so a checkpoint from the pooled backbone
-  // loads into the spatial trunk (Table 3 transfer path).
+  // GAP carries no parameters, so the pooled backbone's weights move into
+  // the spatial trunk, through a checkpoint or in memory (Table 3 copies
+  // them); both paths must give the trunk the same feature map, bit for
+  // bit.
   Rng rng(10);
   auto enc = models::make_encoder("resnet18", rng);
+  // One train-mode forward moves the BN running stats off their init
+  // values, so the buffers are checked too, not only the parameters.
+  enc.backbone->set_mode(nn::Mode::kTrain);
+  enc.forward(Tensor::uniform(Shape{4, 3, 16, 16}, rng));
+  enc.backbone->clear_cache();
   const std::string path = "test_ckpt_trunk.ckpt";
   models::save_module(path, *enc.backbone);
 
-  Rng rng2(123);
   auto policy = std::make_shared<quant::QuantPolicy>();
+  const auto make_trunk = [&](std::int64_t* dim) {
+    Rng trunk_rng(123);
+    return models::build_resnet(models::resnet18_config(), policy, trunk_rng,
+                                dim, /*include_gap=*/false);
+  };
   std::int64_t trunk_dim = 0;
-  auto trunk = models::build_resnet(models::resnet18_config(), policy, rng2,
-                                    &trunk_dim, /*include_gap=*/false);
-  EXPECT_NO_THROW(models::load_module(path, *trunk));
+  auto loaded = make_trunk(&trunk_dim);
+  EXPECT_NO_THROW(models::load_module(path, *loaded));
   EXPECT_EQ(trunk_dim, enc.feature_dim);
+  std::int64_t copied_dim = 0;
+  auto copied = make_trunk(&copied_dim);
+  nn::copy_parameters(*enc.backbone, *copied);
 
-  trunk->set_mode(nn::Mode::kEval);
+  loaded->set_mode(nn::Mode::kEval);
+  copied->set_mode(nn::Mode::kEval);
   Tensor x = Tensor::uniform(Shape{1, 3, 16, 16}, rng);
-  Tensor fmap = trunk->forward(x);
+  Tensor fmap = loaded->forward(x);
   EXPECT_EQ(fmap.shape().rank(), 4u);
   EXPECT_EQ(fmap.dim(1), trunk_dim);
+  const Tensor fmap_copied = copied->forward(x);
+  ASSERT_EQ(fmap_copied.shape(), fmap.shape());
+  EXPECT_EQ(std::memcmp(fmap_copied.data(), fmap.data(),
+                        static_cast<std::size_t>(fmap.numel()) *
+                            sizeof(float)),
+            0);
   std::filesystem::remove(path);
 }
 

@@ -28,7 +28,6 @@
 #include "search/service.hpp"
 #include "tensor/kernels/hamming.hpp"
 #include "tensor/kernels/kernels.hpp"
-#include "testutil.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -841,9 +840,7 @@ const std::string& checkpoint_path() {
     }
     enc.backbone->set_mode(nn::Mode::kEval);
     std::string p = testing::TempDir() + "cq_search_ckpt.bin";
-    test::publish_file(p, [&](const std::string& tmp) {
-      models::save_module(tmp, *enc.backbone);
-    });
+    models::save_module(p, *enc.backbone);
     return p;
   }();
   return path;

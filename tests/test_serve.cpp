@@ -24,7 +24,6 @@
 #include "serve/queue.hpp"
 #include "serve/request.hpp"
 #include "serve/stats.hpp"
-#include "testutil.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -46,9 +45,7 @@ const std::string& checkpoint_path() {
     }
     enc.backbone->set_mode(nn::Mode::kEval);
     std::string p = testing::TempDir() + "cq_serve_ckpt.bin";
-    test::publish_file(p, [&](const std::string& tmp) {
-      models::save_module(tmp, *enc.backbone);
-    });
+    models::save_module(p, *enc.backbone);
     return p;
   }();
   return path;

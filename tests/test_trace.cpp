@@ -16,7 +16,6 @@
 #include "models/encoder.hpp"
 #include "serve/engine.hpp"
 #include "serve/queue.hpp"
-#include "testutil.hpp"
 #include "util/rng.hpp"
 
 namespace cq {
@@ -245,9 +244,7 @@ const std::string& trace_checkpoint() {
     }
     enc.backbone->set_mode(nn::Mode::kEval);
     std::string p = testing::TempDir() + "cq_trace_ckpt.bin";
-    test::publish_file(p, [&](const std::string& tmp) {
-      models::save_module(tmp, *enc.backbone);
-    });
+    models::save_module(p, *enc.backbone);
     return p;
   }();
   return path;

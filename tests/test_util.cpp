@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <stdexcept>
 
 #include "util/check.hpp"
 #include "util/csv.hpp"
@@ -196,6 +197,39 @@ TEST(Serialize, RoundTripsAllTypes) {
   ASSERT_EQ(arr.size(), 3u);
   EXPECT_FLOAT_EQ(arr[1], -2.0f);
   std::filesystem::remove(path);
+}
+
+TEST(Serialize, WriterPublishesOnlyOnClose) {
+  // A loader trusts any file at a checkpoint's path, so the path must not
+  // exist until the whole file is written: a writer that throws before
+  // close() leaves neither the path nor its temp file behind.
+  const auto dir = std::filesystem::path(testing::TempDir()) / "cq_ser_publish";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "ckpt.bin").string();
+  {
+    BinaryWriter w(path);
+    write_checkpoint_header(w);
+    w.write_u32(42);
+    EXPECT_FALSE(std::filesystem::exists(path));
+    w.close();
+    EXPECT_TRUE(std::filesystem::exists(path));
+  }
+  BinaryReader r(path);
+  read_checkpoint_header(r);
+  EXPECT_EQ(r.read_u32(), 42u);
+  EXPECT_NO_THROW(r.expect_eof());
+  std::filesystem::remove(path);
+
+  const auto interrupted_save = [&] {
+    BinaryWriter w(path);
+    write_checkpoint_header(w);
+    throw std::runtime_error("save interrupted");
+  };
+  EXPECT_THROW(interrupted_save(), std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Serialize, RejectsBadMagic) {
