@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "core/trace.hpp"
 #include "graph/tracer.hpp"
 #include "models/vit.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/layernorm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/kernels/igemm.hpp"
@@ -16,17 +16,6 @@
 namespace cq::graph {
 
 namespace {
-
-ConvGeometry conv_geometry(const Node& n, const Shape& in) {
-  ConvGeometry g;
-  g.in_channels = n.conv.in_channels / n.conv.groups;
-  g.in_h = in.dim(1);
-  g.in_w = in.dim(2);
-  g.kernel_h = g.kernel_w = n.conv.kernel;
-  g.stride = n.conv.stride;
-  g.pad = n.conv.pad;
-  return g;
-}
 
 // dst[i] = clamp(round(src[i] * inv_scale), -127, 127): the symmetric int8
 // weight quantizer.
@@ -68,8 +57,9 @@ CompiledModel::CompiledModel(Graph g, std::int64_t max_batch)
   if (misalign != 0) base_ += kArenaAlign - misalign;
 
   // Prepack weights: the compiled plan never touches raw weight bytes on
-  // the forward path (fp32 conv weights stay row-major — gemm packs them
-  // per cache block internally, amortized across the whole batch).
+  // the forward path, except fp32 conv weights, which stay row-major: the
+  // shared nn::detail::conv2d_forward hands them to gemm, which packs them
+  // per cache block for each image.
   state_.resize(graph_.nodes.size());
   for (std::size_t i = 0; i < graph_.nodes.size(); ++i) {
     const Node& node = graph_.nodes[i];
@@ -129,9 +119,8 @@ void CompiledModel::quantize_int8_weights(std::size_t i, const float* scales) {
   std::int64_t kq = cols;
   if (node.op == Op::kConv2d) {
     // The plan's conv lowering runs k in (tap, cq, ci) order (igemm.hpp).
-    ConvGeometry g;
-    g.in_channels = node.conv.in_channels / groups;
-    g.kernel_h = g.kernel_w = node.conv.kernel;
+    const Shape& in = graph_.value(node.inputs[0]).shape;
+    const ConvGeometry g = node.conv.group_geometry(in.dim(1), in.dim(2));
     kq = igemm::conv_k(g);
     std::vector<std::int8_t> reordered(static_cast<std::size_t>(rows * kq));
     igemm::reorder_conv_weights(wq.data(), rows, g, reordered.data());
@@ -220,10 +209,9 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
 
     switch (node.op) {
       case Op::kConv2d: {
-        const ConvGeometry geo = conv_geometry(node, ishape);
-        const auto oh = geo.out_h(), ow = geo.out_w();
-        const auto spatial = oh * ow;
-        const auto krows = geo.col_rows();
+        const ConvGeometry geo =
+            node.conv.group_geometry(ishape.dim(1), ishape.dim(2));
+        const auto spatial = geo.col_cols();
         const auto cout_g = node.conv.out_channels / node.conv.groups;
         const auto cin_g = geo.in_channels;
         const auto cols = n * spatial;
@@ -287,39 +275,15 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
         }
 
         CQ_TRACE_SCOPE_N("graph.node.conv", n);
-        float* cols_buf = arena_ptr(scratch[0]);
-        float* gout = arena_ptr(scratch[1]);
+        // The folded bias is always applied; act/cap ride the same epilogue.
         gemm::Epilogue ep;
+        ep.bias = st.bias.data();
         ep.bias_kind = gemm::Epilogue::Bias::kPerRow;
         ep.act = node.act;
         ep.cap = node.act_cap;
-        for (std::int64_t grp = 0; grp < node.conv.groups; ++grp) {
-          {
-            CQ_TRACE_SCOPE_N("serve.lower", n);
-            // Image img writes the img*spatial column band.
-            for (std::int64_t img = 0; img < n; ++img)
-              im2col(in_p + img * sample_in + grp * cin_g * in_h * in_w, geo,
-                     cols_buf + img * spatial, cols);
-          }
-          ep.bias = st.bias.data() + grp * cout_g;
-          gemm::gemm(gemm::Trans::kNN, cout_g, cols, krows,
-                     node.weight.data() + grp * cout_g * krows, cols_buf, gout,
-                     /*accumulate=*/false, ep);
-          for (std::int64_t oc_local = 0; oc_local < cout_g; ++oc_local) {
-            const float* src = gout + oc_local * cols;
-            const std::int64_t oc = grp * cout_g + oc_local;
-            if (spatial == 1) {
-              for (std::int64_t img = 0; img < n; ++img)
-                out_p[img * node.conv.out_channels + oc] = src[img];
-            } else {
-              for (std::int64_t img = 0; img < n; ++img)
-                std::memcpy(
-                    out_p + (img * node.conv.out_channels + oc) * spatial,
-                    src + img * spatial,
-                    static_cast<std::size_t>(spatial) * sizeof(float));
-            }
-          }
-        }
+        nn::detail::conv2d_forward(node.conv, in_p, n, in_h, in_w,
+                                   node.weight.data(), ep, /*qa=*/nullptr,
+                                   arena_ptr(scratch[0]), out_p);
         break;
       }
 
@@ -369,7 +333,8 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
 
       case Op::kPatchEmbed: {
         CQ_TRACE_SCOPE_N("graph.node.patch_embed", n);
-        const ConvGeometry geo = conv_geometry(node, ishape);
+        const ConvGeometry geo =
+            node.conv.group_geometry(ishape.dim(1), ishape.dim(2));
         const std::int64_t seq = geo.col_cols();
         const std::int64_t krows = geo.col_rows();
         const std::int64_t dim = node.conv.out_channels;

@@ -12,25 +12,6 @@
 
 namespace cq::graph {
 
-namespace {
-
-std::int64_t round_up(std::int64_t v, std::int64_t to) {
-  return (v + to - 1) / to * to;
-}
-
-ConvGeometry conv_geometry(const Node& n, const Shape& in) {
-  ConvGeometry g;
-  g.in_channels = n.conv.in_channels / n.conv.groups;
-  g.in_h = in.dim(1);
-  g.in_w = in.dim(2);
-  g.kernel_h = g.kernel_w = n.conv.kernel;
-  g.stride = n.conv.stride;
-  g.pad = n.conv.pad;
-  return g;
-}
-
-}  // namespace
-
 bool publishes_absmax(const Node& n) {
   return n.op == Op::kConv2d && n.precision == Precision::kInt8 &&
          n.act != gemm::Epilogue::Act::kNone;
@@ -42,8 +23,8 @@ std::vector<std::int64_t> node_scratch_bytes(const Graph& g, std::size_t i,
   constexpr std::int64_t kF = sizeof(float);
   switch (n.op) {
     case Op::kConv2d: {
-      const ConvGeometry geo = conv_geometry(n, g.value(n.inputs[0]).shape);
-      const std::int64_t krows = geo.col_rows();
+      const Shape& in = g.value(n.inputs[0]).shape;
+      const ConvGeometry geo = n.conv.group_geometry(in.dim(1), in.dim(2));
       const std::int64_t cols = batch * geo.col_cols();
       if (n.precision == Precision::kInt8)  // the epilogue writes NCHW
         return {cols * kF,   // col_scale
@@ -54,9 +35,8 @@ std::vector<std::int64_t> node_scratch_bytes(const Graph& g, std::size_t i,
                     geo.in_h * geo.in_w,
                 batch,
                 igemm::packed_b_bytes(igemm::conv_k(geo), cols)};
-      const std::int64_t cout_g = n.conv.out_channels / n.conv.groups;
-      return {krows * cols * kF,    // cols (im2col matrix)
-              cout_g * cols * kF};  // gout
+      // One image's columns: images run one after another and reuse them.
+      return {geo.col_rows() * geo.col_cols() * kF};
     }
     case Op::kLinear: {
       if (n.precision != Precision::kInt8) return {};
@@ -123,7 +103,7 @@ std::int64_t assign_offsets(std::vector<PlannedBuffer>& buffers,
     std::int64_t cand = 0;
     for (const Span& s : spans) {
       if (cand + b.bytes <= s.begin) break;  // fits in the gap below s
-      cand = std::max(cand, round_up(s.end, align));
+      cand = std::max(cand, igemm::round_up(s.end, align));
     }
     b.offset = cand;
     peak = std::max(peak, cand + b.bytes);
@@ -183,7 +163,7 @@ ArenaPlan plan_arena(const Graph& g, std::int64_t max_batch) {
   }
 
   const std::int64_t peak = assign_offsets(plan.buffers, kArenaAlign);
-  plan.arena_bytes = round_up(peak, kArenaAlign);
+  plan.arena_bytes = igemm::round_up(peak, kArenaAlign);
   plan.naive_bytes = 0;
   for (const PlannedBuffer& b : plan.buffers) {
     plan.naive_bytes += b.bytes;

@@ -1,7 +1,6 @@
 // Liveness-based arena planner: every intermediate value AND every node
-// scratch buffer (im2col column matrices, fp32 GEMM outputs pending NCHW
-// scatter, int8 packing buffers) gets an offset into ONE preallocated
-// arena, sized for the plan's max batch width.
+// scratch buffer (one image's im2col columns, int8 packing buffers) gets an
+// offset into ONE preallocated arena, sized for the plan's max batch width.
 //
 // Liveness is trivial on a topologically-ordered node list: a value is live
 // from its producing step to its last consuming step; node scratch is live
@@ -68,12 +67,16 @@ struct ArenaPlan {
 bool publishes_absmax(const Node& n);
 
 /// Per-slot scratch bytes node `i` needs at batch width `batch`. Slot order
-/// is the executor's contract: fp32 conv {cols, gout}; int8 conv {col_scale,
-/// img_inv, act, pad, packed_b} (act and pad hold one group's channel-quad
-/// input bytes, reused across groups; the epilogue writes NCHW, so there is
-/// no gout); int8 linear {in_scale, in_inv, packed_b} (its epilogue writes
-/// [rows, out] directly); patch embed {patches}; attention {per-image
-/// q/k/v + scores}; everything else none.
+/// is the executor's contract:
+///  * fp32 conv {cols}: one image's column matrix; images run one after
+///    another through nn::detail::conv2d_forward, whose GEMM writes NCHW;
+///  * int8 conv {col_scale, img_inv, act, pad, packed_b}: act and pad hold
+///    one group's channel-quad input bytes, reused across groups; the
+///    epilogue writes NCHW;
+///  * int8 linear {in_scale, in_inv, packed_b}: its epilogue writes
+///    [rows, out] directly;
+///  * patch embed {patches}; attention {per-image q/k/v + scores};
+///    everything else none.
 std::vector<std::int64_t> node_scratch_bytes(const Graph& g, std::size_t i,
                                              std::int64_t batch);
 

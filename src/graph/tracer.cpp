@@ -88,13 +88,7 @@ ValueId trace_module(Graph& g, nn::Module& child, ValueId cur,
     CQ_CHECK_MSG(in.rank() == 3 && in.dim(0) == spec.in_channels,
                  "tracer: conv " << label << " expects [" << spec.in_channels
                                  << ",H,W], got " << in.str());
-    ConvGeometry geo;
-    geo.in_channels = spec.in_channels / spec.groups;
-    geo.in_h = in.dim(1);
-    geo.in_w = in.dim(2);
-    geo.kernel_h = geo.kernel_w = spec.kernel;
-    geo.stride = spec.stride;
-    geo.pad = spec.pad;
+    const ConvGeometry geo = spec.group_geometry(in.dim(1), in.dim(2));
     Node n;
     n.op = Op::kConv2d;
     n.inputs = {cur};

@@ -25,17 +25,35 @@ Conv2d::Conv2d(const Conv2dSpec& spec, Rng& rng, std::string name)
                       /*decay=*/false);
 }
 
-ConvGeometry Conv2d::group_geometry(std::int64_t in_h,
-                                    std::int64_t in_w) const {
-  ConvGeometry g;
-  g.in_channels = spec_.in_channels / spec_.groups;
-  g.in_h = in_h;
-  g.in_w = in_w;
-  g.kernel_h = g.kernel_w = spec_.kernel;
-  g.stride = spec_.stride;
-  g.pad = spec_.pad;
-  return g;
+namespace detail {
+
+void conv2d_forward(const Conv2dSpec& spec, const float* x, std::int64_t n,
+                    std::int64_t in_h, std::int64_t in_w, const float* w,
+                    const gemm::Epilogue& ep, const gemm::QuantSpec* qa,
+                    float* cols, float* y) {
+  const auto g = spec.group_geometry(in_h, in_w);
+  const auto spatial = g.out_h() * g.out_w();
+  const auto cout_g = spec.out_channels / spec.groups;
+  const auto krows = g.col_rows();  // cin_g * K * K
+  const auto group_in = g.in_channels * in_h * in_w;
+  gemm::Epilogue group_ep = ep;
+  for (std::int64_t img = 0; img < n; ++img) {
+    const float* in_base = x + img * spec.in_channels * in_h * in_w;
+    float* out_base = y + img * spec.out_channels * spatial;
+    for (std::int64_t grp = 0; grp < spec.groups; ++grp) {
+      im2col(in_base + grp * group_in, g, cols);
+      // out[cout_g, spatial] = W_grp[cout_g, krows] * cols[krows, spatial];
+      // GEMM rows are output channels, so the bias is a per-row epilogue.
+      if (ep.bias != nullptr) group_ep.bias = ep.bias + grp * cout_g;
+      gemm::gemm(gemm::Trans::kNN, cout_g, spatial, krows,
+                 w + grp * cout_g * krows, cols,
+                 out_base + grp * cout_g * spatial,
+                 /*accumulate=*/false, group_ep, qa, nullptr);
+    }
+  }
 }
+
+}  // namespace detail
 
 Tensor Conv2d::forward(const Tensor& x) {
   CQ_TRACE_SCOPE_N("nn.conv.fwd", x.dim(0));
@@ -43,7 +61,7 @@ Tensor Conv2d::forward(const Tensor& x) {
                "conv input " << x.shape().str() << " expects [N, "
                              << spec_.in_channels << ", H, W]");
   const auto n = x.dim(0), in_h = x.dim(2), in_w = x.dim(3);
-  const auto g = group_geometry(in_h, in_w);
+  const auto g = spec_.group_geometry(in_h, in_w);
   const auto oh = g.out_h(), ow = g.out_w();
   CQ_CHECK_MSG(oh > 0 && ow > 0, "conv output would be empty for input "
                                      << x.shape().str());
@@ -60,38 +78,18 @@ Tensor Conv2d::forward(const Tensor& x) {
   const Tensor& w_fwd = wq || !transformed ? weight_.value : w_eff;
   const gemm::QuantSpec* qa = wq ? &*wq : nullptr;
 
-  const auto groups = spec_.groups;
-  const auto cout_g = spec_.out_channels / groups;
-  const auto cin_g = g.in_channels;
-  const auto krows = g.col_rows();  // cin_g * K * K
-
   // Fully overwritten below (gemm writes every output element).
   Tensor y = Tensor::empty(Shape{n, spec_.out_channels, oh, ow});
-  cols_.resize(Shape{krows, oh * ow});
-  float* cols = cols_.data();
-  const float* W = w_fwd.data();
-  const float* bias = spec_.bias ? std::as_const(bias_.value).data() : nullptr;
-  const float* x_base = x.data();
-  float* y_base = y.data();
-  for (std::int64_t img = 0; img < n; ++img) {
-    const float* in_base = x_base + img * spec_.in_channels * in_h * in_w;
-    float* out_base = y_base + img * spec_.out_channels * oh * ow;
-    for (std::int64_t grp = 0; grp < groups; ++grp) {
-      im2col(in_base + grp * cin_g * in_h * in_w, g, cols);
-      // out[cout_g, oh*ow] = W_grp[cout_g, krows] * cols[krows, oh*ow],
-      // with the per-channel bias fused as a per-row epilogue (GEMM rows
-      // are output channels here).
-      const float* wg = W + grp * cout_g * krows;
-      float* og = out_base + grp * cout_g * oh * ow;
-      gemm::Epilogue ep;
-      if (bias != nullptr) {
-        ep.bias = bias + grp * cout_g;
-        ep.bias_kind = gemm::Epilogue::Bias::kPerRow;
-      }
-      gemm::gemm(gemm::Trans::kNN, cout_g, oh * ow, krows, wg, cols, og,
-                 /*accumulate=*/false, ep, qa, nullptr);
-    }
+  cols_.resize(Shape{g.col_rows(), oh * ow});
+  // Bias only when the module has one: a +0.0 bias would turn -0.0
+  // outputs into +0.0.
+  gemm::Epilogue ep;
+  if (spec_.bias) {
+    ep.bias = std::as_const(bias_.value).data();
+    ep.bias_kind = gemm::Epilogue::Bias::kPerRow;
   }
+  detail::conv2d_forward(spec_, x.data(), n, in_h, in_w, w_fwd.data(), ep, qa,
+                         cols_.data(), y.data());
 
   if (mode_ == Mode::kTrain) {
     Cache entry;
@@ -115,7 +113,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
 
   const Tensor& x = entry.input;
   const auto n = x.dim(0), in_h = x.dim(2), in_w = x.dim(3);
-  const auto g = group_geometry(in_h, in_w);
+  const auto g = spec_.group_geometry(in_h, in_w);
   const auto oh = g.out_h(), ow = g.out_w();
   CQ_CHECK(grad_out.shape().rank() == 4 && grad_out.dim(0) == n &&
            grad_out.dim(1) == spec_.out_channels && grad_out.dim(2) == oh &&

@@ -18,7 +18,35 @@ struct Conv2dSpec {
   std::int64_t pad = 1;
   std::int64_t groups = 1;
   bool bias = false;  // conv layers are usually followed by BatchNorm
+
+  /// One group's lowering geometry on an in_h x in_w input: in_channels /
+  /// groups input channels, a square kernel.
+  ConvGeometry group_geometry(std::int64_t in_h, std::int64_t in_w) const {
+    return {.in_channels = in_channels / groups,
+            .in_h = in_h,
+            .in_w = in_w,
+            .kernel_h = kernel,
+            .kernel_w = kernel,
+            .stride = stride,
+            .pad = pad};
+  }
 };
+
+namespace detail {
+/// The one fp32 conv forward, shared by Conv2d::forward and the compiled
+/// plan's fp32 conv node. For each of the n NCHW images and each group:
+/// im2col into `cols` (one image's column matrix, group_geometry's col_rows
+/// x col_cols floats), then one gemm(kNN) that writes that image-group's
+/// NCHW slice of y. `w` is [out_channels, col_rows]. Each caller brings its
+/// own epilogue: `ep.bias`, when set, holds all out_channels per-row biases
+/// and each group's GEMM reads its own slice. `qa` folds a fake
+/// quantization into the packing of w (nullptr: raw weights). Every image
+/// runs the batch-1 code, so a batch-N forward equals N batch-1 forwards.
+void conv2d_forward(const Conv2dSpec& spec, const float* x, std::int64_t n,
+                    std::int64_t in_h, std::int64_t in_w, const float* w,
+                    const gemm::Epilogue& ep, const gemm::QuantSpec* qa,
+                    float* cols, float* y);
+}  // namespace detail
 
 class Conv2d : public Module {
  public:
@@ -49,8 +77,6 @@ class Conv2d : public Module {
     std::optional<Tensor> effective_weight;
     std::optional<gemm::QuantSpec> weight_spec;
   };
-
-  ConvGeometry group_geometry(std::int64_t in_h, std::int64_t in_w) const;
 
   Conv2dSpec spec_;
   Parameter weight_;  // [Cout, (Cin/groups) * K * K]

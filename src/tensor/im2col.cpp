@@ -8,20 +8,14 @@
 namespace cq {
 
 void im2col(const float* image, const ConvGeometry& g, float* cols) {
-  im2col(image, g, cols, g.col_cols());
-}
-
-void im2col(const float* image, const ConvGeometry& g, float* cols,
-            std::int64_t col_stride) {
   const auto oh = g.out_h(), ow = g.out_w();
   CQ_TRACE_SCOPE_BYTES("im2col", g.col_rows() * oh * ow * sizeof(float));
-  CQ_DCHECK(col_stride >= oh * ow);
   std::int64_t row = 0;
   for (std::int64_t c = 0; c < g.in_channels; ++c) {
     const float* chan = image + c * g.in_h * g.in_w;
     for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
       for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
-        float* out_row = cols + row * col_stride;
+        float* out_row = cols + row * oh * ow;
         // The x positions with an in-bounds source pixel form one contiguous
         // run: 0 <= x*stride + kw - pad < in_w. Hoisting that range out of
         // the pixel loop turns the interior into a straight copy (memcpy for
@@ -94,9 +88,9 @@ void im2col_batched(const float* images, std::int64_t n,
     const std::int64_t kh = (row % kk) / g.kernel_w;
     const std::int64_t kw = row % g.kernel_w;
     const std::int64_t chan_off = c * g.in_h * g.in_w;
-    // Identical range hoist to the strided single-image overload above
-    // (same copy/fill structure, so the bytes match bit for bit) —
-    // computed once per patch row here instead of once per (row, image).
+    // Identical range hoist to im2col above (same copy/fill structure, so
+    // the bytes match bit for bit) — computed once per patch row here
+    // instead of once per (row, image).
     const std::int64_t off = kw - g.pad;
     std::int64_t x0 = off < 0 ? (-off + g.stride - 1) / g.stride : 0;
     std::int64_t x1 = off < g.in_w ? (g.in_w - 1 - off) / g.stride : -1;

@@ -26,24 +26,14 @@ struct ConvGeometry {
 /// `image` must be the contiguous CHW block (C*H*W floats).
 void im2col(const float* image, const ConvGeometry& g, float* cols);
 
-/// Strided variant: writes row r of the column matrix at
-/// cols[r * col_stride .. r * col_stride + col_cols). With
-/// col_stride > col_cols this lowers one image into a slice of a wider
-/// batched column matrix [col_rows, batch * col_cols] — the serving engine
-/// lowers every image of a dynamic batch side by side and runs ONE GEMM over
-/// all of them, amortizing the weight-packing pass across the batch.
-/// Requires col_stride >= col_cols.
-void im2col(const float* image, const ConvGeometry& g, float* cols,
-            std::int64_t col_stride);
-
 /// Batched lowering: lowers `n` images (spaced `sample_stride` floats
 /// apart) side by side into a [col_rows, n * col_cols] column matrix with
 /// row stride `col_stride` (>= n * col_cols); image i owns columns
-/// [i * col_cols, (i+1) * col_cols). Bit-identical to n strided im2col
-/// calls, but the per-row source-range geometry (several integer divisions
-/// per patch row) is computed once and reused for every image — on
-/// thumbnail inputs that bookkeeping rivals the copies themselves, which is
-/// exactly the regime the serving engine's dynamic batches live in.
+/// [i * col_cols, (i+1) * col_cols), bit-identical to im2col of that image.
+/// The per-row source-range geometry is computed once for every image. No
+/// library path lowers a batch side by side (convs run one image at a time,
+/// nn::detail::conv2d_forward); the int8 conv tests build their reference
+/// columns with it.
 void im2col_batched(const float* images, std::int64_t n,
                     std::int64_t sample_stride, const ConvGeometry& g,
                     float* cols, std::int64_t col_stride);

@@ -26,6 +26,7 @@
 #include "tensor/im2col.hpp"
 #include "tensor/kernels/igemm.hpp"
 #include "tensor/kernels/kernels.hpp"
+#include "testutil.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -399,6 +400,79 @@ TEST(GraphTracer, ConvBiasKept) {
       graph::CompileOptions{kBatch, graph::Precision::kInt8, true});
   expect_bitwise(int8.forward(x),
                  oracle_conv(x, spec, conv.weight().value, bias));
+}
+
+// ---- fp32 conv against direct convolution ---------------------------------
+//
+// Conv2d::forward and the plan's fp32 conv node run one shared lowering
+// (nn::detail::conv2d_forward), so neither is an oracle for the other. Both
+// are checked against test::naive_conv, which shares no code with im2col or
+// gemm. A trailing ReLU / ReLU6 fuses into the plan's conv epilogue; the
+// eager side runs it as its own module.
+TEST(GraphExecutor, Fp32ConvMatchesDirectConvolution) {
+  constexpr std::int64_t kMaxBatch = 3, kInH = 7, kInW = 6;
+  struct Grouping {
+    const char* name;
+    std::int64_t cin, cout, groups;
+  };
+  std::uint64_t seed = 200;
+  for (const Grouping gr : {Grouping{"dense", 3, 4, 1},
+                            Grouping{"grouped", 4, 6, 2},
+                            Grouping{"depthwise", 4, 4, 4}})
+    for (const std::int64_t k : {1, 3, 5})
+      for (const std::int64_t stride : {1, 2})
+        for (const std::int64_t pad : {0, 1, 2})
+          for (const bool bias : {false, true})
+            for (const float cap : {-1.0f, 0.0f, 6.0f}) {  // none, ReLU, ReLU6
+              SCOPED_TRACE(testing::Message()
+                           << gr.name << " k" << k << " stride" << stride
+                           << " pad" << pad << " bias" << bias << " cap"
+                           << cap);
+              const nn::Conv2dSpec spec{.in_channels = gr.cin,
+                                        .out_channels = gr.cout,
+                                        .kernel = k,
+                                        .stride = stride,
+                                        .pad = pad,
+                                        .groups = gr.groups,
+                                        .bias = bias};
+              Rng rng(++seed);
+              nn::Sequential net;
+              auto& conv = net.emplace<nn::Conv2d>(spec, rng, "c");
+              if (bias)
+                conv.bias()->value =
+                    Tensor::uniform(Shape{gr.cout}, rng, -1.0f, 1.0f);
+              if (cap >= 0.0f) net.emplace<nn::ReLU>(cap);
+              net.set_mode(nn::Mode::kEval);
+              auto model = graph::compile(
+                  net, Shape{gr.cin, kInH, kInW},
+                  graph::CompileOptions{kMaxBatch, graph::Precision::kF32,
+                                        true});
+              ASSERT_EQ(model.graph().nodes.size(), 1u);  // the ReLU fused
+              for (const std::int64_t n : {std::int64_t{1}, kMaxBatch}) {
+                SCOPED_TRACE(n);
+                // Wide inputs so some outputs pass ReLU6's cap.
+                const Tensor x = Tensor::uniform(
+                    Shape{n, gr.cin, kInH, kInW}, rng, -4.0f, 4.0f);
+                std::vector<float> want = test::naive_conv(
+                    spec, x.data(), n, kInH, kInW, conv.weight().value.data(),
+                    bias ? conv.bias()->value.data() : nullptr);
+                for (float& v : want) {
+                  if (cap >= 0.0f) v = std::max(v, 0.0f);
+                  if (cap > 0.0f) v = std::min(v, cap);
+                }
+                const Tensor eager = net.forward(x);
+                const Tensor& plan = model.forward(x);
+                ASSERT_EQ(eager.numel(),
+                          static_cast<std::int64_t>(want.size()));
+                ASSERT_EQ(plan.shape(), eager.shape());
+                for (std::size_t i = 0; i < want.size(); ++i) {
+                  const float tol = 1e-4f * (1.0f + std::fabs(want[i]));
+                  const auto j = static_cast<std::int64_t>(i);
+                  ASSERT_NEAR(eager[j], want[i], tol) << "eager @" << i;
+                  ASSERT_NEAR(plan[j], want[i], tol) << "plan @" << i;
+                }
+              }
+            }
 }
 
 TEST(GraphExecutor, Int8LinearNodeMatchesTwoPassOracle) {

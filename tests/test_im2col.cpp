@@ -2,39 +2,11 @@
 
 #include "tensor/im2col.hpp"
 #include "tensor/ops.hpp"
+#include "testutil.hpp"
 #include "util/rng.hpp"
 
 namespace cq {
 namespace {
-
-// Naive direct convolution for one CHW image: out[oc, oy, ox].
-std::vector<float> naive_conv(const std::vector<float>& img,
-                              const std::vector<float>& weight,
-                              std::int64_t cin, std::int64_t cout,
-                              const ConvGeometry& g) {
-  const auto oh = g.out_h(), ow = g.out_w();
-  std::vector<float> out(static_cast<std::size_t>(cout * oh * ow), 0.0f);
-  for (std::int64_t oc = 0; oc < cout; ++oc)
-    for (std::int64_t oy = 0; oy < oh; ++oy)
-      for (std::int64_t ox = 0; ox < ow; ++ox) {
-        double s = 0.0;
-        for (std::int64_t ic = 0; ic < cin; ++ic)
-          for (std::int64_t ky = 0; ky < g.kernel_h; ++ky)
-            for (std::int64_t kx = 0; kx < g.kernel_w; ++kx) {
-              const auto iy = oy * g.stride + ky - g.pad;
-              const auto ix = ox * g.stride + kx - g.pad;
-              if (iy < 0 || iy >= g.in_h || ix < 0 || ix >= g.in_w) continue;
-              const float iv = img[static_cast<std::size_t>(
-                  (ic * g.in_h + iy) * g.in_w + ix)];
-              const float wv = weight[static_cast<std::size_t>(
-                  ((oc * cin + ic) * g.kernel_h + ky) * g.kernel_w + kx)];
-              s += static_cast<double>(iv) * wv;
-            }
-        out[static_cast<std::size_t>((oc * oh + oy) * ow + ox)] =
-            static_cast<float>(s);
-      }
-  return out;
-}
 
 ConvGeometry geom(std::int64_t c, std::int64_t h, std::int64_t w,
                   std::int64_t k, std::int64_t stride, std::int64_t pad) {
@@ -72,14 +44,44 @@ TEST(Im2col, MatmulEqualsDirectConvolution) {
     im2col(img.data(), g, cols.data());
     Tensor colm(Shape{g.col_rows(), g.col_cols()}, cols);
     Tensor out = ops::matmul(weight, colm);
-    const auto naive = naive_conv(
-        std::vector<float>(img.data(), img.data() + img.numel()),
-        std::vector<float>(weight.data(), weight.data() + weight.numel()),
-        g.in_channels, cout, g);
+    const nn::Conv2dSpec spec{.in_channels = g.in_channels,
+                              .out_channels = cout,
+                              .kernel = k,
+                              .stride = stride,
+                              .pad = pad};
+    const auto naive = test::naive_conv(spec, img.data(), 1, g.in_h, g.in_w,
+                                        weight.data());
     ASSERT_EQ(static_cast<std::size_t>(out.numel()), naive.size())
         << "k=" << k << " s=" << stride << " p=" << pad;
     for (std::int64_t i = 0; i < out.numel(); ++i)
       EXPECT_NEAR(out[i], naive[static_cast<std::size_t>(i)], 1e-4);
+  }
+}
+
+TEST(Im2col, BatchedMatchesPerImage) {
+  // im2col_batched builds the int8 conv tests' reference columns; image i's
+  // band must be im2col of image i, bit for bit.
+  Rng rng(3);
+  constexpr std::int64_t kN = 3;
+  for (const auto& [k, stride, pad] :
+       std::vector<std::tuple<int, int, int>>{
+           {3, 1, 1}, {3, 2, 1}, {1, 1, 0}, {5, 1, 2}, {3, 1, 0}}) {
+    const auto g = geom(2, 7, 6, k, stride, pad);
+    const auto rows = g.col_rows(), spatial = g.col_cols();
+    const auto sample = g.in_channels * g.in_h * g.in_w;
+    Tensor imgs = Tensor::randn(Shape{kN, sample}, rng);
+    std::vector<float> batched(static_cast<std::size_t>(rows * kN * spatial));
+    im2col_batched(imgs.data(), kN, sample, g, batched.data(), kN * spatial);
+    std::vector<float> one(static_cast<std::size_t>(rows * spatial));
+    for (std::int64_t i = 0; i < kN; ++i) {
+      im2col(imgs.data() + i * sample, g, one.data());
+      for (std::int64_t r = 0; r < rows; ++r)
+        for (std::int64_t c = 0; c < spatial; ++c)
+          ASSERT_EQ(batched[static_cast<std::size_t>((r * kN + i) * spatial +
+                                                     c)],
+                    one[static_cast<std::size_t>(r * spatial + c)])
+              << "k=" << k << " s=" << stride << " p=" << pad << " img=" << i;
+    }
   }
 }
 

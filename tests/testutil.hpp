@@ -6,7 +6,9 @@
 #include <cmath>
 #include <functional>
 #include <string>
+#include <vector>
 
+#include "nn/conv2d.hpp"
 #include "nn/module.hpp"
 #include "tensor/tensor.hpp"
 
@@ -125,6 +127,47 @@ inline void check_loss_gradient(
     expect_close(numeric, analytic_grad[i], rtol, atol,
                  "loss grad @" + std::to_string(i));
   }
+}
+
+/// Direct convolution, the oracle for every conv lowering; it shares no code
+/// with im2col or gemm. x is NCHW [n, s.in_channels, h, w]; weight is
+/// [s.out_channels, s.in_channels / s.groups * k * k] in (c, kh, kw) order;
+/// bias holds s.out_channels floats or is null. Each output sums, in
+/// double, the taps of its group's input channels that land inside the
+/// image, then adds bias[oc]. Returns NCHW [n, s.out_channels, oh, ow].
+inline std::vector<float> naive_conv(const nn::Conv2dSpec& s, const float* x,
+                                     std::int64_t n, std::int64_t h,
+                                     std::int64_t w, const float* weight,
+                                     const float* bias = nullptr) {
+  const std::int64_t k = s.kernel;
+  const std::int64_t oh = (h + 2 * s.pad - k) / s.stride + 1;
+  const std::int64_t ow = (w + 2 * s.pad - k) / s.stride + 1;
+  const std::int64_t cin_g = s.in_channels / s.groups;
+  const std::int64_t cout_g = s.out_channels / s.groups;
+  std::vector<float> out(
+      static_cast<std::size_t>(n * s.out_channels * oh * ow));
+  std::size_t o = 0;
+  for (std::int64_t img = 0; img < n; ++img)
+    for (std::int64_t oc = 0; oc < s.out_channels; ++oc)
+      for (std::int64_t oy = 0; oy < oh; ++oy)
+        for (std::int64_t ox = 0; ox < ow; ++ox) {
+          double acc = 0.0;
+          for (std::int64_t ic = 0; ic < cin_g; ++ic) {
+            const std::int64_t c = oc / cout_g * cin_g + ic;
+            for (std::int64_t ky = 0; ky < k; ++ky)
+              for (std::int64_t kx = 0; kx < k; ++kx) {
+                const std::int64_t iy = oy * s.stride + ky - s.pad;
+                const std::int64_t ix = ox * s.stride + kx - s.pad;
+                if (iy < 0 || iy >= h || ix < 0 || ix >= w) continue;
+                acc += static_cast<double>(
+                           x[((img * s.in_channels + c) * h + iy) * w + ix]) *
+                       weight[((oc * cin_g + ic) * k + ky) * k + kx];
+              }
+          }
+          if (bias != nullptr) acc += bias[oc];
+          out[o++] = static_cast<float>(acc);
+        }
+  return out;
 }
 
 }  // namespace cq::test

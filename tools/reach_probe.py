@@ -68,10 +68,21 @@ def configure_and_build(src, out, targets):
         stdout=subprocess.DEVNULL)
 
 
-def executables(d):
-    return sorted(os.path.join(d, f) for f in os.listdir(d)
-                  if os.path.isfile(os.path.join(d, f))
-                  and os.access(os.path.join(d, f), os.X_OK))
+def executables(build, dirs):
+    """The executables the build defines under `dirs`.
+
+    Read from ninja's own target list (each link output and its rule), not
+    from the files on disk: a build dir keeps the binaries of targets that
+    have since been deleted, and their calls must not count as reached."""
+    out = run(["ninja", "-C", build, "-t", "targets", "all"],
+              capture_output=True).stdout
+    exes = []
+    for line in out.splitlines():
+        path, _, rule = line.rpartition(": ")
+        if (rule.startswith("CXX_EXECUTABLE_LINKER")
+                and os.path.dirname(path) in dirs):
+            exes.append(os.path.join(build, path))
+    return sorted(exes)
 
 
 def defined_symbols(path, types):
@@ -201,8 +212,7 @@ def main():
         log(f"build failed: {e}")
         return 2
 
-    binaries = [(build, b) for d in SHIPPED_DIRS
-                for b in executables(os.path.join(build, d))]
+    binaries = [(build, b) for b in executables(build, SHIPPED_DIRS)]
     binaries.append((bench_build, os.path.join(bench_build, "perfbench")))
     libs = [os.path.join(build, "src", f)
             for f in sorted(os.listdir(os.path.join(build, "src")))
