@@ -80,14 +80,15 @@ bool equivalence_gate() {
   for (auto& v : base) v = rng.uniform(-1.0f, 1.0f);
   std::vector<float> thr(static_cast<std::size_t>(dim), 0.0f);
 
-  // binarize + hamming_below backend vs scalar, including an odd tail width,
-  // at a limit that keeps every row and at one that keeps about half.
+  // binarize + hamming_below backend vs scalar, including odd tail widths
+  // (one of them on the one-word path), at a limit that keeps every row and
+  // at one that keeps about half.
   std::vector<std::int64_t> ra(static_cast<std::size_t>(rows)), rb(ra);
   std::vector<std::uint32_t> da(static_cast<std::size_t>(rows)), db(da);
-  for (std::int64_t cols : {dim, std::int64_t{37}}) {
-    const std::int64_t words = (cols + 63) / 64;
-    std::vector<std::uint64_t> a(static_cast<std::size_t>(rows * words));
-    std::vector<std::uint64_t> b(a.size());
+  for (std::int64_t cols : {dim, std::int64_t{37}, std::int64_t{31}}) {
+    const std::int64_t words = (cols + 31) / 32;
+    std::vector<std::uint32_t> a(static_cast<std::size_t>(rows * words));
+    std::vector<std::uint32_t> b(a.size());
     kernels::binarize_1bit(base.data(), rows, cols, thr.data(), words,
                            a.data());
     kernels::scalar::binarize_1bit(base.data(), rows, cols, thr.data(), words,
@@ -145,13 +146,13 @@ ScanSection bench_scan(const std::vector<float>& base, std::int64_t rows,
        {search::CodeLayout::k1Bit, search::CodeLayout::k2Bit}) {
     const auto bin = search::Binarizer::fit(base.data(), rows, dim, layout);
     const std::int64_t words = bin.words_per_row();
-    std::vector<std::uint64_t> codes(static_cast<std::size_t>(rows * words));
+    std::vector<std::uint32_t> codes(static_cast<std::size_t>(rows * words));
     bin.encode(base.data(), rows, codes.data());
     ScanCase c;
     c.name = layout == search::CodeLayout::k1Bit ? "hamming_1bit"
                                                  : "hamming_2bit";
     c.words_per_row = words;
-    c.bytes_per_row = 8.0 * static_cast<double>(words);
+    c.bytes_per_row = 4.0 * static_cast<double>(words);
     // The query is row 0. A k x overfetch query ends its scan holding the
     // (k*overfetch)-th smallest distance as its strict bound; time the
     // whole index against that bound.

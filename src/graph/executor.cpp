@@ -392,16 +392,12 @@ const Tensor& CompiledModel::forward(const Tensor& x) {
         const Shape& oshape = graph_.value(node.output).shape;
         const std::int64_t seq = oshape.dim(0), dim = oshape.dim(1);
         const std::int64_t heads = node.attn_heads;
-        // Images reuse one q/k/v + score scratch; the shared
+        // Images reuse one head's attention map; the shared
         // attention_forward helper keeps compiled == eager bitwise.
-        float* qh = arena_ptr(scratch[0]);
-        float* kh = qh + seq * dim;
-        float* vh = kh + seq * dim;
-        float* sc = vh + seq * dim;
+        float* sc = arena_ptr(scratch[0]);
         for (std::int64_t img = 0; img < n; ++img)
           models::detail::attention_forward(in_p + img * seq * 3 * dim, seq,
-                                            dim, heads, qh, kh, vh,
-                                            /*probs=*/nullptr, sc,
+                                            dim, heads, /*probs=*/nullptr, sc,
                                             out_p + img * seq * dim);
         break;
       }

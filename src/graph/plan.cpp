@@ -55,14 +55,10 @@ std::vector<std::int64_t> node_scratch_bytes(const Graph& g, std::size_t i,
       return {batch * seq * krows * kF};  // im2row patch matrix [n*seq, krows]
     }
     case Op::kAttnCore: {
-      const Shape& out = g.value(n.output).shape;
-      const std::int64_t seq = out.dim(0), dim = out.dim(1);
-      // One image's gathered q/k/v heads plus the score+context scratch the
-      // shared attention_forward helper needs; images run one after another
+      // One head's attention map; heads and images run one after another
       // and reuse it.
-      return {(3 * seq * dim + models::detail::attention_scratch_floats(
-                                   seq, dim, n.attn_heads)) *
-              kF};
+      const std::int64_t seq = g.value(n.output).shape.dim(0);
+      return {models::detail::attention_scratch_floats(seq) * kF};
     }
     default:
       return {};

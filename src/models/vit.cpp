@@ -12,39 +12,18 @@ namespace cq::models {
 
 namespace detail {
 
-std::int64_t attention_scratch_floats(std::int64_t seq, std::int64_t dim,
-                                      std::int64_t heads) {
-  return seq * seq + seq * (dim / heads);
-}
+std::int64_t attention_scratch_floats(std::int64_t seq) { return seq * seq; }
 
 void attention_forward(const float* qkv, std::int64_t seq, std::int64_t dim,
-                       std::int64_t heads, float* qh, float* kh, float* vh,
-                       float* probs, float* scratch, float* out) {
+                       std::int64_t heads, float* probs, float* scratch,
+                       float* out) {
   const std::int64_t dh = dim / heads;
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  // Gather the strided head columns of the fused [q | k | v] rows into
-  // contiguous [seq, dh] matrices so each head is one dense GEMM pair.
   for (std::int64_t h = 0; h < heads; ++h) {
-    for (std::int64_t s = 0; s < seq; ++s) {
-      const float* row = qkv + s * 3 * dim + h * dh;
-      float* dst = (h * seq + s) * dh + qh;
-      std::memcpy(dst, row, dh * sizeof(float));
-      std::memcpy(kh + (h * seq + s) * dh, row + dim, dh * sizeof(float));
-      std::memcpy(vh + (h * seq + s) * dh, row + 2 * dim, dh * sizeof(float));
-    }
-  }
-  float* score_scratch = scratch;          // [seq, seq]
-  float* ctx = scratch + seq * seq;        // [seq, dh]
-  for (std::int64_t h = 0; h < heads; ++h) {
-    float* S = probs != nullptr ? probs + h * seq * seq : score_scratch;
-    gemm::gemm(gemm::Trans::kNT, seq, seq, dh, qh + h * seq * dh,
-               kh + h * seq * dh, S, /*accumulate=*/false);
-    for (std::int64_t i = 0; i < seq * seq; ++i) S[i] *= scale;
-    kernels::softmax_rows(S, seq, seq);
-    gemm::gemm(gemm::Trans::kNN, seq, dh, seq, S, vh + h * seq * dh, ctx,
-               /*accumulate=*/false);
-    for (std::int64_t s = 0; s < seq; ++s)
-      std::memcpy(out + s * dim + h * dh, ctx + s * dh, dh * sizeof(float));
+    const float* q = qkv + h * dh;
+    kernels::attention_head(q, q + dim, q + 2 * dim, 3 * dim, seq, dh, scale,
+                            probs != nullptr ? probs + h * seq * seq : scratch,
+                            out + h * dh, dim);
   }
 }
 
@@ -62,6 +41,23 @@ void seq_mean_forward(const float* x, std::int64_t seq, std::int64_t dim,
 }  // namespace detail
 
 namespace {
+
+/// Copies each head's strided q, k and v columns of one sample's fused
+/// [seq, 3*dim] rows into contiguous [heads, seq, dh] matrices, which the
+/// backward GEMMs read.
+void gather_heads(const float* qkv, std::int64_t seq, std::int64_t dim,
+                  std::int64_t heads, float* qh, float* kh, float* vh) {
+  const std::int64_t dh = dim / heads;
+  for (std::int64_t h = 0; h < heads; ++h) {
+    for (std::int64_t s = 0; s < seq; ++s) {
+      const float* row = qkv + s * 3 * dim + h * dh;
+      const std::int64_t at = (h * seq + s) * dh;
+      std::memcpy(qh + at, row, dh * sizeof(float));
+      std::memcpy(kh + at, row + dim, dh * sizeof(float));
+      std::memcpy(vh + at, row + 2 * dim, dh * sizeof(float));
+    }
+  }
+}
 
 void install_fake_quant(nn::Linear& linear,
                         std::shared_ptr<const quant::QuantPolicy> policy) {
@@ -192,29 +188,24 @@ Tensor VitBlock::forward(const Tensor& x) {
   Tensor qkv = qkv_.forward(h1.reshape(Shape{n * seq, dim_}));
 
   Cache c;
-  Tensor qh, kh, vh;
   if (train) {
     c.qh = Tensor::empty(Shape{n, heads_, seq, dh});
     c.kh = Tensor::empty(Shape{n, heads_, seq, dh});
     c.vh = Tensor::empty(Shape{n, heads_, seq, dh});
     c.probs = Tensor::empty(Shape{n, heads_, seq, seq});
-  } else {
-    qh = Tensor::empty(Shape{heads_, seq, dh});
-    kh = Tensor::empty(Shape{heads_, seq, dh});
-    vh = Tensor::empty(Shape{heads_, seq, dh});
   }
-  Tensor scratch =
-      Tensor::empty(Shape{detail::attention_scratch_floats(seq, dim_, heads_)});
+  Tensor scratch = Tensor::empty(Shape{detail::attention_scratch_floats(seq)});
   Tensor attn = Tensor::empty(Shape{n * seq, dim_});
   const auto head_block = heads_ * seq * dh;
   for (std::int64_t i = 0; i < n; ++i) {
+    const float* rows = qkv.data() + i * seq * 3 * dim_;
     detail::attention_forward(
-        qkv.data() + i * seq * 3 * dim_, seq, dim_, heads_,
-        train ? c.qh.data() + i * head_block : qh.data(),
-        train ? c.kh.data() + i * head_block : kh.data(),
-        train ? c.vh.data() + i * head_block : vh.data(),
+        rows, seq, dim_, heads_,
         train ? c.probs.data() + i * heads_ * seq * seq : nullptr,
         scratch.data(), attn.data() + i * seq * dim_);
+    if (train)
+      gather_heads(rows, seq, dim_, heads_, c.qh.data() + i * head_block,
+                   c.kh.data() + i * head_block, c.vh.data() + i * head_block);
   }
 
   Tensor proj_out = proj_.forward(attn);

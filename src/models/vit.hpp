@@ -1,7 +1,7 @@
 // ViT-style transformer encoder — the third backbone family.
 //
-// Patchify is a strided im2row + Linear (one GEMM), attention is batched
-// gemm kNT/kNN calls around kernels::softmax_rows, and the MLP is two
+// Patchify is a strided im2row + Linear (one GEMM), attention is one
+// kernels::attention_head call per head, and the MLP is two
 // Linears around kernels::gelu. Every Linear carries the encoder's
 // FakeQuantWeight transform and every block ends in ActQuant, so the shared
 // QuantPolicy quantizes the whole backbone exactly like the conv families
@@ -26,10 +26,9 @@ namespace cq::models {
 
 namespace detail {
 
-/// Scratch floats attention_forward needs beyond the gathered q/k/v:
-/// one [seq, seq] score matrix plus one [seq, dim/heads] context tile.
-std::int64_t attention_scratch_floats(std::int64_t seq, std::int64_t dim,
-                                      std::int64_t heads);
+/// Scratch floats attention_forward needs without `probs`: one head's
+/// [seq, seq] attention map.
+std::int64_t attention_scratch_floats(std::int64_t seq);
 
 /// Mean over the sequence axis for ONE sample: x [seq, dim] -> out [dim],
 /// fixed-order float accumulation. Shared by SeqMeanPool and the graph
@@ -40,17 +39,15 @@ void seq_mean_forward(const float* x, std::int64_t seq, std::int64_t dim,
 /// Multi-head self-attention over ONE sample's fused-QKV activations.
 /// `qkv` is [seq, 3*dim] with each row laid out [q(dim) | k(dim) | v(dim)];
 /// head h owns columns [h*dh, (h+1)*dh) of each third (dh = dim/heads).
-/// Gathers the per-head matrices into qh/kh/vh ([heads, seq, dh] each),
-/// computes softmax(Q K^T / sqrt(dh)) V per head via gemm kNT + softmax_rows
-/// + gemm kNN, and writes the heads side by side into out [seq, dim].
-/// When `probs` is non-null it receives the attention maps
-/// ([heads, seq, seq]) for the backward pass; otherwise they live in
-/// `scratch` (attention_scratch_floats(seq, dim, heads) floats). Shared
-/// verbatim
-/// by the eager module and the graph executor, so compiled == eager bitwise.
+/// Each head is one kernels::attention_head call, softmax(Q K^T / sqrt(dh))
+/// V read in place from the fused rows, written into its columns of out
+/// [seq, dim]. When `probs` is non-null it receives the attention maps
+/// ([heads, seq, seq]) for the backward pass; otherwise each head's map
+/// lives in `scratch` (attention_scratch_floats(seq) floats). Shared by the
+/// eager module and the graph executor, so compiled == eager bitwise.
 void attention_forward(const float* qkv, std::int64_t seq, std::int64_t dim,
-                       std::int64_t heads, float* qh, float* kh, float* vh,
-                       float* probs, float* scratch, float* out);
+                       std::int64_t heads, float* probs, float* scratch,
+                       float* out);
 
 }  // namespace detail
 

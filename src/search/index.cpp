@@ -14,9 +14,12 @@ namespace cq::search {
 
 namespace {
 constexpr float kNormEps = 1e-12f;
+// The record kind of a saved index. It names the u32 code layout, so an
+// index saved with u64 code words fails to load by name.
+constexpr const char* kIndexKind = "search_index_u32";
 
 std::int64_t words_for(std::int64_t dim, CodeLayout layout) {
-  return (dim * bits_per_dim(layout) + 63) / 64;
+  return (dim * bits_per_dim(layout) + 31) / 32;
 }
 }  // namespace
 
@@ -65,7 +68,7 @@ Binarizer Binarizer::fit(const float* data, std::int64_t rows,
 }
 
 void Binarizer::encode(const float* x, std::int64_t rows,
-                       std::uint64_t* codes) const {
+                       std::uint32_t* codes) const {
   if (layout_ == CodeLayout::k1Bit) {
     kernels::binarize_1bit(x, rows, dim_, lo_.data(), words_, codes);
   } else {
@@ -128,7 +131,7 @@ void Index::add(const float* embeddings, const std::uint64_t* ids,
   std::vector<float> norm(static_cast<std::size_t>(n * dim));
   std::memcpy(norm.data(), embeddings, norm.size() * sizeof(float));
   kernels::l2_normalize_rows(norm.data(), n, dim, nullptr, kNormEps);
-  std::vector<std::uint64_t> packed(static_cast<std::size_t>(n * words));
+  std::vector<std::uint32_t> packed(static_cast<std::size_t>(n * words));
   binarizer_.encode(norm.data(), n, packed.data());
 
   std::unique_lock lock(mu_);
@@ -159,7 +162,7 @@ void Index::ensure_scratch(const QueryOptions& opts, QueryScratch& s) const {
   grow(s.sorted_dist, buffer);
   grow(s.row, buffer);
   grow(s.sorted_row, buffer);
-  grow(s.count, 64 * words + 1);
+  grow(s.count, 32 * words + 1);
   if (static_cast<std::int64_t>(s.rerank_score.capacity()) < m) {
     s.rerank_score.reserve(m);
     s.order.reserve(m);
@@ -217,13 +220,13 @@ std::int64_t Index::query(const float* embedding, const QueryOptions& opts,
   binarizer_.encode(s.qnorm.data(), 1, s.qcode.data());
 
   const std::int64_t m = std::min(opts.k * opts.overfetch, rows);
-  const std::uint64_t* q = s.qcode.data();
+  const std::uint32_t* q = s.qcode.data();
   // Arm: every one of the first m rows is a candidate.
   std::int64_t n = kernels::hamming_below(
       q, codes_.data(), m, words, std::numeric_limits<std::uint32_t>::max(),
       s.row.data(), s.dist.data());
   std::uint32_t bound =
-      s.keep_nearest(n, m, static_cast<std::uint32_t>(64 * words + 1));
+      s.keep_nearest(n, m, static_cast<std::uint32_t>(32 * words + 1));
   // Scan the rest against the strict bound; survivors append in row order.
   // A zero bound ends the scan: m rows at distance 0 are already held.
   std::int64_t r0 = m;
@@ -290,10 +293,10 @@ void Index::save(const std::string& path) const {
   std::shared_lock lock(mu_);
   BinaryWriter w(path);
   write_checkpoint_header(w);
-  w.write_string("search_index");
+  w.write_string(kIndexKind);
   w.write_u32(config_.store_embeddings ? 1u : 0u);
   binarizer_.save(w);
-  w.write_u64_array(codes_);
+  w.write_u32_array(codes_);
   w.write_u64_array(ids_);
   w.write_f32_array(embeddings_);
   w.close();
@@ -303,7 +306,7 @@ Index Index::load(const std::string& path) {
   BinaryReader r(path);
   read_checkpoint_header(r);
   const auto kind = r.read_string();
-  CQ_CHECK_MSG(kind == "search_index", "not a search index: " << path);
+  CQ_CHECK_MSG(kind == kIndexKind, "not a search index: " << path);
   const bool store = r.read_u32() != 0;
   Binarizer b = Binarizer::load(r);
   IndexConfig config;
@@ -311,7 +314,7 @@ Index Index::load(const std::string& path) {
   config.layout = b.layout();
   config.store_embeddings = store;
   Index index(config, std::move(b));
-  index.codes_ = r.read_u64_array();
+  index.codes_ = r.read_u32_array();
   index.ids_ = r.read_u64_array();
   index.embeddings_ = r.read_f32_array();
   r.expect_eof();

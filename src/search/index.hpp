@@ -1,15 +1,16 @@
 // Binary-embedding vector index (DESIGN.md §15).
 //
 // An Index stores one packed bitplane code per embedding (1-bit or 2-bit per
-// dimension, layout contract in tensor/kernels/hamming.hpp) plus a u64 id
-// side array and, optionally, the fp32 embeddings for exact cosine rerank.
+// dimension, ceil(bits/32) u32 words per row, layout contract in
+// tensor/kernels/hamming.hpp) plus a u64 id side array and, optionally, the
+// fp32 embeddings for exact cosine rerank.
 // Codes are packed from L2-normalized rows: add(), query() and
 // Binarizer::fit all normalize first, so thresholds and codes share a scale.
 // Queries are EXACT top-m selection (m = k * overfetch) over a Hamming scan,
 // with no heap:
 //
 //   * The first m rows arm a candidate buffer, and a counting sort over the
-//     integer distance range [0, 64 * words_per_row] orders them; the m-th
+//     integer distance range [0, 32 * words_per_row] orders them; the m-th
 //     distance becomes a STRICT bound. A later row tying it loses the
 //     (dist, row) order to the m rows already held, all of lower row.
 //   * The rest is scanned in kScanBlock-row blocks by the fused kernel
@@ -67,13 +68,13 @@ class Binarizer {
                        CodeLayout layout);
 
   /// Pack `rows` embeddings of `dim` floats into codes
-  /// ([rows * words_per_row] u64s). Expects unit rows: fitted thresholds
+  /// ([rows * words_per_row] u32s). Expects unit rows: fitted thresholds
   /// are unit-scale (Index normalizes before it encodes).
-  void encode(const float* x, std::int64_t rows, std::uint64_t* codes) const;
+  void encode(const float* x, std::int64_t rows, std::uint32_t* codes) const;
 
   std::int64_t dim() const { return dim_; }
   CodeLayout layout() const { return layout_; }
-  /// u64 words per packed code: ceil(dim * bits_per_dim / 64).
+  /// u32 words per packed code: ceil(dim * bits_per_dim / 32).
   std::int64_t words_per_row() const { return words_; }
 
   void save(BinaryWriter& w) const;
@@ -141,12 +142,12 @@ class QueryScratch {
                              std::uint32_t span);
 
   std::vector<float> qnorm;          // [dim] normalized query
-  std::vector<std::uint64_t> qcode;  // [words_per_row] packed query
+  std::vector<std::uint32_t> qcode;  // [words_per_row] packed query
   // The candidate buffer [2m + kScanBlock]: distances and rows, and the
   // counting sort's target, swapped with them after each pass.
   std::vector<std::uint32_t> dist, sorted_dist;
   std::vector<std::int64_t> row, sorted_row;
-  std::vector<std::int64_t> count;   // [64 * words_per_row + 1] per distance
+  std::vector<std::int64_t> count;   // [32 * words_per_row + 1] per distance
   std::vector<float> rerank_score;   // [pool] exact cosine scores
   std::vector<std::int64_t> order;   // rerank permutation
   std::int64_t compared_ = 0;
@@ -190,7 +191,7 @@ class Index {
 
   /// Read-only view of the packed codes / stored embeddings (benches and the
   /// recall eval scan them directly).
-  const std::vector<std::uint64_t>& codes() const { return codes_; }
+  const std::vector<std::uint32_t>& codes() const { return codes_; }
   const std::vector<float>& embeddings() const { return embeddings_; }
 
   /// Checkpoint the whole index (header + config + binarizer + codes + ids
@@ -208,7 +209,7 @@ class Index {
   IndexConfig config_;
   Binarizer binarizer_;
   mutable std::shared_mutex mu_;  // queries shared, add exclusive
-  std::vector<std::uint64_t> codes_;  // [size * words_per_row]
+  std::vector<std::uint32_t> codes_;  // [size * words_per_row]
   std::vector<std::uint64_t> ids_;    // [size]
   std::vector<float> embeddings_;     // [size * dim] iff store_embeddings
 };

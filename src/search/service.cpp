@@ -19,11 +19,16 @@ void json_latency(std::ostringstream& os, const char* key,
      << ", \"max_us\": " << h.max_micros() << "}";
 }
 
+std::uint64_t nanos_between(serve::Clock::time_point a,
+                            serve::Clock::time_point b) {
+  return static_cast<std::uint64_t>(std::max<std::int64_t>(
+      0, std::chrono::duration_cast<std::chrono::nanoseconds>(b - a)
+             .count()));
+}
+
 std::uint64_t micros_between(serve::Clock::time_point a,
                              serve::Clock::time_point b) {
-  return static_cast<std::uint64_t>(std::max<std::int64_t>(
-      0, std::chrono::duration_cast<std::chrono::microseconds>(b - a)
-             .count()));
+  return nanos_between(a, b) / 1000;
 }
 
 }  // namespace
@@ -60,14 +65,14 @@ std::int64_t Service::run_scan(const float* embedding,
                                Result* out) const {
   const auto t0 = serve::Clock::now();
   const std::int64_t n = index_.query(embedding, opts, scratch, out);
-  const auto us = micros_between(t0, serve::Clock::now());
+  const auto ns = nanos_between(t0, serve::Clock::now());
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.queries += 1;
   stats_.results += static_cast<std::uint64_t>(n);
   stats_.codes_scanned += static_cast<std::uint64_t>(scratch.compared());
   stats_.candidates += static_cast<std::uint64_t>(scratch.pooled());
-  stats_.scan_micros += us;
-  stats_.scan_latency.record(us);
+  stats_.scan_nanos += ns;
+  stats_.scan_latency.record(ns / 1000);
   return n;
 }
 
@@ -118,7 +123,8 @@ SearchStats Service::search_stats() const {
   s.uptime_seconds =
       static_cast<double>(micros_between(start_time_, serve::Clock::now())) /
       1e6;
-  const double scan_s = static_cast<double>(s.scan_micros) / 1e6;
+  s.scan_micros = s.scan_nanos / 1000;
+  const double scan_s = static_cast<double>(s.scan_nanos) / 1e9;
   s.scan_codes_per_s =
       scan_s > 0.0 ? static_cast<double>(s.codes_scanned) / scan_s : 0.0;
   s.candidates_per_s = s.uptime_seconds > 0.0

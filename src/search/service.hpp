@@ -44,7 +44,10 @@ struct SearchStats {
   // compared (fewer than the index when its bound reached 0), and its pool.
   std::uint64_t codes_scanned = 0;  // index rows Hamming-scanned
   std::uint64_t candidates = 0;     // overfetched pool entries considered
-  std::uint64_t scan_micros = 0;    // time inside Index::query
+  std::uint64_t scan_nanos = 0;     // time inside Index::query
+  // Filled on read: whole microseconds of scan_nanos. Summing per-query
+  // microseconds instead would drop up to 1 us per query.
+  std::uint64_t scan_micros = 0;
   double uptime_seconds = 0.0;
   double scan_codes_per_s = 0.0;    // codes_scanned / scan time
   double candidates_per_s = 0.0;    // candidates / uptime

@@ -26,23 +26,20 @@ namespace {
 // bit-for-bit; the vector code only changes HOW MANY rows/words one step
 // covers.
 
-inline std::uint64_t pc64(std::uint64_t v) {
-  return static_cast<std::uint64_t>(std::popcount(v));
-}
-
-std::uint32_t hamming_distance_portable(const std::uint64_t* a,
-                                        const std::uint64_t* b,
+std::uint32_t hamming_distance_portable(const std::uint32_t* a,
+                                        const std::uint32_t* b,
                                         std::int64_t words) {
-  std::uint64_t d = 0;
-  for (std::int64_t w = 0; w < words; ++w) d += pc64(a[w] ^ b[w]);
-  return static_cast<std::uint32_t>(d);
+  std::uint32_t d = 0;
+  for (std::int64_t w = 0; w < words; ++w)
+    d += static_cast<std::uint32_t>(std::popcount(a[w] ^ b[w]));
+  return d;
 }
 
 /// hamming_below over rows [r, rows), appending after the first n outputs;
 /// returns the new count. The portable kernel, and the row tail of the
 /// vector paths.
-std::int64_t hamming_below_rows(const std::uint64_t* query,
-                                const std::uint64_t* base, std::int64_t r,
+std::int64_t hamming_below_rows(const std::uint32_t* query,
+                                const std::uint32_t* base, std::int64_t r,
                                 std::int64_t rows, std::int64_t words,
                                 std::uint32_t limit, std::int64_t* rows_out,
                                 std::uint32_t* dist_out, std::int64_t n) {
@@ -61,9 +58,9 @@ std::int64_t hamming_below_rows(const std::uint64_t* query,
 /// Appends the survivors of one vector step: bit i of `mask` set means row
 /// r + i passed, with its distance in lane i of `dist`. Lowest bit first, so
 /// rows stay ascending.
+template <class Lane>
 inline std::int64_t emit_survivors(std::uint32_t mask, std::int64_t r,
-                                   const std::uint64_t* dist,
-                                   std::int64_t* rows_out,
+                                   const Lane* dist, std::int64_t* rows_out,
                                    std::uint32_t* dist_out, std::int64_t n) {
   while (mask) {
     const int i = std::countr_zero(mask);
@@ -75,32 +72,39 @@ inline std::int64_t emit_survivors(std::uint32_t mask, std::int64_t r,
   return n;
 }
 
+/// The u64 word at p: code words p[0] (low half) and p[1].
+inline std::uint64_t load_u64(const std::uint32_t* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
 void binarize_1bit_portable(const float* x, std::int64_t rows,
                             std::int64_t cols, const float* thresholds,
-                            std::int64_t words_per_row, std::uint64_t* codes) {
+                            std::int64_t words_per_row, std::uint32_t* codes) {
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* row = x + r * cols;
-    std::uint64_t* code = codes + r * words_per_row;
-    std::memset(code, 0, static_cast<std::size_t>(words_per_row) * 8);
+    std::uint32_t* code = codes + r * words_per_row;
+    std::memset(code, 0, static_cast<std::size_t>(words_per_row) * 4);
     for (std::int64_t j = 0; j < cols; ++j)
-      code[j >> 6] |= static_cast<std::uint64_t>(row[j] > thresholds[j])
-                      << (j & 63);
+      code[j >> 5] |= static_cast<std::uint32_t>(row[j] > thresholds[j])
+                      << (j & 31);
   }
 }
 
 void binarize_2bit_portable(const float* x, std::int64_t rows,
                             std::int64_t cols, const float* lo,
                             const float* hi, std::int64_t words_per_row,
-                            std::uint64_t* codes) {
+                            std::uint32_t* codes) {
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* row = x + r * cols;
-    std::uint64_t* code = codes + r * words_per_row;
-    std::memset(code, 0, static_cast<std::size_t>(words_per_row) * 8);
+    std::uint32_t* code = codes + r * words_per_row;
+    std::memset(code, 0, static_cast<std::size_t>(words_per_row) * 4);
     for (std::int64_t j = 0; j < cols; ++j) {
       const std::int64_t b = 2 * j;
-      code[b >> 6] |= static_cast<std::uint64_t>(row[j] > lo[j]) << (b & 63);
-      code[b >> 6] |= static_cast<std::uint64_t>(row[j] > hi[j])
-                      << ((b + 1) & 63);
+      code[b >> 5] |= static_cast<std::uint32_t>(row[j] > lo[j]) << (b & 31);
+      code[b >> 5] |= static_cast<std::uint32_t>(row[j] > hi[j])
+                      << ((b + 1) & 31);
     }
   }
 }
@@ -135,23 +139,35 @@ void dot_scan_impl(const float* query, const float* base, std::int64_t rows,
 
 #ifdef CQ_SIMD_AVX2
 
-/// Per-64-bit-lane popcount of a 256-bit vector: nibble LUT (pshufb) for
-/// per-byte counts, then psadbw against zero to sum bytes into the four u64
-/// lanes. The standard Mula kernel — ~3x a dependent chain of scalar popcnt
+#if !HAMMING_VPOPCNT
+/// Per-byte popcount of a 256-bit vector: nibble LUT (pshufb) on each half
+/// byte. The standard Mula kernel — ~3x a dependent chain of scalar popcnt
 /// at scan footprints.
-inline __m256i popcount256(__m256i v) {
+inline __m256i popcount_bytes256(__m256i v) {
   const __m256i lut =
       _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
                        1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
   const __m256i low = _mm256_set1_epi8(0x0f);
   const __m256i lo = _mm256_and_si256(v, low);
   const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low);
-  const __m256i cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                                      _mm256_shuffle_epi8(lut, hi));
-  return _mm256_sad_epu8(cnt, _mm256_setzero_si256());
+  return _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
+                         _mm256_shuffle_epi8(lut, hi));
 }
 
-#if !HAMMING_VPOPCNT
+/// Per-64-bit-lane popcount: psadbw against zero sums the byte counts into
+/// the four u64 lanes.
+inline __m256i popcount256(__m256i v) {
+  return _mm256_sad_epu8(popcount_bytes256(v), _mm256_setzero_si256());
+}
+
+/// Per-32-bit-lane popcount: two multiply-adds against ones sum the byte
+/// counts pairwise, then the pairs, into the eight u32 lanes.
+inline __m256i popcount256_epi32(__m256i v) {
+  return _mm256_madd_epi16(
+      _mm256_maddubs_epi16(popcount_bytes256(v), _mm256_set1_epi8(1)),
+      _mm256_set1_epi16(1));
+}
+
 /// Sum of the four u64 lanes.
 inline std::uint64_t hsum4_epi64(__m256i v) {
   const __m128i s = _mm_add_epi64(_mm256_castsi256_si128(v),
@@ -160,12 +176,12 @@ inline std::uint64_t hsum4_epi64(__m256i v) {
       _mm_cvtsi128_si64(_mm_add_epi64(s, _mm_unpackhi_epi64(s, s))));
 }
 
-std::uint32_t hamming_distance_avx2(const std::uint64_t* a,
-                                    const std::uint64_t* b,
+std::uint32_t hamming_distance_avx2(const std::uint32_t* a,
+                                    const std::uint32_t* b,
                                     std::int64_t words) {
   __m256i acc = _mm256_setzero_si256();
   std::int64_t w = 0;
-  for (; w + 4 <= words; w += 4) {
+  for (; w + 8 <= words; w += 8) {
     const __m256i va =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
     const __m256i vb =
@@ -173,34 +189,58 @@ std::uint32_t hamming_distance_avx2(const std::uint64_t* a,
     acc = _mm256_add_epi64(acc, popcount256(_mm256_xor_si256(va, vb)));
   }
   std::uint64_t d = hsum4_epi64(acc);
-  for (; w < words; ++w) d += pc64(a[w] ^ b[w]);
+  for (; w < words; ++w)
+    d += static_cast<std::uint64_t>(std::popcount(a[w] ^ b[w]));
   return static_cast<std::uint32_t>(d);
 }
 
-std::int64_t hamming_below_avx2(const std::uint64_t* query,
-                                const std::uint64_t* base, std::int64_t rows,
+std::int64_t hamming_below_avx2(const std::uint32_t* query,
+                                const std::uint32_t* base, std::int64_t rows,
                                 std::int64_t words, std::uint32_t limit,
                                 std::int64_t* rows_out,
                                 std::uint32_t* dist_out) {
-  // AVX2 has no unsigned compare, but distances are at most 64*words, so a
-  // limit capped at 64*words + 1 fits a signed 64-bit lane compare.
-  const std::uint64_t all = 64 * static_cast<std::uint64_t>(words) + 1;
+  // AVX2 has no unsigned compare, but distances are at most 32*words, so a
+  // limit capped at 32*words + 1 fits a signed lane compare.
+  const std::uint64_t all = 32 * static_cast<std::uint64_t>(words) + 1;
   const long long cap =
       static_cast<long long>(std::min<std::uint64_t>(limit, all));
-  const __m256i lim = _mm256_set1_epi64x(cap);
   alignas(32) std::uint64_t lanes[16];
   std::int64_t n = 0;
   std::int64_t r = 0;
   if (words == 1) {
-    // Four rows per vector, sixteen per step; one branch per step.
-    const __m256i q = _mm256_set1_epi64x(static_cast<long long>(query[0]));
+    // Eight rows per vector, sixteen per step; one branch per step.
+    const __m256i q = _mm256_set1_epi32(static_cast<int>(query[0]));
+    const __m256i lim = _mm256_set1_epi32(static_cast<int>(cap));
+    alignas(32) std::uint32_t lanes32[16];
+    for (; r + 16 <= rows; r += 16) {
+      __m256i d[2];
+      unsigned mask = 0;
+      for (int j = 0; j < 2; ++j) {
+        d[j] = popcount256_epi32(_mm256_xor_si256(
+            _mm256_loadu_si256(
+                reinterpret_cast<const __m256i*>(base + r + 8 * j)),
+            q));
+        mask |= static_cast<unsigned>(_mm256_movemask_ps(
+                    _mm256_castsi256_ps(_mm256_cmpgt_epi32(lim, d[j]))))
+                << (8 * j);
+      }
+      if (mask == 0) continue;
+      for (int j = 0; j < 2; ++j)
+        _mm256_store_si256(reinterpret_cast<__m256i*>(lanes32 + 8 * j), d[j]);
+      n = emit_survivors(mask, r, lanes32, rows_out, dist_out, n);
+    }
+  } else if (words == 2) {
+    // One u64 per row: four rows per vector, sixteen per step.
+    const __m256i q =
+        _mm256_set1_epi64x(static_cast<long long>(load_u64(query)));
+    const __m256i lim = _mm256_set1_epi64x(cap);
     for (; r + 16 <= rows; r += 16) {
       __m256i d[4];
       unsigned mask = 0;
       for (int j = 0; j < 4; ++j) {
         d[j] = popcount256(_mm256_xor_si256(
             _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(base + r + 4 * j)),
+                reinterpret_cast<const __m256i*>(base + 2 * (r + 4 * j))),
             q));
         mask |= static_cast<unsigned>(_mm256_movemask_pd(
                     _mm256_castsi256_pd(_mm256_cmpgt_epi64(lim, d[j]))))
@@ -211,22 +251,23 @@ std::int64_t hamming_below_avx2(const std::uint64_t* query,
         _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 4 * j), d[j]);
       n = emit_survivors(mask, r, lanes, rows_out, dist_out, n);
     }
-  } else if (words == 2) {
-    // Two rows per vector. Fold each row's two word counts with an
-    // unpack pair, then restore row order across the two 128-bit halves.
-    const __m256i q = _mm256_setr_epi64x(static_cast<long long>(query[0]),
-                                         static_cast<long long>(query[1]),
-                                         static_cast<long long>(query[0]),
-                                         static_cast<long long>(query[1]));
+  } else if (words == 4) {
+    // Two u64 per row, two rows per vector. Fold each row's two word counts
+    // with an unpack pair, then restore row order across the two 128-bit
+    // halves.
+    const auto q0 = static_cast<long long>(load_u64(query));
+    const auto q1 = static_cast<long long>(load_u64(query + 2));
+    const __m256i q = _mm256_setr_epi64x(q0, q1, q0, q1);
+    const __m256i lim = _mm256_set1_epi64x(cap);
     for (; r + 8 <= rows; r += 8) {
       __m256i d[2];
       unsigned mask = 0;
       for (int j = 0; j < 2; ++j) {
-        const std::uint64_t* p = base + 2 * (r + 4 * j);
+        const std::uint32_t* p = base + 4 * (r + 4 * j);
         const __m256i a = popcount256(_mm256_xor_si256(
             _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)), q));
         const __m256i b = popcount256(_mm256_xor_si256(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 4)), q));
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 8)), q));
         // [r, r+2 | r+1, r+3] -> [r, r+1, r+2, r+3]
         const __m256i s = _mm256_add_epi64(_mm256_unpacklo_epi64(a, b),
                                            _mm256_unpackhi_epi64(a, b));
@@ -241,7 +282,7 @@ std::int64_t hamming_below_avx2(const std::uint64_t* query,
       n = emit_survivors(mask, r, lanes, rows_out, dist_out, n);
     }
   } else {
-    // Four words per popcount step within each row.
+    // Eight words per popcount step within each row.
     for (; r < rows; ++r) {
       const std::uint32_t d =
           hamming_distance_avx2(base + r * words, query, words);
@@ -259,29 +300,29 @@ std::int64_t hamming_below_avx2(const std::uint64_t* query,
 
 void binarize_1bit_avx2(const float* x, std::int64_t rows, std::int64_t cols,
                         const float* thresholds, std::int64_t words_per_row,
-                        std::uint64_t* codes) {
+                        std::uint32_t* codes) {
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* row = x + r * cols;
-    std::uint64_t* code = codes + r * words_per_row;
-    std::memset(code, 0, static_cast<std::size_t>(words_per_row) * 8);
+    std::uint32_t* code = codes + r * words_per_row;
+    std::memset(code, 0, static_cast<std::size_t>(words_per_row) * 4);
     std::int64_t j = 0;
     for (; j + 8 <= cols; j += 8) {
       // _CMP_GT_OQ matches the portable `>` exactly (NaN -> false).
       const unsigned mask = static_cast<unsigned>(_mm256_movemask_ps(
           _mm256_cmp_ps(_mm256_loadu_ps(row + j),
                         _mm256_loadu_ps(thresholds + j), _CMP_GT_OQ)));
-      code[j >> 6] |= static_cast<std::uint64_t>(mask) << (j & 63);
+      code[j >> 5] |= mask << (j & 31);  // j % 8 == 0: one word holds all 8
     }
     for (; j < cols; ++j)
-      code[j >> 6] |= static_cast<std::uint64_t>(row[j] > thresholds[j])
-                      << (j & 63);
+      code[j >> 5] |= static_cast<std::uint32_t>(row[j] > thresholds[j])
+                      << (j & 31);
   }
 }
 
 /// Spread the low 8 bits of m so bit i lands at bit 2i (for interleaving the
 /// lo/hi thermometer masks of 8 dimensions into 16 adjacent code bits).
-inline std::uint64_t spread8(unsigned m) {
-  std::uint64_t v = m;
+inline std::uint32_t spread8(unsigned m) {
+  std::uint32_t v = m;
   v = (v | (v << 4)) & 0x0F0Fu;
   v = (v | (v << 2)) & 0x3333u;
   v = (v | (v << 1)) & 0x5555u;
@@ -290,11 +331,11 @@ inline std::uint64_t spread8(unsigned m) {
 
 void binarize_2bit_avx2(const float* x, std::int64_t rows, std::int64_t cols,
                         const float* lo, const float* hi,
-                        std::int64_t words_per_row, std::uint64_t* codes) {
+                        std::int64_t words_per_row, std::uint32_t* codes) {
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* row = x + r * cols;
-    std::uint64_t* code = codes + r * words_per_row;
-    std::memset(code, 0, static_cast<std::size_t>(words_per_row) * 8);
+    std::uint32_t* code = codes + r * words_per_row;
+    std::memset(code, 0, static_cast<std::size_t>(words_per_row) * 4);
     std::int64_t j = 0;
     for (; j + 8 <= cols; j += 8) {
       const __m256 v = _mm256_loadu_ps(row + j);
@@ -303,13 +344,13 @@ void binarize_2bit_avx2(const float* x, std::int64_t rows, std::int64_t cols,
       const unsigned mhi = static_cast<unsigned>(_mm256_movemask_ps(
           _mm256_cmp_ps(v, _mm256_loadu_ps(hi + j), _CMP_GT_OQ)));
       const std::int64_t b = 2 * j;  // multiple of 16: the pair fits one word
-      code[b >> 6] |= (spread8(mlo) | (spread8(mhi) << 1)) << (b & 63);
+      code[b >> 5] |= (spread8(mlo) | (spread8(mhi) << 1)) << (b & 31);
     }
     for (; j < cols; ++j) {
       const std::int64_t b = 2 * j;
-      code[b >> 6] |= static_cast<std::uint64_t>(row[j] > lo[j]) << (b & 63);
-      code[b >> 6] |= static_cast<std::uint64_t>(row[j] > hi[j])
-                      << ((b + 1) & 63);
+      code[b >> 5] |= static_cast<std::uint32_t>(row[j] > lo[j]) << (b & 31);
+      code[b >> 5] |= static_cast<std::uint32_t>(row[j] > hi[j])
+                      << ((b + 1) & 31);
     }
   }
 }
@@ -317,9 +358,9 @@ void binarize_2bit_avx2(const float* x, std::int64_t rows, std::int64_t cols,
 #endif  // CQ_SIMD_AVX2
 
 // ---- AVX-512 VPOPCNTDQ path ------------------------------------------------
-// hamming_below only: one vpopcntq counts eight whole words, and the limit
-// compare lands in a mask register, so a step that keeps no row costs a
-// load, an xor, a popcount and a compare per vector plus one branch.
+// hamming_below only: one vpopcntd/vpopcntq counts sixteen or eight whole
+// words, and the limit compare lands in a mask register, so a step that
+// keeps no row costs a load, an xor, a popcount and a compare per vector.
 
 #if HAMMING_VPOPCNT
 
@@ -346,8 +387,8 @@ inline __m512i hsum8_epi64(__m512i* v) {
   return v[0];
 }
 
-std::int64_t hamming_below_vpopcnt(const std::uint64_t* query,
-                                   const std::uint64_t* base,
+std::int64_t hamming_below_vpopcnt(const std::uint32_t* query,
+                                   const std::uint32_t* base,
                                    std::int64_t rows, std::int64_t words,
                                    std::uint32_t limit,
                                    std::int64_t* rows_out,
@@ -357,14 +398,59 @@ std::int64_t hamming_below_vpopcnt(const std::uint64_t* query,
   std::int64_t n = 0;
   std::int64_t r = 0;
   if (words == 1) {
-    // Eight rows per vector, 32 per step.
-    const __m512i q = _mm512_set1_epi64(static_cast<long long>(query[0]));
+    // Sixteen rows per vector, two vectors and one branch per step: almost
+    // every step keeps no row. A step that does writes its survivors with
+    // no per-survivor loop: vpcompressd packs their distances and lane
+    // numbers to the front, and masked stores write exactly the c of them
+    // after the n already out (n <= r, so the stores stay inside the
+    // outputs' `rows` entries).
+    const __m512i q = _mm512_set1_epi32(static_cast<int>(query[0]));
+    const __m512i lim32 = _mm512_set1_epi32(static_cast<int>(limit));
+    const __m512i lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                           11, 12, 13, 14, 15);
+    const auto dist16 = [&](std::int64_t at) {
+      return _mm512_popcnt_epi32(
+          _mm512_xor_si512(_mm512_loadu_si512(base + at), q));
+    };
+    const auto emit16 = [&](__mmask16 keep, __m512i d, std::int64_t at) {
+      const int c = std::popcount(static_cast<unsigned>(keep));
+      const auto head = static_cast<__mmask16>((1u << c) - 1u);
+      _mm512_mask_storeu_epi32(dist_out + n, head,
+                               _mm512_maskz_compress_epi32(keep, d));
+      const __m512i idx = _mm512_maskz_compress_epi32(keep, lane);
+      const __m512i r0 = _mm512_set1_epi64(static_cast<long long>(at));
+      _mm512_mask_storeu_epi64(
+          rows_out + n, static_cast<__mmask8>(head),
+          _mm512_add_epi64(_mm512_cvtepi32_epi64(_mm512_castsi512_si256(idx)),
+                           r0));
+      _mm512_mask_storeu_epi64(
+          rows_out + n + 8, static_cast<__mmask8>(head >> 8),
+          _mm512_add_epi64(
+              _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(idx, 1)), r0));
+      n += c;
+    };
+    for (; r + 32 <= rows; r += 32) {
+      const __m512i d0 = dist16(r), d1 = dist16(r + 16);
+      const __mmask16 k0 = _mm512_cmplt_epu32_mask(d0, lim32);
+      const __mmask16 k1 = _mm512_cmplt_epu32_mask(d1, lim32);
+      if ((k0 | k1) == 0) continue;
+      emit16(k0, d0, r);
+      emit16(k1, d1, r + 16);
+    }
+    for (; r + 16 <= rows; r += 16) {
+      const __m512i d = dist16(r);
+      emit16(_mm512_cmplt_epu32_mask(d, lim32), d, r);
+    }
+  } else if (words == 2) {
+    // One u64 per row: eight rows per vector, 32 per step.
+    const __m512i q =
+        _mm512_set1_epi64(static_cast<long long>(load_u64(query)));
     for (; r + 32 <= rows; r += 32) {
       __m512i d[4];
       std::uint32_t mask = 0;
       for (int j = 0; j < 4; ++j) {
-        d[j] = _mm512_popcnt_epi64(
-            _mm512_xor_si512(_mm512_loadu_si512(base + r + 8 * j), q));
+        d[j] = _mm512_popcnt_epi64(_mm512_xor_si512(
+            _mm512_loadu_si512(base + 2 * (r + 8 * j)), q));
         mask |= static_cast<std::uint32_t>(_mm512_cmplt_epu64_mask(d[j], lim))
                 << (8 * j);
       }
@@ -372,24 +458,23 @@ std::int64_t hamming_below_vpopcnt(const std::uint64_t* query,
       for (int j = 0; j < 4; ++j) _mm512_store_si512(lanes + 8 * j, d[j]);
       n = emit_survivors(mask, r, lanes, rows_out, dist_out, n);
     }
-  } else if (words == 2) {
-    // Four rows per vector; a two-source permute gathers the first and the
-    // second word counts of eight rows, in row order, for one add.
-    const __m512i q = _mm512_set_epi64(
-        static_cast<long long>(query[1]), static_cast<long long>(query[0]),
-        static_cast<long long>(query[1]), static_cast<long long>(query[0]),
-        static_cast<long long>(query[1]), static_cast<long long>(query[0]),
-        static_cast<long long>(query[1]), static_cast<long long>(query[0]));
+  } else if (words == 4) {
+    // Two u64 per row, four rows per vector; a two-source permute gathers
+    // the first and the second word counts of eight rows, in row order, for
+    // one add.
+    const auto q0 = static_cast<long long>(load_u64(query));
+    const auto q1 = static_cast<long long>(load_u64(query + 2));
+    const __m512i q = _mm512_set_epi64(q1, q0, q1, q0, q1, q0, q1, q0);
     const __m512i first = even_lanes(), second = odd_lanes();
     for (; r + 16 <= rows; r += 16) {
       __m512i d[2];
       std::uint32_t mask = 0;
       for (int j = 0; j < 2; ++j) {
-        const std::uint64_t* p = base + 2 * (r + 8 * j);
+        const std::uint32_t* p = base + 4 * (r + 8 * j);
         const __m512i a = _mm512_popcnt_epi64(
             _mm512_xor_si512(_mm512_loadu_si512(p), q));
         const __m512i b = _mm512_popcnt_epi64(
-            _mm512_xor_si512(_mm512_loadu_si512(p + 8), q));
+            _mm512_xor_si512(_mm512_loadu_si512(p + 16), q));
         d[j] = _mm512_add_epi64(_mm512_permutex2var_epi64(a, first, b),
                                 _mm512_permutex2var_epi64(a, second, b));
         mask |= static_cast<std::uint32_t>(_mm512_cmplt_epu64_mask(d[j], lim))
@@ -400,23 +485,28 @@ std::int64_t hamming_below_vpopcnt(const std::uint64_t* query,
       n = emit_survivors(mask, r, lanes, rows_out, dist_out, n);
     }
   } else {
-    // Eight rows per step, up to eight words per row per masked load; one
-    // transposing reduction turns the eight rows' word counts into eight
+    // Eight rows per step, up to sixteen words per row per masked load;
+    // each row's u32 lane counts fold to u64 lane pairs, and one
+    // transposing reduction turns the eight rows' counts into eight
     // distances.
+    const __m512i low32 = _mm512_set1_epi64(0xFFFFFFFFll);
     for (; r + 8 <= rows; r += 8) {
       __m512i acc[8];
       for (auto& a : acc) a = _mm512_setzero_si512();
-      for (std::int64_t w = 0; w < words; w += 8) {
-        const __mmask8 km = static_cast<__mmask8>(
-            w + 8 <= words ? 0xFF : (1u << (words - w)) - 1);
-        const __m512i qv = _mm512_maskz_loadu_epi64(km, query + w);
+      for (std::int64_t w = 0; w < words; w += 16) {
+        const auto km = static_cast<__mmask16>(
+            w + 16 <= words ? 0xFFFFu : (1u << (words - w)) - 1u);
+        const __m512i qv = _mm512_maskz_loadu_epi32(km, query + w);
         for (int i = 0; i < 8; ++i) {
-          const std::uint64_t* p = base + (r + i) * words + w;
-          acc[i] = _mm512_add_epi64(
-              acc[i], _mm512_popcnt_epi64(_mm512_xor_si512(
-                          _mm512_maskz_loadu_epi64(km, p), qv)));
+          const std::uint32_t* p = base + (r + i) * words + w;
+          acc[i] = _mm512_add_epi32(
+              acc[i], _mm512_popcnt_epi32(_mm512_xor_si512(
+                          _mm512_maskz_loadu_epi32(km, p), qv)));
         }
       }
+      for (auto& a : acc)
+        a = _mm512_add_epi64(_mm512_and_si512(a, low32),
+                             _mm512_srli_epi64(a, 32));
       const __m512i d = hsum8_epi64(acc);
       const std::uint32_t mask = _mm512_cmplt_epu64_mask(d, lim);
       if (mask == 0) continue;
@@ -438,12 +528,12 @@ std::int64_t hamming_below_vpopcnt(const std::uint64_t* query,
 
 void binarize_1bit(const float* x, std::int64_t rows, std::int64_t cols,
                    const float* thresholds, std::int64_t words_per_row,
-                   std::uint64_t* codes) {
+                   std::uint32_t* codes) {
   binarize_1bit_avx2(x, rows, cols, thresholds, words_per_row, codes);
 }
 void binarize_2bit(const float* x, std::int64_t rows, std::int64_t cols,
                    const float* lo, const float* hi,
-                   std::int64_t words_per_row, std::uint64_t* codes) {
+                   std::int64_t words_per_row, std::uint32_t* codes) {
   binarize_2bit_avx2(x, rows, cols, lo, hi, words_per_row, codes);
 }
 
@@ -451,19 +541,19 @@ void binarize_2bit(const float* x, std::int64_t rows, std::int64_t cols,
 
 void binarize_1bit(const float* x, std::int64_t rows, std::int64_t cols,
                    const float* thresholds, std::int64_t words_per_row,
-                   std::uint64_t* codes) {
+                   std::uint32_t* codes) {
   binarize_1bit_portable(x, rows, cols, thresholds, words_per_row, codes);
 }
 void binarize_2bit(const float* x, std::int64_t rows, std::int64_t cols,
                    const float* lo, const float* hi,
-                   std::int64_t words_per_row, std::uint64_t* codes) {
+                   std::int64_t words_per_row, std::uint32_t* codes) {
   binarize_2bit_portable(x, rows, cols, lo, hi, words_per_row, codes);
 }
 
 #endif
 
-std::int64_t hamming_below(const std::uint64_t* query,
-                           const std::uint64_t* base, std::int64_t rows,
+std::int64_t hamming_below(const std::uint32_t* query,
+                           const std::uint32_t* base, std::int64_t rows,
                            std::int64_t words_per_row, std::uint32_t limit,
                            std::int64_t* rows_out, std::uint32_t* dist_out) {
 #if HAMMING_VPOPCNT
@@ -495,12 +585,12 @@ void dot_scan(const float* query, const float* base, std::int64_t rows,
 
 namespace scalar {
 
-std::uint32_t hamming_distance(const std::uint64_t* a, const std::uint64_t* b,
+std::uint32_t hamming_distance(const std::uint32_t* a, const std::uint32_t* b,
                                std::int64_t words) {
   return hamming_distance_portable(a, b, words);
 }
-std::int64_t hamming_below(const std::uint64_t* query,
-                           const std::uint64_t* base, std::int64_t rows,
+std::int64_t hamming_below(const std::uint32_t* query,
+                           const std::uint32_t* base, std::int64_t rows,
                            std::int64_t words_per_row, std::uint32_t limit,
                            std::int64_t* rows_out, std::uint32_t* dist_out) {
   return hamming_below_rows(query, base, 0, rows, words_per_row, limit,
@@ -508,12 +598,12 @@ std::int64_t hamming_below(const std::uint64_t* query,
 }
 void binarize_1bit(const float* x, std::int64_t rows, std::int64_t cols,
                    const float* thresholds, std::int64_t words_per_row,
-                   std::uint64_t* codes) {
+                   std::uint32_t* codes) {
   binarize_1bit_portable(x, rows, cols, thresholds, words_per_row, codes);
 }
 void binarize_2bit(const float* x, std::int64_t rows, std::int64_t cols,
                    const float* lo, const float* hi,
-                   std::int64_t words_per_row, std::uint64_t* codes) {
+                   std::int64_t words_per_row, std::uint32_t* codes) {
   binarize_2bit_portable(x, rows, cols, lo, hi, words_per_row, codes);
 }
 void dot_scan(const float* query, const float* base, std::int64_t rows,

@@ -1,4 +1,4 @@
-// Binary-embedding kernels: sign/threshold binarization into packed 64-bit
+// Binary-embedding kernels: sign/threshold binarization into packed 32-bit
 // bitplanes, and the fused Hamming bound scan (hamming_below) that is the
 // hot loop of the vector search subsystem (src/search/, DESIGN.md §15).
 //
@@ -18,8 +18,11 @@
 // grows a subtle tail bug.
 //
 // Code layout (shared contract with search::Binarizer):
-//  * A d-dimensional embedding becomes one row of `words_per_row` u64 words,
-//    bits packed LSB-first: logical bit j lives in word j/64, bit j%64.
+//  * A d-dimensional embedding becomes one row of `words_per_row` u32 words,
+//    bits packed LSB-first: logical bit j lives in word j/32, bit j%32.
+//    Rows are ceil(bits/32) words, so a 32-bit code takes 4 bytes; kernels
+//    may read an even-width row as u64 words (little-endian, so the pairs
+//    hold the same bits), which changes no distance.
 //  * 1-bit/dim: bit j = (x[j] > threshold[j]).
 //  * 2-bit/dim (thermometer): dimension j owns bits 2j and 2j+1 with
 //    bit 2j = (x[j] > lo[j]), bit 2j+1 = (x[j] > hi[j]), lo <= hi. Codes are
@@ -43,11 +46,11 @@ namespace cq::kernels {
 /// selection holds its k-th best distance as a strict bound, almost every
 /// row fails it, so the distances never leave registers: the compare runs
 /// on the popcount lanes and only survivors are written. limit 0 emits
-/// nothing; any limit above 64*words_per_row emits every row (the arming
+/// nothing; any limit above 32*words_per_row emits every row (the arming
 /// pass). Exact integer compare, so backend and scalar twin emit identical
 /// lists.
-std::int64_t hamming_below(const std::uint64_t* query,
-                           const std::uint64_t* base, std::int64_t rows,
+std::int64_t hamming_below(const std::uint32_t* query,
+                           const std::uint32_t* base, std::int64_t rows,
                            std::int64_t words_per_row, std::uint32_t limit,
                            std::int64_t* rows_out, std::uint32_t* dist_out);
 
@@ -60,17 +63,17 @@ const char* hamming_below_backend();
 /// Pack `rows` embeddings of `cols` floats into 1-bit/dim codes:
 /// bit j of row r = (x[r*cols + j] > thresholds[j]). NaN compares false (the
 /// ordered-compare convention of the float kernel layer). Each output row
-/// occupies words_per_row u64s (>= ceil(cols/64)); trailing bits and whole
+/// occupies words_per_row u32s (>= ceil(cols/32)); trailing bits and whole
 /// padding words are zeroed.
 void binarize_1bit(const float* x, std::int64_t rows, std::int64_t cols,
                    const float* thresholds, std::int64_t words_per_row,
-                   std::uint64_t* codes);
+                   std::uint32_t* codes);
 
 /// 2-bit/dim thermometer codes: dimension j sets bit 2j when x > lo[j] and
-/// bit 2j+1 when x > hi[j]. words_per_row >= ceil(2*cols/64).
+/// bit 2j+1 when x > hi[j]. words_per_row >= ceil(2*cols/32).
 void binarize_2bit(const float* x, std::int64_t rows, std::int64_t cols,
                    const float* lo, const float* hi,
-                   std::int64_t words_per_row, std::uint64_t* codes);
+                   std::int64_t words_per_row, std::uint32_t* codes);
 
 // ---- fp32 scan (the brute-force baseline + rerank primitive) ---------------
 
@@ -85,18 +88,18 @@ void dot_scan(const float* query, const float* base, std::int64_t rows,
 // ---- portable reference instantiation --------------------------------------
 
 namespace scalar {
-std::uint32_t hamming_distance(const std::uint64_t* a, const std::uint64_t* b,
+std::uint32_t hamming_distance(const std::uint32_t* a, const std::uint32_t* b,
                                std::int64_t words);
-std::int64_t hamming_below(const std::uint64_t* query,
-                           const std::uint64_t* base, std::int64_t rows,
+std::int64_t hamming_below(const std::uint32_t* query,
+                           const std::uint32_t* base, std::int64_t rows,
                            std::int64_t words_per_row, std::uint32_t limit,
                            std::int64_t* rows_out, std::uint32_t* dist_out);
 void binarize_1bit(const float* x, std::int64_t rows, std::int64_t cols,
                    const float* thresholds, std::int64_t words_per_row,
-                   std::uint64_t* codes);
+                   std::uint32_t* codes);
 void binarize_2bit(const float* x, std::int64_t rows, std::int64_t cols,
                    const float* lo, const float* hi,
-                   std::int64_t words_per_row, std::uint64_t* codes);
+                   std::int64_t words_per_row, std::uint32_t* codes);
 void dot_scan(const float* query, const float* base, std::int64_t rows,
               std::int64_t dim, float* out);
 }  // namespace scalar

@@ -618,14 +618,30 @@ void gemm_vnni_tiles(std::int64_t m, std::int64_t n, std::int64_t k,
       // per-lane offsets (an image boundary inside the sliver, e.g. outputs
       // of 2x2 or 3x3 pixels).
       std::int64_t off[NR], img[NR];
-      const bool one_image = tile_lanes(ep, n, jr, nr, off, img);
+      bool one_image = false;
       __m512i relv = _mm512_setzero_si512();
-      if (!one_image) {
-        alignas(64) std::int32_t rel[NR] = {};
-        for (std::int64_t j = 0; j < nr; ++j)
-          rel[j] = static_cast<std::int32_t>(off[j] - off[0]);
-        relv = _mm512_load_si512(rel);
+      if constexpr (kColumnRuns) {
+        // pixels == 1: lane j is image jr + j, at (jr + j) * image_stride.
+        off[0] = jr * ep.image_stride;
+        relv = _mm512_mullo_epi32(
+            _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
+                              15),
+            _mm512_set1_epi32(static_cast<std::int32_t>(ep.image_stride)));
+      } else {
+        one_image = tile_lanes(ep, n, jr, nr, off, img);
+        if (!one_image) {
+          alignas(64) std::int32_t rel[NR] = {};
+          for (std::int64_t j = 0; j < nr; ++j)
+            rel[j] = static_cast<std::int32_t>(off[j] - off[0]);
+          relv = _mm512_load_si512(rel);
+        }
       }
+      const auto image_of = [&](std::int64_t j) {
+        if constexpr (kColumnRuns)
+          return jr + j;
+        else
+          return img[j];
+      };
       const __m512 zero = _mm512_setzero_ps();
       __m512 colmax = zero;
       __m512 outs[MR] = {};  // the finished tile, kColumnRuns only
@@ -669,9 +685,9 @@ void gemm_vnni_tiles(std::int64_t m, std::int64_t n, std::int64_t k,
         maxes.add(img[0], _mm512_mask_reduce_max_ps(mask, colmax));
       } else if (ep.absmax != nullptr) {
         for (std::int64_t j = 0; j < nr;) {
-          const std::int64_t im = img[j];
+          const std::int64_t im = image_of(j);
           __mmask16 lanes = 0;
-          for (; j < nr && img[j] == im; ++j)
+          for (; j < nr && image_of(j) == im; ++j)
             lanes |= static_cast<__mmask16>(1u << j);
           maxes.add(im, _mm512_mask_reduce_max_ps(lanes, colmax));
         }

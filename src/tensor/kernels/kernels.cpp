@@ -9,6 +9,7 @@
 // (fmaf / nearbyintf / sqrt), so backend choice never changes results.
 #include "tensor/kernels/kernels.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -299,6 +300,95 @@ void softmax_rows_t(float* x, std::int64_t rows, std::int64_t cols) {
   }
 }
 
+// ---- attention -------------------------------------------------------------
+
+// The first n lanes from p, the rest zero; and its store twin. Full vectors
+// load and store directly.
+template <class V>
+V load_n(const float* p, std::int64_t n) {
+  if (n == W) return V::load(p);
+  float t[W] = {};
+  std::memcpy(t, p, static_cast<std::size_t>(n) * sizeof(float));
+  return V::load(t);
+}
+
+template <class V>
+void store_n(V x, float* p, std::int64_t n) {
+  if (n == W) {
+    x.store(p);
+    return;
+  }
+  float t[W];
+  x.store(t);
+  std::memcpy(p, t, static_cast<std::size_t>(n) * sizeof(float));
+}
+
+// Query rows per register block: independent accumulator chains.
+constexpr std::int64_t kAttnRows = 4;
+// Key dims per transposed key tile; longer heads carry partial sums through
+// `probs`, which stores them exactly.
+constexpr std::int64_t kAttnDims = 64;
+
+// Both products walk rows kAttnRows at a time (a short last block repeats
+// row seq - 1 and discards it) and columns W lanes at a time; each lane sums
+// from +0.0 over ascending k, a mul then an add.
+template <class V>
+void attention_head_t(const float* q, const float* k, const float* v,
+                      std::int64_t ld, std::int64_t seq, std::int64_t dh,
+                      float scale, float* probs, float* out,
+                      std::int64_t ldo) {
+  // probs = Q K^T * scale, W keys per step. The keys' dims are transposed
+  // into kt once per tile so the k-walk reads one key per lane.
+  for (std::int64_t j0 = 0; j0 < seq; j0 += W) {
+    const std::int64_t nj = std::min(W, seq - j0);
+    for (std::int64_t p0 = 0; p0 < dh; p0 += kAttnDims) {
+      const std::int64_t np = std::min(kAttnDims, dh - p0);
+      float kt[kAttnDims * W];
+      for (std::int64_t p = 0; p < np; ++p)
+        for (std::int64_t j = 0; j < W; ++j)
+          kt[p * W + j] = j < nj ? k[(j0 + j) * ld + p0 + p] : 0.0f;
+      const bool last = p0 + np == dh;
+      for (std::int64_t i0 = 0; i0 < seq; i0 += kAttnRows) {
+        const float* qr[kAttnRows];
+        V acc[kAttnRows];
+        for (std::int64_t r = 0; r < kAttnRows; ++r) {
+          const std::int64_t i = std::min(i0 + r, seq - 1);
+          qr[r] = q + i * ld + p0;
+          acc[r] = p0 == 0 ? V::zero() : load_n<V>(probs + i * seq + j0, nj);
+        }
+        for (std::int64_t p = 0; p < np; ++p) {
+          const V kv = V::load(kt + p * W);
+          for (std::int64_t r = 0; r < kAttnRows; ++r)
+            acc[r] = acc[r] + V::broadcast(qr[r][p]) * kv;
+        }
+        for (std::int64_t r = 0; r < kAttnRows && i0 + r < seq; ++r)
+          store_n(last ? acc[r] * V::broadcast(scale) : acc[r],
+                  probs + (i0 + r) * seq + j0, nj);
+      }
+    }
+  }
+  softmax_rows_t<V>(probs, seq, seq);
+  // out = probs V, W value dims per step, each value row read in place.
+  for (std::int64_t c0 = 0; c0 < dh; c0 += W) {
+    const std::int64_t nc = std::min(W, dh - c0);
+    for (std::int64_t i0 = 0; i0 < seq; i0 += kAttnRows) {
+      const float* pr[kAttnRows];
+      V acc[kAttnRows];
+      for (std::int64_t r = 0; r < kAttnRows; ++r) {
+        pr[r] = probs + std::min(i0 + r, seq - 1) * seq;
+        acc[r] = V::zero();
+      }
+      for (std::int64_t j = 0; j < seq; ++j) {
+        const V vv = load_n<V>(v + j * ld + c0, nc);
+        for (std::int64_t r = 0; r < kAttnRows; ++r)
+          acc[r] = acc[r] + V::broadcast(pr[r][j]) * vv;
+      }
+      for (std::int64_t r = 0; r < kAttnRows && i0 + r < seq; ++r)
+        store_n(acc[r], out + (i0 + r) * ldo + c0, nc);
+    }
+  }
+}
+
 template <class V>
 void log_softmax_rows_t(float* x, std::int64_t rows, std::int64_t cols) {
   if (cols <= 0) return;
@@ -505,6 +595,13 @@ void softmax_rows(float* x, std::int64_t rows, std::int64_t cols) {
   CQ_TRACE_SCOPE_BYTES("kernels.softmax_rows", rows * cols * sizeof(float));
   softmax_rows_t<VecF>(x, rows, cols);
 }
+void attention_head(const float* q, const float* k, const float* v,
+                    std::int64_t ld, std::int64_t seq, std::int64_t dh,
+                    float scale, float* probs, float* out, std::int64_t ldo) {
+  CQ_TRACE_SCOPE_HOT_BYTES("kernels.attention_head",
+                           (3 * seq * dh + seq * seq) * sizeof(float));
+  attention_head_t<VecF>(q, k, v, ld, seq, dh, scale, probs, out, ldo);
+}
 void log_softmax_rows(float* x, std::int64_t rows, std::int64_t cols) {
   CQ_TRACE_SCOPE_BYTES("kernels.log_softmax_rows",
                        rows * cols * sizeof(float));
@@ -576,6 +673,11 @@ void minmax(const float* x, std::int64_t n, float* lo, float* hi) {
 }
 void softmax_rows(float* x, std::int64_t rows, std::int64_t cols) {
   softmax_rows_t<VecPortable>(x, rows, cols);
+}
+void attention_head(const float* q, const float* k, const float* v,
+                    std::int64_t ld, std::int64_t seq, std::int64_t dh,
+                    float scale, float* probs, float* out, std::int64_t ldo) {
+  attention_head_t<VecPortable>(q, k, v, ld, seq, dh, scale, probs, out, ldo);
 }
 void log_softmax_rows(float* x, std::int64_t rows, std::int64_t cols) {
   log_softmax_rows_t<VecPortable>(x, rows, cols);

@@ -83,6 +83,20 @@ void log_softmax_rows(float* x, std::int64_t rows, std::int64_t cols);
 void l2_normalize_rows(float* x, std::int64_t rows, std::int64_t cols,
                        float* norms, float eps);
 
+// ---- attention -------------------------------------------------------------
+
+/// One attention head, out = softmax(Q K^T * scale) V, with Q, K and V read
+/// in place as [seq, dh] matrices of row stride `ld` at q, k and v (one
+/// head's columns of fused [seq, 3*dim] qkv rows). `probs` receives the
+/// [seq, seq] attention map; out is [seq, dh] with row stride `ldo`. Each
+/// product element sums from +0.0 over ascending k, a mul then an add:
+/// gemm's per-element order, so for seq, dh <= gemm::kKC (one gemm k-panel)
+/// the result equals gemm kNT, the scale, softmax_rows and gemm kNN bit for
+/// bit.
+void attention_head(const float* q, const float* k, const float* v,
+                    std::int64_t ld, std::int64_t seq, std::int64_t dh,
+                    float scale, float* probs, float* out, std::int64_t ldo);
+
 // ---- quantization ----------------------------------------------------------
 
 /// y = Eq. 10 affine quantization of x under `q` (gemm::quantize_value
@@ -133,6 +147,9 @@ void gelu_grad(const float* x, const float* g, float* y, std::int64_t n);
 void minmax(const float* x, std::int64_t n, float* lo, float* hi);
 void softmax_rows(float* x, std::int64_t rows, std::int64_t cols);
 void log_softmax_rows(float* x, std::int64_t rows, std::int64_t cols);
+void attention_head(const float* q, const float* k, const float* v,
+                    std::int64_t ld, std::int64_t seq, std::int64_t dh,
+                    float scale, float* probs, float* out, std::int64_t ldo);
 void l2_normalize_rows(float* x, std::int64_t rows, std::int64_t cols,
                        float* norms, float eps);
 void quantize(const float* x, float* y, std::int64_t n,

@@ -52,6 +52,12 @@ void BinaryWriter::write_f32_array(const std::vector<float>& v) {
              static_cast<std::streamsize>(v.size() * sizeof(float)));
 }
 
+void BinaryWriter::write_u32_array(const std::vector<std::uint32_t>& v) {
+  write_u64(v.size());
+  out_.write(reinterpret_cast<const char*>(v.data()),
+             static_cast<std::streamsize>(v.size() * sizeof(std::uint32_t)));
+}
+
 void BinaryWriter::write_u64_array(const std::vector<std::uint64_t>& v) {
   write_u64(v.size());
   out_.write(reinterpret_cast<const char*>(v.data()),
@@ -131,6 +137,14 @@ std::vector<float> BinaryReader::read_f32_array() {
   in_.read(reinterpret_cast<char*>(v.data()),
            static_cast<std::streamsize>(v.size() * sizeof(float)));
   require(in_.good(), "truncated f32 array");
+  return v;
+}
+
+std::vector<std::uint32_t> BinaryReader::read_u32_array() {
+  std::vector<std::uint32_t> v(read_length(sizeof(std::uint32_t)));
+  in_.read(reinterpret_cast<char*>(v.data()),
+           static_cast<std::streamsize>(v.size() * sizeof(std::uint32_t)));
+  require(in_.good(), "truncated u32 array");
   return v;
 }
 

@@ -26,6 +26,7 @@ class BinaryWriter {
   void write_f32(float v);
   void write_string(const std::string& s);
   void write_f32_array(const std::vector<float>& v);
+  void write_u32_array(const std::vector<std::uint32_t>& v);
   void write_u64_array(const std::vector<std::uint64_t>& v);
 
   /// Flushes, closes and renames the temp file onto the path; throws on I/O
@@ -53,6 +54,7 @@ class BinaryReader {
   float read_f32();
   std::string read_string();
   std::vector<float> read_f32_array();
+  std::vector<std::uint32_t> read_u32_array();
   std::vector<std::uint64_t> read_u64_array();
 
   /// Validates that the stream is positioned exactly at end-of-file, i.e.

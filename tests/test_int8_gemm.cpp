@@ -322,48 +322,58 @@ TEST(Int8Gemm, RowWalkPackMatchesScalarTwinBitwise) {
 TEST(Int8Gemm, ColumnRunOutputMatchesScalarTwinBitwise) {
   // Linear output (pixels = 1, ldc = 1): column j's m outputs are the floats
   // c[j * image_stride .. + m). Every mr tail, a tight and a padded image
-  // stride with a group offset, with and without ReLU and the per-image max.
+  // stride with a group offset, with and without ReLU and the per-image max,
+  // and without a residual, with one added after and with one added first
+  // (read through the same lane offsets as the store).
   Rng rng(32);
   for (std::int64_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 96})
     for (std::int64_t n : {1, 5, 16, 17, 40})
       for (const bool padded : {false, true})
-        for (const igemm::Act act : {igemm::Act::kNone, igemm::Act::kRelu}) {
-          const Problem p = make_problem(m, n, 37, rng);
-          const std::int64_t stride = padded ? m + 11 : m;
-          const std::int64_t off = padded ? 5 : 0;
-          std::vector<std::int8_t> ap(
-              static_cast<std::size_t>(igemm::packed_a_bytes(m, p.k)));
-          std::vector<std::int32_t> rowsum(static_cast<std::size_t>(m));
-          igemm::pack_a_s8(p.a.data(), m, p.k, ap.data(), rowsum.data());
-          std::vector<std::uint8_t> bp(
-              static_cast<std::size_t>(igemm::packed_b_bytes(p.k, n)));
-          igemm::scalar::pack_b_quantized(p.b.data(), p.rs, p.cs, p.k, n,
-                                          p.col_inv.data(), bp.data());
-          igemm::Epilogue ep;
-          ep.row_scale = p.row_scale.data();
-          ep.col_scale = p.col_scale.data();
-          ep.bias = p.bias.data();
-          ep.pixels = 1;
-          ep.image_stride = stride;
-          ep.act = act;
-          std::vector<float> c[2], maxes[2];
-          for (int twin = 0; twin < 2; ++twin) {
-            c[twin].assign(static_cast<std::size_t>(n * stride + off), -999.0f);
-            maxes[twin].assign(static_cast<std::size_t>(n), 0.0f);
-            ep.absmax = act == igemm::Act::kNone ? nullptr : maxes[twin].data();
-            auto* gemm = twin == 1 ? &igemm::scalar::gemm : &igemm::gemm;
-            gemm(m, n, p.k, ap.data(), rowsum.data(), bp.data(),
-                 c[twin].data() + off, /*ldc=*/1, ep);
+        for (const igemm::Act act : {igemm::Act::kNone, igemm::Act::kRelu})
+          for (const int residual : {0, 1, 2}) {
+            const Problem p = make_problem(m, n, 37, rng);
+            const std::int64_t stride = padded ? m + 11 : m;
+            const std::int64_t off = padded ? 5 : 0;
+            std::vector<std::int8_t> ap(
+                static_cast<std::size_t>(igemm::packed_a_bytes(m, p.k)));
+            std::vector<std::int32_t> rowsum(static_cast<std::size_t>(m));
+            igemm::pack_a_s8(p.a.data(), m, p.k, ap.data(), rowsum.data());
+            std::vector<std::uint8_t> bp(
+                static_cast<std::size_t>(igemm::packed_b_bytes(p.k, n)));
+            igemm::scalar::pack_b_quantized(p.b.data(), p.rs, p.cs, p.k, n,
+                                            p.col_inv.data(), bp.data());
+            igemm::Epilogue ep;
+            ep.row_scale = p.row_scale.data();
+            ep.col_scale = p.col_scale.data();
+            ep.bias = p.bias.data();
+            ep.pixels = 1;
+            ep.image_stride = stride;
+            ep.act = act;
+            std::vector<float> res(static_cast<std::size_t>(n * stride + off));
+            for (auto& v : res) v = static_cast<float>(rng.uniform(-2.0, 2.0));
+            ep.residual = residual == 0 ? nullptr : res.data() + off;
+            ep.residual_first = residual == 2;
+            std::vector<float> c[2], maxes[2];
+            for (int twin = 0; twin < 2; ++twin) {
+              c[twin].assign(static_cast<std::size_t>(n * stride + off),
+                             -999.0f);
+              maxes[twin].assign(static_cast<std::size_t>(n), 0.0f);
+              ep.absmax =
+                  act == igemm::Act::kNone ? nullptr : maxes[twin].data();
+              auto* gemm = twin == 1 ? &igemm::scalar::gemm : &igemm::gemm;
+              gemm(m, n, p.k, ap.data(), rowsum.data(), bp.data(),
+                   c[twin].data() + off, /*ldc=*/1, ep);
+            }
+            const std::string what = "m=" + std::to_string(m) +
+                                     " n=" + std::to_string(n) +
+                                     " stride=" + std::to_string(stride) +
+                                     " residual=" + std::to_string(residual);
+            for (std::size_t i = 0; i < c[0].size(); ++i)
+              ASSERT_EQ(std::bit_cast<std::uint32_t>(c[0][i]),
+                        std::bit_cast<std::uint32_t>(c[1][i]))
+                  << what << " at " << i;
+            ASSERT_EQ(maxes[0], maxes[1]) << what;
           }
-          const std::string what = "m=" + std::to_string(m) +
-                                   " n=" + std::to_string(n) +
-                                   " stride=" + std::to_string(stride);
-          for (std::size_t i = 0; i < c[0].size(); ++i)
-            ASSERT_EQ(std::bit_cast<std::uint32_t>(c[0][i]),
-                      std::bit_cast<std::uint32_t>(c[1][i]))
-                << what << " at " << i;
-          ASSERT_EQ(maxes[0], maxes[1]) << what;
-        }
 }
 
 // ---- Channel-quad conv lowering: quantize_conv_input + pack_b_conv_c4 ------

@@ -41,9 +41,9 @@ using search::QueryOptions;
 using search::QueryScratch;
 using search::Result;
 
-std::vector<std::uint64_t> random_words(Rng& rng, std::int64_t n) {
-  std::vector<std::uint64_t> v(static_cast<std::size_t>(n));
-  for (auto& w : v) w = rng.next_u64();
+std::vector<std::uint32_t> random_words(Rng& rng, std::int64_t n) {
+  std::vector<std::uint32_t> v(static_cast<std::size_t>(n));
+  for (auto& w : v) w = static_cast<std::uint32_t>(rng.next_u64());
   return v;
 }
 
@@ -61,21 +61,21 @@ TEST(HammingKernels, BelowMatchesScalarAtBoundaryLimits) {
               kernels::hamming_below_backend());
   RecordProperty("hamming_below_backend", kernels::hamming_below_backend());
   Rng rng(2020);
-  // 1 and 2 words, the AVX2 n-word path below, at and past one 4-word
-  // step, and the AVX-512 one below and above one 8-word vector.
-  for (std::int64_t words : {1, 2, 3, 4, 5, 7, 8, 9, 13}) {
-    const std::uint32_t full = static_cast<std::uint32_t>(64 * words);
+  // The 1-, 2- and 4-word paths, and the n-word paths below, at and past
+  // one AVX2 8-word step and one AVX-512 16-word vector.
+  for (std::int64_t words : {1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 17}) {
+    const std::uint32_t full = static_cast<std::uint32_t>(32 * words);
     // Row counts with odd tails around every vector step width.
     for (std::int64_t rows :
          {0, 1, 2, 3, 5, 7, 8, 9, 15, 17, 31, 33, 100, 257, 259}) {
       const auto query = random_words(rng, words);
       auto base = random_words(rng, rows * words);
-      // Mix in rows at distance 0, 1 and 64*words so that the boundary
-      // limits below split real rows, not just random ~32*words ones.
+      // Mix in rows at distance 0, 1 and 32*words so that the boundary
+      // limits below split real rows, not just random ~16*words ones.
       for (std::int64_t r = 0; r < rows; ++r) {
         const std::uint64_t kind = rng.next_u64() % 4;
         for (std::int64_t w = 0; w < words; ++w) {
-          std::uint64_t& x = base[r * words + w];
+          std::uint32_t& x = base[r * words + w];
           if (kind == 0) x = query[w];
           if (kind == 1) x = query[w] ^ (w == 0 ? 1u : 0u);
           if (kind == 2) x = ~query[w];
@@ -123,18 +123,59 @@ TEST(HammingKernels, BelowMatchesScalarAtBoundaryLimits) {
   }
 }
 
+TEST(HammingKernels, NarrowRowsMatchScalarAtEveryTail) {
+  // The 1-word path scans 16 rows per vector and the 2- and 4-word paths 32
+  // and 16 per step; every row tail 0-63 after two full 64-row spans, at
+  // limit 0, a mid limit and one above the maximum distance. Outputs past
+  // the survivors keep their sentinels: only survivors are written.
+  Rng rng(2121);
+  for (std::int64_t words : {1, 2, 3, 4, 7}) {
+    const std::uint32_t full = static_cast<std::uint32_t>(32 * words);
+    for (std::int64_t tail = 0; tail < 64; ++tail) {
+      const std::int64_t rows = 128 + tail;
+      const auto query = random_words(rng, words);
+      auto base = random_words(rng, rows * words);
+      for (std::int64_t r = 0; r < rows; r += 5)
+        std::copy(query.begin(), query.end(), base.begin() + r * words);
+      for (std::uint32_t limit : {0u, full / 2, full + 1}) {
+        const std::size_t cap = static_cast<std::size_t>(rows);
+        std::vector<std::int64_t> got_rows(cap, -1), want_rows(cap, -1);
+        std::vector<std::uint32_t> got_dist(cap, 7), want_dist(cap, 7);
+        const std::int64_t ng =
+            kernels::hamming_below(query.data(), base.data(), rows, words,
+                                   limit, got_rows.data(), got_dist.data());
+        const std::int64_t nw = kernels::scalar::hamming_below(
+            query.data(), base.data(), rows, words, limit, want_rows.data(),
+            want_dist.data());
+        const std::string label = "words=" + std::to_string(words) +
+                                  " rows=" + std::to_string(rows) +
+                                  " limit=" + std::to_string(limit);
+        ASSERT_EQ(ng, nw) << label;
+        EXPECT_EQ(got_rows, want_rows) << label;
+        EXPECT_EQ(got_dist, want_dist) << label;
+        if (limit == 0) {
+          EXPECT_EQ(ng, 0) << label;
+        }
+        if (limit > full) {
+          EXPECT_EQ(ng, rows) << label;
+        }
+      }
+    }
+  }
+}
+
 TEST(HammingKernels, Binarize1BitMatchesScalarWithOddTails) {
   Rng rng(303);
   for (std::int64_t cols : {1, 3, 7, 8, 9, 31, 63, 64, 65, 100, 129}) {
     const std::int64_t rows = 5;
-    const std::int64_t words = (cols + 63) / 64;
+    const std::int64_t words = (cols + 31) / 32;
     auto x = random_floats(rng, rows * cols);
     auto thr = random_floats(rng, cols, -0.5, 0.5);
     // Exercise the strict-> boundary and the NaN->false convention.
     x[0] = thr[0];
     if (cols > 2) x[2] = std::numeric_limits<float>::quiet_NaN();
-    std::vector<std::uint64_t> got(static_cast<std::size_t>(rows * words),
-                                   0xFFFFFFFFFFFFFFFFull);
+    std::vector<std::uint32_t> got(static_cast<std::size_t>(rows * words),
+                                   0xFFFFFFFFu);
     auto want = got;
     kernels::binarize_1bit(x.data(), rows, cols, thr.data(), words,
                            got.data());
@@ -144,13 +185,13 @@ TEST(HammingKernels, Binarize1BitMatchesScalarWithOddTails) {
     for (std::int64_t r = 0; r < rows; ++r)
       for (std::int64_t j = 0; j < cols; ++j) {
         const bool bit =
-            (got[r * words + (j >> 6)] >> (j & 63)) & 1;
+            (got[r * words + (j >> 5)] >> (j & 31)) & 1;
         EXPECT_EQ(bit, x[r * cols + j] > thr[j]) << r << "," << j;
       }
     // Trailing bits of the last word must be zeroed, never garbage.
-    if (cols % 64 != 0) {
+    if (cols % 32 != 0) {
       for (std::int64_t r = 0; r < rows; ++r)
-        EXPECT_EQ(got[r * words + words - 1] >> (cols % 64), 0u);
+        EXPECT_EQ(got[r * words + words - 1] >> (cols % 32), 0u);
     }
   }
 }
@@ -159,12 +200,12 @@ TEST(HammingKernels, Binarize2BitThermometerMatchesScalar) {
   Rng rng(404);
   for (std::int64_t cols : {1, 3, 5, 8, 16, 31, 32, 33, 64, 100}) {
     const std::int64_t rows = 4;
-    const std::int64_t words = (2 * cols + 63) / 64;
+    const std::int64_t words = (2 * cols + 31) / 32;
     const auto x = random_floats(rng, rows * cols);
     auto lo = random_floats(rng, cols, -0.5, 0.0);
     auto hi = random_floats(rng, cols, 0.0, 0.5);
-    std::vector<std::uint64_t> got(static_cast<std::size_t>(rows * words),
-                                   0xFFFFFFFFFFFFFFFFull);
+    std::vector<std::uint32_t> got(static_cast<std::size_t>(rows * words),
+                                   0xFFFFFFFFu);
     auto want = got;
     kernels::binarize_2bit(x.data(), rows, cols, lo.data(), hi.data(), words,
                            got.data());
@@ -261,11 +302,11 @@ TEST(Binarizer, FitUsesPerCoordinateOrderStatistics) {
     for (std::size_t j = 0; j < t.size(); ++j) p[j] = std::nextafter(t[j], inf);
     return p;
   };
-  const std::uint64_t all = (std::uint64_t{1} << dim) - 1;
+  const std::uint32_t all = (std::uint32_t{1} << dim) - 1;
 
   auto b1 = search::Binarizer::fit(data.data(), rows, dim,
                                    CodeLayout::k1Bit);
-  std::vector<std::uint64_t> code(1);
+  std::vector<std::uint32_t> code(1);
   b1.encode(med.data(), 1, code.data());
   EXPECT_EQ(code[0], 0u);  // strict >: at-threshold stays 0
   b1.encode(above(med).data(), 1, code.data());
@@ -275,8 +316,8 @@ TEST(Binarizer, FitUsesPerCoordinateOrderStatistics) {
                                    CodeLayout::k2Bit);
   // Level per dimension j in bits 2j, 2j+1: 00 at lo, 01 above lo and at
   // hi, 11 above hi.
-  std::uint64_t level1 = 0;
-  for (std::int64_t j = 0; j < dim; ++j) level1 |= std::uint64_t{1} << (2 * j);
+  std::uint32_t level1 = 0;
+  for (std::int64_t j = 0; j < dim; ++j) level1 |= std::uint32_t{1} << (2 * j);
   b2.encode(lo.data(), 1, code.data());
   EXPECT_EQ(code[0], 0u);
   b2.encode(above(lo).data(), 1, code.data());
@@ -306,7 +347,7 @@ TEST(Binarizer, FitIsScaleInvariant) {
   };
   for (CodeLayout layout : {CodeLayout::k1Bit, CodeLayout::k2Bit}) {
     const auto base = search::Binarizer::fit(data.data(), rows, dim, layout);
-    std::vector<std::uint64_t> want(
+    std::vector<std::uint32_t> want(
         static_cast<std::size_t>(probes * base.words_per_row()));
     base.encode(unit_probes.data(), probes, want.data());
     for (const float f : {0.125f, 8.0f, 10.0f}) {
@@ -318,7 +359,7 @@ TEST(Binarizer, FitIsScaleInvariant) {
       if (f != 10.0f) {
         EXPECT_EQ(threshold_bytes(base), threshold_bytes(b)) << label;
       }
-      std::vector<std::uint64_t> got(want.size());
+      std::vector<std::uint32_t> got(want.size());
       b.encode(unit_probes.data(), probes, got.data());
       EXPECT_EQ(got, want) << label;
     }
@@ -368,7 +409,7 @@ std::vector<DistRow> oracle_topk(const Index& index,
                                  const std::vector<float>& query,
                                  std::int64_t k) {
   const std::int64_t rows = index.size(), words = index.words_per_row();
-  std::vector<std::uint64_t> qcode(static_cast<std::size_t>(words));
+  std::vector<std::uint32_t> qcode(static_cast<std::size_t>(words));
   std::vector<float> qn = query;
   kernels::l2_normalize_rows(qn.data(), 1, index.dim(), nullptr, 1e-12f);
   index.binarizer().encode(qn.data(), 1, qcode.data());
@@ -497,6 +538,42 @@ TEST(SearchIndex, MultiBlockScanMatchesBruteForceOracle) {
           << "query " << q << " rank " << i;
       EXPECT_EQ(hits[i].dist, all[i].first) << "query " << q << " rank " << i;
       EXPECT_EQ(hits[i].score, -static_cast<float>(all[i].first));
+    }
+  }
+}
+
+TEST(SearchIndex, NarrowRowMultiBlockScanMatchesBruteForceOracle) {
+  // One-word codes (1-bit dims 8, 31, 32 and 2-bit dim 16) over many scan
+  // blocks and a partial one: the one-word kernel path under the bound,
+  // the buffer compaction and, with so few distinct distances, the row
+  // tiebreak and the zero-bound stop.
+  struct Case {
+    std::int64_t dim;
+    CodeLayout layout;
+  };
+  for (const Case c : {Case{8, CodeLayout::k1Bit}, Case{31, CodeLayout::k1Bit},
+                       Case{32, CodeLayout::k1Bit},
+                       Case{16, CodeLayout::k2Bit}}) {
+    Rng rng(910 + static_cast<std::uint64_t>(c.dim));
+    const std::int64_t rows = 12805;
+    Index index = make_random_index(rng, rows, c.dim, c.layout, false);
+    ASSERT_EQ(index.words_per_row(), 1);
+    QueryOptions opts;
+    opts.k = 10;
+    opts.overfetch = 8;
+    QueryScratch scratch;
+    std::vector<Result> hits(10);
+    for (int q = 0; q < 4; ++q) {
+      const auto query = random_floats(rng, c.dim);
+      ASSERT_EQ(index.query(query.data(), opts, scratch, hits.data()), 10);
+      const auto all = oracle_topk(index, query, 10);
+      for (int i = 0; i < 10; ++i) {
+        EXPECT_EQ(hits[i].id,
+                  1000 + static_cast<std::uint64_t>(all[i].second))
+            << "dim " << c.dim << " query " << q << " rank " << i;
+        EXPECT_EQ(hits[i].dist, all[i].first)
+            << "dim " << c.dim << " query " << q << " rank " << i;
+      }
     }
   }
 }
@@ -726,6 +803,7 @@ TEST(SearchIndex, SaveLoadRoundTripAndTruncationRegression) {
   Rng rng(1111);
   const std::int64_t rows = 200, dim = 40;
   Index index = make_random_index(rng, rows, dim, CodeLayout::k2Bit, true);
+  ASSERT_EQ(index.words_per_row(), 3);  // an odd word count
   const std::string path = testing::TempDir() + "cq_search_index.bin";
   index.save(path);
 
@@ -927,7 +1005,13 @@ TEST(SearchService, StatsJsonReportsEngineAndSearchSections) {
   EXPECT_EQ(stats.results, 12u);
   EXPECT_EQ(stats.codes_scanned, 4u * 2000u);
   EXPECT_EQ(stats.e2e_latency.count(), 4u);
-  EXPECT_GT(stats.scan_codes_per_s, 0.0);
+  // Scan time accumulates in nanoseconds; the microsecond field and the
+  // rate derive from the sum, not from per-query truncated microseconds.
+  EXPECT_GT(stats.scan_nanos, 0u);
+  EXPECT_EQ(stats.scan_micros, stats.scan_nanos / 1000);
+  EXPECT_DOUBLE_EQ(stats.scan_codes_per_s,
+                   4.0 * 2000.0 / (static_cast<double>(stats.scan_nanos) /
+                                   1e9));
   const std::string json = svc.stats_json();
   for (const char* key :
        {"\"engine\"", "\"search\"", "\"codes_scanned\"",

@@ -317,6 +317,7 @@ TEST(Serialize, RejectsLengthPastFileEndBeforeAllocating) {
       }
     };
     expect_rejected([](BinaryReader& r) { r.read_f32_array(); });
+    expect_rejected([](BinaryReader& r) { r.read_u32_array(); });
     expect_rejected([](BinaryReader& r) { r.read_u64_array(); });
     expect_rejected([](BinaryReader& r) { r.read_string(); });
   }

@@ -1,13 +1,18 @@
 // ViT backbone + its graph lowering: attention-shaped kernel coverage
 // (softmax over seq x seq rows with odd tails, batched kNT GEMM at head
-// widths), module gradchecks for the new LayerNorm/GELU/VitBlock pieces,
-// and the compiled == eager bitwise gates at every batch width and pool
-// size — the same contract the conv families pin in test_graph.cpp.
+// widths, kernels::attention_head against the gemm composition bitwise
+// and a double reference), module gradchecks for the new
+// LayerNorm/GELU/VitBlock pieces, and the compiled == eager bitwise gates
+// at every batch width and pool size — the same contract the conv families
+// pin in test_graph.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/simclr.hpp"
@@ -87,6 +92,150 @@ TEST(VitKernels, ScoreGemmKntHeadShapesMatchReference) {
         EXPECT_NEAR(s.at(i, j), ref, 1e-4 * (1.0 + std::abs(ref)))
             << i << "," << j;
       }
+  }
+}
+
+// ---- kernels::attention_head oracles ---------------------------------------
+
+/// One sample's fused [seq, 3*dim] qkv rows, dim = heads * dh. kind 0 is
+/// uniform in [-1, 1]; kind 1 adds signed zeros and rows scaled by 1e3;
+/// kind 2 adds a NaN to one q and one v element.
+std::vector<float> attention_input(Rng& rng, std::int64_t seq,
+                                   std::int64_t dim, int kind) {
+  std::vector<float> qkv(static_cast<std::size_t>(seq * 3 * dim));
+  for (auto& x : qkv) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+  if (kind == 1) {
+    for (std::size_t i = 0; i < qkv.size(); i += 3)
+      qkv[i] = i % 2 == 0 ? 0.0f : -0.0f;
+    for (std::int64_t s = 0; s < seq; s += 2)
+      for (std::int64_t c = 0; c < 3 * dim; ++c)
+        qkv[static_cast<std::size_t>(s * 3 * dim + c)] *= 1e3f;
+  } else if (kind == 2) {
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    qkv[static_cast<std::size_t>((seq / 2) * 3 * dim)] = nan;  // a q element
+    qkv[static_cast<std::size_t>(3 * dim - 1)] = nan;          // a v element
+  }
+  return qkv;
+}
+
+struct AttentionShape {
+  std::int64_t seq, dh, heads;
+};
+
+std::vector<AttentionShape> attention_shapes() {
+  std::vector<AttentionShape> shapes;
+  for (std::int64_t seq : {1, 3, 16, 17, 33, 64})
+    for (std::int64_t dh : {1, 3, 8, 16, 64})
+      for (std::int64_t heads : {1, 4}) shapes.push_back({seq, dh, heads});
+  return shapes;
+}
+
+std::uint32_t bits(float x) { return std::bit_cast<std::uint32_t>(x); }
+
+// attention_head against the composition it replaced in the ViT: the head's
+// q, k and v gathered into contiguous matrices, gemm kNT, the scale,
+// softmax_rows and gemm kNN. Its bitwise contract holds for seq and dh up to
+// gemm::kKC; the portable twin must agree bit for bit too.
+TEST(VitKernels, AttentionHeadMatchesGemmCompositionBitwise) {
+  Rng rng(61);
+  for (const AttentionShape& sh : attention_shapes()) {
+    for (int kind = 0; kind < 3; ++kind) {
+      const std::int64_t seq = sh.seq, dh = sh.dh, dim = sh.heads * dh;
+      SCOPED_TRACE("seq " + std::to_string(seq) + " dh " +
+                   std::to_string(dh) + " heads " +
+                   std::to_string(sh.heads) + " kind " +
+                   std::to_string(kind));
+      const auto qkv = attention_input(rng, seq, dim, kind);
+      const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+      std::vector<float> out(static_cast<std::size_t>(seq * dim), -7.0f);
+      std::vector<float> out_scalar = out;
+      std::vector<float> probs(static_cast<std::size_t>(seq * seq));
+      std::vector<float> probs_scalar = probs;
+      std::vector<float> qh(static_cast<std::size_t>(seq * dh)), kh = qh,
+          vh = qh, ctx = qh, want(static_cast<std::size_t>(seq * seq));
+      for (std::int64_t h = 0; h < sh.heads; ++h) {
+        const float* q = qkv.data() + h * dh;
+        kernels::attention_head(q, q + dim, q + 2 * dim, 3 * dim, seq, dh,
+                                scale, probs.data(), out.data() + h * dh,
+                                dim);
+        kernels::scalar::attention_head(q, q + dim, q + 2 * dim, 3 * dim,
+                                        seq, dh, scale, probs_scalar.data(),
+                                        out_scalar.data() + h * dh, dim);
+        for (std::int64_t s = 0; s < seq; ++s)
+          for (std::int64_t c = 0; c < dh; ++c) {
+            const float* row = q + s * 3 * dim + c;
+            qh[static_cast<std::size_t>(s * dh + c)] = row[0];
+            kh[static_cast<std::size_t>(s * dh + c)] = row[dim];
+            vh[static_cast<std::size_t>(s * dh + c)] = row[2 * dim];
+          }
+        gemm::gemm(gemm::Trans::kNT, seq, seq, dh, qh.data(), kh.data(),
+                   want.data(), /*accumulate=*/false);
+        for (auto& x : want) x *= scale;
+        kernels::softmax_rows(want.data(), seq, seq);
+        gemm::gemm(gemm::Trans::kNN, seq, dh, seq, want.data(), vh.data(),
+                   ctx.data(), /*accumulate=*/false);
+        for (std::int64_t i = 0; i < seq * seq; ++i) {
+          ASSERT_EQ(bits(probs[i]), bits(want[i]))
+              << "head " << h << " p" << i;
+          ASSERT_EQ(bits(probs_scalar[i]), bits(want[i]))
+              << "head " << h << " p" << i;
+        }
+        for (std::int64_t s = 0; s < seq; ++s)
+          for (std::int64_t c = 0; c < dh; ++c) {
+            const float w = ctx[static_cast<std::size_t>(s * dh + c)];
+            const auto at = static_cast<std::size_t>(s * dim + h * dh + c);
+            ASSERT_EQ(bits(out[at]), bits(w)) << "head " << h << " row " << s;
+            ASSERT_EQ(bits(out_scalar[at]), bits(w))
+                << "head " << h << " row " << s;
+          }
+      }
+    }
+  }
+}
+
+// attention_head against softmax(Q K^T * scale) V computed in double from
+// the definition, sharing no code with the kernel layer.
+TEST(VitKernels, AttentionHeadMatchesDoubleReference) {
+  Rng rng(67);
+  for (const AttentionShape& sh : attention_shapes()) {
+    const std::int64_t seq = sh.seq, dh = sh.dh, dim = sh.heads * dh;
+    SCOPED_TRACE("seq " + std::to_string(seq) + " dh " + std::to_string(dh) +
+                 " heads " + std::to_string(sh.heads));
+    const auto qkv = attention_input(rng, seq, dim, 0);
+    const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+    std::vector<float> out(static_cast<std::size_t>(seq * dim));
+    std::vector<float> probs(static_cast<std::size_t>(seq * seq));
+    std::vector<double> p(static_cast<std::size_t>(seq));
+    for (std::int64_t h = 0; h < sh.heads; ++h) {
+      const float* q = qkv.data() + h * dh;
+      const float* k = q + dim;
+      const float* v = q + 2 * dim;
+      const std::int64_t ld = 3 * dim;
+      kernels::attention_head(q, k, v, ld, seq, dh, scale, probs.data(),
+                              out.data() + h * dh, dim);
+      for (std::int64_t i = 0; i < seq; ++i) {
+        double mx = -1e300, sum = 0.0;
+        for (std::int64_t j = 0; j < seq; ++j) {
+          double d = 0.0;
+          for (std::int64_t c = 0; c < dh; ++c)
+            d += static_cast<double>(q[i * ld + c]) * k[j * ld + c];
+          p[j] = d * scale;
+          mx = std::max(mx, p[j]);
+        }
+        for (auto& x : p) sum += (x = std::exp(x - mx));
+        for (std::int64_t j = 0; j < seq; ++j) {
+          p[j] /= sum;
+          EXPECT_NEAR(probs[i * seq + j], p[j], 1e-5) << i << "," << j;
+        }
+        for (std::int64_t c = 0; c < dh; ++c) {
+          double ref = 0.0;
+          for (std::int64_t j = 0; j < seq; ++j) ref += p[j] * v[j * ld + c];
+          EXPECT_NEAR(out[i * dim + h * dh + c], ref,
+                      1e-5 * (1.0 + std::abs(ref)))
+              << "head " << h << " row " << i << " col " << c;
+        }
+      }
+    }
   }
 }
 
